@@ -16,12 +16,13 @@
 //!   [`PatternDelta`]s to a sharded `ShardedEngine` — per-term posting
 //!   re-scores and precise per-shard cache invalidation, never a full
 //!   rebuild — before publishing one new immutable serving generation.
-//! * [`SearchHandle`] — cloneable **lock-free** query access over the
-//!   engine's `ServingFront`, speaking the typed [`Query`] DSL
-//!   (time/region filters, explanations, structured errors): readers load
-//!   the current generation from an epoch-managed pointer and never block
-//!   ingestion (nor does ingestion block them), yet answer bit-identically
-//!   to the single-threaded engine.
+//! * [`SearchHandle`] — cloneable query access over the engine's
+//!   `ServingFront`, speaking the typed [`Query`] DSL (time/region filters,
+//!   explanations, structured errors): readers clone the current
+//!   generation's `Arc` under a read lock held for that clone alone, so
+//!   they never wait on a commit's mining or publish work (nor does a
+//!   query hold a commit up), yet answer bit-identically to the
+//!   single-threaded engine.
 //! * [`replay_tsv`] — drive a TSV corpus from disk through the pipeline
 //!   tick-by-tick via the streaming reader in `stb_corpus::tsv`.
 //! * **Standing subscriptions** ([`SearchHandle::subscribe`]) — register a

@@ -2,7 +2,7 @@
 //!
 //! [`PipelineObs`] bundles one shared [`ObsRegistry`] with every metric
 //! the pipeline records: the serving-side [`SearchObs`] (attached to the
-//! engine's lock-free front), the WAL's [`WalObs`] (append/fsync latency,
+//! engine's serving front), the WAL's [`WalObs`] (append/fsync latency,
 //! rollback/reset counters), the commit-latency histogram with a sampled
 //! per-commit trace ring, durability-state gauges, and the queue-depth
 //! gauges refreshed with every health publish. It is attached once via

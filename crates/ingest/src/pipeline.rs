@@ -21,9 +21,9 @@
 //!    invalidate precisely the queries involving them.
 //!
 //! Queries are served concurrently through [`SearchHandle`]s over the
-//! engine's lock-free [`ServingFront`]: readers load the current generation
-//! from an epoch-managed pointer and never take a lock, so ingestion and
-//! search proceed side by side without reader/writer contention; a query
+//! engine's [`ServingFront`]: readers clone the current generation's `Arc`
+//! (a read lock held for that clone alone) and evaluate on it unlocked, so
+//! a query never waits on a commit's mining or publish work; a query
 //! observes either the previous tick's generation or the new one, never a
 //! half-applied commit.
 //!
@@ -64,9 +64,8 @@ use stb_core::{
 use stb_corpus::{Collection, DocId, StreamId, TermId, Timestamp, Tokenizer};
 use stb_geo::{GeoPoint, Point2D};
 use stb_search::{
-    EngineConfig, EngineMetrics, NoPatternPolicy, Query, QueryError, QueryResponse, Relevance,
-    SearchResult, ServingFront, ShardedEngine, UnknownWords, DEFAULT_CACHE_CAPACITY,
-    DEFAULT_SHARDS,
+    EngineConfig, EngineMetrics, Query, QueryError, QueryResponse, Relevance, ServingFront,
+    ShardedEngine, DEFAULT_CACHE_CAPACITY, DEFAULT_SHARDS,
 };
 use stb_store::{
     DocRecord, Durability, PendingState, RetryPolicy, SnapshotState, Store, StoreError,
@@ -99,7 +98,7 @@ pub struct IngestConfig {
     /// Capacity of the engine's query-result cache (0 disables caching).
     /// The capacity is split across the serving shards.
     pub cache_capacity: usize,
-    /// Number of serving shards in the lock-free read tier (must be > 0).
+    /// Number of serving shards in the read tier (must be > 0).
     /// Terms are routed by hash ([`stb_search::shard_of`]); more shards
     /// mean finer-grained cache invalidation per commit.
     pub n_shards: usize,
@@ -314,8 +313,7 @@ impl std::error::Error for IngestError {}
 ///
 /// Obtained from [`IngestPipeline::health`] (always current) or
 /// [`SearchHandle::health`] (as of the last pipeline operation) — the
-/// admission-control and monitoring surface that replaces polling the
-/// deprecated `wal_error()`.
+/// admission-control and monitoring surface.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct HealthReport {
     /// The durability contract currently honored.
@@ -431,8 +429,7 @@ pub struct TickReceipt {
     /// new state (the pattern-freshness lag of this tick).
     pub commit_ms: f64,
     /// The durability contract this tick's commit left the pipeline in —
-    /// per-commit truth about whether the tick was logged, instead of
-    /// polling the deprecated `wal_error()` afterwards.
+    /// per-commit truth about whether the tick was logged.
     pub durability: DurabilityState,
 }
 
@@ -491,11 +488,12 @@ pub struct RecoveryReport {
 
 /// A cloneable handle for serving queries concurrently with ingestion.
 ///
-/// Handles wrap the pipeline engine's lock-free [`ServingFront`]: every
-/// query loads the current serving generation from an epoch-managed pointer
-/// and runs without taking any lock, so any number of query threads proceed
-/// in parallel and a tick commit never blocks them — the commit publishes a
-/// new immutable generation and readers pick it up on their next query.
+/// Handles wrap the pipeline engine's [`ServingFront`]: every query clones
+/// the current serving generation's `Arc` (under a read lock held for that
+/// clone alone) and then runs on it unlocked, so any number of query
+/// threads proceed in parallel and never wait on a tick commit's mining or
+/// publish work — the commit swaps in a new immutable generation and
+/// readers pick it up on their next query.
 ///
 /// The handle speaks the same typed query DSL as the engine itself
 /// ([`SearchHandle::query`] / [`SearchHandle::query_many`]), so live
@@ -524,8 +522,8 @@ impl SearchHandle {
             .clone()
     }
 
-    /// Executes a typed [`Query`] against the current tick's generation,
-    /// without taking a lock. See [`ServingFront::query`].
+    /// Executes a typed [`Query`] against the current tick's generation.
+    /// See [`ServingFront::query`].
     pub fn query(&self, query: &Query) -> Result<QueryResponse, QueryError> {
         self.front.query(query)
     }
@@ -540,50 +538,6 @@ impl SearchHandle {
     /// (monotone; bumped by every commit).
     pub fn generation(&self) -> u64 {
         self.front.generation()
-    }
-
-    /// Answers a query: the top-`k` documents, best first.
-    #[deprecated(
-        since = "0.2.0",
-        note = "build a typed `Query` and call `SearchHandle::query`"
-    )]
-    pub fn search(&self, query: &[TermId], k: usize) -> Vec<SearchResult> {
-        self.query(&Query::terms(query.iter().copied()).top_k(k))
-            .map(|response| response.results)
-            .unwrap_or_default()
-    }
-
-    /// Answers a whitespace-separated text query against the engine's
-    /// current dictionary snapshot. Unknown words follow the engine's
-    /// no-pattern policy, as in `BurstySearchEngine::search_text`.
-    #[deprecated(
-        since = "0.2.0",
-        note = "build a typed `Query::text(..)` and call `SearchHandle::query`"
-    )]
-    pub fn search_text(&self, query: &str, k: usize) -> Vec<SearchResult> {
-        let unknown = match self.front.config().no_pattern {
-            NoPatternPolicy::Exclude => UnknownWords::EmptyResponse,
-            NoPatternPolicy::Zero => UnknownWords::Drop,
-        };
-        self.query(&Query::text(query).top_k(k).unknown_words(unknown))
-            .map(|response| response.results)
-            .unwrap_or_default()
-    }
-
-    /// Answers a batch of queries.
-    #[deprecated(
-        since = "0.2.0",
-        note = "build typed `Query` values and call `SearchHandle::query_many`"
-    )]
-    pub fn search_many(&self, queries: &[Vec<TermId>], k: usize) -> Vec<Vec<SearchResult>> {
-        let typed: Vec<Query> = queries
-            .iter()
-            .map(|q| Query::terms(q.iter().copied()).top_k(k))
-            .collect();
-        self.query_many(&typed)
-            .into_iter()
-            .map(|r| r.map(|response| response.results).unwrap_or_default())
-            .collect()
     }
 
     /// Registers a standing subscription for `query`: the pipeline
@@ -662,7 +616,7 @@ struct StagedDoc {
 /// ```
 pub struct IngestPipeline {
     live: LiveCollection,
-    /// The sharded write side; its [`ServingFront`] serves lock-free reads.
+    /// The sharded write side; its [`ServingFront`] serves the reads.
     engine: ShardedEngine,
     miner: MinerKind,
     /// One online miner per term ever seen (`STLocal` mode only).
@@ -974,7 +928,7 @@ impl IngestPipeline {
     /// Attaches an observability bundle to the whole pipeline:
     ///
     /// * the serving-side [`stb_search::SearchObs`] goes to the engine's
-    ///   lock-free front (query latency, TA-scan stats, trace sampling,
+    ///   serving front (query latency, TA-scan stats, trace sampling,
     ///   slow-query log);
     /// * the [`stb_store::WalObs`] cells go to the open log writer — and
     ///   to every writer the pipeline re-opens later (degraded-mode
@@ -1028,7 +982,7 @@ impl IngestPipeline {
         self.obs.as_ref()
     }
 
-    /// A cloneable query handle over the engine's lock-free serving front.
+    /// A cloneable query handle over the engine's serving front.
     pub fn search_handle(&self) -> SearchHandle {
         SearchHandle {
             front: self.engine.front(),
@@ -1530,9 +1484,9 @@ impl IngestPipeline {
         }
 
         // Publish: swap the snapshot in, apply the per-term deltas, and
-        // push one new serving generation to the lock-free front. Readers
-        // never block on this — they keep serving the previous generation
-        // until the publish lands.
+        // push one new serving generation to the front. Readers do not
+        // wait on this — they keep serving the previous generation until
+        // the final pointer swap.
         self.engine
             .update_collection(Arc::clone(&snapshot), &new_docs);
         for delta in &deltas {
@@ -1741,20 +1695,6 @@ impl IngestPipeline {
         }
     }
 
-    /// The most recent store failure, while durability is not intact;
-    /// `None` whenever the pipeline is fully durable (or ephemeral).
-    #[deprecated(
-        since = "0.6.0",
-        note = "poll `IngestPipeline::health()` (or the per-commit `TickReceipt::durability`) \
-                instead of this single latched error"
-    )]
-    pub fn wal_error(&self) -> Option<&StoreError> {
-        match self.dur_state {
-            DurState::Durable => None,
-            DurState::Degraded | DurState::NonDurable => self.last_error.as_ref(),
-        }
-    }
-
     /// The durability contract the pipeline is currently honoring.
     pub fn durability_state(&self) -> DurabilityState {
         if self.store.is_none() {
@@ -1906,7 +1846,7 @@ impl IngestPipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stb_search::BurstySearchEngine;
+    use stb_search::{BurstySearchEngine, NoPatternPolicy, SearchResult};
 
     /// Typed-API term query through a live handle.
     fn run(handle: &SearchHandle, terms: &[TermId], k: usize) -> Vec<SearchResult> {
@@ -2199,7 +2139,7 @@ mod tests {
             });
             for tick in 0..40 {
                 burst_tick(&mut pipeline, &streams, t, (10..20).contains(&tick));
-                // The lock-free read path never blocks the writer, so on a
+                // The read path never holds the writer up, so on a
                 // single-CPU box the commit loop could finish before the
                 // reader is ever scheduled; yield to let it interleave.
                 std::thread::yield_now();
@@ -2691,21 +2631,6 @@ mod tests {
         assert!(h.durability.is_degraded());
         assert_eq!(h.buffered_ticks, 1);
         assert!(h.last_error.is_some());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_wal_error_still_reflects_state() {
-        let (mut pipeline, faults, s, t, dir) = faulted_pipeline("compat", 0, 8);
-        assert!(pipeline.wal_error().is_none());
-        faults.fail_next_at(FaultSite::WalAppend, InjectedFault::transient());
-        faults.fail_next_at(FaultSite::WalRead, InjectedFault::transient());
-        commit_one(&mut pipeline, s, t);
-        assert!(pipeline.wal_error().is_some());
-        faults.heal();
-        pipeline.try_recover_durability();
-        assert!(pipeline.wal_error().is_none(), "cleared on recovery");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

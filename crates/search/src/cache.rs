@@ -16,7 +16,7 @@
 use crate::engine::{EngineConfig, SearchResult};
 use stb_obs::Counter;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use stb_corpus::TermId;
 use stb_geo::Rect;
@@ -179,12 +179,15 @@ impl QueryCache {
         self.capacity
     }
 
-    /// Looks up a query, refreshing its recency on a hit.
-    pub fn get(&self, key: &QueryKey) -> Option<Vec<SearchResult>> {
-        self.get_at(key, u64::MAX)
+    /// The cache map. It holds plain data that every update leaves valid,
+    /// so a panic under the mutex (e.g. in a [`QueryCache::put_tagged`]
+    /// caller closure) must not take every later query down with it.
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Looks up a query on behalf of a reader serving `generation`.
+    /// Looks up a query on behalf of a reader serving `generation` (0 for
+    /// unversioned callers), refreshing its recency on a hit.
     ///
     /// A hit is returned only when the entry was computed from that
     /// generation *or an older one* — older surviving entries are exact
@@ -198,7 +201,7 @@ impl QueryCache {
             self.misses.inc();
             return None;
         }
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = self.lock();
         inner.clock += 1;
         let clock = inner.clock;
         match inner.map.get_mut(key) {
@@ -214,24 +217,12 @@ impl QueryCache {
         }
     }
 
-    /// Stores a query's results, evicting the least-recently-used entry if
-    /// the cache is full.
-    pub fn put(&self, key: QueryKey, results: Vec<SearchResult>) {
-        self.put_tagged(key, results, 0, || true);
-    }
-
-    /// Stores a query's results only if `valid` still holds once the cache
-    /// lock is taken. The entry is untagged (generation 0), so every
-    /// [`QueryCache::get_at`] reader may consume it.
-    pub fn put_if(&self, key: QueryKey, results: Vec<SearchResult>, valid: impl FnOnce() -> bool) {
-        self.put_tagged(key, results, 0, valid);
-    }
-
     /// Stores a query's results computed from serving generation
-    /// `generation`, only if `valid` still holds once the cache lock is
-    /// taken.
+    /// `generation` (0 for unversioned callers), only if `valid` still
+    /// holds once the cache lock is taken, evicting the
+    /// least-recently-used entry if the cache is full.
     ///
-    /// This closes the lock-free serving tier's staleness race: a reader
+    /// This closes the serving tier's staleness race: a reader
     /// evaluates against generation `g`, then calls `put_tagged` with a
     /// check that the published generation is still `g`. Because the check
     /// runs *under the same mutex* the writer's per-term invalidation
@@ -248,7 +239,7 @@ impl QueryCache {
         if self.capacity == 0 {
             return;
         }
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = self.lock();
         if !valid() {
             return;
         }
@@ -276,18 +267,18 @@ impl QueryCache {
 
     /// Drops every cached query that involves `term`.
     pub fn invalidate_term(&self, term: TermId) {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = self.lock();
         inner.map.retain(|key, _| !key.involves(term));
     }
 
     /// Drops every cached entry.
     pub fn clear(&self) {
-        self.inner.lock().unwrap().map.clear();
+        self.lock().map.clear();
     }
 
     /// Number of currently cached queries.
     pub fn len(&self) -> usize {
-        self.inner.lock().unwrap().map.len()
+        self.lock().map.len()
     }
 
     /// Whether the cache currently holds no entries.
@@ -328,12 +319,21 @@ mod tests {
             .collect()
     }
 
+    /// Unversioned lookup / insert, as the unsharded engine issues them.
+    fn get(cache: &QueryCache, key: &QueryKey) -> Option<Vec<SearchResult>> {
+        cache.get_at(key, 0)
+    }
+
+    fn put(cache: &QueryCache, key: QueryKey, results: Vec<SearchResult>) {
+        cache.put_tagged(key, results, 0, || true);
+    }
+
     #[test]
     fn hit_and_miss_counting() {
         let cache = QueryCache::new(4);
-        assert_eq!(cache.get(&key(&[1], 5)), None);
-        cache.put(key(&[1], 5), results(2));
-        assert_eq!(cache.get(&key(&[1], 5)), Some(results(2)));
+        assert_eq!(get(&cache, &key(&[1], 5)), None);
+        put(&cache, key(&[1], 5), results(2));
+        assert_eq!(get(&cache, &key(&[1], 5)), Some(results(2)));
         assert_eq!(cache.hits(), 1);
         assert_eq!(cache.misses(), 1);
     }
@@ -341,11 +341,11 @@ mod tests {
     #[test]
     fn key_is_order_insensitive_but_k_sensitive() {
         let cache = QueryCache::new(4);
-        cache.put(key(&[2, 1], 5), results(1));
-        assert!(cache.get(&key(&[1, 2], 5)).is_some());
-        assert!(cache.get(&key(&[1, 2], 6)).is_none());
+        put(&cache, key(&[2, 1], 5), results(1));
+        assert!(get(&cache, &key(&[1, 2], 5)).is_some());
+        assert!(get(&cache, &key(&[1, 2], 6)).is_none());
         // Duplicate terms are a different query than the deduplicated one.
-        assert!(cache.get(&key(&[1, 2, 2], 5)).is_none());
+        assert!(get(&cache, &key(&[1, 2, 2], 5)).is_none());
     }
 
     #[test]
@@ -368,10 +368,10 @@ mod tests {
             }
         }
         for (i, key) in keys.iter().enumerate() {
-            cache.put(key.clone(), results(i as u32 + 1));
+            put(&cache, key.clone(), results(i as u32 + 1));
         }
         for (i, key) in keys.iter().enumerate() {
-            assert_eq!(cache.get(key), Some(results(i as u32 + 1)));
+            assert_eq!(get(&cache, key), Some(results(i as u32 + 1)));
         }
         // The unfiltered constructor and the canonical one agree.
         assert_eq!(
@@ -386,35 +386,35 @@ mod tests {
     #[test]
     fn zero_capacity_disables_caching() {
         let cache = QueryCache::new(0);
-        cache.put(key(&[1], 5), results(1));
-        assert_eq!(cache.get(&key(&[1], 5)), None);
+        put(&cache, key(&[1], 5), results(1));
+        assert_eq!(get(&cache, &key(&[1], 5)), None);
         assert!(cache.is_empty());
     }
 
     #[test]
     fn lru_eviction_keeps_recent_entries() {
         let cache = QueryCache::new(2);
-        cache.put(key(&[1], 5), results(1));
-        cache.put(key(&[2], 5), results(2));
+        put(&cache, key(&[1], 5), results(1));
+        put(&cache, key(&[2], 5), results(2));
         // Touch [1] so [2] becomes the LRU entry.
-        assert!(cache.get(&key(&[1], 5)).is_some());
-        cache.put(key(&[3], 5), results(3));
+        assert!(get(&cache, &key(&[1], 5)).is_some());
+        put(&cache, key(&[3], 5), results(3));
         assert_eq!(cache.len(), 2);
-        assert!(cache.get(&key(&[1], 5)).is_some());
-        assert!(cache.get(&key(&[2], 5)).is_none());
-        assert!(cache.get(&key(&[3], 5)).is_some());
+        assert!(get(&cache, &key(&[1], 5)).is_some());
+        assert!(get(&cache, &key(&[2], 5)).is_none());
+        assert!(get(&cache, &key(&[3], 5)).is_some());
     }
 
     #[test]
     fn invalidate_term_drops_only_involving_queries() {
         let cache = QueryCache::new(8);
-        cache.put(key(&[1, 2], 5), results(1));
-        cache.put(key(&[2, 3], 5), results(2));
-        cache.put(key(&[3, 4], 5), results(3));
+        put(&cache, key(&[1, 2], 5), results(1));
+        put(&cache, key(&[2, 3], 5), results(2));
+        put(&cache, key(&[3, 4], 5), results(3));
         cache.invalidate_term(TermId(2));
-        assert!(cache.get(&key(&[1, 2], 5)).is_none());
-        assert!(cache.get(&key(&[2, 3], 5)).is_none());
-        assert!(cache.get(&key(&[3, 4], 5)).is_some());
+        assert!(get(&cache, &key(&[1, 2], 5)).is_none());
+        assert!(get(&cache, &key(&[2, 3], 5)).is_none());
+        assert!(get(&cache, &key(&[3, 4], 5)).is_some());
     }
 
     #[test]
@@ -428,24 +428,45 @@ mod tests {
         assert_eq!(cache.get_at(&key(&[1], 5), 8), Some(results(1)));
         assert_eq!(cache.hits(), 2);
         assert_eq!(cache.misses(), 1);
-        // Untagged `put` entries are visible to every reader.
-        cache.put(key(&[2], 5), results(2));
+        // Generation-0 entries are visible to every reader.
+        put(&cache, key(&[2], 5), results(2));
         assert_eq!(cache.get_at(&key(&[2], 5), 0), Some(results(2)));
+        assert_eq!(cache.get_at(&key(&[2], 5), 9), Some(results(2)));
     }
 
     #[test]
-    fn put_if_respects_the_validity_check() {
+    fn put_tagged_respects_the_validity_check() {
         let cache = QueryCache::new(4);
-        cache.put_if(key(&[1], 5), results(1), || false);
+        cache.put_tagged(key(&[1], 5), results(1), 0, || false);
         assert!(cache.is_empty());
-        cache.put_if(key(&[1], 5), results(1), || true);
-        assert_eq!(cache.get(&key(&[1], 5)), Some(results(1)));
+        cache.put_tagged(key(&[1], 5), results(1), 0, || true);
+        assert_eq!(get(&cache, &key(&[1], 5)), Some(results(1)));
+    }
+
+    #[test]
+    fn a_panicking_validity_check_does_not_poison_the_cache() {
+        let cache = QueryCache::new(4);
+        put(&cache, key(&[1, 2], 5), results(1));
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            cache.put_tagged(key(&[3], 5), results(3), 0, || panic!("validity check"));
+        }));
+        assert!(panicked.is_err());
+        // The closure ran under the mutex; every later operation still works.
+        assert_eq!(get(&cache, &key(&[1, 2], 5)), Some(results(1)));
+        assert_eq!(get(&cache, &key(&[3], 5)), None);
+        put(&cache, key(&[3], 5), results(3));
+        assert_eq!(cache.len(), 2);
+        cache.invalidate_term(TermId(2));
+        assert_eq!(get(&cache, &key(&[1, 2], 5)), None);
+        assert_eq!(get(&cache, &key(&[3], 5)), Some(results(3)));
+        cache.clear();
+        assert!(cache.is_empty());
     }
 
     #[test]
     fn clear_empties_the_cache() {
         let cache = QueryCache::new(8);
-        cache.put(key(&[1], 5), results(1));
+        put(&cache, key(&[1], 5), results(1));
         cache.clear();
         assert!(cache.is_empty());
     }

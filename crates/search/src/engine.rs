@@ -19,8 +19,9 @@
 //! optional `time_window`/`region` filters, per-query options) executed by
 //! [`BurstySearchEngine::query`] into a `Result<QueryResponse, QueryError>`
 //! carrying results, optional per-document explanations, and execution
-//! stats. The historical `search`/`search_many`/`search_text` trio remains
-//! as thin deprecated shims over the DSL.
+//! stats. Both serving tiers — this engine and the sharded
+//! [`crate::ServingFront`] — run every query through the one crate-private
+//! `execute` function below, each over its own read-only state view.
 //!
 //! # Serving path
 //!
@@ -35,12 +36,9 @@
 //!
 //! * an LRU cache of evaluated top-k result lists, keyed on the full
 //!   canonical query — (terms, k, effective config, time window, region) —
-//!   and invalidated per term by [`BurstySearchEngine::set_patterns`],
+//!   and invalidated per term by [`BurstySearchEngine::set_patterns`], and
 //! * an incremental per-term rebuild: updating one term's patterns after
-//!   finalization re-scores only that term's posting list, and
-//! * a batched [`BurstySearchEngine::query_many`] that amortizes index
-//!   construction (cold mode, grouped by identical filters) or cache
-//!   traffic (finalized mode) over a whole workload.
+//!   finalization re-scores only that term's posting list.
 
 use crate::burstiness::{BurstinessAgg, NoPatternPolicy};
 use crate::cache::{QueryCache, QueryKey};
@@ -52,10 +50,11 @@ use crate::query::{
     UnknownWords,
 };
 use crate::relevance::Relevance;
-use crate::threshold::{threshold_topk_with_stats, ScoredDoc, TopkStats};
+use crate::shard::shard_of;
+use crate::threshold::{threshold_topk_with_stats, PostingAccess, ScoredDoc, TopkStats};
 use stb_obs::{SpanClock, SpanKind};
 use std::collections::HashMap;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use stb_core::{parallel_map, PatternGeometry, PatternRecord, PatternSource};
@@ -302,9 +301,6 @@ pub struct BurstySearchEngine {
     last_finalize: Option<Duration>,
     /// Number of single-term posting-list rebuilds on the prebuilt index.
     term_rescore_count: u64,
-    /// Observability hooks, set once via
-    /// [`BurstySearchEngine::attach_obs`]; unset skips instrumentation.
-    obs: OnceLock<Arc<SearchObs>>,
 }
 
 /// A point-in-time snapshot of the engine's serving counters, for benchmark
@@ -364,17 +360,7 @@ impl BurstySearchEngine {
             finalize_count: 0,
             last_finalize: None,
             term_rescore_count: 0,
-            obs: OnceLock::new(),
         }
-    }
-
-    /// Attaches observability hooks: queries start recording latency,
-    /// sampled traces, and slow-query entries into the given
-    /// [`SearchObs`]. Attach once at wiring time; later calls are
-    /// ignored. (The sharded tier attaches to its `ServingFront`
-    /// instead; see `ServingFront::attach_obs`.)
-    pub fn attach_obs(&self, obs: Arc<SearchObs>) {
-        let _ = self.obs.set(obs);
     }
 
     /// The engine's configuration.
@@ -478,17 +464,6 @@ impl BurstySearchEngine {
         self.term_docs.get(&term).map(Vec::len).unwrap_or(0)
     }
 
-    /// The stored patterns of a term (crate-internal: the sharded serving
-    /// tier copies these into shard snapshots).
-    pub(crate) fn patterns_of(&self, term: TermId) -> Option<&[StoredPattern]> {
-        self.patterns.get(&term).map(Vec::as_slice)
-    }
-
-    /// The corpus-level term→documents list of a term.
-    pub(crate) fn term_docs_of(&self, term: TermId) -> Option<&[DocId]> {
-        self.term_docs.get(&term).map(Vec::as_slice)
-    }
-
     /// Every term the engine knows about: the union of terms appearing in
     /// the collection and terms with registered patterns, sorted.
     pub(crate) fn known_terms(&self) -> Vec<TermId> {
@@ -504,68 +479,24 @@ impl BurstySearchEngine {
     }
 
     /// `burstiness(d, t)` of Eq. 11: aggregates the scores of the patterns of
-    /// `term` that overlap the document, or `None` if no pattern overlaps.
+    /// `term` that overlap the document, or `None` if no pattern overlaps
+    /// (or `doc` is not in the engine's snapshot).
     pub fn document_burstiness(&self, term: TermId, doc: DocId) -> Option<f64> {
-        self.burstiness_with(term, doc, self.config.aggregation, PatternFilter::NONE)
-    }
-
-    /// Eq. 11 restricted to the patterns surviving `filter`.
-    fn burstiness_with(
-        &self,
-        term: TermId,
-        doc: DocId,
-        aggregation: BurstinessAgg,
-        filter: PatternFilter,
-    ) -> Option<f64> {
-        let document = self.collection.document(doc);
-        burstiness_of(
-            self.patterns.get(&term).map(Vec::as_slice),
-            document.stream,
-            document.timestamp,
-            aggregation,
-            filter,
-        )
+        document_burstiness(self, term, doc)
     }
 
     /// The Eq. 10–11 scored posting list of one term (unsorted) under the
     /// engine's own configuration and no filter — the list the prebuilt
     /// index materializes.
     fn term_postings(&self, term: TermId) -> Vec<Posting> {
-        self.term_postings_with(term, self.config, PatternFilter::NONE)
-    }
-
-    /// The scored posting list of one term under an effective configuration
-    /// (the engine's, possibly overridden per query) and a pattern filter.
-    fn term_postings_with(
-        &self,
-        term: TermId,
-        config: EngineConfig,
-        filter: PatternFilter,
-    ) -> Vec<Posting> {
         scored_postings(
             &self.collection,
             term,
-            self.term_docs.get(&term).map(Vec::as_slice),
-            self.patterns.get(&term).map(Vec::as_slice),
-            config,
-            filter,
+            self.term_docs(term),
+            self.patterns(term),
+            self.config,
+            PatternFilter::NONE,
         )
-    }
-
-    /// Builds the per-term inverted index (Eq. 10 per-term scores) for a set
-    /// of query terms.
-    pub fn build_index(&self, query: &[TermId]) -> InvertedIndex {
-        self.build_index_with(query, self.config, PatternFilter::NONE)
-    }
-
-    /// Per-query index under an effective configuration and filter.
-    fn build_index_with(
-        &self,
-        query: &[TermId],
-        config: EngineConfig,
-        filter: PatternFilter,
-    ) -> InvertedIndex {
-        query_index(query, |term| self.term_postings_with(term, config, filter))
     }
 
     /// Prebuilds the score-sorted posting index of **every** term in the
@@ -691,33 +622,6 @@ impl BurstySearchEngine {
         self.cache = QueryCache::new(capacity);
     }
 
-    /// Number of searches answered from the query-result cache.
-    #[deprecated(
-        since = "0.2.0",
-        note = "the observability surface lives on `EngineMetrics`: use `metrics().cache_hits`"
-    )]
-    pub fn cache_hits(&self) -> u64 {
-        self.metrics().cache_hits
-    }
-
-    /// Number of searches that had to be evaluated.
-    #[deprecated(
-        since = "0.2.0",
-        note = "the observability surface lives on `EngineMetrics`: use `metrics().cache_misses`"
-    )]
-    pub fn cache_misses(&self) -> u64 {
-        self.metrics().cache_misses
-    }
-
-    /// Number of query results currently cached.
-    #[deprecated(
-        since = "0.2.0",
-        note = "the observability surface lives on `EngineMetrics`: use `metrics().cache_len`"
-    )]
-    pub fn cache_len(&self) -> usize {
-        self.metrics().cache_len
-    }
-
     /// A snapshot of the engine's serving counters.
     pub fn metrics(&self) -> EngineMetrics {
         EngineMetrics {
@@ -735,65 +639,6 @@ impl BurstySearchEngine {
         }
     }
 
-    /// Validates and resolves a [`Query`] against the engine's current
-    /// snapshot into an executable plan.
-    fn plan(&self, query: &Query) -> Result<QueryPlan, QueryError> {
-        plan_query(&self.collection, self.config, query)
-    }
-
-    /// Evaluates a plan against the cheapest sound index: the prebuilt
-    /// full-collection index when the plan matches what it was built under
-    /// (no filters, no per-query overrides), a per-query filtered index
-    /// otherwise. Filtering happens *before* the Threshold Algorithm runs,
-    /// so its early-termination bound applies to the filtered lists
-    /// unchanged.
-    fn evaluate(&self, plan: &QueryPlan) -> (Vec<SearchResult>, QueryStats) {
-        let direct = plan.filter.is_none() && plan.config == self.config && self.prebuilt.is_some();
-        let (results, ta) = match (&self.prebuilt, direct) {
-            (Some(index), true) => {
-                threshold_topk_with_stats(index, &plan.terms, plan.k, plan.config.no_pattern)
-            }
-            _ => {
-                let index = self.build_index_with(&plan.terms, plan.config, plan.filter);
-                threshold_topk_with_stats(&index, &plan.terms, plan.k, plan.config.no_pattern)
-            }
-        };
-        (results, evaluated_stats(plan, ta, direct))
-    }
-
-    /// Assembles the response, computing explanations when asked to (also
-    /// on cache hits — explanations are derived from the live pattern
-    /// store, never cached).
-    fn respond(
-        &self,
-        plan: &QueryPlan,
-        results: Vec<SearchResult>,
-        stats: QueryStats,
-    ) -> QueryResponse {
-        let explanations = if plan.explain {
-            self.explain_results(plan, &results)
-        } else {
-            Vec::new()
-        };
-        QueryResponse {
-            results,
-            explanations,
-            stats,
-        }
-    }
-
-    /// Per-document Eq. 10–11 breakdown of a result list under a plan's
-    /// effective configuration and filters.
-    fn explain_results(&self, plan: &QueryPlan, results: &[SearchResult]) -> Vec<DocExplanation> {
-        explain_results_with(
-            &self.collection,
-            plan,
-            results,
-            |term| self.doc_freq(term),
-            |term| self.patterns.get(&term).map(Vec::as_slice),
-        )
-    }
-
     /// Executes a typed [`Query`]: the canonical entry point of the serving
     /// API.
     ///
@@ -806,212 +651,49 @@ impl BurstySearchEngine {
     /// finalized engine) or scores the query terms' filtered posting lists
     /// on the fly. Either way [`QueryResponse::stats`] says which path ran.
     pub fn query(&self, query: &Query) -> Result<QueryResponse, QueryError> {
-        match self.obs.get() {
-            None => self.query_plain(query),
-            Some(obs) => self.query_observed(query, &Arc::clone(obs)),
-        }
-    }
-
-    fn query_plain(&self, query: &Query) -> Result<QueryResponse, QueryError> {
-        let plan = self.plan(query)?;
-        if plan.vacuous {
-            return Ok(vacuous_response(&plan));
-        }
-        let key = plan_key(&plan);
-        if let Some(hit) = self.cache.get(&key) {
-            return Ok(self.respond(&plan, hit, cache_hit_stats(&plan)));
-        }
-        let (results, stats) = self.evaluate(&plan);
-        self.cache.put(key, results.clone());
-        Ok(self.respond(&plan, results, stats))
-    }
-
-    /// [`query_plain`](Self::query_plain) with span instrumentation: same
-    /// calls in the same order, plus `Instant` reads between stages and
-    /// lock-free metric recording at the end. The whole `evaluate` step is
-    /// timed as one [`SpanKind::TaScan`] span (this tier has no shard
-    /// gather to split out).
-    fn query_observed(
-        &self,
-        query: &Query,
-        obs: &Arc<SearchObs>,
-    ) -> Result<QueryResponse, QueryError> {
-        let mut clock = SpanClock::start();
-        let plan = match self.plan(query) {
-            Ok(plan) => plan,
-            Err(e) => {
-                obs.record_error();
-                return Err(e);
-            }
-        };
-        clock.lap(SpanKind::Plan);
-        if plan.vacuous {
-            let response = vacuous_response(&plan);
-            obs.record_query(clock, &plan_key(&plan), &response.stats);
-            return Ok(response);
-        }
-        let key = plan_key(&plan);
-        if let Some(hit) = self.cache.get(&key) {
-            clock.lap(SpanKind::CacheLookup);
-            let response = self.respond(&plan, hit, cache_hit_stats(&plan));
-            clock.lap(SpanKind::Respond);
-            obs.record_query(clock, &key, &response.stats);
-            return Ok(response);
-        }
-        clock.lap(SpanKind::CacheLookup);
-        let (results, stats) = self.evaluate(&plan);
-        clock.lap(SpanKind::TaScan);
-        self.cache.put(key.clone(), results.clone());
-        let response = self.respond(&plan, results, stats);
-        clock.lap(SpanKind::Respond);
-        obs.record_query(clock, &key, &response.stats);
-        Ok(response)
+        // The engine is unversioned: one cache, generation 0, never stale.
+        execute(
+            self,
+            std::slice::from_ref(&self.cache),
+            || true,
+            query,
+            None,
+        )
     }
 
     /// Executes a batch of typed queries, returning one response per query
-    /// (same order as the input). Each query fails or succeeds on its own.
-    ///
-    /// On a cold engine the batch scores each *distinct* (configuration,
-    /// filter) group's term union once instead of once per query — queries
-    /// with different filters never share an index, since a pattern
-    /// surviving one query's window/region may be excluded by another's.
-    /// On a finalized engine the prebuilt index already amortizes the
-    /// unfiltered work, and repeated queries in the batch hit the cache.
+    /// (same order as the input). Each query fails or succeeds on its own;
+    /// repeated queries in the batch hit the result cache.
     pub fn query_many(&self, queries: &[Query]) -> Vec<Result<QueryResponse, QueryError>> {
-        if self.prebuilt.is_some() {
-            return queries.iter().map(|q| self.query(q)).collect();
-        }
-        let plans: Vec<Result<QueryPlan, QueryError>> =
-            queries.iter().map(|q| self.plan(q)).collect();
-        // Settle everything that needs no evaluation: invalid queries,
-        // vacuous queries, and cache hits.
-        let mut responses: Vec<Option<Result<QueryResponse, QueryError>>> = plans
-            .iter()
-            .map(|p| match p {
-                Err(e) => Some(Err(e.clone())),
-                Ok(plan) if plan.vacuous => Some(Ok(vacuous_response(plan))),
-                Ok(plan) => self
-                    .cache
-                    .get(&plan_key(plan))
-                    .map(|hit| Ok(self.respond(plan, hit, cache_hit_stats(plan)))),
-            })
-            .collect();
-        // Group the queries that missed by their effective (config, filter)
-        // pair: only queries scored under identical restrictions may share
-        // an index.
-        let mut groups: Vec<((EngineConfig, PatternFilter), Vec<usize>)> = Vec::new();
-        for (i, plan) in plans.iter().enumerate() {
-            let (Ok(plan), None) = (plan, &responses[i]) else {
-                continue;
-            };
-            let fingerprint = (plan.config, plan.filter);
-            match groups.iter_mut().find(|(g, _)| *g == fingerprint) {
-                Some((_, members)) => members.push(i),
-                None => groups.push((fingerprint, vec![i])),
-            }
-        }
-        for ((config, filter), members) in groups {
-            let mut union: Vec<TermId> = members
-                .iter()
-                .flat_map(|&i| {
-                    plans[i]
-                        .as_ref()
-                        .expect("grouped plans are Ok")
-                        .terms
-                        .clone()
-                })
-                .collect();
-            union.sort();
-            union.dedup();
-            let index = self.build_index_with(&union, config, filter);
-            for &i in &members {
-                let plan = plans[i].as_ref().expect("grouped plans are Ok");
-                let key = plan_key(plan);
-                // Re-check the cache: an identical query earlier in this
-                // batch may have just been evaluated and stored.
-                let response = match self.cache.get(&key) {
-                    Some(hit) => self.respond(plan, hit, cache_hit_stats(plan)),
-                    None => {
-                        let (results, ta) = threshold_topk_with_stats(
-                            &index,
-                            &plan.terms,
-                            plan.k,
-                            config.no_pattern,
-                        );
-                        self.cache.put(key, results.clone());
-                        let stats = evaluated_stats(plan, ta, false);
-                        self.respond(plan, results, stats)
-                    }
-                };
-                responses[i] = Some(Ok(response));
-            }
-        }
-        responses
-            .into_iter()
-            .map(|r| r.expect("every query settled"))
-            .collect()
+        queries.iter().map(|q| self.query(q)).collect()
+    }
+}
+
+impl StateView for BurstySearchEngine {
+    type Prebuilt<'a> = &'a InvertedIndex;
+
+    fn collection(&self) -> &Collection {
+        &self.collection
     }
 
-    /// Answers a query: the top-`k` documents by Eq. 10, best first.
-    ///
-    /// Legacy shim: errors (empty query, `k == 0`) collapse to an empty
-    /// result list, as this entry point always did.
-    ///
-    /// **Behavior change (0.3):** repeated terms in `query` now collapse
-    /// to one occurrence before scoring, matching Eq. 10's sum over the
-    /// query's *distinct* terms — `[t, t]` scores exactly like `[t]`
-    /// everywhere (planner, cache key, TA scan, subscriptions). Earlier
-    /// releases summed the repeated term's factor twice through this
-    /// shim.
-    #[deprecated(
-        since = "0.2.0",
-        note = "build a typed `Query` and call `BurstySearchEngine::query`"
-    )]
-    pub fn search(&self, query: &[TermId], k: usize) -> Vec<SearchResult> {
-        self.query(&Query::terms(query.iter().copied()).top_k(k))
-            .map(|response| response.results)
-            .unwrap_or_default()
+    fn config(&self) -> EngineConfig {
+        self.config
     }
 
-    /// Answers a batch of queries with one shared index, returning one
-    /// result list per query (same order as the input).
-    ///
-    /// Legacy shim over [`BurstySearchEngine::query_many`].
-    #[deprecated(
-        since = "0.2.0",
-        note = "build typed `Query` values and call `BurstySearchEngine::query_many`"
-    )]
-    pub fn search_many(&self, queries: &[Vec<TermId>], k: usize) -> Vec<Vec<SearchResult>> {
-        let typed: Vec<Query> = queries
-            .iter()
-            .map(|q| Query::terms(q.iter().copied()).top_k(k))
-            .collect();
-        self.query_many(&typed)
-            .into_iter()
-            .map(|r| r.map(|response| response.results).unwrap_or_default())
-            .collect()
+    fn generation(&self) -> u64 {
+        0
     }
 
-    /// Convenience: answers a query given as raw strings, resolving them
-    /// against the engine's collection snapshot.
-    ///
-    /// Legacy shim: unknown words follow the engine's no-pattern policy
-    /// (under [`NoPatternPolicy::Exclude`] a query containing an unknown
-    /// word matches nothing; under [`NoPatternPolicy::Zero`] unknown words
-    /// are dropped), and the call never fails — malformed queries collapse
-    /// to an empty result list.
-    #[deprecated(
-        since = "0.2.0",
-        note = "build a typed `Query::text(..)` and call `BurstySearchEngine::query`"
-    )]
-    pub fn search_text(&self, query: &str, k: usize) -> Vec<SearchResult> {
-        let unknown = match self.config.no_pattern {
-            NoPatternPolicy::Exclude => UnknownWords::EmptyResponse,
-            NoPatternPolicy::Zero => UnknownWords::Drop,
-        };
-        self.query(&Query::text(query).top_k(k).unknown_words(unknown))
-            .map(|response| response.results)
-            .unwrap_or_default()
+    fn prebuilt<'a>(&'a self, _terms: &[TermId]) -> Option<&'a InvertedIndex> {
+        self.prebuilt.as_ref()
+    }
+
+    fn term_docs(&self, term: TermId) -> Option<&[DocId]> {
+        self.term_docs.get(&term).map(Vec::as_slice)
+    }
+
+    fn patterns(&self, term: TermId) -> Option<&[StoredPattern]> {
+        self.patterns.get(&term).map(Vec::as_slice)
     }
 }
 
@@ -1035,13 +717,180 @@ pub(crate) struct QueryPlan {
 // ---------------------------------------------------------------------------
 // Shared query-execution machinery.
 //
-// These free functions are the single implementation of planning, scoring,
-// stats assembly, and explanation used by BOTH `BurstySearchEngine` (above)
-// and the sharded lock-free serving tier (`crate::shard`). Sharing them is
-// what makes the two paths bit-identical: every float operation a query
-// triggers runs through exactly this code, in exactly this order, no matter
-// which tier executes it.
+// `execute` is the single query flow of BOTH `BurstySearchEngine` (above)
+// and the sharded serving tier (`crate::shard`); each tier only supplies a
+// `StateView` over its own store. Sharing it is what makes the two paths
+// bit-identical: every float operation a query triggers runs through
+// exactly this code, in exactly this order, no matter which tier executes
+// it.
 // ---------------------------------------------------------------------------
+
+/// A read-only view of one consistent serving state — all that [`execute`]
+/// knows about the tier it runs on.
+pub(crate) trait StateView {
+    /// Sorted + random access to the prebuilt posting lists of a query's
+    /// terms.
+    type Prebuilt<'a>: PostingAccess
+    where
+        Self: 'a;
+
+    fn collection(&self) -> &Collection;
+
+    /// The configuration the prebuilt lists were scored under.
+    fn config(&self) -> EngineConfig;
+
+    /// The serving generation of this state (0 for the unversioned engine).
+    fn generation(&self) -> u64;
+
+    /// The prebuilt lists of `terms`, if the state is finalized.
+    fn prebuilt<'a>(&'a self, terms: &[TermId]) -> Option<Self::Prebuilt<'a>>;
+
+    /// The corpus-level term→documents list of a term.
+    fn term_docs(&self, term: TermId) -> Option<&[DocId]>;
+
+    /// The stored patterns of a term.
+    fn patterns(&self, term: TermId) -> Option<&[StoredPattern]>;
+}
+
+/// The span clock of one query: records into the attached [`SearchObs`],
+/// or does nothing (not even read the time) when none is attached.
+struct Spans<'a>(Option<(&'a SearchObs, SpanClock)>);
+
+impl Spans<'_> {
+    fn lap(&mut self, kind: SpanKind) {
+        if let Some((_, clock)) = &mut self.0 {
+            clock.lap(kind);
+        }
+    }
+
+    fn finish(self, key: &QueryKey, stats: &QueryStats) {
+        if let Some((obs, clock)) = self.0 {
+            obs.record_query(clock, key, stats);
+        }
+    }
+}
+
+/// Executes a typed [`Query`] against one state view: plan → vacuous check
+/// → generation-gated cache lookup → gather → TA scan → tagged cache insert
+/// → respond.
+///
+/// `caches` is the tier's result caches, routed by the query's minimum
+/// term ([`shard_of`]); `still_current` says whether the view's generation
+/// is still the published one and is checked under the cache mutex, so a
+/// stale insert either sees the bumped generation or is removed by the
+/// writer's subsequent per-term invalidation.
+pub(crate) fn execute<V: StateView>(
+    view: &V,
+    caches: &[QueryCache],
+    still_current: impl FnOnce() -> bool,
+    query: &Query,
+    obs: Option<&SearchObs>,
+) -> Result<QueryResponse, QueryError> {
+    let mut spans = Spans(obs.map(|obs| (obs, SpanClock::start())));
+    let plan = match plan_query(view.collection(), view.config(), query) {
+        Ok(plan) => plan,
+        Err(e) => {
+            if let Some(obs) = obs {
+                obs.record_error();
+            }
+            return Err(e);
+        }
+    };
+    spans.lap(SpanKind::Plan);
+    let key = plan_key(&plan);
+    let route = match plan.terms.iter().min() {
+        Some(&term) if !plan.vacuous => term,
+        _ => {
+            let response = vacuous_response(&plan);
+            spans.finish(&key, &response.stats);
+            return Ok(response);
+        }
+    };
+    let cache = &caches[shard_of(route, caches.len())];
+    let generation = view.generation();
+    // Hits are gated on the entry's generation: entries computed from a
+    // *newer* generation than this view are rejected (their results may
+    // reference documents this generation lacks); older surviving entries
+    // are exact because every intervening publish invalidated the queries
+    // its dirty terms touched.
+    let hit = cache.get_at(&key, generation);
+    spans.lap(SpanKind::CacheLookup);
+    let (results, stats) = match hit {
+        Some(results) => (results, cache_hit_stats(&plan)),
+        None => {
+            // The prebuilt lists are sound only for the plan they were
+            // built under (no filters, no per-query overrides); anything
+            // else scores its terms' filtered lists per query. Filtering
+            // happens *before* the Threshold Algorithm runs, so its
+            // early-termination bound applies to the filtered lists
+            // unchanged.
+            let prebuilt = if plan.filter.is_none() && plan.config == view.config() {
+                view.prebuilt(&plan.terms)
+            } else {
+                None
+            };
+            let (results, ta) = match &prebuilt {
+                Some(lists) => scan(lists, &plan, &mut spans),
+                None => {
+                    let index = query_index(&plan.terms, |term| {
+                        scored_postings(
+                            view.collection(),
+                            term,
+                            view.term_docs(term),
+                            view.patterns(term),
+                            plan.config,
+                            plan.filter,
+                        )
+                    });
+                    scan(&index, &plan, &mut spans)
+                }
+            };
+            cache.put_tagged(key.clone(), results.clone(), generation, still_current);
+            (results, evaluated_stats(&plan, ta, prebuilt.is_some()))
+        }
+    };
+    // Explanations are derived from the live pattern store, never cached,
+    // so cache hits explain too.
+    let explanations = if plan.explain {
+        explain(view, &plan, &results)
+    } else {
+        Vec::new()
+    };
+    let response = QueryResponse {
+        results,
+        explanations,
+        stats,
+    };
+    spans.lap(SpanKind::Respond);
+    spans.finish(&key, &response.stats);
+    Ok(response)
+}
+
+/// The Threshold-Algorithm scan of [`execute`] over whichever lists it
+/// gathered, closing the gather span before and the scan span after.
+fn scan(
+    lists: &impl PostingAccess,
+    plan: &QueryPlan,
+    spans: &mut Spans<'_>,
+) -> (Vec<SearchResult>, TopkStats) {
+    spans.lap(SpanKind::ShardGather);
+    let out = threshold_topk_with_stats(lists, &plan.terms, plan.k, plan.config.no_pattern);
+    spans.lap(SpanKind::TaScan);
+    out
+}
+
+/// `burstiness(d, t)` of Eq. 11 against a view's pattern store; `None` if
+/// no pattern overlaps or `doc` is outside the view's snapshot.
+pub(crate) fn document_burstiness<V: StateView>(view: &V, term: TermId, doc: DocId) -> Option<f64> {
+    let document = view.collection().documents().get(doc.index())?;
+    burstiness_of(
+        view.patterns(term),
+        document.stream,
+        document.timestamp,
+        view.config().aggregation,
+        PatternFilter::NONE,
+    )
+}
 
 /// Validates and resolves a [`Query`] against a collection snapshot under a
 /// base configuration (per-query overrides applied on top).
@@ -1136,7 +985,7 @@ pub(crate) fn plan_key(plan: &QueryPlan) -> QueryKey {
 }
 
 /// Stats template for a query answered from the result cache.
-pub(crate) fn cache_hit_stats(plan: &QueryPlan) -> QueryStats {
+fn cache_hit_stats(plan: &QueryPlan) -> QueryStats {
     QueryStats {
         cache_hit: true,
         terms: plan.terms.len(),
@@ -1146,7 +995,7 @@ pub(crate) fn cache_hit_stats(plan: &QueryPlan) -> QueryStats {
 }
 
 /// Stats of an evaluated (non-cached) query.
-pub(crate) fn evaluated_stats(plan: &QueryPlan, ta: TopkStats, from_prebuilt: bool) -> QueryStats {
+fn evaluated_stats(plan: &QueryPlan, ta: TopkStats, from_prebuilt: bool) -> QueryStats {
     QueryStats {
         cache_hit: false,
         served_from_prebuilt: from_prebuilt,
@@ -1158,7 +1007,7 @@ pub(crate) fn evaluated_stats(plan: &QueryPlan, ta: TopkStats, from_prebuilt: bo
 }
 
 /// The empty response of a vacuously unmatchable plan.
-pub(crate) fn vacuous_response(plan: &QueryPlan) -> QueryResponse {
+fn vacuous_response(plan: &QueryPlan) -> QueryResponse {
     QueryResponse {
         results: Vec::new(),
         explanations: Vec::new(),
@@ -1172,7 +1021,7 @@ pub(crate) fn vacuous_response(plan: &QueryPlan) -> QueryResponse {
 
 /// Eq. 11 for one (term, document) pair: aggregates the scores of the
 /// term's patterns that survive `filter` and overlap the document.
-pub(crate) fn burstiness_of(
+fn burstiness_of(
     patterns: Option<&[StoredPattern]>,
     stream: StreamId,
     timestamp: Timestamp,
@@ -1189,7 +1038,7 @@ pub(crate) fn burstiness_of(
 
 /// The Eq. 10–11 scored posting list of one term (unsorted) over an explicit
 /// term→documents list and pattern set.
-pub(crate) fn scored_postings(
+fn scored_postings(
     collection: &Collection,
     term: TermId,
     docs: Option<&[DocId]>,
@@ -1236,7 +1085,7 @@ pub(crate) fn scored_postings(
 }
 
 /// Builds and finalizes a per-query index from a posting-list source.
-pub(crate) fn query_index(
+fn query_index(
     query: &[TermId],
     mut postings_of: impl FnMut(TermId) -> Vec<Posting>,
 ) -> InvertedIndex {
@@ -1252,15 +1101,13 @@ pub(crate) fn query_index(
 }
 
 /// Per-document Eq. 10–11 breakdown of a result list under a plan's
-/// effective configuration and filters, over explicit doc-frequency and
-/// pattern sources.
-pub(crate) fn explain_results_with<'p>(
-    collection: &Collection,
+/// effective configuration and filters.
+fn explain<V: StateView>(
+    view: &V,
     plan: &QueryPlan,
     results: &[SearchResult],
-    doc_freq: impl Fn(TermId) -> usize,
-    patterns_of: impl Fn(TermId) -> Option<&'p [StoredPattern]>,
 ) -> Vec<DocExplanation> {
+    let collection = view.collection();
     let n_docs = collection.documents().len();
     results
         .iter()
@@ -1271,24 +1118,22 @@ pub(crate) fn explain_results_with<'p>(
                 .terms
                 .iter()
                 .map(|&term| {
-                    let relevance =
-                        plan.config
-                            .relevance
-                            .score(doc.freq(term), doc_freq(term), n_docs);
-                    let patterns: Vec<PatternMatch> = patterns_of(term)
-                        .map(|ps| {
-                            ps.iter()
-                                .filter(|p| {
-                                    plan.filter.passes(p) && p.overlaps(doc.stream, doc.timestamp)
-                                })
-                                .map(|p| PatternMatch {
-                                    interval: p.timeframe,
-                                    region: p.region,
-                                    score: p.score,
-                                })
-                                .collect()
+                    let doc_freq = view.term_docs(term).map_or(0, <[DocId]>::len);
+                    let relevance = plan
+                        .config
+                        .relevance
+                        .score(doc.freq(term), doc_freq, n_docs);
+                    let patterns: Vec<PatternMatch> = view
+                        .patterns(term)
+                        .unwrap_or_default()
+                        .iter()
+                        .filter(|p| plan.filter.passes(p) && p.overlaps(doc.stream, doc.timestamp))
+                        .map(|p| PatternMatch {
+                            interval: p.timeframe,
+                            region: p.region,
+                            score: p.score,
                         })
-                        .unwrap_or_default();
+                        .collect();
                     let scores: Vec<f64> = patterns.iter().map(|p| p.score).collect();
                     let burstiness = plan.config.aggregation.aggregate(&scores);
                     let contribution = burstiness.map_or(0.0, |b| relevance * b);
@@ -1521,6 +1366,8 @@ mod tests {
             assert!(run(&engine, &[flood, ghost], 5).is_empty());
             assert_eq!(engine.doc_freq(ghost), 0);
             assert_eq!(engine.document_burstiness(ghost, DocId(0)), None);
+            // Nor may a DocId outside the snapshot index out of bounds.
+            assert_eq!(engine.document_burstiness(flood, DocId(u32::MAX)), None);
         }
     }
 
@@ -2047,72 +1894,5 @@ mod tests {
         assert_eq!(custom.relevance, Relevance::TfIdf);
         assert_eq!(custom.aggregation, BurstinessAgg::Mean);
         assert_eq!(custom.no_pattern, NoPatternPolicy::Zero);
-    }
-
-    /// The legacy trio must keep compiling and behaving exactly as before
-    /// while the workspace migrates to the typed API.
-    #[allow(deprecated)]
-    mod deprecated_shims {
-        use super::*;
-
-        #[test]
-        fn search_matches_query() {
-            let (c, flood) = build_fixture();
-            let mut engine = BurstySearchEngine::new(&c, EngineConfig::default());
-            engine.set_patterns(flood, &[flood_pattern()]);
-            assert_same_results(&engine.search(&[flood], 6), &run(&engine, &[flood], 6));
-            // Degenerate inputs collapse to empty results, as they always did.
-            assert!(engine.search(&[], 5).is_empty());
-            assert!(engine.search(&[flood], 0).is_empty());
-        }
-
-        #[test]
-        fn search_text_follows_no_pattern_policy() {
-            let (c, flood) = build_fixture();
-            // Exclude: a query containing an unknown word matches nothing.
-            let mut strict = BurstySearchEngine::new(&c, EngineConfig::default());
-            strict.set_patterns(flood, &[flood_pattern()]);
-            assert!(!strict.search_text("flood", 5).is_empty());
-            assert!(strict.search_text("flood unknownterm", 5).is_empty());
-            // Zero: unknown words are dropped.
-            let mut lenient = BurstySearchEngine::new(
-                &c,
-                EngineConfig::builder()
-                    .no_pattern(NoPatternPolicy::Zero)
-                    .build(),
-            );
-            lenient.set_patterns(flood, &[flood_pattern()]);
-            assert_eq!(
-                lenient.search_text("Flood unknownterm", 5).len(),
-                lenient.search_text("Flood", 5).len()
-            );
-            assert!(lenient.search_text("unknownterm", 5).is_empty());
-        }
-
-        #[test]
-        fn search_many_matches_individual_searches() {
-            let (c, flood) = build_fixture();
-            let mut engine = BurstySearchEngine::new(&c, EngineConfig::default());
-            engine.set_patterns(flood, &[flood_pattern()]);
-            let queries = vec![vec![flood], vec![], vec![flood]];
-            let batch = engine.search_many(&queries, 5);
-            assert_eq!(batch.len(), 3);
-            assert_same_results(&batch[0], &engine.search(&[flood], 5));
-            assert!(batch[1].is_empty());
-            assert_same_results(&batch[2], &batch[0]);
-        }
-
-        #[test]
-        fn cache_counter_forwarders_agree_with_metrics() {
-            let (c, flood) = build_fixture();
-            let mut engine = BurstySearchEngine::new(&c, EngineConfig::default());
-            engine.set_patterns(flood, &[flood_pattern()]);
-            let _ = engine.search(&[flood], 5);
-            let _ = engine.search(&[flood], 5);
-            let m = engine.metrics();
-            assert_eq!(engine.cache_hits(), m.cache_hits);
-            assert_eq!(engine.cache_misses(), m.cache_misses);
-            assert_eq!(engine.cache_len(), m.cache_len);
-        }
     }
 }

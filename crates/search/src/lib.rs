@@ -18,18 +18,17 @@
 //! [`BurstySearchEngine::query`] → `Result<QueryResponse, QueryError>`):
 //! term or text queries with optional `time_window`/`region` filters that
 //! restrict scoring to the patterns intersecting both, per-document
-//! explanations of the Eq. 10–11 factors, and execution statistics. The
-//! historical `search`/`search_many`/`search_text` trio remains as thin
-//! deprecated shims over the DSL.
+//! explanations of the Eq. 10–11 factors, and execution statistics. (The
+//! historical `search`/`search_many`/`search_text` trio was removed in
+//! 0.4.0.)
 //!
 //! Retrieval uses a classic IR architecture: an [`InvertedIndex`] with
 //! per-term postings sorted by score, queried with Fagin's Threshold
 //! Algorithm ([`threshold_topk`]) for early-terminating top-k evaluation.
 //! For serving repeated query traffic, [`BurstySearchEngine::finalize`]
 //! prebuilds the whole collection's scored posting lists in parallel, an
-//! LRU [`cache::QueryCache`] short-circuits repeated queries (keyed on the
-//! full canonical query, filters included), and
-//! [`BurstySearchEngine::query_many`] batches whole workloads.
+//! and an LRU [`cache::QueryCache`] short-circuits repeated queries (keyed
+//! on the full canonical query, filters included).
 //!
 //! The engine owns its collection as an `Arc` snapshot, so queries can be
 //! served concurrently with ingestion: the `stb-ingest` pipeline swaps in
@@ -39,22 +38,22 @@
 //! through [`EngineMetrics`].
 //!
 //! For concurrent serving under live ingestion, the [`shard`] module adds a
-//! lock-free tier on top: a [`ShardedEngine`] write side that shards every
+//! serving tier on top: a [`ShardedEngine`] write side that shards every
 //! term's derived state by hash ([`shard_of`]) and publishes generational
-//! snapshots through an [`EpochCell`], and a [`ServingFront`] read side
-//! whose queries never take a lock yet answer bit-identically to the
-//! unsharded engine.
+//! snapshots by swapping one `Arc` under a `RwLock`, and a [`ServingFront`]
+//! read side whose queries never wait on a commit's mining or publish work
+//! (they take the read lock for one pointer clone) yet answer
+//! bit-identically to the unsharded engine. Both tiers run the same single
+//! query flow, each over its own state view.
 
-// `deny` rather than `forbid`: the epoch-based snapshot cell (`epoch`
-// module) opts back in locally with a reviewed, documented unsafe core;
-// everything else in the crate remains lint-enforced safe code.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// A serving thread must not panic on a recoverable condition.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod burstiness;
 pub mod cache;
 pub mod engine;
-pub mod epoch;
 pub mod error;
 pub mod index;
 pub mod obs;
@@ -69,7 +68,6 @@ pub use engine::{
     BurstySearchEngine, EngineConfig, EngineConfigBuilder, EngineMetrics, EngineState,
     SearchResult, DEFAULT_CACHE_CAPACITY,
 };
-pub use epoch::EpochCell;
 pub use error::QueryError;
 pub use index::{InvertedIndex, Posting};
 pub use obs::{SearchObs, SearchObsConfig};

@@ -3,13 +3,12 @@
 //! [`SearchObs`] bundles every metric the query hot path records — the
 //! query-latency histogram, the Threshold-Algorithm scan histogram, the
 //! sampled trace ring, and the slow-query log — around one shared
-//! [`ObsRegistry`]. It is attached to a [`crate::ServingFront`] (or a
-//! standalone [`crate::BurstySearchEngine`]) once at wiring time via
-//! `attach_obs`; un-attached engines skip instrumentation entirely (one
-//! atomic load and a branch per query), which is the "compiled-out"
-//! baseline the `bench_obs` overhead gate compares against.
+//! [`ObsRegistry`]. It is attached to a [`crate::ServingFront`] once at
+//! wiring time via `attach_obs`; un-attached fronts skip instrumentation
+//! entirely (one atomic load and a branch per query), which is the
+//! "compiled-out" baseline the `bench_obs` overhead gate compares against.
 //!
-//! Recording obeys the crate's lock-free serving discipline: histograms
+//! Recording never blocks: histograms
 //! and counters are relaxed atomics, trace/slow-log capture claims a ring
 //! slot with a `try_lock` and drops the sample on contention. Nothing on
 //! the query path ever blocks another reader.

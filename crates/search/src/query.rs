@@ -305,7 +305,7 @@ pub struct QueryResponse {
 /// from — the diffable unit of the subscription tier.
 ///
 /// Produced by [`crate::ServingFront::query_snapshot`], which loads the
-/// epoch cell exactly once: the results and the generation always belong
+/// serving state exactly once: the results and the generation always belong
 /// together, so consumers comparing two snapshots (e.g. the standing-query
 /// diff evaluator) can never observe a torn pair.
 #[derive(Debug, Clone, PartialEq)]

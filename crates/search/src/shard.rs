@@ -1,4 +1,4 @@
-//! The sharded, lock-free serving tier.
+//! The sharded serving tier.
 //!
 //! [`BurstySearchEngine`] is internally synchronized for `&self` queries,
 //! but live ingestion needs `&mut self` — so the previous serving design
@@ -10,18 +10,20 @@
 //!   [`ShardedEngine::publish`] copies the dirty terms' derived state
 //!   (score-sorted posting lists, stored patterns, term→documents lists)
 //!   into per-shard snapshots, sharded by term hash ([`shard_of`]).
-//! * [`ServingFront`] is the **read side**: an [`EpochCell`] holding the
-//!   current `ServingState` — one generation number, one collection
-//!   snapshot, and the full shard set. A query `load`s the cell once and
-//!   runs entirely against that state, so it never takes a lock and never
-//!   observes a torn generation (state mixing pre- and post-tick postings):
-//!   the only mutation readers can see is the single atomic swap.
+//! * [`ServingFront`] is the **read side**: an `RwLock<Arc<ServingState>>`
+//!   holding the current state — one generation number, one collection
+//!   snapshot, and the full shard set. A query clones the `Arc` once (the
+//!   read lock is held for that pointer clone only, never across
+//!   evaluation) and runs entirely against that state, so it never waits
+//!   on a commit's mining or publish work and never observes a torn
+//!   generation (state mixing pre- and post-tick postings): the only
+//!   mutation readers can see is the single pointer swap.
 //!
 //! Per-shard LRU result caches sit in front of evaluation. A cache insert
-//! is guarded by [`QueryCache::put_if`] on the published generation, and the
-//! writer invalidates dirty terms in every shard cache *after* bumping the
-//! generation, which together make a cached hit always equivalent to
-//! re-evaluating against the current state.
+//! is guarded by [`QueryCache::put_tagged`] on the published generation,
+//! and the writer invalidates dirty terms in every shard cache *after*
+//! bumping the generation, which together make a cached hit always
+//! equivalent to re-evaluating against the current state.
 //!
 //! # Bit-identical serving
 //!
@@ -31,27 +33,25 @@
 //! list from its shard and runs the very same Threshold Algorithm
 //! (via [`crate::threshold::PostingAccess`]) that the engine runs — a
 //! per-shard top-k merge would be wrong for multi-term sum scoring, because
-//! no shard sees a document's full score. Planning, scoring, stats, and
-//! explanations all run through the shared free functions in
-//! [`crate::engine`], so both tiers execute the same float operations in
-//! the same order.
+//! no shard sees a document's full score. The whole query flow — planning,
+//! cache gating, scoring, stats, explanations — is the one `execute`
+//! function in [`crate::engine`], run here over a `ServingState` view, so
+//! both tiers execute the same float operations in the same order.
 
 use crate::cache::{QueryCache, QueryKey};
 use crate::engine::{
-    burstiness_of, cache_hit_stats, evaluated_stats, explain_results_with, plan_key, plan_query,
-    query_index, scored_postings, vacuous_response, BurstySearchEngine, EngineConfig,
-    EngineMetrics, EngineState, QueryPlan, SearchResult, StoredPattern,
+    document_burstiness, execute, plan_key, plan_query, BurstySearchEngine, EngineConfig,
+    EngineMetrics, EngineState, StateView, StoredPattern,
 };
-use crate::epoch::EpochCell;
 use crate::error::QueryError;
 use crate::index::Posting;
 use crate::obs::SearchObs;
-use crate::query::{Query, QueryResponse, QueryStats, QueryTerms, ResponseSnapshot};
-use crate::threshold::{threshold_topk_with_stats, PostingAccess};
-use stb_obs::{Counter, SpanClock, SpanKind};
+use crate::query::{Query, QueryResponse, QueryTerms, ResponseSnapshot};
+use crate::threshold::PostingAccess;
+use stb_obs::Counter;
 use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, OnceLock, PoisonError, RwLock};
 
 use stb_core::{PatternGeometry, PatternSource};
 use stb_corpus::{Collection, DocId, TermId};
@@ -114,7 +114,7 @@ impl ShardState {
                 self.postings.remove(&term);
             }
         }
-        match engine.patterns_of(term) {
+        match engine.patterns(term) {
             Some(ps) => {
                 self.patterns.insert(term, Arc::new(ps.to_vec()));
             }
@@ -122,7 +122,7 @@ impl ShardState {
                 self.patterns.remove(&term);
             }
         }
-        match engine.term_docs_of(term) {
+        match engine.term_docs(term) {
             Some(ds) => {
                 self.term_docs.insert(term, Arc::new(ds.to_vec()));
             }
@@ -135,7 +135,7 @@ impl ShardState {
 
 /// One published generation of the serving tier: a consistent set of shard
 /// snapshots over one collection snapshot. Readers obtain it with a single
-/// atomic load, so every query runs against exactly one generation.
+/// `Arc` clone, so every query runs against exactly one generation.
 #[derive(Debug)]
 pub(crate) struct ServingState {
     generation: u64,
@@ -154,10 +154,38 @@ impl ServingState {
     }
 }
 
+impl StateView for ServingState {
+    type Prebuilt<'a> = Gathered<'a>;
+
+    fn collection(&self) -> &Collection {
+        &self.collection
+    }
+
+    fn config(&self) -> EngineConfig {
+        self.config
+    }
+
+    fn generation(&self) -> u64 {
+        self.generation
+    }
+
+    fn prebuilt<'a>(&'a self, terms: &[TermId]) -> Option<Gathered<'a>> {
+        self.finalized.then(|| Gathered::new(self, terms))
+    }
+
+    fn term_docs(&self, term: TermId) -> Option<&[DocId]> {
+        self.shard(term).term_docs.get(&term).map(|d| d.as_slice())
+    }
+
+    fn patterns(&self, term: TermId) -> Option<&[StoredPattern]> {
+        self.shard(term).patterns.get(&term).map(|p| p.as_slice())
+    }
+}
+
 /// Per-term posting lists gathered from shard snapshots for one query,
 /// presented to the Threshold Algorithm through [`PostingAccess`] — the
 /// sharded counterpart of walking the engine's prebuilt `InvertedIndex`.
-struct Gathered<'a> {
+pub(crate) struct Gathered<'a> {
     lists: Vec<(TermId, Option<&'a TermPostings>)>,
 }
 
@@ -188,15 +216,16 @@ impl PostingAccess for Gathered<'_> {
     }
 }
 
-/// The lock-free read side of the sharded serving tier.
+/// The read side of the sharded serving tier.
 ///
 /// Obtained from [`ShardedEngine::front`] and freely shared across reader
-/// threads (`Arc<ServingFront>`); every query loads the current
-/// `ServingState` from an [`EpochCell`] and runs without taking a lock.
-/// Results are byte-identical to the same query on the unsharded
-/// [`BurstySearchEngine`] holding the same state.
+/// threads (`Arc<ServingFront>`); every query clones the current
+/// `ServingState` pointer under a read lock held for that clone alone, then
+/// runs without any lock on the state. Results are byte-identical to the
+/// same query on the unsharded [`BurstySearchEngine`] holding the same
+/// state.
 pub struct ServingFront {
-    cell: EpochCell<ServingState>,
+    state: RwLock<Arc<ServingState>>,
     /// One LRU result cache per shard, routed by the query's minimum term.
     caches: Vec<QueryCache>,
     /// Tier-wide hit/miss cells shared by every shard cache, so the totals
@@ -205,7 +234,8 @@ pub struct ServingFront {
     cache_hits: Arc<Counter>,
     cache_misses: Arc<Counter>,
     /// Generation whose results may be inserted into the caches; bumped by
-    /// the writer *after* swapping the cell (see [`QueryCache::put_if`]).
+    /// the writer *before* it invalidates and swaps (see
+    /// [`QueryCache::put_tagged`] and `publish_state`).
     published: AtomicU64,
     /// The configured result-cache capacity, as reported by metrics.
     declared_capacity: usize,
@@ -224,7 +254,7 @@ impl ServingFront {
         let cache_hits = Arc::new(Counter::new());
         let cache_misses = Arc::new(Counter::new());
         Self {
-            cell: EpochCell::new(initial),
+            state: RwLock::new(initial),
             caches: (0..n_shards)
                 .map(|_| {
                     QueryCache::with_counters(
@@ -260,12 +290,19 @@ impl ServingFront {
         self.obs.get()
     }
 
+    /// The currently published state. The read lock covers one pointer
+    /// clone; the state is plain data behind an `Arc`, so a poisoned lock
+    /// is still valid.
+    fn load(&self) -> Arc<ServingState> {
+        Arc::clone(&self.state.read().unwrap_or_else(PoisonError::into_inner))
+    }
+
     /// The generation of the currently published serving state.
     ///
     /// Generations are monotone: if two calls straddling a query return the
     /// same value, the query ran against exactly that generation.
     pub fn generation(&self) -> u64 {
-        self.cell.load().generation
+        self.load().generation
     }
 
     /// Number of serving shards.
@@ -275,19 +312,19 @@ impl ServingFront {
 
     /// The collection snapshot of the current generation.
     pub fn collection(&self) -> Arc<Collection> {
-        Arc::clone(&self.cell.load().collection)
+        Arc::clone(&self.load().collection)
     }
 
     /// The scoring configuration of the currently published generation.
     pub fn config(&self) -> EngineConfig {
-        self.cell.load().config
+        self.load().config
     }
 
     /// A point-in-time snapshot of the serving counters: the write-side
     /// engine counters captured at the last publish, with the cache fields
     /// read live from the per-shard caches' atomic counters.
     pub fn metrics(&self) -> EngineMetrics {
-        let state = self.cell.load();
+        let state = self.load();
         let mut m = state.base;
         let (hits, misses, len) = self.cache_counters();
         m.cache_hits = hits;
@@ -310,24 +347,23 @@ impl ServingFront {
         self.declared_capacity
     }
 
-    /// Executes a typed [`Query`] against the current generation without
-    /// taking a lock. Semantics (and bits) match
-    /// [`BurstySearchEngine::query`] over the same state.
+    /// Executes a typed [`Query`] against the current generation. Semantics
+    /// (and bits) match [`BurstySearchEngine::query`] over the same state.
     pub fn query(&self, query: &Query) -> Result<QueryResponse, QueryError> {
-        let state = self.cell.load();
+        let state = self.load();
         self.query_on(&state, query)
     }
 
     /// Executes a typed [`Query`] and returns the response *bracketed to
     /// the generation it was evaluated against*.
     ///
-    /// The epoch cell is loaded exactly once, so the pair is never torn:
+    /// The state is loaded exactly once, so the pair is never torn:
     /// the generation is the one whose collection, postings, and patterns
     /// produced the results — the invariant the subscription tier's diff
     /// evaluation relies on. Bits match [`ServingFront::query`] over the
     /// same state.
     pub fn query_snapshot(&self, query: &Query) -> Result<ResponseSnapshot, QueryError> {
-        let state = self.cell.load();
+        let state = self.load();
         let response = self.query_on(&state, query)?;
         Ok(ResponseSnapshot {
             generation: state.generation,
@@ -346,7 +382,7 @@ impl ServingFront {
     /// ([`QueryKey`]), which is what makes subscription identities,
     /// cache identities, and TA scans agree.
     pub fn canonicalize(&self, query: &Query) -> Result<(Query, QueryKey), QueryError> {
-        let state = self.cell.load();
+        let state = self.load();
         let plan = plan_query(&state.collection, state.config, query)?;
         let key = plan_key(&plan);
         let mut standing = query.clone();
@@ -358,211 +394,21 @@ impl ServingFront {
     /// generation (the batch never straddles a concurrent publish), one
     /// response per query in input order.
     pub fn query_many(&self, queries: &[Query]) -> Vec<Result<QueryResponse, QueryError>> {
-        let state = self.cell.load();
+        let state = self.load();
         queries.iter().map(|q| self.query_on(&state, q)).collect()
     }
 
     fn query_on(&self, state: &ServingState, query: &Query) -> Result<QueryResponse, QueryError> {
-        match self.obs.get() {
-            None => self.query_on_plain(state, query),
-            Some(obs) => self.query_on_observed(state, query, obs),
-        }
-    }
-
-    fn query_on_plain(
-        &self,
-        state: &ServingState,
-        query: &Query,
-    ) -> Result<QueryResponse, QueryError> {
-        let plan = plan_query(&state.collection, state.config, query)?;
-        if plan.vacuous {
-            return Ok(vacuous_response(&plan));
-        }
-        let key = plan_key(&plan);
-        let min_term = *plan
-            .terms
-            .iter()
-            .min()
-            .expect("non-vacuous plans have terms");
-        let cache = &self.caches[shard_of(min_term, self.caches.len())];
-        // Hits are gated on the entry's generation: entries computed from a
-        // *newer* generation than the state this reader holds are rejected
-        // (their results may reference documents this generation lacks);
-        // older surviving entries are exact because every intervening
-        // publish invalidated the queries its dirty terms touched.
-        if let Some(hit) = cache.get_at(&key, state.generation) {
-            return Ok(Self::respond(state, &plan, hit, cache_hit_stats(&plan)));
-        }
-        let (results, stats) = Self::evaluate(state, &plan);
-        // Only cache results while the generation they were computed from
-        // is still the published one; the check runs under the cache mutex,
-        // so a stale insert either sees the bumped generation here or is
-        // removed by the writer's subsequent per-term invalidation.
-        let generation = state.generation;
-        cache.put_tagged(key, results.clone(), generation, || {
-            self.published.load(SeqCst) == generation
-        });
-        Ok(Self::respond(state, &plan, results, stats))
-    }
-
-    /// [`query_on_plain`](Self::query_on_plain) with span instrumentation.
-    ///
-    /// Identical control flow and float operations — the generation
-    /// gating, tagged insert, and evaluation all call the same shared
-    /// functions, so responses stay bit-identical to the unsharded engine
-    /// (enforced by the serve-equivalence suite, which runs with obs
-    /// attached). The only additions are `Instant` reads between stages
-    /// and lock-free metric recording at the end.
-    fn query_on_observed(
-        &self,
-        state: &ServingState,
-        query: &Query,
-        obs: &Arc<SearchObs>,
-    ) -> Result<QueryResponse, QueryError> {
-        let mut clock = SpanClock::start();
-        let plan = match plan_query(&state.collection, state.config, query) {
-            Ok(plan) => plan,
-            Err(e) => {
-                obs.record_error();
-                return Err(e);
-            }
-        };
-        clock.lap(SpanKind::Plan);
-        if plan.vacuous {
-            let response = vacuous_response(&plan);
-            obs.record_query(clock, &plan_key(&plan), &response.stats);
-            return Ok(response);
-        }
-        let key = plan_key(&plan);
-        let min_term = *plan
-            .terms
-            .iter()
-            .min()
-            .expect("non-vacuous plans have terms");
-        let cache = &self.caches[shard_of(min_term, self.caches.len())];
-        if let Some(hit) = cache.get_at(&key, state.generation) {
-            clock.lap(SpanKind::CacheLookup);
-            let response = Self::respond(state, &plan, hit, cache_hit_stats(&plan));
-            clock.lap(SpanKind::Respond);
-            obs.record_query(clock, &key, &response.stats);
-            return Ok(response);
-        }
-        clock.lap(SpanKind::CacheLookup);
-        let (results, stats) = Self::evaluate_spanned(state, &plan, &mut clock);
-        let generation = state.generation;
-        cache.put_tagged(key.clone(), results.clone(), generation, || {
-            self.published.load(SeqCst) == generation
-        });
-        let response = Self::respond(state, &plan, results, stats);
-        clock.lap(SpanKind::Respond);
-        obs.record_query(clock, &key, &response.stats);
-        Ok(response)
-    }
-
-    /// [`evaluate`](Self::evaluate) with a [`SpanKind::ShardGather`] /
-    /// [`SpanKind::TaScan`] split on the clock. Same calls in the same
-    /// order as the untimed version.
-    fn evaluate_spanned(
-        state: &ServingState,
-        plan: &QueryPlan,
-        clock: &mut SpanClock,
-    ) -> (Vec<SearchResult>, QueryStats) {
-        let direct = plan.filter.is_none() && plan.config == state.config && state.finalized;
-        if direct {
-            let gathered = Gathered::new(state, &plan.terms);
-            clock.lap(SpanKind::ShardGather);
-            let (results, ta) =
-                threshold_topk_with_stats(&gathered, &plan.terms, plan.k, plan.config.no_pattern);
-            clock.lap(SpanKind::TaScan);
-            (results, evaluated_stats(plan, ta, true))
-        } else {
-            let index = query_index(&plan.terms, |term| {
-                let shard = state.shard(term);
-                scored_postings(
-                    &state.collection,
-                    term,
-                    shard.term_docs.get(&term).map(|d| d.as_slice()),
-                    shard.patterns.get(&term).map(|p| p.as_slice()),
-                    plan.config,
-                    plan.filter,
-                )
-            });
-            clock.lap(SpanKind::ShardGather);
-            let (results, ta) =
-                threshold_topk_with_stats(&index, &plan.terms, plan.k, plan.config.no_pattern);
-            clock.lap(SpanKind::TaScan);
-            (results, evaluated_stats(plan, ta, false))
-        }
-    }
-
-    fn evaluate(state: &ServingState, plan: &QueryPlan) -> (Vec<SearchResult>, QueryStats) {
-        let direct = plan.filter.is_none() && plan.config == state.config && state.finalized;
-        if direct {
-            let gathered = Gathered::new(state, &plan.terms);
-            let (results, ta) =
-                threshold_topk_with_stats(&gathered, &plan.terms, plan.k, plan.config.no_pattern);
-            (results, evaluated_stats(plan, ta, true))
-        } else {
-            let index = query_index(&plan.terms, |term| {
-                let shard = state.shard(term);
-                scored_postings(
-                    &state.collection,
-                    term,
-                    shard.term_docs.get(&term).map(|d| d.as_slice()),
-                    shard.patterns.get(&term).map(|p| p.as_slice()),
-                    plan.config,
-                    plan.filter,
-                )
-            });
-            let (results, ta) =
-                threshold_topk_with_stats(&index, &plan.terms, plan.k, plan.config.no_pattern);
-            (results, evaluated_stats(plan, ta, false))
-        }
-    }
-
-    fn respond(
-        state: &ServingState,
-        plan: &QueryPlan,
-        results: Vec<SearchResult>,
-        stats: QueryStats,
-    ) -> QueryResponse {
-        let explanations = if plan.explain {
-            explain_results_with(
-                &state.collection,
-                plan,
-                &results,
-                |term| {
-                    state
-                        .shard(term)
-                        .term_docs
-                        .get(&term)
-                        .map_or(0, |d| d.len())
-                },
-                |term| state.shard(term).patterns.get(&term).map(|p| p.as_slice()),
-            )
-        } else {
-            Vec::new()
-        };
-        QueryResponse {
-            results,
-            explanations,
-            stats,
-        }
+        let still_current = || self.published.load(SeqCst) == state.generation;
+        let obs = self.obs.get().map(Arc::as_ref);
+        execute(state, &self.caches, still_current, query, obs)
     }
 
     /// `burstiness(d, t)` of Eq. 11 against the current generation's
     /// pattern store (the front-side counterpart of
     /// [`BurstySearchEngine::document_burstiness`]).
     pub fn document_burstiness(&self, term: TermId, doc: DocId) -> Option<f64> {
-        let state = self.cell.load();
-        let document = state.collection.document(doc);
-        burstiness_of(
-            state.shard(term).patterns.get(&term).map(|p| p.as_slice()),
-            document.stream,
-            document.timestamp,
-            state.config.aggregation,
-            crate::engine::PatternFilter::NONE,
-        )
+        document_burstiness(&*self.load(), term, doc)
     }
 
     /// Publishes `state` as the new serving generation. The ordering is
@@ -574,7 +420,7 @@ impl ServingFront {
     /// 2. Invalidate the dirty terms' cached queries. Any stale entry was
     ///    either inserted before this (removed here) or its insert attempt
     ///    observes the bumped `published` and is rejected.
-    /// 3. Swap the cell. Only now can readers observe (and tag entries
+    /// 3. Swap the pointer. Only now can readers observe (and tag entries
     ///    with) the new generation, so by the time a reader serves
     ///    generation `g`, every invalidation for generations `<= g` has
     ///    completed — which is what makes older surviving cache entries
@@ -594,7 +440,12 @@ impl ServingFront {
                 }
             }
         }
-        self.cell.store(state);
+        let mut current = self.state.write().unwrap_or_else(PoisonError::into_inner);
+        let old = std::mem::replace(&mut *current, state);
+        drop(current);
+        // The previous generation (possibly its last reference) is freed
+        // only after the write lock is released.
+        drop(old);
     }
 }
 
@@ -606,7 +457,7 @@ impl ServingFront {
 /// tracking which terms they dirtied; [`publish`](Self::publish) then copies
 /// the dirty terms' derived state into fresh shard snapshots and swaps them
 /// into the [`ServingFront`] as one new generation. Readers holding the
-/// front never block on any of this.
+/// front wait on none of this but the final pointer swap.
 pub struct ShardedEngine {
     engine: BurstySearchEngine,
     n_shards: usize,
@@ -665,7 +516,7 @@ impl ShardedEngine {
         }
     }
 
-    /// The shared lock-free read front.
+    /// The shared read front.
     pub fn front(&self) -> Arc<ServingFront> {
         Arc::clone(&self.front)
     }
@@ -780,8 +631,8 @@ impl ShardedEngine {
     /// Publishes the write side's current state to the front as one new
     /// generation: copies every dirty term's derived state into fresh shard
     /// snapshots (copy-on-write — clean shards are shared with the previous
-    /// generation), swaps the [`EpochCell`], and invalidates the dirty
-    /// terms in every shard result cache.
+    /// generation), invalidates the dirty terms in every shard result
+    /// cache, and swaps the front's state pointer.
     pub fn publish(&mut self) {
         self.generation += 1;
         if self.all_dirty {
@@ -815,10 +666,13 @@ impl ShardedEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::obs::SearchObsConfig;
+    use crate::query::UnknownWords;
     use crate::relevance::Relevance;
     use stb_core::CombinatorialPattern;
     use stb_corpus::{CollectionBuilder, StreamId};
-    use stb_geo::GeoPoint;
+    use stb_geo::{GeoPoint, Rect};
+    use stb_obs::{ObsRegistry, SpanKind};
     use stb_timeseries::TimeInterval;
     use std::collections::HashMap as StdHashMap;
     use std::sync::atomic::AtomicBool;
@@ -865,21 +719,42 @@ mod tests {
             assert_eq!(x.doc, y.doc);
             assert_eq!(x.score.to_bits(), y.score.to_bits());
         }
+        assert_eq!(a.explanations.len(), b.explanations.len());
+        for (x, y) in a.explanations.iter().zip(&b.explanations) {
+            assert_eq!(x.doc, y.doc);
+            assert_eq!(x.total.to_bits(), y.total.to_bits());
+            assert_eq!(x.terms, y.terms);
+        }
     }
 
     /// Builds an unsharded reference engine and a sharded front over the
     /// same fixture state, both finalized.
     fn build_pair(n_shards: usize) -> (BurstySearchEngine, ShardedEngine, TermId, TermId) {
+        build_tiers(n_shards, true)
+    }
+
+    fn build_tiers(
+        n_shards: usize,
+        finalized: bool,
+    ) -> (BurstySearchEngine, ShardedEngine, TermId, TermId) {
         let (c, flood, other) = build_fixture();
         let shared = Arc::new(c);
         let mut reference = BurstySearchEngine::new(Arc::clone(&shared), EngineConfig::default());
         reference.set_patterns(flood, &[flood_pattern()]);
-        reference.finalize_with_threads(1);
         let mut sharded = ShardedEngine::new(shared, EngineConfig::default(), n_shards, 64);
         sharded.set_patterns(flood, &[flood_pattern()]);
-        sharded.finalize_with_threads(1);
+        if finalized {
+            reference.finalize_with_threads(1);
+            sharded.finalize_with_threads(1);
+        }
         sharded.publish();
         (reference, sharded, flood, other)
+    }
+
+    /// The span kinds of the most recent sampled query trace.
+    fn last_walk(obs: &SearchObs) -> Vec<SpanKind> {
+        let trace = obs.traces().into_iter().max_by_key(|t| t.id).unwrap();
+        trace.spans.iter().map(|s| s.kind).collect()
     }
 
     #[test]
@@ -897,33 +772,100 @@ mod tests {
         assert!(hit.len() > 4);
     }
 
+    /// One query set through all three entries to the single `execute`:
+    /// the unsharded engine, a plain front, and a front with obs attached.
     #[test]
     fn front_matches_engine_bit_for_bit() {
-        let (reference, sharded, flood, other) = build_pair(4);
-        let front = sharded.front();
-        let queries = [
-            Query::terms([flood]).top_k(5),
-            Query::terms([flood, other]).top_k(10),
-            Query::terms([other]).top_k(3),
-            Query::terms([flood]).top_k(5).time_window(2..=5),
-            Query::terms([flood]).top_k(5).relevance(Relevance::TfIdf),
-            Query::text("flood").top_k(4),
-        ];
-        for q in &queries {
-            let a = reference.query(q).unwrap();
-            let b = front.query(q).unwrap();
-            assert_bit_identical(&a, &b);
-            assert_eq!(a.stats.served_from_prebuilt, b.stats.served_from_prebuilt);
-            assert_eq!(a.stats.postings_scanned, b.stats.postings_scanned);
-            assert_eq!(a.stats.candidates_pruned, b.stats.candidates_pruned);
+        use SpanKind::{CacheLookup, Plan, Respond, ShardGather, TaScan};
+        for finalized in [true, false] {
+            let (reference, plain, flood, other) = build_tiers(4, finalized);
+            let (_, observed, _, _) = build_tiers(4, finalized);
+            let obs = SearchObs::new(
+                Arc::new(ObsRegistry::new()),
+                &SearchObsConfig {
+                    trace_sample_every: 1,
+                    ..SearchObsConfig::default()
+                },
+            );
+            observed.attach_obs(Arc::clone(&obs));
+            let (plain, observed) = (plain.front(), observed.front());
+            let queries = [
+                Query::terms([flood]).top_k(5),
+                Query::terms([flood, other]).top_k(10),
+                Query::terms([other]).top_k(3),
+                Query::terms([flood]).top_k(5).time_window(2..=5),
+                Query::terms([flood])
+                    .top_k(5)
+                    .region(Rect::new(-1.0, -1.0, 2.0, 2.0)),
+                Query::terms([flood]).top_k(5).relevance(Relevance::TfIdf),
+                Query::terms([flood, other]).top_k(6).explain(true),
+                Query::text("flood").top_k(4),
+            ];
+            for q in &queries {
+                // First pass evaluates, second pass hits each tier's cache.
+                for (cache_hit, walk) in [
+                    (
+                        false,
+                        &[Plan, CacheLookup, ShardGather, TaScan, Respond][..],
+                    ),
+                    (true, &[Plan, CacheLookup, Respond][..]),
+                ] {
+                    let a = reference.query(q).unwrap();
+                    for front in [&plain, &observed] {
+                        let b = front.query(q).unwrap();
+                        assert_bit_identical(&a, &b);
+                        assert_eq!(a.stats, b.stats);
+                    }
+                    assert_eq!(a.stats.cache_hit, cache_hit);
+                    assert_eq!(
+                        a.stats.served_from_prebuilt,
+                        finalized
+                            && !cache_hit
+                            && q.time_window.is_none()
+                            && q.region.is_none()
+                            && q.relevance.is_none()
+                    );
+                    assert_eq!(last_walk(&obs), walk);
+                }
+            }
+            // A vacuous text query answers empty after planning alone.
+            let vacuous = Query::text("flood nosuchword")
+                .top_k(5)
+                .unknown_words(UnknownWords::EmptyResponse);
+            let a = reference.query(&vacuous).unwrap();
+            assert!(a.results.is_empty());
+            for front in [&plain, &observed] {
+                assert_eq!(a, front.query(&vacuous).unwrap());
+            }
+            assert_eq!(last_walk(&obs), [Plan]);
+            // Every error matches too, and is counted rather than traced.
+            #[allow(clippy::reversed_empty_ranges)] // the empty window IS the case under test
+            let malformed = [
+                Query::terms([flood]).top_k(0),
+                Query::terms([] as [TermId; 0]),
+                Query::terms([flood]).time_window(7..=3),
+                Query::terms([flood]).region(Rect {
+                    min_x: f64::NAN,
+                    min_y: 0.0,
+                    max_x: 1.0,
+                    max_y: 1.0,
+                }),
+                Query::text("flood nosuchword"),
+            ];
+            let traced = obs.traces().len();
+            for q in &malformed {
+                // Rendered, because the NaN region error is not `==` itself.
+                let e = format!("{:?}", reference.query(q).unwrap_err());
+                assert_eq!(e, format!("{:?}", plain.query(q).unwrap_err()));
+                assert_eq!(e, format!("{:?}", observed.query(q).unwrap_err()));
+            }
+            assert_eq!(obs.traces().len(), traced);
+            let errors = obs
+                .registry()
+                .snapshot()
+                .counter("search_query_errors_total");
+            assert_eq!(errors, Some(malformed.len() as u64));
         }
-        // Errors match too.
-        assert_eq!(
-            reference
-                .query(&Query::terms([flood]).top_k(0))
-                .unwrap_err(),
-            front.query(&Query::terms([flood]).top_k(0)).unwrap_err(),
-        );
     }
 
     #[test]
@@ -995,6 +937,8 @@ mod tests {
                 front.document_burstiness(flood, doc.id),
             );
         }
+        // A caller-supplied id outside the snapshot is `None`, not a panic.
+        assert_eq!(front.document_burstiness(flood, DocId(u32::MAX)), None);
     }
 
     #[test]
@@ -1009,7 +953,7 @@ mod tests {
         assert_bit_identical(&expected, &after);
     }
 
-    /// Satellite: concurrent recording through the lock-free read path
+    /// Satellite: concurrent recording through the read path
     /// loses no cache hit/miss counts.
     #[test]
     fn concurrent_metrics_lose_no_counts() {

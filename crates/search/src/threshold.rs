@@ -47,6 +47,16 @@ impl PostingAccess for InvertedIndex {
     }
 }
 
+impl<T: PostingAccess + ?Sized> PostingAccess for &T {
+    fn postings(&self, term: TermId) -> &[Posting] {
+        (**self).postings(term)
+    }
+
+    fn score(&self, term: TermId, doc: DocId) -> Option<f64> {
+        (**self).score(term, doc)
+    }
+}
+
 /// A scored document returned by the top-k evaluation.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScoredDoc {

@@ -56,7 +56,7 @@ pub struct ResultDiff {
     /// ([`SubscriptionOptions::notify_initial`](crate::SubscriptionOptions::notify_initial)).
     pub tick: Option<u64>,
     /// The serving generation the current results were evaluated against.
-    /// Evaluation loads the epoch cell once, so `current` and
+    /// Evaluation loads the serving state once, so `current` and
     /// `generation` always belong together (never torn).
     pub generation: u64,
     /// The top-k before the triggering commit (the subscription's last

@@ -233,8 +233,10 @@ impl SubscriptionRegistry {
             // registration was indexed published its generation first,
             // so the baseline taken here already reflects it — no commit
             // can fall silently between the baseline and the index
-            // insert. (`query_snapshot` is a lock-free epoch load, so
-            // holding the registry lock across it cannot deadlock.)
+            // insert. (`query_snapshot` only ever holds the front's read
+            // lock for one pointer clone and a result-cache mutex, neither
+            // across a call back into the registry, so holding the
+            // registry lock across it cannot deadlock.)
             let snapshot = self.front.query_snapshot(&standing)?;
             let id = SubscriptionId(inner.next_id);
             inner.next_id += 1;

@@ -25,9 +25,9 @@ use stburst::ingest::{
 };
 use stburst::search::{
     shard_of, threshold_topk, threshold_topk_with_stats, BurstinessAgg, BurstySearchEngine,
-    DocExplanation, EngineConfig, EngineMetrics, EpochCell, InvertedIndex, NoPatternPolicy,
-    PatternMatch, Posting, Query, QueryCache, QueryError, QueryKey, QueryResponse, QueryStats,
-    Relevance, SearchResult, ServingFront, ShardedEngine, TermExplanation, TopkStats, UnknownWords,
+    DocExplanation, EngineConfig, EngineMetrics, InvertedIndex, NoPatternPolicy, PatternMatch,
+    Posting, Query, QueryCache, QueryError, QueryKey, QueryResponse, QueryStats, Relevance,
+    SearchResult, ServingFront, ShardedEngine, TermExplanation, TopkStats, UnknownWords,
     DEFAULT_CACHE_CAPACITY, DEFAULT_SHARDS, DEFAULT_TOP_K,
 };
 use stburst::timeseries::TimeInterval;
@@ -166,29 +166,6 @@ fn engine_surface() {
         metrics.term_rescore_count,
         metrics.n_docs,
     );
-}
-
-/// The deprecated legacy trio keeps compiling against its old signatures.
-#[test]
-#[allow(deprecated)]
-fn legacy_shim_surface() {
-    let (collection, term, stream) = tiny_collection();
-    let mut engine = BurstySearchEngine::new(&collection, EngineConfig::default());
-    engine.set_patterns(
-        term,
-        &[CombinatorialPattern::new(
-            vec![stream],
-            TimeInterval::new(1, 3),
-            2.0,
-            vec![],
-        )],
-    );
-    let _: Vec<SearchResult> = engine.search(&[term], 3);
-    let _: Vec<Vec<SearchResult>> = engine.search_many(&[vec![term]], 3);
-    let _: Vec<SearchResult> = engine.search_text("storm", 3);
-    let _: u64 = engine.cache_hits();
-    let _: u64 = engine.cache_misses();
-    let _: usize = engine.cache_len();
 }
 
 /// Index + threshold layer: the retrieval primitives under the engine.
@@ -336,25 +313,16 @@ fn ingest_surface() {
     assert_eq!(replayed.ticks_committed(), 2);
 }
 
-/// The sharded lock-free serving tier: epoch cells, shard routing, the
-/// read front, the write-side sharded engine, and the thread-safety bounds
-/// the whole design rests on.
+/// The sharded serving tier: shard routing, the read front, the
+/// write-side sharded engine, and the thread-safety bounds the whole design
+/// rests on.
 #[test]
 fn serving_tier_surface() {
     fn assert_send_sync<T: Send + Sync>() {}
-    assert_send_sync::<EpochCell<Vec<u64>>>();
     assert_send_sync::<ServingFront>();
     assert_send_sync::<ShardedEngine>();
     assert_send_sync::<SearchHandle>();
     assert_send_sync::<QueryCache>();
-
-    // EpochCell: the publication primitive — readers load, writers store.
-    let cell: EpochCell<u64> = EpochCell::new(Arc::new(7));
-    let snapshot: Arc<u64> = cell.load();
-    assert_eq!(*snapshot, 7);
-    cell.store(Arc::new(8));
-    let _: u64 = cell.epoch();
-    let _: usize = cell.reclaimable();
 
     // Term-hash shard routing is public and total over shard counts.
     assert!(shard_of(TermId(42), DEFAULT_SHARDS) < DEFAULT_SHARDS);
@@ -670,8 +638,6 @@ fn store_surface() {
     pipeline.commit_tick();
     let _: DurabilityState = pipeline.durability_state();
     let _: DurabilityState = pipeline.try_recover_durability();
-    #[allow(deprecated)]
-    let _: Option<&StoreError> = pipeline.wal_error();
     let _: SnapshotState = pipeline.export_snapshot_state();
     let _: u64 = pipeline.checkpoint().unwrap();
     let metrics = pipeline.metrics();
