@@ -1,12 +1,17 @@
 //! Kernel-scaling harness for the maximum-weight rectangle search.
 //!
 //! Runs every rectangle kernel on the same random point sets at
-//! `m ∈ {64, 256, 1024}`, checks that the exact kernels agree on the
-//! optimal score, prints a comparison table, and writes
-//! `BENCH_maxrect.json` with per-kernel nanoseconds and the tree-vs-sweep
-//! speedup. The default (quick) mode times a couple of repetitions so CI
-//! can exercise the perf path cheaply; pass `--full` for more repetitions
-//! and `--seed <n>` to vary the workload.
+//! `m ∈ {64, 256, 1024}` in two shapes — `dense` (60 % of the points
+//! positive, the tree kernel's unfavourable case) and `sparse` (3 %
+//! positive, the rest slightly negative: what a mined snapshot looks like,
+//! where every stream that ever mentioned the term sits just below zero
+//! while it is silent) — checks that the exact kernels agree on the
+//! optimal score and, on the sparse shape, on the rectangle, prints a
+//! comparison table per shape, and writes `BENCH_maxrect.json` with
+//! per-kernel nanoseconds and the tree-vs-sweep speedup. Timings are
+//! reported, not gated. The default (quick) mode times a couple of
+//! repetitions so CI can exercise the perf path cheaply; pass `--full` for
+//! more repetitions and `--seed <n>` to vary the workload.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -21,14 +26,40 @@ const SIZES: [usize; 3] = [64, 256, 1024];
 /// The naive `O(m^5)` oracle is only affordable at the smallest size.
 const NAIVE_CAP: usize = 64;
 
-fn points(n: usize, seed: u64) -> Vec<WPoint> {
+/// Weight distribution of a generated point set.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Shape {
+    /// Weights `U(−1, 1.5)`: 60 % of the points are positive.
+    Dense,
+    /// 3 % of the points `+U(0.5, 2)`, the rest `−U(0.01, 0.3)`.
+    Sparse,
+}
+
+impl Shape {
+    fn name(self) -> &'static str {
+        match self {
+            Shape::Dense => "dense",
+            Shape::Sparse => "sparse",
+        }
+    }
+
+    fn weight(self, rng: &mut StdRng) -> f64 {
+        match self {
+            Shape::Dense => rng.gen_range(-1.0..1.5),
+            Shape::Sparse if rng.gen_bool(0.03) => rng.gen_range(0.5..2.0),
+            Shape::Sparse => -rng.gen_range(0.01..0.3),
+        }
+    }
+}
+
+fn points(shape: Shape, n: usize, seed: u64) -> Vec<WPoint> {
     let mut rng = StdRng::seed_from_u64(seed);
     (0..n)
         .map(|_| {
             WPoint::new(
                 rng.gen_range(0.0..1000.0),
                 rng.gen_range(0.0..1000.0),
-                rng.gen_range(-1.0..1.5),
+                shape.weight(&mut rng),
             )
         })
         .collect()
@@ -66,8 +97,8 @@ fn score_of(r: &Option<MaxRect>) -> f64 {
     r.as_ref().map(|m| m.score).unwrap_or(0.0)
 }
 
-fn run_size(m: usize, seed: u64, reps: usize) -> SizeResult {
-    let pts = points(m, seed);
+fn run_size(shape: Shape, m: usize, seed: u64, reps: usize) -> SizeResult {
+    let pts = points(shape, m, seed);
     let (tree_ns, tree) = time_ns(reps, || max_weight_rect_with(&pts, RectKernel::Tree));
     let (sweep_ns, sweep) = time_ns(reps, || max_weight_rect_with(&pts, RectKernel::Sweep));
     let (grid16_ns, _) = time_ns(reps, || max_weight_rect_grid(&pts, 16));
@@ -75,16 +106,27 @@ fn run_size(m: usize, seed: u64, reps: usize) -> SizeResult {
         let (ns, naive) = time_ns(1, || max_weight_rect_naive(&pts));
         assert!(
             (score_of(&tree) - score_of(&naive)).abs() < 1e-6,
-            "tree kernel disagrees with the naive oracle at m={m}"
+            "tree kernel disagrees with the naive oracle at {} m={m}",
+            shape.name()
         );
         ns
     });
     assert!(
         (score_of(&tree) - score_of(&sweep)).abs() < 1e-6,
-        "exact kernels disagree at m={m}: tree {} vs sweep {}",
+        "exact kernels disagree at {} m={m}: tree {} vs sweep {}",
+        shape.name(),
         score_of(&tree),
         score_of(&sweep)
     );
+    if shape == Shape::Sparse {
+        // The shape the miners see: which maximizer is reported decides a
+        // region's members, so the kernels must agree on it too.
+        assert_eq!(
+            tree.as_ref().map(|r| (&r.rect, &r.members)),
+            sweep.as_ref().map(|r| (&r.rect, &r.members)),
+            "exact kernels report different rectangles at sparse m={m}"
+        );
+    }
     SizeResult {
         m,
         tree_ns,
@@ -94,7 +136,7 @@ fn run_size(m: usize, seed: u64, reps: usize) -> SizeResult {
     }
 }
 
-fn render_json(ctx: &ExperimentCtx, results: &[SizeResult]) -> String {
+fn render_json(ctx: &ExperimentCtx, blocks: &[(Shape, Vec<SizeResult>)]) -> String {
     let mut out = String::from("{\n");
     out.push_str("  \"bench\": \"maxrect_kernels\",\n");
     out.push_str(&format!(
@@ -102,23 +144,30 @@ fn render_json(ctx: &ExperimentCtx, results: &[SizeResult]) -> String {
         if ctx.full { "full" } else { "quick" }
     ));
     out.push_str(&format!("  \"seed\": {},\n", ctx.seed));
-    out.push_str("  \"results\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"m\": {}, \"tree_ns\": {}, \"sweep_ns\": {}, \"grid16_ns\": {}, \
-             \"naive_ns\": {}, \"speedup_tree_vs_sweep\": {:.2}}}{}\n",
-            r.m,
-            r.tree_ns,
-            r.sweep_ns,
-            r.grid16_ns,
-            r.naive_ns
-                .map(|ns| ns.to_string())
-                .unwrap_or_else(|| "null".to_string()),
-            r.speedup(),
-            if i + 1 < results.len() { "," } else { "" }
-        ));
+    for (b, (shape, results)) in blocks.iter().enumerate() {
+        out.push_str(&format!("  \"{}\": [\n", shape.name()));
+        for (i, r) in results.iter().enumerate() {
+            out.push_str(&format!(
+                "    {{\"m\": {}, \"tree_ns\": {}, \"sweep_ns\": {}, \"grid16_ns\": {}, \
+                 \"naive_ns\": {}, \"speedup_tree_vs_sweep\": {:.2}}}{}\n",
+                r.m,
+                r.tree_ns,
+                r.sweep_ns,
+                r.grid16_ns,
+                r.naive_ns
+                    .map(|ns| ns.to_string())
+                    .unwrap_or_else(|| "null".to_string()),
+                r.speedup(),
+                if i + 1 < results.len() { "," } else { "" }
+            ));
+        }
+        out.push_str(if b + 1 < blocks.len() {
+            "  ],\n"
+        } else {
+            "  ]\n"
+        });
     }
-    out.push_str("  ]\n}\n");
+    out.push_str("}\n");
     out
 }
 
@@ -131,33 +180,40 @@ fn main() {
         ctx.seed
     );
 
-    let results: Vec<SizeResult> = SIZES.iter().map(|&m| run_size(m, ctx.seed, reps)).collect();
+    let blocks: Vec<(Shape, Vec<SizeResult>)> = [Shape::Dense, Shape::Sparse]
+        .into_iter()
+        .map(|shape| {
+            let results = SIZES
+                .iter()
+                .map(|&m| run_size(shape, m, ctx.seed, reps))
+                .collect();
+            (shape, results)
+        })
+        .collect();
 
-    let mut table = TableWriter::new("max_weight_rect kernels: ns per call");
-    table.header(["m", "tree", "sweep", "grid16", "naive", "tree vs sweep"]);
-    for r in &results {
-        table.row([
-            r.m.to_string(),
-            r.tree_ns.to_string(),
-            r.sweep_ns.to_string(),
-            r.grid16_ns.to_string(),
-            r.naive_ns
-                .map(|ns| ns.to_string())
-                .unwrap_or_else(|| "-".to_string()),
-            format!("{:.2}x", r.speedup()),
-        ]);
+    for (shape, results) in &blocks {
+        let mut table = TableWriter::new(&format!(
+            "max_weight_rect kernels, {} points: ns per call",
+            shape.name()
+        ));
+        table.header(["m", "tree", "sweep", "grid16", "naive", "tree vs sweep"]);
+        for r in results {
+            table.row([
+                r.m.to_string(),
+                r.tree_ns.to_string(),
+                r.sweep_ns.to_string(),
+                r.grid16_ns.to_string(),
+                r.naive_ns
+                    .map(|ns| ns.to_string())
+                    .unwrap_or_else(|| "-".to_string()),
+                format!("{:.2}x", r.speedup()),
+            ]);
+        }
+        println!("{}", table.render());
     }
-    println!("{}", table.render());
 
-    let json = render_json(&ctx, &results);
+    let json = render_json(&ctx, &blocks);
     let path = "BENCH_maxrect.json";
     std::fs::write(path, &json).expect("write BENCH_maxrect.json");
     println!("wrote {path}");
-
-    let largest = results.last().expect("at least one size");
-    println!(
-        "largest size m={}: tree is {:.2}x faster than sweep",
-        largest.m,
-        largest.speedup()
-    );
 }

@@ -40,7 +40,6 @@ pub use parallel::parallel_map;
 pub use pattern::{
     CombinatorialPattern, Pattern, PatternGeometry, PatternRecord, PatternSource, RegionalPattern,
 };
-pub use stb_discrepancy::RectKernel;
 pub use stcomb::{STComb, STCombConfig};
-pub use stlocal::{BaselineKind, STLocal, STLocalConfig, STLocalStats};
+pub use stlocal::{BaselineKind, STLocal, STLocalConfig, STLocalStats, StepStats};
 pub use tb::{TBConfig, TB};

@@ -5,7 +5,10 @@
 //! every new snapshot it:
 //!
 //! 1. computes the per-stream burstiness `B(t, D_x[i]) = observed − expected`
-//!    (Eq. 7) using a pluggable expected-frequency baseline,
+//!    (Eq. 7) using a pluggable expected-frequency baseline — kept only for
+//!    the *activated* streams, those that have mentioned the term at least
+//!    once: a stream whose history is all zeros expects 0, observes 0 and
+//!    has burstiness 0 without any state,
 //! 2. runs `R-Bursty` to find the bursty rectangles of the snapshot
 //!    (Algorithm 1),
 //! 3. starts a score *sequence* for every newly seen bursty region, appends
@@ -17,10 +20,12 @@
 //!
 //! One `STLocal` instance tracks one term; terms are independent, so a
 //! driver can process many terms in parallel (see [`STLocal::mine_collection_parallel`]).
+//! A miner's size follows its term's signal, not the clock: a tick in which
+//! the term is quiet everywhere grows nothing.
 
 use crate::pattern::RegionalPattern;
 use stb_corpus::{Collection, StreamId, TermId};
-use stb_discrepancy::{RBursty, RectKernel, WPoint};
+use stb_discrepancy::{RBursty, WPoint};
 use stb_geo::{Mbr, Point2D, Rect};
 use stb_timeseries::{BaselineModel, OnlineMaxSeg, TimeInterval};
 
@@ -58,12 +63,6 @@ pub struct STLocalConfig {
     /// ultimately excluded from the pattern. Set to 0 to keep every member
     /// with any positive contribution.
     pub min_member_contribution_ratio: f64,
-    /// Exact maximum-weight rectangle kernel driving every R-Bursty
-    /// extraction round (per snapshot, per term). The default
-    /// [`RectKernel::Tree`] is the `O(m^2 log m)` DGM-style kernel; the
-    /// `O(m^3)` [`RectKernel::Sweep`] is kept for A/B validation and for
-    /// tiny collections where its lower constants win.
-    pub rect_kernel: RectKernel,
 }
 
 impl Default for STLocalConfig {
@@ -73,7 +72,6 @@ impl Default for STLocalConfig {
             min_rectangle_score: 0.0,
             min_window_score: 0.0,
             min_member_contribution_ratio: 0.05,
-            rect_kernel: RectKernel::default(),
         }
     }
 }
@@ -90,6 +88,29 @@ pub struct STLocalStats {
     pub open_windows_per_timestamp: Vec<usize>,
     /// Number of active region sequences after each processed timestamp.
     pub active_sequences_per_timestamp: Vec<usize>,
+}
+
+impl STLocalStats {
+    fn record(&mut self, step: StepStats) {
+        self.rectangles_per_timestamp.push(step.rectangles);
+        self.open_windows_per_timestamp.push(step.open_windows);
+        self.active_sequences_per_timestamp
+            .push(step.active_sequences);
+    }
+}
+
+/// What one [`STLocal::step`] found and left tracked. The miner keeps no
+/// history of these (a live miner steps forever); a driver that wants the
+/// per-timestamp series of [`STLocalStats`] collects them, as
+/// [`STLocal::mine_collection`] does.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct StepStats {
+    /// Bursty rectangles found in this snapshot.
+    pub rectangles: usize,
+    /// Open (still tracked) spatiotemporal windows after this snapshot.
+    pub open_windows: usize,
+    /// Active region sequences after this snapshot.
+    pub active_sequences: usize,
 }
 
 /// A tracked region: the set of streams it covers, its rectangle, and the
@@ -179,11 +200,14 @@ impl RegionSequence {
 pub struct STLocal {
     config: STLocalConfig,
     positions: Vec<Point2D>,
-    baselines: Vec<BaselineState>,
+    /// The streams that have mentioned the term, in order of their first
+    /// non-zero observation, each with the baseline of its full history.
+    activated: Vec<(usize, BaselineState)>,
+    /// `is_active[x]`: stream `x` has an entry in `activated`.
+    is_active: Vec<bool>,
     sequences: Vec<RegionSequence>,
     retired: Vec<RegionalPattern>,
     timestamp: usize,
-    stats: STLocalStats,
 }
 
 /// Concrete baseline state instantiated from a [`BaselineKind`].
@@ -232,18 +256,14 @@ impl STLocal {
     /// Creates a miner for streams at the given map positions (one position
     /// per stream, indexed by stream index).
     pub fn new(positions: Vec<Point2D>, config: STLocalConfig) -> Self {
-        let baselines = positions
-            .iter()
-            .map(|_| BaselineState::new(&config.baseline))
-            .collect();
         Self {
             config,
+            is_active: vec![false; positions.len()],
             positions,
-            baselines,
+            activated: Vec::new(),
             sequences: Vec::new(),
             retired: Vec::new(),
             timestamp: 0,
-            stats: STLocalStats::default(),
         }
     }
 
@@ -257,31 +277,43 @@ impl STLocal {
         self.timestamp
     }
 
-    /// The streaming statistics collected so far.
-    pub fn stats(&self) -> &STLocalStats {
-        &self.stats
-    }
-
     /// Processes one snapshot: the observed frequency of the term in every
-    /// stream at the current timestamp.
+    /// stream at the current timestamp. Returns what the snapshot found.
     ///
     /// # Panics
     ///
     /// Panics if `observed.len()` does not match the number of streams.
-    pub fn step(&mut self, observed: &[f64]) {
+    pub fn step(&mut self, observed: &[f64]) -> StepStats {
         assert_eq!(
             observed.len(),
             self.positions.len(),
             "snapshot must provide one frequency per stream"
         );
-        // 1. Per-stream burstiness (Eq. 7).
-        let mut burstiness = vec![0.0f64; observed.len()];
+        // 1. Per-stream burstiness (Eq. 7). A stream's first non-zero
+        //    observation activates it: its baseline is fed the zeros the
+        //    stream has observed so far, through the same `observe` a
+        //    baseline kept from timestamp 0 would have seen them.
         for (x, &obs) in observed.iter().enumerate() {
-            burstiness[x] = match self.baselines[x].expected() {
+            if obs != 0.0 && !self.is_active[x] {
+                let mut baseline = BaselineState::new(&self.config.baseline);
+                for _ in 0..self.timestamp {
+                    baseline.observe(0.0);
+                }
+                self.is_active[x] = true;
+                self.activated.push((x, baseline));
+            }
+        }
+        let mut burstiness = vec![0.0f64; observed.len()];
+        let mut any_positive = false;
+        for (x, baseline) in &mut self.activated {
+            let obs = observed[*x];
+            let b = match baseline.expected() {
                 Some(e) => obs - e,
                 None => 0.0,
             };
-            self.baselines[x].observe(obs);
+            burstiness[*x] = b;
+            any_positive |= b > 0.0;
+            baseline.observe(obs);
         }
 
         // 2. Bursty rectangles of this snapshot (Algorithm 1). Fast path:
@@ -291,21 +323,19 @@ impl STLocal {
         //    tick in which a streamed term does not occur at all) skips the
         //    rectangle search entirely. This is what keeps the live ingest
         //    pipeline's "advance every tracked term each tick" step cheap.
-        let rects = if burstiness.iter().any(|&b| b > 0.0) {
+        let rects = if any_positive {
             let points: Vec<WPoint> = self
                 .positions
                 .iter()
                 .zip(&burstiness)
                 .map(|(p, &w)| WPoint::at(*p, w))
                 .collect();
-            let rbursty = RBursty::new()
+            RBursty::new()
                 .with_min_score(self.config.min_rectangle_score)
-                .with_kernel(self.config.rect_kernel);
-            rbursty.find(&points)
+                .find(&points)
         } else {
             Vec::new()
         };
-        self.stats.rectangles_per_timestamp.push(rects.len());
 
         // 3. Start sequences for regions not already tracked (Line 7 of
         //    Algorithm 2). Region identity is its set of member streams.
@@ -334,7 +364,7 @@ impl STLocal {
         for mut seq in std::mem::take(&mut self.sequences) {
             let r_score: f64 = seq.members.iter().map(|&x| burstiness[x]).sum();
             for (m, &x) in seq.members.iter().enumerate() {
-                let last = *seq.contrib_prefix[m].last().expect("prefix starts with 0");
+                let last = seq.contrib_prefix[m].last().copied().unwrap_or(0.0);
                 seq.contrib_prefix[m].push(last + burstiness[x]);
             }
             seq.maxseg.push(r_score);
@@ -352,11 +382,12 @@ impl STLocal {
             .iter()
             .map(|s| s.maxseg.candidate_count())
             .sum();
-        self.stats.open_windows_per_timestamp.push(open_windows);
-        self.stats
-            .active_sequences_per_timestamp
-            .push(self.sequences.len());
         self.timestamp += 1;
+        StepStats {
+            rectangles: rects.len(),
+            open_windows,
+            active_sequences: self.sequences.len(),
+        }
     }
 
     /// The maximal windows accumulated so far (retired sequences plus the
@@ -395,11 +426,11 @@ impl STLocal {
         config: STLocalConfig,
     ) -> (Vec<RegionalPattern>, STLocalStats) {
         let mut miner = STLocal::new(collection.positions(), config);
+        let mut stats = STLocalStats::default();
         for ts in 0..collection.timeline_len() {
             let snapshot = collection.term_snapshot(term, ts);
-            miner.step(&snapshot.frequencies);
+            stats.record(miner.step(&snapshot.frequencies));
         }
-        let stats = miner.stats.clone();
         (miner.finish(), stats)
     }
 
@@ -447,15 +478,17 @@ mod tests {
     }
 
     /// Streams a synthetic term: background frequency 1 everywhere, with a
-    /// burst of `peak` in the given streams during `burst_ts`.
+    /// burst of `peak` in the given streams during `burst_ts`. Returns the
+    /// miner and what every step reported.
     fn run_scenario(
         positions: Vec<Point2D>,
         timeline: usize,
         burst_streams: &[usize],
         burst_ts: std::ops::Range<usize>,
         peak: f64,
-    ) -> STLocal {
+    ) -> (STLocal, Vec<StepStats>) {
         let mut miner = STLocal::new(positions.clone(), STLocalConfig::default());
+        let mut steps = Vec::with_capacity(timeline);
         for ts in 0..timeline {
             let mut obs = vec![1.0; positions.len()];
             if burst_ts.contains(&ts) {
@@ -463,14 +496,14 @@ mod tests {
                     obs[s] = peak;
                 }
             }
-            miner.step(&obs);
+            steps.push(miner.step(&obs));
         }
-        miner
+        (miner, steps)
     }
 
     #[test]
     fn detects_localized_burst() {
-        let miner = run_scenario(cluster_positions(), 30, &[0, 1, 2], 10..15, 20.0);
+        let (miner, _) = run_scenario(cluster_positions(), 30, &[0, 1, 2], 10..15, 20.0);
         let top = miner.top_pattern().expect("a pattern should be found");
         assert_eq!(
             top.streams,
@@ -480,40 +513,6 @@ mod tests {
         assert!(top.timeframe.start >= 10 && top.timeframe.start <= 11);
         assert!(top.timeframe.end >= 13 && top.timeframe.end <= 15);
         assert!(top.score > 0.0);
-    }
-
-    #[test]
-    fn rect_kernel_choice_does_not_change_mined_patterns() {
-        let mut reference: Option<Vec<RegionalPattern>> = None;
-        for kernel in [RectKernel::Tree, RectKernel::Sweep] {
-            let config = STLocalConfig {
-                rect_kernel: kernel,
-                ..STLocalConfig::default()
-            };
-            let mut miner = STLocal::new(cluster_positions(), config);
-            for ts in 0..30 {
-                let mut obs = vec![1.0; 6];
-                if (10..15).contains(&ts) {
-                    for s in 0..3 {
-                        obs[s] = 20.0;
-                    }
-                }
-                miner.step(&obs);
-            }
-            let patterns = miner.finish();
-            assert!(!patterns.is_empty(), "{kernel:?}");
-            match &reference {
-                None => reference = Some(patterns),
-                Some(expected) => {
-                    assert_eq!(expected.len(), patterns.len(), "{kernel:?}");
-                    for (a, b) in expected.iter().zip(&patterns) {
-                        assert_eq!(a.streams, b.streams, "{kernel:?}");
-                        assert_eq!(a.timeframe, b.timeframe, "{kernel:?}");
-                        assert!((a.score - b.score).abs() < 1e-9, "{kernel:?}");
-                    }
-                }
-            }
-        }
     }
 
     #[test]
@@ -555,29 +554,85 @@ mod tests {
 
     #[test]
     fn stats_are_recorded_per_timestamp() {
-        let miner = run_scenario(cluster_positions(), 25, &[0, 1], 5..8, 10.0);
-        let stats = miner.stats();
-        assert_eq!(stats.rectangles_per_timestamp.len(), 25);
-        assert_eq!(stats.open_windows_per_timestamp.len(), 25);
-        assert_eq!(stats.active_sequences_per_timestamp.len(), 25);
+        let (_, steps) = run_scenario(cluster_positions(), 25, &[0, 1], 5..8, 10.0);
+        assert_eq!(steps.len(), 25);
         // During the burst at least one rectangle must be found.
-        assert!(stats.rectangles_per_timestamp[5..8].iter().any(|&c| c > 0));
+        assert!(steps[5..8].iter().any(|s| s.rectangles > 0));
+        assert!(steps[5..8].iter().any(|s| s.open_windows > 0));
+        assert!(steps[5..8].iter().any(|s| s.active_sequences > 0));
         // No burstiness on the very first timestamp (no history yet).
-        assert_eq!(stats.rectangles_per_timestamp[0], 0);
+        assert_eq!(steps[0], StepStats::default());
     }
 
     #[test]
     fn sequences_are_pruned_after_burst_fades() {
-        let miner = run_scenario(cluster_positions(), 60, &[0, 1, 2], 10..13, 25.0);
-        let stats = miner.stats();
+        let (_, steps) = run_scenario(cluster_positions(), 60, &[0, 1, 2], 10..13, 25.0);
         // Long after the burst the negative r-scores must have retired the
         // sequence.
-        assert_eq!(*stats.active_sequences_per_timestamp.last().unwrap(), 0);
+        assert_eq!(steps.last().unwrap().active_sequences, 0);
+    }
+
+    #[test]
+    fn late_activation_is_bit_identical_to_a_baseline_kept_from_the_start() {
+        use stb_timeseries::{Ewma, RunningMean, Seasonal, SlidingWindowMean};
+
+        // One stream, silent for five steps: its baseline is created at
+        // step 5 and must stand where one fed every observation would.
+        const SERIES: [f64; 13] = [
+            0.0, 0.0, 0.0, 0.0, 0.0, 6.0, 9.0, 4.0, 1.0, 0.0, 2.0, 7.0, 1.0,
+        ];
+        fn dense_reference(mut model: impl BaselineModel) -> (u64, TimeInterval) {
+            let mut maxseg = OnlineMaxSeg::new();
+            let mut start = None;
+            for (ts, &obs) in SERIES.iter().enumerate() {
+                let b = model.expected().map_or(0.0, |e| obs - e);
+                model.observe(obs);
+                if b > 0.0 {
+                    start.get_or_insert(ts);
+                }
+                if start.is_some() {
+                    maxseg.push(b);
+                    assert!(maxseg.total() >= 0.0, "SERIES must keep one sequence open");
+                }
+            }
+            let start = start.expect("SERIES has a positive step");
+            let best = maxseg.best_segment().expect("a positive score was pushed");
+            (
+                best.score.to_bits(),
+                TimeInterval::new(start + best.start(), start + best.end()),
+            )
+        }
+        let cases = [
+            (
+                BaselineKind::RunningMean,
+                dense_reference(RunningMean::new()),
+            ),
+            (
+                BaselineKind::SlidingWindow(3),
+                dense_reference(SlidingWindowMean::new(3)),
+            ),
+            (BaselineKind::Ewma(0.3), dense_reference(Ewma::new(0.3))),
+            (BaselineKind::Seasonal(4), dense_reference(Seasonal::new(4))),
+        ];
+        for (kind, (score_bits, timeframe)) in cases {
+            let config = STLocalConfig {
+                baseline: kind.clone(),
+                ..STLocalConfig::default()
+            };
+            let mut miner = STLocal::new(vec![Point2D::new(0.0, 0.0)], config);
+            for &obs in &SERIES {
+                miner.step(&[obs]);
+            }
+            let top = miner.top_pattern().expect("a pattern should be found");
+            assert_eq!(top.score.to_bits(), score_bits, "{kind:?}");
+            assert_eq!(top.timeframe, timeframe, "{kind:?}");
+            assert_eq!(timeframe.start, 5, "{kind:?}");
+        }
     }
 
     #[test]
     fn pattern_timeframe_is_within_processed_range() {
-        let miner = run_scenario(cluster_positions(), 30, &[3, 4, 5], 20..25, 12.0);
+        let (miner, _) = run_scenario(cluster_positions(), 30, &[3, 4, 5], 20..25, 12.0);
         for p in miner.patterns() {
             assert!(p.timeframe.end < 30);
             assert!(p.timeframe.start <= p.timeframe.end);

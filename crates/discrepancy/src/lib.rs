@@ -15,8 +15,9 @@
 //! * [`max_weight_rect`] — an exact maximizer of the rectangle score over
 //!   all axis-aligned rectangles. Two exact kernels are selectable through
 //!   [`RectKernel`]: the default DGM-style max-subsegment-tree sweep
-//!   ([`MaxSegTree`], `O(m^2 log m)`) and the Kadane re-scan sweep
-//!   (`O(m^3)`); both share a prefix-sum upper-bound pruner and a reusable
+//!   ([`MaxSegTree`], anchored at the columns that hold a positive point)
+//!   and the Kadane re-scan sweep (`O(m^3)`) the tests compare it against;
+//!   both share a positive-mass upper-bound pruner and a reusable
 //!   [`RectWorkspace`]. A brute-force oracle ([`max_weight_rect_naive`])
 //!   and a grid-restricted approximation ([`max_weight_rect_grid`]) are
 //!   provided for testing and ablation — see [`max_rect`] for the full
@@ -28,6 +29,8 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// The kernel runs on the ingest pipeline's commit thread.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod bursty_rect;
 pub mod max_rect;

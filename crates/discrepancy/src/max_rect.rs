@@ -6,26 +6,55 @@
 //! weight. The paper's reference for this kernel is the bichromatic-
 //! discrepancy algorithm of Dobkin, Gunopulos & Maass (DGM) at
 //! `O(m^2 log m)`; this module implements it together with the simpler
-//! alternatives used for testing, ablation, and small inputs:
+//! alternatives used for testing and ablation:
 //!
 //! | kernel | complexity | role |
 //! |---|---|---|
 //! | [`max_weight_rect_naive`] | `O(m^5)` (`O(m^4)` rectangles × `O(m)` scan) | brute-force test oracle |
-//! | [`RectKernel::Sweep`] | `O(m_x^2 · m_y)` ≈ `O(m^3)` | exact Kadane sweep; lowest constants on tiny inputs |
-//! | [`RectKernel::Tree`] | `O(m^2 log m)` | exact DGM max-subsegment tree; the default |
+//! | [`RectKernel::Sweep`] | `O(m_x^2 · m_y)` ≈ `O(m^3)` | exact Kadane sweep; the independent reference the tests compare against |
+//! | [`RectKernel::Tree`] | `O(p_x · N log m)` ≤ `O(m^2 log m)` | exact DGM max-subsegment tree, right-anchored; the kernel the miners run |
 //! | [`max_weight_rect_grid`] | `O(m + r^3)` at grid resolution `r` | boundary-restricted approximation for ablations |
 //!
+//! (`N` non-zero points, `p_x` columns holding a positive point: in a
+//! mined snapshot most non-zero streams sit at `0 − baseline < 0`, so
+//! `p_x` is a small fraction of the `m_x` columns.)
+//!
 //! Both exact kernels run over a shared [`RectWorkspace`] (coordinate
-//! compression, per-column point lists, scratch buffers) and share a
-//! prefix-sum *upper-bound pruner*: the positive weight mass of the columns
-//! `[left..right]` bounds every rectangle with those x-boundaries, so
-//! column pairs — and, because the bound is monotone in `left`, entire
-//! tails of the sweep — that cannot beat the incumbent are skipped without
-//! being scored. The workspace also supports `O(1)` point masking, which
-//! [`crate::RBursty`] uses to run Algorithm 1 without rebuilding the search
-//! state after every extraction round. Masked points (`-inf` weight)
-//! poison any rectangle containing them, exactly as intended by
-//! Algorithm 1 of the paper.
+//! compression, per-column point lists, scratch buffers) and prune with
+//! the positive weight mass of a column range, which bounds every
+//! rectangle inside that range: column pairs — and, because the bound is
+//! monotone in the anchored edge, entire tails of the sweep — that cannot
+//! beat the incumbent are skipped without being scored. The workspace also
+//! supports `O(1)` point masking, which [`crate::RBursty`] uses to run
+//! Algorithm 1 without rebuilding the search state after every extraction
+//! round. Masked points (`-inf` weight) poison any rectangle containing
+//! them, exactly as intended by Algorithm 1 of the paper.
+//!
+//! # Which maximizer is reported
+//!
+//! Both kernels report the **lexicographically smallest column pair
+//! `(left, right)`** among those whose best y-interval attains the maximum
+//! score. That pair is routinely loose on the left — a column of negative
+//! points lying outside the winning y-interval ties the tighter pair and
+//! sorts first — and the looseness is part of the contract: it decides
+//! which zero-weight streams [`crate::RBursty`] hands the rectangle, and
+//! member sets are the identity of an `STLocal` region. The Tree kernel's
+//! precise contract is *argmax of the tree sum over all column pairs, ties
+//! to the lexicographically smallest pair*; it is identical to the Kadane
+//! kernel whenever the sums are exact. Two floating-point notes:
+//!
+//! 1. A *difference* of prefix sums is not a sound bound on a sum the
+//!    kernels accumulate in another order: `(0.2 + 4/3 + 2/3) − 0.2`
+//!    rounds one ulp below `4/3 + 2/3`, so pruning on the bare difference
+//!    reports 1.999 999 999 999 999 8 where 2.0 exists. Every mass bound
+//!    therefore carries a rounding allowance (`mass_slack`) and can never
+//!    cut a pair that ties or beats the incumbent.
+//! 2. The Tree kernel accumulates a y-bucket right-to-left, the Sweep
+//!    kernel left-to-right. When three or more non-zero points share a
+//!    y-coordinate *and* their weights are inexact, the two bucket sums can
+//!    differ in the last ulp and a tie can resolve differently
+//!    (`[(0,10,0.2), (1,10,−0.2), (2,10,0.8333333333333334)]`: both answers
+//!    score 0.833…34). MDS stream positions share no coordinates.
 
 use crate::maxseg_tree::MaxSegTree;
 use crate::weighted_point::WPoint;
@@ -46,15 +75,15 @@ pub struct MaxRect {
 /// Choice of the exact maximum-weight rectangle kernel.
 ///
 /// Both kernels return the same optimal score (property-tested against
-/// [`max_weight_rect_naive`]); they may break ties between equal-score
-/// rectangles differently. [`RectKernel::Tree`] is asymptotically faster
-/// and the default everywhere; [`RectKernel::Sweep`] has lower constants on
-/// very small inputs and serves as an independent implementation to test
-/// against.
+/// [`max_weight_rect_naive`]) and, whenever the sums are exact, the same
+/// rectangle (see the module docs). [`RectKernel::Tree`] is faster at every
+/// size and is what the miners run; [`RectKernel::Sweep`] is the
+/// independent implementation the tests compare it against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RectKernel {
-    /// DGM-style max-subsegment segment tree over the y-buckets,
-    /// `O(m^2 log m)` (see [`MaxSegTree`]).
+    /// DGM-style max-subsegment segment tree over the y-buckets, swept
+    /// from the columns that hold a positive point: `O(p_x · N log m)`
+    /// (see [`MaxSegTree`]).
     #[default]
     Tree,
     /// Kadane re-scan of the y-buckets for every x-boundary pair,
@@ -175,12 +204,13 @@ impl RectWorkspace {
             if p.weight == 0.0 {
                 continue;
             }
-            let xi = xs
-                .binary_search_by(|v| v.total_cmp(&p.x))
-                .expect("x coordinate must be present");
-            let yi = ys
-                .binary_search_by(|v| v.total_cmp(&p.y))
-                .expect("y coordinate must be present");
+            let (Ok(xi), Ok(yi)) = (
+                xs.binary_search_by(|v| v.total_cmp(&p.x)),
+                ys.binary_search_by(|v| v.total_cmp(&p.y)),
+            ) else {
+                debug_assert!(false, "coordinates of a non-zero point were indexed above");
+                continue;
+            };
             point_col[idx] = Some((xi as u32, by_x[xi].len() as u32));
             by_x[xi].push(ColPoint {
                 yi: yi as u32,
@@ -227,34 +257,49 @@ impl RectWorkspace {
         }
     }
 
-    /// DGM kernel: extend `right` by adding each column's points into the
-    /// max-subsegment tree (`O(log m)` each) and read the best achievable
-    /// y-interval *sum* off the root in `O(1)`. The tree does not track
+    /// Rounding allowance of the positive-mass bounds. `pos_prefix` and a
+    /// kernel's own sum add the same `N` or fewer positive weights in
+    /// different orders (negative weights only lower a kernel's sum), so a
+    /// score exceeds a prefix, or a difference of two, by less than
+    /// `2N · ε · total`; twice that is added before a bound may prune.
+    fn mass_slack(&self) -> f64 {
+        4.0 * self.point_col.len() as f64 * f64::EPSILON * self.pos_prefix[self.xs.len()]
+    }
+
+    /// DGM kernel, right-anchored. A strict improvement needs a positive
+    /// point in its right column, so only those columns anchor a sweep:
+    /// `right` descends over them, the tree is reset, and columns `right,
+    /// right − 1, …, 0` are added into the max-subsegment tree (`O(log m)`
+    /// a point) with the best achievable y-interval *sum* read off the root
+    /// in `O(1)` after each. The left edge must run all the way to column 0:
+    /// the reported pair is the lexicographically smallest maximal one (see
+    /// the module docs), and pairs are visited right-to-left, so a tie with
+    /// the incumbent goes to the smaller pair. The tree does not track
     /// which interval wins (that would put argmax bookkeeping in every
     /// combine — see [`MaxSegTree`]'s module docs), so the sweep records
     /// the winning column pair and recovers the y-interval with one `O(m)`
     /// Kadane pass at the end.
     fn best_rect_tree(&mut self, floor: f64) -> Option<(f64, Rect)> {
-        let m = self.xs.len();
-        let total_pos = self.pos_prefix[m];
+        let slack = self.mass_slack();
         let mut best = floor;
-        let mut best_pair = None;
-        for left in 0..m {
-            // The positive mass right of `left` bounds every rectangle this
-            // iteration can produce — and it only shrinks as `left` grows.
-            if total_pos - self.pos_prefix[left] <= best {
+        let mut best_pair: Option<(usize, usize)> = None;
+        for right in (0..self.xs.len()).rev() {
+            // The positive mass of columns `[0, right]` bounds every pair
+            // still to come, and only shrinks as `right` descends. Strict:
+            // a pair that ties the incumbent may sort before it.
+            if self.pos_prefix[right + 1] + slack < best {
                 break;
             }
+            if !self.by_x[right].iter().any(|c| c.weight > 0.0) {
+                continue;
+            }
             self.tree.reset();
-            for right in left..m {
-                for c in &self.by_x[right] {
+            for left in (0..=right).rev() {
+                for c in &self.by_x[left] {
                     self.tree.add(c.yi as usize, c.weight);
                 }
-                if self.pos_prefix[right + 1] - self.pos_prefix[left] <= best {
-                    continue;
-                }
-                let score = self.tree.best().expect("ys is non-empty");
-                if score > best {
+                let score = self.tree.best()?;
+                if score > best || (score == best && best_pair.is_some_and(|p| (left, right) < p)) {
                     best = score;
                     best_pair = Some((left, right));
                 }
@@ -292,14 +337,19 @@ impl RectWorkspace {
     }
 
     /// Kadane kernel: re-scan the accumulated y-buckets for every
-    /// x-boundary pair.
+    /// x-boundary pair, left edge ascending, right edge ascending, strict
+    /// improvement only — the scan order that defines which maximizer is
+    /// reported.
     fn best_rect_sweep(&mut self, floor: f64) -> Option<(f64, Rect)> {
         let m = self.xs.len();
+        let slack = self.mass_slack();
         let total_pos = self.pos_prefix[m];
         let mut best = floor;
         let mut best_rect = None;
         for left in 0..m {
-            if total_pos - self.pos_prefix[left] <= best {
+            // The positive mass right of `left` bounds every rectangle this
+            // iteration can produce — and it only shrinks as `left` grows.
+            if total_pos - self.pos_prefix[left] + slack <= best {
                 break;
             }
             self.buckets.iter_mut().for_each(|b| *b = 0.0);
@@ -307,7 +357,7 @@ impl RectWorkspace {
                 for c in &self.by_x[right] {
                     self.buckets[c.yi as usize] += c.weight;
                 }
-                if self.pos_prefix[right + 1] - self.pos_prefix[left] <= best {
+                if self.pos_prefix[right + 1] - self.pos_prefix[left] + slack <= best {
                     continue;
                 }
                 if let Some((score, y_start, y_end)) = kadane_above(&self.buckets, best) {
@@ -562,6 +612,27 @@ mod tests {
                 let fast = max_weight_rect_with(&pts, kernel).unwrap();
                 assert!((fast.score - slow.score).abs() < 1e-9, "{kernel:?} {pts:?}");
             }
+        }
+    }
+
+    #[test]
+    fn prefix_difference_rounding_does_not_hide_the_maximum() {
+        // (0.2 + 4/3 + 2/3) − 0.2 rounds to 1.9999999999999998, the score
+        // of points 1–4: a prune on the bare prefix difference stops there,
+        // one ulp below the pair {3, 4} that sums to exactly 2.0.
+        let pts = vec![
+            wp(0.0, 30.0, -1.0 / 3.0),
+            wp(1.0, 101.0, 0.2),
+            wp(2.0, 62.0, -0.2),
+            wp(3.0, 23.0, 4.0 / 3.0),
+            wp(4.0, 94.0, 2.0 / 3.0),
+        ];
+        let naive = max_weight_rect_naive(&pts).unwrap();
+        assert_eq!(naive.score, 2.0);
+        for kernel in KERNELS {
+            let r = max_weight_rect_with(&pts, kernel).unwrap();
+            assert_eq!(r.score, 2.0, "{kernel:?}");
+            assert_eq!(r.members, vec![3, 4], "{kernel:?}");
         }
     }
 

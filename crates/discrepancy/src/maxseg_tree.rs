@@ -20,7 +20,7 @@
 //!
 //! The tree is an arena of `2 * m.next_power_of_two()` nodes that is built
 //! once per workspace and *reset* (an `O(m)` memcpy from a precomputed
-//! zero template) at the start of every left-boundary iteration, so the
+//! zero template) at the start of every anchored sweep, so the
 //! sweep performs no per-iteration allocation.
 //!
 //! Masked points (`-inf` weight, Algorithm 1 of the paper) need no special

@@ -39,7 +39,35 @@ fn arb_messy_points() -> impl Strategy<Value = Vec<WPoint>> {
     )
 }
 
+/// Configurations on which every sum is exact, so ties are real ties: a
+/// 9 × 9 coordinate grid (duplicates in both dimensions) and weights that
+/// are multiples of 1/8, zero, or `-inf` (pre-masked).
+fn arb_exact_points() -> impl Strategy<Value = Vec<WPoint>> {
+    prop::collection::vec(
+        (0usize..9, 0usize..9, -26i32..24).prop_map(|(xi, yi, k)| {
+            let weight = match k {
+                -26 => f64::NEG_INFINITY,
+                -25 => 0.0,
+                k => f64::from(k) / 8.0,
+            };
+            WPoint::new(xi as f64, yi as f64, weight)
+        }),
+        0..41,
+    )
+}
+
 proptest! {
+    #[test]
+    fn kernels_break_ties_identically_on_exact_weights(points in arb_exact_points()) {
+        // Which of several equal-score rectangles is reported decides the
+        // zero-weight members R-Bursty hands it, and member sets are the
+        // identity of an STLocal region: rect, members and score must be
+        // equal, not merely the scores close.
+        let tree = RBursty::new().with_kernel(RectKernel::Tree).find(&points);
+        let sweep = RBursty::new().with_kernel(RectKernel::Sweep).find(&points);
+        prop_assert_eq!(tree, sweep);
+    }
+
     #[test]
     fn exact_matches_naive_oracle(points in arb_points()) {
         let fast = max_weight_rect(&points);
