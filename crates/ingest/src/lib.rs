@@ -13,9 +13,10 @@
 //!   advances the per-(term, stream) online burst state, re-mines only the
 //!   tick's *dirty terms* (the streaming `STLocal` step of Algorithm 2, or
 //!   a dirty-subset `STComb` pass), and applies the resulting
-//!   [`PatternDelta`]s to a sharded `ShardedEngine` — per-term posting
-//!   re-scores and precise per-shard cache invalidation, never a full
-//!   rebuild — before publishing one new immutable serving generation.
+//!   [`PatternDelta`]s to a `ShardedEngine` — per-term posting re-scores
+//!   and precise result-cache invalidation, never a full rebuild — before
+//!   publishing one new immutable serving generation that shares the
+//!   engine's lists by pointer.
 //! * [`SearchHandle`] — cloneable query access over the engine's
 //!   `ServingFront`, speaking the typed [`Query`] DSL (time/region filters,
 //!   explanations, structured errors): readers clone the current

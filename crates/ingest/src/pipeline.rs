@@ -16,9 +16,10 @@
 //! 3. The resulting [`PatternDelta`]s are applied to the pipeline's
 //!    [`ShardedEngine`]: the new collection snapshot is swapped in, the
 //!    prebuilt posting index re-scores only the affected terms, and the
-//!    commit *publishes* one new immutable serving generation — the dirty
-//!    terms' shards are rebuilt and the per-shard LRU result caches
-//!    invalidate precisely the queries involving them.
+//!    commit *publishes* one new immutable serving generation — a clone of
+//!    the engine's maps of `Arc`s, so the dirty terms' fresh lists are
+//!    shared with the generation, not copied into it — and the sharded LRU
+//!    result caches invalidate precisely the queries involving them.
 //!
 //! Queries are served concurrently through [`SearchHandle`]s over the
 //! engine's [`ServingFront`]: readers clone the current generation's `Arc`
@@ -95,12 +96,14 @@ pub struct IngestConfig {
     pub miner: MinerKind,
     /// Scoring configuration of the serving engine.
     pub engine: EngineConfig,
-    /// Capacity of the engine's query-result cache (0 disables caching).
-    /// The capacity is split across the serving shards.
+    /// Capacity of the engine's query-result cache (0 disables caching),
+    /// split evenly across the `n_shards` result caches.
     pub cache_capacity: usize,
-    /// Number of serving shards in the read tier (must be > 0).
-    /// Terms are routed by hash ([`stb_search::shard_of`]); more shards
-    /// mean finer-grained cache invalidation per commit.
+    /// Number of result caches in the read tier (must be > 0). A query is
+    /// routed to one by the hash of its minimum term
+    /// ([`stb_search::shard_of`]), so more shards mean readers contend on
+    /// more, smaller cache mutexes. The serving state itself is one shared
+    /// index, not partitioned.
     pub n_shards: usize,
     /// When the write-ahead log forces appends to disk (only relevant for
     /// pipelines opened with [`IngestPipeline::durable`]).

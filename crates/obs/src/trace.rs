@@ -46,7 +46,8 @@ pub enum SpanKind {
     Plan,
     /// Result-cache probe (per-shard LRU).
     CacheLookup,
-    /// Gathering per-term posting state from shard snapshots.
+    /// Gathering the query terms' posting lists from the generation's
+    /// index (or scoring them per query, for filtered and cold queries).
     ShardGather,
     /// The Threshold Algorithm scan over gathered postings.
     TaScan,

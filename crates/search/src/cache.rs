@@ -80,11 +80,6 @@ impl QueryKey {
         }
     }
 
-    /// Whether the key's query involves `term` (used for invalidation).
-    fn involves(&self, term: TermId) -> bool {
-        self.terms.binary_search(&term).is_ok()
-    }
-
     /// The key's term set, sorted ascending. For keys built from a planned
     /// query this is the canonical deduplicated term set — the
     /// subscription registry indexes registrations by exactly these terms.
@@ -267,12 +262,26 @@ impl QueryCache {
 
     /// Drops every cached query that involves `term`.
     pub fn invalidate_term(&self, term: TermId) {
-        let mut inner = self.lock();
-        inner.map.retain(|key, _| !key.involves(term));
+        self.invalidate_terms(|t| t == term);
+    }
+
+    /// Drops every cached query that involves a term `dirty` holds for: one
+    /// lock, one pass over the map, however many terms are dirty. A
+    /// disabled cache is not locked at all.
+    pub(crate) fn invalidate_terms(&self, dirty: impl Fn(TermId) -> bool) {
+        if self.capacity == 0 {
+            return;
+        }
+        self.lock()
+            .map
+            .retain(|key, _| !key.terms.iter().any(|&t| dirty(t)));
     }
 
     /// Drops every cached entry.
     pub fn clear(&self) {
+        if self.capacity == 0 {
+            return;
+        }
         self.lock().map.clear();
     }
 
@@ -415,6 +424,16 @@ mod tests {
         assert!(get(&cache, &key(&[1, 2], 5)).is_none());
         assert!(get(&cache, &key(&[2, 3], 5)).is_none());
         assert!(get(&cache, &key(&[3, 4], 5)).is_some());
+        // A dirty *set* goes in one pass: both dirty terms' queries are
+        // dropped, the query touching neither survives.
+        put(&cache, key(&[1, 2], 5), results(1));
+        put(&cache, key(&[5], 5), results(4));
+        put(&cache, key(&[6, 7], 5), results(5));
+        cache.invalidate_terms(|t| [TermId(1), TermId(4)].contains(&t));
+        assert!(get(&cache, &key(&[1, 2], 5)).is_none());
+        assert!(get(&cache, &key(&[3, 4], 5)).is_none());
+        assert!(get(&cache, &key(&[5], 5)).is_some());
+        assert!(get(&cache, &key(&[6, 7], 5)).is_some());
     }
 
     #[test]

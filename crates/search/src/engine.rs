@@ -21,7 +21,9 @@
 //! carrying results, optional per-document explanations, and execution
 //! stats. Both serving tiers — this engine and the sharded
 //! [`crate::ServingFront`] — run every query through the one crate-private
-//! `execute` function below, each over its own read-only state view.
+//! `execute` function below, over the one crate-private `DerivedState`
+//! type: the engine's own, or a published generation's pointer-sharing
+//! clone of the write side's.
 //!
 //! # Serving path
 //!
@@ -51,7 +53,7 @@ use crate::query::{
 };
 use crate::relevance::Relevance;
 use crate::shard::shard_of;
-use crate::threshold::{threshold_topk_with_stats, PostingAccess, ScoredDoc, TopkStats};
+use crate::threshold::{threshold_topk_with_stats, ScoredDoc, TopkStats};
 use stb_obs::{SpanClock, SpanKind};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -229,6 +231,40 @@ impl PatternFilter {
     }
 }
 
+/// Everything a query reads: one collection snapshot, the scoring
+/// configuration, and each term's patterns, document list and (once
+/// finalized) scored posting list.
+///
+/// [`BurstySearchEngine`] owns one and mutates it copy-on-write — a
+/// re-scored posting list or re-registered pattern set is a fresh `Arc`, a
+/// document list is `Arc::make_mut`'d on its first push after a clone. The
+/// serving tier publishes a generation by cloning it: one `Arc` clone per
+/// term and map, no list, map or pattern copied. The writer and every
+/// published generation therefore share each term's data by pointer, and a
+/// generation never observes a later write.
+#[derive(Debug, Clone)]
+pub(crate) struct DerivedState {
+    pub(crate) collection: Arc<Collection>,
+    /// The configuration the prebuilt lists were scored under.
+    pub(crate) config: EngineConfig,
+    pub(crate) patterns: HashMap<TermId, Arc<[StoredPattern]>>,
+    /// Corpus-level inverted lists: term → documents containing it.
+    pub(crate) term_docs: HashMap<TermId, Arc<Vec<DocId>>>,
+    /// The full-collection scored posting index, present after
+    /// [`BurstySearchEngine::finalize`].
+    pub(crate) prebuilt: Option<InvertedIndex>,
+}
+
+impl DerivedState {
+    fn term_docs(&self, term: TermId) -> Option<&[DocId]> {
+        self.term_docs.get(&term).map(|d| d.as_slice())
+    }
+
+    fn patterns(&self, term: TermId) -> Option<&[StoredPattern]> {
+        self.patterns.get(&term).map(|p| &**p)
+    }
+}
+
 /// The bursty-document search engine.
 ///
 /// # Example
@@ -282,17 +318,10 @@ impl PatternFilter {
 /// convertible into the shared handle — an `Arc<Collection>`, an owned
 /// `Collection`, or (cloning) a `&Collection`.
 pub struct BurstySearchEngine {
-    collection: Arc<Collection>,
-    config: EngineConfig,
+    state: DerivedState,
     /// Planar stream positions of the current snapshot (indexed by
     /// `StreamId::index`), cached for pattern-geometry capture.
     positions: Vec<Point2D>,
-    patterns: HashMap<TermId, Vec<StoredPattern>>,
-    /// Corpus-level inverted lists: term → documents containing it.
-    term_docs: HashMap<TermId, Vec<DocId>>,
-    /// The full-collection scored posting index, present after
-    /// [`BurstySearchEngine::finalize`].
-    prebuilt: Option<InvertedIndex>,
     /// LRU cache of evaluated top-k result lists.
     cache: QueryCache,
     /// Number of full prebuilt-index builds (for [`EngineMetrics`]).
@@ -338,6 +367,16 @@ impl BurstySearchEngine {
     /// configuration. Patterns must be registered per term with
     /// [`BurstySearchEngine::set_patterns`] before searching.
     pub fn new(collection: impl Into<Arc<Collection>>, config: EngineConfig) -> Self {
+        Self::with_cache_capacity(collection, config, DEFAULT_CACHE_CAPACITY)
+    }
+
+    /// [`BurstySearchEngine::new`] with an explicit result-cache capacity;
+    /// the sharded tier builds its never-queried write side with 0.
+    pub(crate) fn with_cache_capacity(
+        collection: impl Into<Arc<Collection>>,
+        config: EngineConfig,
+        cache_capacity: usize,
+    ) -> Self {
         let collection = collection.into();
         let mut term_docs: HashMap<TermId, Vec<DocId>> = HashMap::new();
         for doc in collection.documents() {
@@ -345,18 +384,24 @@ impl BurstySearchEngine {
                 term_docs.entry(term).or_default().push(doc.id);
             }
         }
-        for docs in term_docs.values_mut() {
-            docs.sort();
-            docs.dedup();
-        }
+        let term_docs = term_docs
+            .into_iter()
+            .map(|(term, mut docs)| {
+                docs.sort();
+                docs.dedup();
+                (term, Arc::new(docs))
+            })
+            .collect();
         Self {
             positions: collection.positions(),
-            collection,
-            config,
-            patterns: HashMap::new(),
-            term_docs,
-            prebuilt: None,
-            cache: QueryCache::new(DEFAULT_CACHE_CAPACITY),
+            state: DerivedState {
+                collection,
+                config,
+                patterns: HashMap::new(),
+                term_docs,
+                prebuilt: None,
+            },
+            cache: QueryCache::new(cache_capacity),
             finalize_count: 0,
             last_finalize: None,
             term_rescore_count: 0,
@@ -365,12 +410,17 @@ impl BurstySearchEngine {
 
     /// The engine's configuration.
     pub fn config(&self) -> &EngineConfig {
-        &self.config
+        &self.state.config
     }
 
     /// The engine's current collection snapshot.
     pub fn collection(&self) -> &Arc<Collection> {
-        &self.collection
+        &self.state.collection
+    }
+
+    /// The state queries run over — what the sharded tier publishes.
+    pub(crate) fn state(&self) -> &DerivedState {
+        &self.state
     }
 
     /// Registers the mined patterns of a term, replacing any previous ones.
@@ -385,7 +435,7 @@ impl BurstySearchEngine {
     /// of `term` alone (the rest of the prebuilt index is untouched) and
     /// invalidates the cached results of every query involving the term.
     pub fn set_patterns<P: PatternGeometry>(&mut self, term: TermId, patterns: &[P]) {
-        let stored = patterns
+        let stored: Arc<[StoredPattern]> = patterns
             .iter()
             .map(|p| StoredPattern {
                 streams: p.streams().to_vec(),
@@ -394,7 +444,7 @@ impl BurstySearchEngine {
                 score: p.score(),
             })
             .collect();
-        self.patterns.insert(term, stored);
+        self.state.patterns.insert(term, stored);
         self.refresh_term(term);
     }
 
@@ -409,9 +459,9 @@ impl BurstySearchEngine {
     /// [`BurstySearchEngine::update_collection`], or the corpus-level
     /// statistics a [`Relevance::TfIdf`] configuration depends on moved.
     pub fn refresh_term(&mut self, term: TermId) {
-        if self.prebuilt.is_some() {
+        if self.state.prebuilt.is_some() {
             let list = self.term_postings(term);
-            if let Some(index) = self.prebuilt.as_mut() {
+            if let Some(index) = self.state.prebuilt.as_mut() {
                 index.set_postings(term, list);
             }
             self.term_rescore_count += 1;
@@ -430,12 +480,16 @@ impl BurstySearchEngine {
     /// [`BurstySearchEngine::refresh_term`] — which is exactly what the
     /// `stb-ingest` pipeline's per-tick commit does with its dirty-term set.
     pub fn update_collection(&mut self, collection: Arc<Collection>, new_docs: &[DocId]) {
-        self.collection = collection;
-        self.positions = self.collection.positions();
+        let state = &mut self.state;
+        state.collection = collection;
+        self.positions = state.collection.positions();
         for &doc_id in new_docs {
-            let doc = self.collection.document(doc_id);
+            let doc = state.collection.document(doc_id);
             for &term in doc.counts.keys() {
-                let docs = self.term_docs.entry(term).or_default();
+                // The first push after a publish copies the list the
+                // published generation still reads; later pushes are in
+                // place.
+                let docs = Arc::make_mut(state.term_docs.entry(term).or_default());
                 debug_assert!(
                     docs.last().is_none_or(|&last| last < doc_id),
                     "new documents must arrive in id order"
@@ -461,42 +515,21 @@ impl BurstySearchEngine {
 
     /// Number of documents that contain the term.
     pub fn doc_freq(&self, term: TermId) -> usize {
-        self.term_docs.get(&term).map(Vec::len).unwrap_or(0)
-    }
-
-    /// Every term the engine knows about: the union of terms appearing in
-    /// the collection and terms with registered patterns, sorted.
-    pub(crate) fn known_terms(&self) -> Vec<TermId> {
-        let mut terms: Vec<TermId> = self
-            .term_docs
-            .keys()
-            .chain(self.patterns.keys())
-            .copied()
-            .collect();
-        terms.sort();
-        terms.dedup();
-        terms
+        self.state.term_docs(term).map_or(0, <[DocId]>::len)
     }
 
     /// `burstiness(d, t)` of Eq. 11: aggregates the scores of the patterns of
     /// `term` that overlap the document, or `None` if no pattern overlaps
     /// (or `doc` is not in the engine's snapshot).
     pub fn document_burstiness(&self, term: TermId, doc: DocId) -> Option<f64> {
-        document_burstiness(self, term, doc)
+        document_burstiness(&self.state, term, doc)
     }
 
     /// The Eq. 10–11 scored posting list of one term (unsorted) under the
     /// engine's own configuration and no filter — the list the prebuilt
     /// index materializes.
     fn term_postings(&self, term: TermId) -> Vec<Posting> {
-        scored_postings(
-            &self.collection,
-            term,
-            self.term_docs(term),
-            self.patterns(term),
-            self.config,
-            PatternFilter::NONE,
-        )
+        scored_postings(&self.state, term, self.state.config, PatternFilter::NONE)
     }
 
     /// Prebuilds the score-sorted posting index of **every** term in the
@@ -523,7 +556,7 @@ impl BurstySearchEngine {
     /// incremental path inside `set_patterns` is cheaper.
     pub fn finalize_with_threads(&mut self, n_threads: usize) {
         let start = Instant::now();
-        let mut terms: Vec<TermId> = self.term_docs.keys().copied().collect();
+        let mut terms: Vec<TermId> = self.state.term_docs.keys().copied().collect();
         terms.sort();
         let this = &*self;
         let lists = parallel_map(terms.len(), n_threads, |i| this.term_postings(terms[i]));
@@ -532,7 +565,7 @@ impl BurstySearchEngine {
             index.set_postings(*term, list);
         }
         index.finalize();
-        self.prebuilt = Some(index);
+        self.state.prebuilt = Some(index);
         self.cache.clear();
         self.finalize_count += 1;
         self.last_finalize = Some(start.elapsed());
@@ -540,13 +573,13 @@ impl BurstySearchEngine {
 
     /// Whether the full-collection posting index has been prebuilt.
     pub fn is_finalized(&self) -> bool {
-        self.prebuilt.is_some()
+        self.state.prebuilt.is_some()
     }
 
     /// The prebuilt full-collection posting index, if
     /// [`BurstySearchEngine::finalize`] has run.
     pub fn prebuilt_index(&self) -> Option<&InvertedIndex> {
-        self.prebuilt.as_ref()
+        self.state.prebuilt.as_ref()
     }
 
     /// Exports the engine's derived state — per-term patterns with their
@@ -554,19 +587,19 @@ impl BurstySearchEngine {
     /// lists — in a deterministic order, preserving every score's exact
     /// `f64` bit pattern. See [`EngineState`].
     pub fn export_state(&self) -> EngineState {
-        let mut terms: Vec<TermId> = self.patterns.keys().copied().collect();
+        let mut terms: Vec<TermId> = self.state.patterns.keys().copied().collect();
         terms.sort();
         let patterns = terms
             .into_iter()
             .map(|term| {
-                let records = self.patterns[&term]
+                let records = self.state.patterns[&term]
                     .iter()
                     .map(PatternRecord::from)
                     .collect();
                 (term, records)
             })
             .collect();
-        let (finalized, postings) = match &self.prebuilt {
+        let (finalized, postings) = match &self.state.prebuilt {
             Some(index) => {
                 let lists = index
                     .terms()
@@ -596,7 +629,7 @@ impl BurstySearchEngine {
     /// collection snapshot yields an engine that answers every query
     /// byte-identically to the original.
     pub fn import_state(&mut self, state: EngineState) {
-        self.patterns = state
+        self.state.patterns = state
             .patterns
             .into_iter()
             .map(|(term, records)| {
@@ -604,7 +637,7 @@ impl BurstySearchEngine {
                 (term, stored)
             })
             .collect();
-        self.prebuilt = if state.finalized {
+        self.state.prebuilt = if state.finalized {
             let mut index = InvertedIndex::new();
             for (term, list) in state.postings {
                 index.set_postings(term, list);
@@ -624,18 +657,19 @@ impl BurstySearchEngine {
 
     /// A snapshot of the engine's serving counters.
     pub fn metrics(&self) -> EngineMetrics {
+        let prebuilt = self.state.prebuilt.as_ref();
         EngineMetrics {
             cache_hits: self.cache.hits(),
             cache_misses: self.cache.misses(),
             cache_len: self.cache.len(),
             cache_capacity: self.cache.capacity(),
-            finalized: self.prebuilt.is_some(),
-            indexed_terms: self.prebuilt.as_ref().map_or(0, InvertedIndex::n_terms),
-            indexed_postings: self.prebuilt.as_ref().map_or(0, InvertedIndex::n_postings),
+            finalized: prebuilt.is_some(),
+            indexed_terms: prebuilt.map_or(0, InvertedIndex::n_terms),
+            indexed_postings: prebuilt.map_or(0, InvertedIndex::n_postings),
             finalize_count: self.finalize_count,
             last_finalize_ms: self.last_finalize.map(|d| d.as_secs_f64() * 1000.0),
             term_rescore_count: self.term_rescore_count,
-            n_docs: self.collection.documents().len(),
+            n_docs: self.state.collection.documents().len(),
         }
     }
 
@@ -653,7 +687,8 @@ impl BurstySearchEngine {
     pub fn query(&self, query: &Query) -> Result<QueryResponse, QueryError> {
         // The engine is unversioned: one cache, generation 0, never stale.
         execute(
-            self,
+            &self.state,
+            0,
             std::slice::from_ref(&self.cache),
             || true,
             query,
@@ -666,34 +701,6 @@ impl BurstySearchEngine {
     /// repeated queries in the batch hit the result cache.
     pub fn query_many(&self, queries: &[Query]) -> Vec<Result<QueryResponse, QueryError>> {
         queries.iter().map(|q| self.query(q)).collect()
-    }
-}
-
-impl StateView for BurstySearchEngine {
-    type Prebuilt<'a> = &'a InvertedIndex;
-
-    fn collection(&self) -> &Collection {
-        &self.collection
-    }
-
-    fn config(&self) -> EngineConfig {
-        self.config
-    }
-
-    fn generation(&self) -> u64 {
-        0
-    }
-
-    fn prebuilt<'a>(&'a self, _terms: &[TermId]) -> Option<&'a InvertedIndex> {
-        self.prebuilt.as_ref()
-    }
-
-    fn term_docs(&self, term: TermId) -> Option<&[DocId]> {
-        self.term_docs.get(&term).map(Vec::as_slice)
-    }
-
-    fn patterns(&self, term: TermId) -> Option<&[StoredPattern]> {
-        self.patterns.get(&term).map(Vec::as_slice)
     }
 }
 
@@ -719,38 +726,11 @@ pub(crate) struct QueryPlan {
 //
 // `execute` is the single query flow of BOTH `BurstySearchEngine` (above)
 // and the sharded serving tier (`crate::shard`); each tier only supplies a
-// `StateView` over its own store. Sharing it is what makes the two paths
-// bit-identical: every float operation a query triggers runs through
-// exactly this code, in exactly this order, no matter which tier executes
-// it.
+// `DerivedState`, a generation number and its result caches. Sharing it is
+// what makes the two paths bit-identical: every float operation a query
+// triggers runs through exactly this code, in exactly this order, no matter
+// which tier executes it.
 // ---------------------------------------------------------------------------
-
-/// A read-only view of one consistent serving state — all that [`execute`]
-/// knows about the tier it runs on.
-pub(crate) trait StateView {
-    /// Sorted + random access to the prebuilt posting lists of a query's
-    /// terms.
-    type Prebuilt<'a>: PostingAccess
-    where
-        Self: 'a;
-
-    fn collection(&self) -> &Collection;
-
-    /// The configuration the prebuilt lists were scored under.
-    fn config(&self) -> EngineConfig;
-
-    /// The serving generation of this state (0 for the unversioned engine).
-    fn generation(&self) -> u64;
-
-    /// The prebuilt lists of `terms`, if the state is finalized.
-    fn prebuilt<'a>(&'a self, terms: &[TermId]) -> Option<Self::Prebuilt<'a>>;
-
-    /// The corpus-level term→documents list of a term.
-    fn term_docs(&self, term: TermId) -> Option<&[DocId]>;
-
-    /// The stored patterns of a term.
-    fn patterns(&self, term: TermId) -> Option<&[StoredPattern]>;
-}
 
 /// The span clock of one query: records into the attached [`SearchObs`],
 /// or does nothing (not even read the time) when none is attached.
@@ -770,24 +750,26 @@ impl Spans<'_> {
     }
 }
 
-/// Executes a typed [`Query`] against one state view: plan → vacuous check
-/// → generation-gated cache lookup → gather → TA scan → tagged cache insert
-/// → respond.
+/// Executes a typed [`Query`] against one state: plan → vacuous check →
+/// generation-gated cache lookup → gather → TA scan → tagged cache insert →
+/// respond.
 ///
-/// `caches` is the tier's result caches, routed by the query's minimum
-/// term ([`shard_of`]); `still_current` says whether the view's generation
-/// is still the published one and is checked under the cache mutex, so a
-/// stale insert either sees the bumped generation or is removed by the
-/// writer's subsequent per-term invalidation.
-pub(crate) fn execute<V: StateView>(
-    view: &V,
+/// `generation` is the serving generation `state` was published as (0 for
+/// the unversioned engine). `caches` is the tier's result caches, routed by
+/// the query's minimum term ([`shard_of`]); `still_current` says whether
+/// `generation` is still the published one and is checked under the cache
+/// mutex, so a stale insert either sees the bumped generation or is removed
+/// by the writer's subsequent invalidation.
+pub(crate) fn execute(
+    state: &DerivedState,
+    generation: u64,
     caches: &[QueryCache],
     still_current: impl FnOnce() -> bool,
     query: &Query,
     obs: Option<&SearchObs>,
 ) -> Result<QueryResponse, QueryError> {
     let mut spans = Spans(obs.map(|obs| (obs, SpanClock::start())));
-    let plan = match plan_query(view.collection(), view.config(), query) {
+    let plan = match plan_query(&state.collection, state.config, query) {
         Ok(plan) => plan,
         Err(e) => {
             if let Some(obs) = obs {
@@ -807,9 +789,8 @@ pub(crate) fn execute<V: StateView>(
         }
     };
     let cache = &caches[shard_of(route, caches.len())];
-    let generation = view.generation();
     // Hits are gated on the entry's generation: entries computed from a
-    // *newer* generation than this view are rejected (their results may
+    // *newer* generation than this state are rejected (their results may
     // reference documents this generation lacks); older surviving entries
     // are exact because every intervening publish invalidated the queries
     // its dirty terms touched.
@@ -824,27 +805,25 @@ pub(crate) fn execute<V: StateView>(
             // happens *before* the Threshold Algorithm runs, so its
             // early-termination bound applies to the filtered lists
             // unchanged.
-            let prebuilt = if plan.filter.is_none() && plan.config == view.config() {
-                view.prebuilt(&plan.terms)
-            } else {
-                None
-            };
-            let (results, ta) = match &prebuilt {
-                Some(lists) => scan(lists, &plan, &mut spans),
+            let prebuilt = state
+                .prebuilt
+                .as_ref()
+                .filter(|_| plan.filter.is_none() && plan.config == state.config);
+            let scored;
+            let index = match prebuilt {
+                Some(index) => index,
                 None => {
-                    let index = query_index(&plan.terms, |term| {
-                        scored_postings(
-                            view.collection(),
-                            term,
-                            view.term_docs(term),
-                            view.patterns(term),
-                            plan.config,
-                            plan.filter,
-                        )
+                    scored = query_index(&plan.terms, |term| {
+                        scored_postings(state, term, plan.config, plan.filter)
                     });
-                    scan(&index, &plan, &mut spans)
+                    &scored
                 }
             };
+            let lists = index.gather(&plan.terms);
+            spans.lap(SpanKind::ShardGather);
+            let (results, ta) =
+                threshold_topk_with_stats(&lists, &plan.terms, plan.k, plan.config.no_pattern);
+            spans.lap(SpanKind::TaScan);
             cache.put_tagged(key.clone(), results.clone(), generation, still_current);
             (results, evaluated_stats(&plan, ta, prebuilt.is_some()))
         }
@@ -852,7 +831,7 @@ pub(crate) fn execute<V: StateView>(
     // Explanations are derived from the live pattern store, never cached,
     // so cache hits explain too.
     let explanations = if plan.explain {
-        explain(view, &plan, &results)
+        explain(state, &plan, &results)
     } else {
         Vec::new()
     };
@@ -866,28 +845,15 @@ pub(crate) fn execute<V: StateView>(
     Ok(response)
 }
 
-/// The Threshold-Algorithm scan of [`execute`] over whichever lists it
-/// gathered, closing the gather span before and the scan span after.
-fn scan(
-    lists: &impl PostingAccess,
-    plan: &QueryPlan,
-    spans: &mut Spans<'_>,
-) -> (Vec<SearchResult>, TopkStats) {
-    spans.lap(SpanKind::ShardGather);
-    let out = threshold_topk_with_stats(lists, &plan.terms, plan.k, plan.config.no_pattern);
-    spans.lap(SpanKind::TaScan);
-    out
-}
-
-/// `burstiness(d, t)` of Eq. 11 against a view's pattern store; `None` if
-/// no pattern overlaps or `doc` is outside the view's snapshot.
-pub(crate) fn document_burstiness<V: StateView>(view: &V, term: TermId, doc: DocId) -> Option<f64> {
-    let document = view.collection().documents().get(doc.index())?;
+/// `burstiness(d, t)` of Eq. 11 against a state's pattern store; `None` if
+/// no pattern overlaps or `doc` is outside the state's snapshot.
+pub(crate) fn document_burstiness(state: &DerivedState, term: TermId, doc: DocId) -> Option<f64> {
+    let document = state.collection.documents().get(doc.index())?;
     burstiness_of(
-        view.patterns(term),
+        state.patterns(term),
         document.stream,
         document.timestamp,
-        view.config().aggregation,
+        state.config.aggregation,
         PatternFilter::NONE,
     )
 }
@@ -1036,20 +1002,20 @@ fn burstiness_of(
     aggregation.aggregate(&overlapping)
 }
 
-/// The Eq. 10–11 scored posting list of one term (unsorted) over an explicit
-/// term→documents list and pattern set.
+/// The Eq. 10–11 scored posting list of one term (unsorted) over a state's
+/// term→documents list and pattern set, under `config` and `filter`.
 fn scored_postings(
-    collection: &Collection,
+    state: &DerivedState,
     term: TermId,
-    docs: Option<&[DocId]>,
-    patterns: Option<&[StoredPattern]>,
     config: EngineConfig,
     filter: PatternFilter,
 ) -> Vec<Posting> {
+    let collection = &state.collection;
     let n_docs = collection.documents().len();
-    let Some(docs) = docs else {
+    let Some(docs) = state.term_docs(term) else {
         return Vec::new();
     };
+    let patterns = state.patterns(term);
     let doc_freq = docs.len();
     let mut list = Vec::new();
     for &doc_id in docs {
@@ -1102,12 +1068,12 @@ fn query_index(
 
 /// Per-document Eq. 10–11 breakdown of a result list under a plan's
 /// effective configuration and filters.
-fn explain<V: StateView>(
-    view: &V,
+fn explain(
+    state: &DerivedState,
     plan: &QueryPlan,
     results: &[SearchResult],
 ) -> Vec<DocExplanation> {
-    let collection = view.collection();
+    let collection = &state.collection;
     let n_docs = collection.documents().len();
     results
         .iter()
@@ -1118,12 +1084,12 @@ fn explain<V: StateView>(
                 .terms
                 .iter()
                 .map(|&term| {
-                    let doc_freq = view.term_docs(term).map_or(0, <[DocId]>::len);
+                    let doc_freq = state.term_docs(term).map_or(0, <[DocId]>::len);
                     let relevance = plan
                         .config
                         .relevance
                         .score(doc.freq(term), doc_freq, n_docs);
-                    let patterns: Vec<PatternMatch> = view
+                    let patterns: Vec<PatternMatch> = state
                         .patterns(term)
                         .unwrap_or_default()
                         .iter()

@@ -3,9 +3,9 @@
 //! Section 5 of the paper: "An inverted index is first built, mapping each
 //! term to the documents that include it, ranked by their respective
 //! scores. The popular Threshold Algorithm for top-k evaluation can then be
-//! applied." This module is exactly that index: per-term posting lists
-//! sorted by score (for sorted access) plus a per-term hash map (for the
-//! random access the Threshold Algorithm needs).
+//! applied." This module is exactly that index: one entry per term holding
+//! its posting list sorted by score (for sorted access) and the same scores
+//! by document (for the random access the Threshold Algorithm needs).
 //!
 //! # Lifecycle
 //!
@@ -37,7 +37,9 @@
 //! assert_eq!(idx.score(TermId(0), DocId(7)), Some(1.5));
 //! ```
 
+use crate::threshold::PostingAccess;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use stb_corpus::{DocId, TermId};
 
@@ -50,11 +52,50 @@ pub struct Posting {
     pub score: f64,
 }
 
+/// One term's posting list in both of the views TA needs: score-sorted for
+/// sorted access, by document for random access.
+///
+/// An entry is immutable once shared: the index holds it behind an `Arc`,
+/// replaces it wholesale ([`InvertedIndex::set_postings`]) or copies it
+/// before writing (`Arc::make_mut`), so a clone of the index — a published
+/// serving generation — never sees a later write.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct TermPostings {
+    sorted: Vec<Posting>,
+    by_doc: HashMap<DocId, f64>,
+}
+
+impl TermPostings {
+    /// Sorts the list by descending score (ties broken by doc id for
+    /// determinism) and deduplicates by document. If the same document was
+    /// inserted twice `by_doc` keeps the last value; every copy is made to
+    /// agree with it before deduplicating.
+    fn sort(&mut self) {
+        for p in &mut self.sorted {
+            if let Some(&s) = self.by_doc.get(&p.doc) {
+                p.score = s;
+            }
+        }
+        self.sorted.sort_by(|a, b| {
+            b.score
+                .partial_cmp(&a.score)
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then(a.doc.cmp(&b.doc))
+        });
+        self.sorted.dedup_by_key(|p| p.doc);
+        // A sorted entry lives for as long as some generation holds it:
+        // keep no slack from the list's incremental build.
+        self.sorted.shrink_to_fit();
+    }
+}
+
 /// A per-term inverted index over per-document scores.
+///
+/// Cloning is cheap — one `Arc` clone per term — and the clone shares every
+/// list with the original until one of them writes to that term.
 #[derive(Debug, Clone)]
 pub struct InvertedIndex {
-    postings: HashMap<TermId, Vec<Posting>>,
-    random_access: HashMap<TermId, HashMap<DocId, f64>>,
+    lists: HashMap<TermId, Arc<TermPostings>>,
     /// Whether every posting list is currently sorted and deduplicated. A
     /// fresh (empty) index is vacuously finalized; `insert` clears the flag.
     finalized: bool,
@@ -63,31 +104,10 @@ pub struct InvertedIndex {
 impl Default for InvertedIndex {
     fn default() -> Self {
         Self {
-            postings: HashMap::new(),
-            random_access: HashMap::new(),
+            lists: HashMap::new(),
             finalized: true,
         }
     }
-}
-
-/// Sorts a posting list by descending score (ties broken by doc id for
-/// determinism) and deduplicates by document, keeping `keep` as the score of
-/// a duplicated document.
-fn sort_posting_list(list: &mut Vec<Posting>, keep: &HashMap<DocId, f64>) {
-    for p in list.iter_mut() {
-        // If the same document was inserted twice the random-access map
-        // keeps the last value; make every copy agree before deduplicating.
-        if let Some(&s) = keep.get(&p.doc) {
-            p.score = s;
-        }
-    }
-    list.sort_by(|a, b| {
-        b.score
-            .partial_cmp(&a.score)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.doc.cmp(&b.doc))
-    });
-    list.dedup_by_key(|p| p.doc);
 }
 
 impl InvertedIndex {
@@ -102,14 +122,9 @@ impl InvertedIndex {
     /// always call it after the last insertion.
     pub fn insert(&mut self, term: TermId, doc: DocId, score: f64) {
         self.finalized = false;
-        self.postings
-            .entry(term)
-            .or_default()
-            .push(Posting { doc, score });
-        self.random_access
-            .entry(term)
-            .or_default()
-            .insert(doc, score);
+        let list = Arc::make_mut(self.lists.entry(term).or_default());
+        list.sorted.push(Posting { doc, score });
+        list.by_doc.insert(doc, score);
     }
 
     /// Replaces the whole posting list of `term` in one step, keeping the
@@ -119,16 +134,17 @@ impl InvertedIndex {
     /// Unlike [`InvertedIndex::insert`] this does *not* un-finalize the
     /// index: it is the building block of the engine's incremental per-term
     /// rebuild, where the rest of the index stays valid.
-    pub fn set_postings(&mut self, term: TermId, mut list: Vec<Posting>) {
+    pub fn set_postings(&mut self, term: TermId, list: Vec<Posting>) {
         if list.is_empty() {
-            self.postings.remove(&term);
-            self.random_access.remove(&term);
+            self.lists.remove(&term);
             return;
         }
-        let map: HashMap<DocId, f64> = list.iter().map(|p| (p.doc, p.score)).collect();
-        sort_posting_list(&mut list, &map);
-        self.postings.insert(term, list);
-        self.random_access.insert(term, map);
+        let mut entry = TermPostings {
+            by_doc: list.iter().map(|p| (p.doc, p.score)).collect(),
+            sorted: list,
+        };
+        entry.sort();
+        self.lists.insert(term, Arc::new(entry));
     }
 
     /// Sorts every posting list by descending score (ties broken by doc id
@@ -141,8 +157,8 @@ impl InvertedIndex {
         if self.finalized {
             return;
         }
-        for (term, list) in &mut self.postings {
-            sort_posting_list(list, &self.random_access[term]);
+        for list in self.lists.values_mut() {
+            Arc::make_mut(list).sort();
         }
         self.finalized = true;
     }
@@ -165,39 +181,85 @@ impl InvertedIndex {
             self.finalized,
             "sorted access before InvertedIndex::finalize()"
         );
-        self.postings.get(&term).map(Vec::as_slice).unwrap_or(&[])
+        self.lists.get(&term).map_or(&[], |l| l.sorted.as_slice())
     }
 
     /// Random access: the score of `doc` for `term`, if the document appears
     /// in the term's posting list. Allowed in any state.
     pub fn score(&self, term: TermId, doc: DocId) -> Option<f64> {
-        self.random_access
-            .get(&term)
-            .and_then(|m| m.get(&doc))
-            .copied()
+        self.lists.get(&term)?.by_doc.get(&doc).copied()
     }
 
     /// Number of terms with at least one posting.
     pub fn n_terms(&self) -> usize {
-        self.postings.len()
+        self.lists.len()
     }
 
     /// Ids of every term with at least one posting, sorted (a deterministic
     /// iteration order for state export).
     pub fn terms(&self) -> Vec<TermId> {
-        let mut terms: Vec<TermId> = self.postings.keys().copied().collect();
+        let mut terms: Vec<TermId> = self.lists.keys().copied().collect();
         terms.sort();
         terms
     }
 
     /// Total number of postings over all terms.
     pub fn n_postings(&self) -> usize {
-        self.postings.values().map(Vec::len).sum()
+        self.lists.values().map(|l| l.sorted.len()).sum()
     }
 
     /// Number of postings of a term.
     pub fn doc_freq(&self, term: TermId) -> usize {
-        self.postings.get(&term).map(Vec::len).unwrap_or(0)
+        self.lists.get(&term).map_or(0, |l| l.sorted.len())
+    }
+
+    /// The shared entry of a term, if it has postings.
+    pub(crate) fn entry(&self, term: TermId) -> Option<&Arc<TermPostings>> {
+        self.lists.get(&term)
+    }
+
+    /// Resolves the lists of one query's terms, once, for a TA scan.
+    pub(crate) fn gather(&self, terms: &[TermId]) -> Gathered<'_> {
+        debug_assert!(
+            self.finalized,
+            "sorted access before InvertedIndex::finalize()"
+        );
+        Gathered {
+            lists: terms
+                .iter()
+                .map(|&t| (t, self.entry(t).map(Arc::as_ref)))
+                .collect(),
+        }
+    }
+}
+
+/// The posting lists of one query's terms, resolved once
+/// ([`InvertedIndex::gather`]) so that each of TA's random accesses is a
+/// single `by_doc` probe instead of a term lookup plus a document lookup.
+/// Both serving tiers scan through this.
+pub(crate) struct Gathered<'a> {
+    lists: Vec<(TermId, Option<&'a TermPostings>)>,
+}
+
+impl<'a> Gathered<'a> {
+    #[inline]
+    fn lookup(&self, term: TermId) -> Option<&'a TermPostings> {
+        self.lists
+            .iter()
+            .find(|(t, _)| *t == term)
+            .and_then(|(_, list)| *list)
+    }
+}
+
+impl PostingAccess for Gathered<'_> {
+    #[inline]
+    fn postings(&self, term: TermId) -> &[Posting] {
+        self.lookup(term).map_or(&[], |l| l.sorted.as_slice())
+    }
+
+    #[inline]
+    fn score(&self, term: TermId, doc: DocId) -> Option<f64> {
+        self.lookup(term)?.by_doc.get(&doc).copied()
     }
 }
 
@@ -339,6 +401,41 @@ mod tests {
         assert_eq!(idx.score(term(0), doc(5)), Some(0.5));
         // The other term is untouched.
         assert_eq!(idx.score(term(1), doc(1)), Some(2.0));
+    }
+
+    /// A clone of the index (a published generation) shares every entry
+    /// with the original; no later write to the original may show through.
+    #[test]
+    fn writes_never_reach_a_clone_sharing_the_entry() {
+        let mut idx = InvertedIndex::new();
+        idx.insert(term(0), doc(1), 1.0);
+        idx.insert(term(0), doc(2), 2.0);
+        idx.finalize();
+        let held = idx.clone();
+        let entry = Arc::clone(held.entry(term(0)).unwrap());
+        assert!(Arc::ptr_eq(&entry, idx.entry(term(0)).unwrap()));
+        let view = |i: &InvertedIndex| (i.postings(term(0)).to_vec(), i.score(term(0), doc(9)));
+        let before = view(&held);
+
+        // Wholesale replacement is a fresh allocation...
+        idx.set_postings(
+            term(0),
+            vec![Posting {
+                doc: doc(9),
+                score: 9.0,
+            }],
+        );
+        assert!(!Arc::ptr_eq(&entry, idx.entry(term(0)).unwrap()));
+        assert_eq!(view(&held), before);
+        // ...and an in-place insert into a shared entry copies it first.
+        let shared_again = idx.clone();
+        idx.insert(term(0), doc(3), 3.0);
+        idx.finalize();
+        assert_eq!(idx.doc_freq(term(0)), 2);
+        assert_eq!(shared_again.doc_freq(term(0)), 1);
+        assert_eq!(shared_again.score(term(0), doc(3)), None);
+        assert_eq!(view(&held), before);
+        assert!(Arc::ptr_eq(&entry, held.entry(term(0)).unwrap()));
     }
 
     #[test]

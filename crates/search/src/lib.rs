@@ -38,13 +38,14 @@
 //! through [`EngineMetrics`].
 //!
 //! For concurrent serving under live ingestion, the [`shard`] module adds a
-//! serving tier on top: a [`ShardedEngine`] write side that shards every
-//! term's derived state by hash ([`shard_of`]) and publishes generational
-//! snapshots by swapping one `Arc` under a `RwLock`, and a [`ServingFront`]
+//! serving tier on top: a [`ShardedEngine`] write side that publishes
+//! generational snapshots — pointer-sharing clones of its engine's derived
+//! state — by swapping one `Arc` under a `RwLock`, and a [`ServingFront`]
 //! read side whose queries never wait on a commit's mining or publish work
 //! (they take the read lock for one pointer clone) yet answer
-//! bit-identically to the unsharded engine. Both tiers run the same single
-//! query flow, each over its own state view.
+//! bit-identically to the unsharded engine, behind result caches sharded by
+//! term hash ([`shard_of`]). Both tiers run the same single query flow over
+//! the same state type.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

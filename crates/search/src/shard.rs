@@ -7,49 +7,49 @@
 //!
 //! * [`ShardedEngine`] is the **write side**: it owns a private
 //!   `BurstySearchEngine`, applies pattern/collection updates to it, and on
-//!   [`ShardedEngine::publish`] copies the dirty terms' derived state
-//!   (score-sorted posting lists, stored patterns, term→documents lists)
-//!   into per-shard snapshots, sharded by term hash ([`shard_of`]).
+//!   [`ShardedEngine::publish`] hands the front a clone of that engine's
+//!   derived state. The clone copies pointers, not data: every term's
+//!   score-sorted posting list, stored patterns and term→documents list is
+//!   an `Arc` the writer replaces (or copies before writing) rather than
+//!   mutates, so the writer and every published generation share them.
 //! * [`ServingFront`] is the **read side**: an `RwLock<Arc<ServingState>>`
-//!   holding the current state — one generation number, one collection
-//!   snapshot, and the full shard set. A query clones the `Arc` once (the
+//!   holding the current state — one generation number over one such
+//!   clone (collection snapshot included). A query clones the `Arc` once (the
 //!   read lock is held for that pointer clone only, never across
 //!   evaluation) and runs entirely against that state, so it never waits
 //!   on a commit's mining or publish work and never observes a torn
 //!   generation (state mixing pre- and post-tick postings): the only
 //!   mutation readers can see is the single pointer swap.
 //!
-//! Per-shard LRU result caches sit in front of evaluation. A cache insert
-//! is guarded by [`QueryCache::put_tagged`] on the published generation,
-//! and the writer invalidates dirty terms in every shard cache *after*
-//! bumping the generation, which together make a cached hit always
-//! equivalent to re-evaluating against the current state.
+//! The state itself is not partitioned; what is sharded is the **result
+//! cache**: `n_shards` LRU caches sit in front of evaluation, a query
+//! routed to one by the hash of its minimum term ([`shard_of`]) so readers
+//! contend on different mutexes. A cache insert is guarded by
+//! [`QueryCache::put_tagged`] on the published generation, and the writer
+//! invalidates the dirty terms in every shard cache *after* bumping the
+//! generation, which together make a cached hit always equivalent to
+//! re-evaluating against the current state.
 //!
 //! # Bit-identical serving
 //!
 //! Queries against the front must be byte-identical to the same queries on
-//! the unsharded engine. Scatter-gather therefore happens at the *posting
-//! list* level, not the result level: the front gathers each query term's
-//! list from its shard and runs the very same Threshold Algorithm
-//! (via [`crate::threshold::PostingAccess`]) that the engine runs — a
-//! per-shard top-k merge would be wrong for multi-term sum scoring, because
-//! no shard sees a document's full score. The whole query flow — planning,
-//! cache gating, scoring, stats, explanations — is the one `execute`
-//! function in [`crate::engine`], run here over a `ServingState` view, so
-//! both tiers execute the same float operations in the same order.
+//! the unsharded engine. They are by construction: the whole query flow —
+//! planning, cache gating, gathering the query terms' lists, the Threshold
+//! Algorithm, stats, explanations — is the one `execute` function in
+//! [`crate::engine`], run here over a published generation's state and
+//! there over the engine's own, so both tiers execute the same float
+//! operations in the same order over the same lists.
 
 use crate::cache::{QueryCache, QueryKey};
 use crate::engine::{
-    document_burstiness, execute, plan_key, plan_query, BurstySearchEngine, EngineConfig,
-    EngineMetrics, EngineState, StateView, StoredPattern,
+    document_burstiness, execute, plan_key, plan_query, BurstySearchEngine, DerivedState,
+    EngineConfig, EngineMetrics, EngineState,
 };
 use crate::error::QueryError;
-use crate::index::Posting;
 use crate::obs::SearchObs;
 use crate::query::{Query, QueryResponse, QueryTerms, ResponseSnapshot};
-use crate::threshold::PostingAccess;
 use stb_obs::Counter;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
 use std::sync::{Arc, OnceLock, PoisonError, RwLock};
 
@@ -59,7 +59,8 @@ use stb_corpus::{Collection, DocId, TermId};
 /// Default number of serving shards.
 pub const DEFAULT_SHARDS: usize = 8;
 
-/// The shard a term's derived state (and cache traffic) lives on.
+/// The shard a term's cache traffic lands on: a query is cached on the
+/// shard of its minimum term.
 ///
 /// A multiplicative hash of the term id, so consecutively interned terms
 /// spread across shards instead of clustering.
@@ -69,151 +70,17 @@ pub fn shard_of(term: TermId, n_shards: usize) -> usize {
     ((h >> 32) as usize) % n_shards
 }
 
-/// One term's prebuilt posting list in a shard snapshot: the score-sorted
-/// list for sorted access plus a by-document map for random access —
-/// exactly the two views `InvertedIndex` maintains, copied bit-for-bit
-/// from the write-side engine's finalized index.
-#[derive(Debug, Clone)]
-struct TermPostings {
-    sorted: Vec<Posting>,
-    by_doc: HashMap<DocId, f64>,
-}
-
-impl TermPostings {
-    fn from_sorted(sorted: &[Posting]) -> Self {
-        let by_doc = sorted.iter().map(|p| (p.doc, p.score)).collect();
-        Self {
-            sorted: sorted.to_vec(),
-            by_doc,
-        }
-    }
-}
-
-/// The derived state of one shard: every term hashed to it.
-#[derive(Debug, Clone, Default)]
-struct ShardState {
-    /// Prebuilt posting lists (present only when the engine is finalized
-    /// and the term's list is non-empty).
-    postings: HashMap<TermId, Arc<TermPostings>>,
-    /// Registered patterns, mirroring the engine's pattern store.
-    patterns: HashMap<TermId, Arc<Vec<StoredPattern>>>,
-    /// Corpus-level term→documents lists.
-    term_docs: HashMap<TermId, Arc<Vec<DocId>>>,
-}
-
-impl ShardState {
-    /// Copies one term's derived state from the write-side engine,
-    /// removing entries the engine no longer has.
-    fn sync_term(&mut self, engine: &BurstySearchEngine, term: TermId) {
-        match engine.prebuilt_index().map(|i| i.postings(term)) {
-            Some(list) if !list.is_empty() => {
-                self.postings
-                    .insert(term, Arc::new(TermPostings::from_sorted(list)));
-            }
-            _ => {
-                self.postings.remove(&term);
-            }
-        }
-        match engine.patterns(term) {
-            Some(ps) => {
-                self.patterns.insert(term, Arc::new(ps.to_vec()));
-            }
-            None => {
-                self.patterns.remove(&term);
-            }
-        }
-        match engine.term_docs(term) {
-            Some(ds) => {
-                self.term_docs.insert(term, Arc::new(ds.to_vec()));
-            }
-            None => {
-                self.term_docs.remove(&term);
-            }
-        }
-    }
-}
-
-/// One published generation of the serving tier: a consistent set of shard
-/// snapshots over one collection snapshot. Readers obtain it with a single
-/// `Arc` clone, so every query runs against exactly one generation.
+/// One published generation of the serving tier: the write side's derived
+/// state as of one publish, sharing every term's data with it by pointer.
+/// Readers obtain it with a single `Arc` clone, so every query runs against
+/// exactly one generation.
 #[derive(Debug)]
 pub(crate) struct ServingState {
     generation: u64,
-    collection: Arc<Collection>,
-    config: EngineConfig,
-    finalized: bool,
-    shards: Vec<Arc<ShardState>>,
+    derived: DerivedState,
     /// Write-side engine counters captured at publish time (cache fields
     /// are overridden live by the front's shard caches).
     base: EngineMetrics,
-}
-
-impl ServingState {
-    fn shard(&self, term: TermId) -> &ShardState {
-        &self.shards[shard_of(term, self.shards.len())]
-    }
-}
-
-impl StateView for ServingState {
-    type Prebuilt<'a> = Gathered<'a>;
-
-    fn collection(&self) -> &Collection {
-        &self.collection
-    }
-
-    fn config(&self) -> EngineConfig {
-        self.config
-    }
-
-    fn generation(&self) -> u64 {
-        self.generation
-    }
-
-    fn prebuilt<'a>(&'a self, terms: &[TermId]) -> Option<Gathered<'a>> {
-        self.finalized.then(|| Gathered::new(self, terms))
-    }
-
-    fn term_docs(&self, term: TermId) -> Option<&[DocId]> {
-        self.shard(term).term_docs.get(&term).map(|d| d.as_slice())
-    }
-
-    fn patterns(&self, term: TermId) -> Option<&[StoredPattern]> {
-        self.shard(term).patterns.get(&term).map(|p| p.as_slice())
-    }
-}
-
-/// Per-term posting lists gathered from shard snapshots for one query,
-/// presented to the Threshold Algorithm through [`PostingAccess`] — the
-/// sharded counterpart of walking the engine's prebuilt `InvertedIndex`.
-pub(crate) struct Gathered<'a> {
-    lists: Vec<(TermId, Option<&'a TermPostings>)>,
-}
-
-impl<'a> Gathered<'a> {
-    fn new(state: &'a ServingState, terms: &[TermId]) -> Self {
-        let lists = terms
-            .iter()
-            .map(|&t| (t, state.shard(t).postings.get(&t).map(Arc::as_ref)))
-            .collect();
-        Self { lists }
-    }
-
-    fn lookup(&self, term: TermId) -> Option<&'a TermPostings> {
-        self.lists
-            .iter()
-            .find(|(t, _)| *t == term)
-            .and_then(|(_, tp)| *tp)
-    }
-}
-
-impl PostingAccess for Gathered<'_> {
-    fn postings(&self, term: TermId) -> &[Posting] {
-        self.lookup(term).map_or(&[], |tp| tp.sorted.as_slice())
-    }
-
-    fn score(&self, term: TermId, doc: DocId) -> Option<f64> {
-        self.lookup(term)?.by_doc.get(&doc).copied()
-    }
 }
 
 /// The read side of the sharded serving tier.
@@ -305,19 +172,19 @@ impl ServingFront {
         self.load().generation
     }
 
-    /// Number of serving shards.
+    /// Number of result-cache shards.
     pub fn n_shards(&self) -> usize {
         self.caches.len()
     }
 
     /// The collection snapshot of the current generation.
     pub fn collection(&self) -> Arc<Collection> {
-        Arc::clone(&self.load().collection)
+        Arc::clone(&self.load().derived.collection)
     }
 
     /// The scoring configuration of the currently published generation.
     pub fn config(&self) -> EngineConfig {
-        self.load().config
+        self.load().derived.config
     }
 
     /// A point-in-time snapshot of the serving counters: the write-side
@@ -383,7 +250,7 @@ impl ServingFront {
     /// cache identities, and TA scans agree.
     pub fn canonicalize(&self, query: &Query) -> Result<(Query, QueryKey), QueryError> {
         let state = self.load();
-        let plan = plan_query(&state.collection, state.config, query)?;
+        let plan = plan_query(&state.derived.collection, state.derived.config, query)?;
         let key = plan_key(&plan);
         let mut standing = query.clone();
         standing.terms = QueryTerms::Ids(plan.terms);
@@ -401,14 +268,21 @@ impl ServingFront {
     fn query_on(&self, state: &ServingState, query: &Query) -> Result<QueryResponse, QueryError> {
         let still_current = || self.published.load(SeqCst) == state.generation;
         let obs = self.obs.get().map(Arc::as_ref);
-        execute(state, &self.caches, still_current, query, obs)
+        execute(
+            &state.derived,
+            state.generation,
+            &self.caches,
+            still_current,
+            query,
+            obs,
+        )
     }
 
     /// `burstiness(d, t)` of Eq. 11 against the current generation's
     /// pattern store (the front-side counterpart of
     /// [`BurstySearchEngine::document_burstiness`]).
     pub fn document_burstiness(&self, term: TermId, doc: DocId) -> Option<f64> {
-        document_burstiness(&*self.load(), term, doc)
+        document_burstiness(&self.load().derived, term, doc)
     }
 
     /// Publishes `state` as the new serving generation. The ordering is
@@ -433,11 +307,11 @@ impl ServingFront {
             }
         } else {
             // A query involving term t may be cached on any shard (routing
-            // follows the query's minimum term), so invalidate everywhere.
-            for &term in dirty {
-                for cache in &self.caches {
-                    cache.invalidate_term(term);
-                }
+            // follows the query's minimum term), so invalidate everywhere:
+            // the whole dirty set per cache in one pass under one lock —
+            // these are the mutexes every reader's query takes.
+            for cache in &self.caches {
+                cache.invalidate_terms(|t| dirty.contains(&t));
             }
         }
         let mut current = self.state.write().unwrap_or_else(PoisonError::into_inner);
@@ -454,26 +328,28 @@ impl ServingFront {
 /// Owns a private [`BurstySearchEngine`] that mutators
 /// ([`set_patterns`](Self::set_patterns),
 /// [`update_collection`](Self::update_collection), …) apply to while
-/// tracking which terms they dirtied; [`publish`](Self::publish) then copies
-/// the dirty terms' derived state into fresh shard snapshots and swaps them
-/// into the [`ServingFront`] as one new generation. Readers holding the
-/// front wait on none of this but the final pointer swap.
+/// tracking which terms they dirtied; [`publish`](Self::publish) then swaps
+/// a pointer-sharing clone of that engine's state into the [`ServingFront`]
+/// as one new generation and invalidates the dirty terms' cached results.
+/// Readers holding the front wait on none of this but the final pointer
+/// swap.
 pub struct ShardedEngine {
+    /// Never queried, so built without a result cache: the write path
+    /// touches no cache but the front's.
     engine: BurstySearchEngine,
-    n_shards: usize,
     front: Arc<ServingFront>,
-    /// The writer's working copy of the current shard set; `publish` clones
-    /// it (cheap `Arc` clones) and copy-on-writes only the dirty shards.
-    shards: Vec<Arc<ShardState>>,
     generation: u64,
+    /// Terms whose cached results the next publish must invalidate.
     dirty: BTreeSet<TermId>,
+    /// Every cached result is suspect (finalize, import): the next publish
+    /// clears the caches instead.
     all_dirty: bool,
 }
 
 impl ShardedEngine {
     /// Creates a sharded engine over a collection with the given scoring
-    /// configuration, shard count, and result-cache capacity (total across
-    /// shards; 0 disables caching).
+    /// configuration, shard count (the number of result caches), and
+    /// result-cache capacity (total across shards; 0 disables caching).
     ///
     /// The initial generation (0) is empty and unfinalized; register
     /// patterns, [`finalize`](Self::finalize_with_threads), and
@@ -485,19 +361,10 @@ impl ShardedEngine {
         cache_capacity: usize,
     ) -> Self {
         assert!(n_shards > 0, "at least one shard is required");
-        let mut engine = BurstySearchEngine::new(collection, config);
-        // The write-side engine is never queried; the front's per-shard
-        // caches replace its result cache entirely.
-        engine.set_cache_capacity(0);
-        let shards: Vec<Arc<ShardState>> = (0..n_shards)
-            .map(|_| Arc::new(ShardState::default()))
-            .collect();
+        let engine = BurstySearchEngine::with_cache_capacity(collection, config, 0);
         let initial = ServingState {
             generation: 0,
-            collection: Arc::clone(engine.collection()),
-            config: *engine.config(),
-            finalized: false,
-            shards: shards.clone(),
+            derived: engine.state().clone(),
             base: engine.metrics(),
         };
         let front = Arc::new(ServingFront::new(
@@ -507,9 +374,7 @@ impl ShardedEngine {
         ));
         Self {
             engine,
-            n_shards,
             front,
-            shards,
             generation: 0,
             dirty: BTreeSet::new(),
             all_dirty: false,
@@ -533,9 +398,9 @@ impl ShardedEngine {
         &self.engine
     }
 
-    /// Number of shards.
+    /// Number of result-cache shards.
     pub fn n_shards(&self) -> usize {
-        self.n_shards
+        self.front.n_shards()
     }
 
     /// The generation of the last publish.
@@ -608,10 +473,8 @@ impl ShardedEngine {
     /// existing [`ServingFront`] handles keep working.
     pub fn restore(&mut self, collection: impl Into<Arc<Collection>>, state: EngineState) {
         let config = *self.engine.config();
-        let mut engine = BurstySearchEngine::new(collection, config);
-        engine.set_cache_capacity(0);
-        engine.import_state(state);
-        self.engine = engine;
+        self.engine = BurstySearchEngine::with_cache_capacity(collection, config, 0);
+        self.engine.import_state(state);
         self.all_dirty = true;
         self.publish();
     }
@@ -629,31 +492,16 @@ impl ShardedEngine {
     }
 
     /// Publishes the write side's current state to the front as one new
-    /// generation: copies every dirty term's derived state into fresh shard
-    /// snapshots (copy-on-write — clean shards are shared with the previous
-    /// generation), invalidates the dirty terms in every shard result
-    /// cache, and swaps the front's state pointer.
+    /// generation: clones the engine's derived state (one pointer copy per
+    /// term — clean terms stay shared with the previous generation, dirty
+    /// terms' fresh lists become shared with the writer), invalidates the
+    /// dirty terms in every shard result cache, and swaps the front's state
+    /// pointer.
     pub fn publish(&mut self) {
         self.generation += 1;
-        if self.all_dirty {
-            let mut fresh: Vec<ShardState> =
-                (0..self.n_shards).map(|_| ShardState::default()).collect();
-            for term in self.engine.known_terms() {
-                fresh[shard_of(term, self.n_shards)].sync_term(&self.engine, term);
-            }
-            self.shards = fresh.into_iter().map(Arc::new).collect();
-        } else {
-            for &term in &self.dirty {
-                let shard = &mut self.shards[shard_of(term, self.n_shards)];
-                Arc::make_mut(shard).sync_term(&self.engine, term);
-            }
-        }
         let state = ServingState {
             generation: self.generation,
-            collection: Arc::clone(self.engine.collection()),
-            config: *self.engine.config(),
-            finalized: self.engine.is_finalized(),
-            shards: self.shards.clone(),
+            derived: self.engine.state().clone(),
             base: self.engine.metrics(),
         };
         self.front
@@ -924,6 +772,104 @@ mod tests {
         assert!(front.query(&q_other).unwrap().stats.cache_hit);
         let m = front.metrics();
         assert_eq!(m.cache_hits + m.cache_misses, 6);
+    }
+
+    /// Writer and published generations alias the same allocations, so the
+    /// load-bearing invariant is that the writer never writes through one:
+    /// a pinned generation keeps answering bit-identically while later
+    /// commits re-register and extend the very terms it serves — and what
+    /// is shared really is shared, not copied.
+    #[test]
+    fn pinned_generation_is_isolated_from_the_writer_it_shares_with() {
+        let (_, mut sharded, flood, other) = build_pair(4);
+        let front = sharded.front();
+        // `other` gets a list and patterns of its own, then stays clean.
+        let everywhere = CombinatorialPattern::new(
+            vec![StreamId(0), StreamId(1), StreamId(2)],
+            TimeInterval::new(0, 9),
+            0.3,
+            vec![],
+        );
+        sharded.set_patterns(other, &[everywhere]);
+        sharded.publish();
+        let queries = [
+            Query::terms([flood]).top_k(50),
+            Query::terms([flood, other]).top_k(50).explain(true),
+            Query::terms([flood]).top_k(50).time_window(2..=5),
+            Query::terms([flood])
+                .top_k(50)
+                .region(Rect::new(-1.0, -1.0, 2.0, 2.0))
+                .explain(true),
+            Query::terms([other]).top_k(5),
+        ];
+        let pinned = front.load();
+        let answer = |state: &ServingState| -> Vec<QueryResponse> {
+            queries
+                .iter()
+                .map(|q| front.query_on(state, q).unwrap())
+                .collect()
+        };
+        let when_current = answer(&pinned);
+        assert!(when_current[0].stats.served_from_prebuilt);
+        assert!(!when_current[0].results.is_empty());
+
+        let entries = |d: &DerivedState, term: TermId| {
+            (
+                Arc::clone(d.prebuilt.as_ref().unwrap().entry(term).unwrap()),
+                Arc::clone(&d.patterns[&term]),
+                Arc::clone(&d.term_docs[&term]),
+            )
+        };
+        let mut collection = Collection::clone(&front.collection());
+        for round in 0..4u32 {
+            let before = front.load();
+            // New documents for `flood` only, then stronger patterns for it:
+            // the same term dirtied through both mutators, every round.
+            let doc = collection.push_document(StreamId(0), 5, StdHashMap::from([(flood, 10)]));
+            let snapshot = Arc::new(collection.clone());
+            sharded.update_collection(Arc::clone(&snapshot), &[doc]);
+            let stronger = CombinatorialPattern::new(
+                vec![StreamId(0), StreamId(1)],
+                TimeInterval::new(4, 6),
+                2.0 + f64::from(round),
+                vec![],
+            );
+            sharded.set_patterns(flood, &[stronger]);
+            sharded.publish();
+            let after = front.load();
+            assert_eq!(after.generation, before.generation + 1);
+
+            // (a) The dirty term's published list, patterns and documents
+            // ARE the writer's allocations...
+            let (w_list, w_patterns, w_docs) = entries(sharded.engine().state(), flood);
+            let (a_list, a_patterns, a_docs) = entries(&after.derived, flood);
+            assert!(Arc::ptr_eq(&w_list, &a_list));
+            assert!(Arc::ptr_eq(&w_patterns, &a_patterns));
+            assert!(Arc::ptr_eq(&w_docs, &a_docs));
+            // ...and new ones, not the previous generation's written through.
+            let (b_list, b_patterns, b_docs) = entries(&before.derived, flood);
+            assert!(!Arc::ptr_eq(&b_list, &a_list));
+            assert!(!Arc::ptr_eq(&b_patterns, &a_patterns));
+            assert!(!Arc::ptr_eq(&b_docs, &a_docs));
+            assert_eq!(b_docs.len() + 1, a_docs.len());
+            // (b) The clean term's entries are shared across generations.
+            let (b_list, b_patterns, b_docs) = entries(&before.derived, other);
+            let (a_list, a_patterns, a_docs) = entries(&after.derived, other);
+            assert!(Arc::ptr_eq(&b_list, &a_list));
+            assert!(Arc::ptr_eq(&b_patterns, &a_patterns));
+            assert!(Arc::ptr_eq(&b_docs, &a_docs));
+
+            // The pinned generation still answers as it did when current;
+            // the current one has moved on.
+            for (then, now) in when_current.iter().zip(answer(&pinned)) {
+                assert_bit_identical(then, &now);
+            }
+            let current = front.query(&queries[0]).unwrap();
+            assert_eq!(
+                current.results.len(),
+                when_current[0].results.len() + round as usize + 1
+            );
+        }
     }
 
     #[test]

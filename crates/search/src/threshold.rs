@@ -24,11 +24,11 @@ use stb_corpus::{DocId, TermId};
 
 /// Sorted + random access to per-term posting lists, as TA requires.
 ///
-/// The algorithm is agnostic to where the lists live: the engine hands it an
-/// [`InvertedIndex`], while the sharded serving tier gathers per-term lists
-/// from shard snapshots and exposes them through this trait so both paths
-/// execute the *same* float operations in the same order (bit-identical
-/// results).
+/// The algorithm is agnostic to where the lists live: an [`InvertedIndex`]
+/// can be walked directly, while both serving tiers first resolve the query
+/// terms' lists once (`InvertedIndex::gather`) and scan through that, so
+/// they execute the *same* float operations in the same order
+/// (bit-identical results).
 pub trait PostingAccess {
     /// The posting list of `term`, sorted by score descending (doc id
     /// ascending on ties); empty for unknown terms.
@@ -44,16 +44,6 @@ impl PostingAccess for InvertedIndex {
 
     fn score(&self, term: TermId, doc: DocId) -> Option<f64> {
         InvertedIndex::score(self, term, doc)
-    }
-}
-
-impl<T: PostingAccess + ?Sized> PostingAccess for &T {
-    fn postings(&self, term: TermId) -> &[Posting] {
-        (**self).postings(term)
-    }
-
-    fn score(&self, term: TermId, doc: DocId) -> Option<f64> {
-        (**self).score(term, doc)
     }
 }
 
