@@ -1522,8 +1522,8 @@ impl IngestPipeline {
         // published: intersect this tick's trigger terms with the
         // registry's term index, re-evaluate only the affected
         // registrations, and push diffs. Runs inside the commit, so the
-        // notification cost is visible in commit latency (and gated by
-        // `bench_subscribe`).
+        // notification cost is visible in commit latency (`commit_ms_p50`
+        // on `stbench`'s `mixed-live`).
         if !self.subscriptions.is_empty() {
             let mut trigger_terms = dirty;
             if tfidf_refresh {

@@ -157,9 +157,20 @@ fn commit_traces_and_health_are_histogram_backed() {
 fn exposition_renders_prometheus_and_json() {
     let (pipeline, obs, terms) = instrumented_pipeline();
     let handle = pipeline.search_handle();
+    // Two cold queries, a filtered one, three repeats served from the
+    // result cache, and one rejected: the latency histogram must count
+    // every query that succeeded, the error counter the one that did not.
+    let cold = Query::terms([terms[0]]).top_k(3);
+    let other = Query::terms([terms[1], terms[3]]).top_k(5);
+    let filtered = Query::terms([terms[0]]).top_k(3).time_window(0..=3);
+    let mut hits = 0;
+    for q in [&cold, &other, &filtered, &cold, &cold, &other] {
+        hits += usize::from(handle.query(q).expect("query").stats.cache_hit);
+    }
+    assert_eq!(hits, 3, "the repeats are served from the cache");
     handle
-        .query(&Query::terms([terms[0]]).top_k(3))
-        .expect("query");
+        .query(&Query::terms([terms[0]]).top_k(0))
+        .expect_err("top_k(0) is rejected");
 
     let prom = obs.registry().render_prometheus();
     for needle in [
@@ -167,7 +178,8 @@ fn exposition_renders_prometheus_and_json() {
         "ingest_commits_total 8",
         "# TYPE search_query_ns summary",
         "search_query_ns{quantile=\"0.99\"}",
-        "search_query_ns_count 1",
+        "search_query_ns_count 6",
+        "search_query_errors_total 1",
         "# TYPE ingest_durability_state gauge",
         "ingest_durability_state 0",
     ] {
@@ -180,7 +192,8 @@ fn exposition_renders_prometheus_and_json() {
     let json = obs.registry().render_json();
     for needle in [
         "\"ingest_commits_total\":8",
-        "\"search_query_ns\":{\"count\":1,",
+        "\"search_query_ns\":{\"count\":6,",
+        "\"search_query_errors_total\":1",
         "\"p99\":",
         "\"ingest_durability_state\":0",
     ] {

@@ -19,7 +19,11 @@
 //! Swept per case: both miners (`STLocal`/`STComb`), spatiotemporal
 //! filters on and off (the subscribed set mixes unfiltered, time-window,
 //! region, and relevance-override queries), coalescing off (`Block`
-//! channels sized to hold every diff).
+//! channels sized to hold every diff), and each plan once alone and once
+//! beside 1 000 idle registrations on terms no document mentions: the
+//! commits must do exactly the same subscription work either way —
+//! `SubscribeMetrics::{evaluations, notifications}` equal, every matching
+//! diff stream bit-identical.
 
 use proptest::prelude::*;
 use proptest::TestCaseError;
@@ -29,12 +33,17 @@ use stb_core::{STCombConfig, STLocalConfig};
 use stb_corpus::{StreamId, TermId};
 use stb_geo::{GeoPoint, Rect};
 use stb_ingest::{
-    IngestConfig, IngestPipeline, MinerKind, OverflowPolicy, Query, SubscriptionOptions,
+    IngestConfig, IngestPipeline, MinerKind, OverflowPolicy, Query, SubscribeMetrics,
+    SubscriptionOptions,
 };
 use stb_search::{Relevance, SearchResult};
 
 const N_STREAMS: usize = 3;
 const TERMS: [&str; 4] = ["alpha", "beta", "gamma", "delta"];
+/// Registrations of the idle arm, spread over `IDLE_TERMS` interned terms
+/// that no plan ever stages, so no commit dirties them.
+const IDLE_SUBSCRIPTIONS: usize = 1_000;
+const IDLE_TERMS: usize = 8;
 
 /// One tick's documents: (stream index, [(term index, count)]).
 type TickSpec = Vec<(usize, Vec<(usize, u32)>)>;
@@ -84,7 +93,48 @@ fn bits(results: &[SearchResult]) -> Bits {
         .collect()
 }
 
+/// One delivered diff reduced to what two runs of the same plan must
+/// agree on: (tick, generation, `previous` bits, `current` bits).
+type DiffBits = (Option<u64>, u64, Bits, Bits);
+
+/// Runs the plan alone and beside the idle registrations; both runs must
+/// replay to the fresh queries, and the idle set must cost the commits
+/// nothing: no extra evaluation, no extra notification, no moved bit.
 fn check_subscription_stream(plan: &[TickSpec], miner: MinerKind) -> Result<(), TestCaseError> {
+    let (alone, alone_streams) = replay_subscription_stream(plan, miner.clone(), 0)?;
+    let (watched, watched_streams) = replay_subscription_stream(plan, miner, IDLE_SUBSCRIPTIONS)?;
+    prop_assert_eq!(
+        watched.active,
+        alone.active + IDLE_SUBSCRIPTIONS,
+        "the idle registrations stay registered through the run"
+    );
+    prop_assert_eq!(
+        watched.evaluations,
+        alone.evaluations,
+        "idle registrations are never evaluated"
+    );
+    prop_assert_eq!(
+        watched.notifications,
+        alone.notifications,
+        "idle registrations are never notified"
+    );
+    prop_assert_eq!(
+        watched_streams,
+        alone_streams,
+        "matching diff streams are bit-identical beside the idle set"
+    );
+    Ok(())
+}
+
+/// Commits the plan with the standing query set (plus `n_idle` idle
+/// registrations) subscribed, checks every matching diff stream against
+/// the fresh per-tick responses, and returns the registry's counters and
+/// the matching streams.
+fn replay_subscription_stream(
+    plan: &[TickSpec],
+    miner: MinerKind,
+    n_idle: usize,
+) -> Result<(SubscribeMetrics, Vec<Vec<DiffBits>>), TestCaseError> {
     let mut pipeline = IngestPipeline::new(IngestConfig {
         timeline_capacity: plan.len(),
         miner,
@@ -96,6 +146,9 @@ fn check_subscription_stream(plan: &[TickSpec], miner: MinerKind) -> Result<(), 
     for term in TERMS {
         pipeline.intern(term);
     }
+    let idle_terms: Vec<TermId> = (0..IDLE_TERMS)
+        .map(|i| pipeline.intern(&format!("idle{i}")))
+        .collect();
 
     let handle = pipeline.search_handle();
     let queries = subscription_set(plan.len());
@@ -109,6 +162,15 @@ fn check_subscription_stream(plan: &[TickSpec], miner: MinerKind) -> Result<(), 
         .map(|q| handle.subscribe(q, options))
         .collect::<Result<_, _>>()
         .expect("subscriptions register");
+    // Held to the end of the run: a registration with no handle left is
+    // disconnected, not idle.
+    let idle: Vec<_> = (0..n_idle)
+        .map(|i| {
+            let query = Query::terms([idle_terms[i % IDLE_TERMS]]).top_k(10);
+            handle.subscribe(&query, SubscriptionOptions::default())
+        })
+        .collect::<Result<_, _>>()
+        .expect("idle subscriptions register");
     let baselines: Vec<Bits> = queries
         .iter()
         .map(|q| bits(&handle.query(q).expect("baseline query").results))
@@ -137,6 +199,7 @@ fn check_subscription_stream(plan: &[TickSpec], miner: MinerKind) -> Result<(), 
 
     // Replay every subscription's diff stream against the recorded
     // sequence.
+    let mut streams = Vec::with_capacity(subs.len());
     for (qi, sub) in subs.iter().enumerate() {
         let diffs = sub.drain();
         prop_assert_eq!(sub.coalesced(), 0, "query {}: Block never coalesces", qi);
@@ -189,8 +252,16 @@ fn check_subscription_stream(plan: &[TickSpec], miner: MinerKind) -> Result<(), 
             "query {}: diff stream has no tick beyond the plan",
             qi
         );
+        streams.push(
+            diffs
+                .iter()
+                .map(|d| (d.tick, d.generation, bits(&d.previous), bits(&d.current)))
+                .collect(),
+        );
     }
-    Ok(())
+    let metrics = pipeline.subscriptions().metrics();
+    drop(idle);
+    Ok((metrics, streams))
 }
 
 proptest! {

@@ -6,7 +6,8 @@
 //! [`ObsRegistry`]. It is attached to a [`crate::ServingFront`] once at
 //! wiring time via `attach_obs`; un-attached fronts skip instrumentation
 //! entirely (one atomic load and a branch per query), which is the
-//! "compiled-out" baseline the `bench_obs` overhead gate compares against.
+//! "compiled-out" baseline `stbench`'s `obs.trace_overhead_pct` compares
+//! against.
 //!
 //! Recording never blocks: histograms
 //! and counters are relaxed atomics, trace/slow-log capture claims a ring

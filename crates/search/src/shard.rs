@@ -146,7 +146,7 @@ impl ServingFront {
     ///
     /// Attach once at wiring time; later calls are ignored. Un-attached
     /// fronts pay one atomic load and a branch per query — the baseline
-    /// arm of the `bench_obs` overhead gate.
+    /// arm of `stbench`'s `obs.trace_overhead_pct`.
     pub fn attach_obs(&self, obs: Arc<SearchObs>) {
         obs.adopt_cache_counters(&self.cache_hits, &self.cache_misses);
         let _ = self.obs.set(obs);
