@@ -297,6 +297,26 @@ impl<R: BufRead> Iterator for TsvStreamReader<R> {
     }
 }
 
+/// Folds a `D` record's `(term, count)` pairs into one bag keyed by the ids
+/// `intern` assigns (called once per pair, in file order), summing the
+/// counts of a repeated term. A sum beyond `u32::MAX` is a
+/// [`TsvError::Parse`] at `line`.
+pub fn fold_counts(
+    counts: &[(String, u32)],
+    line: usize,
+    mut intern: impl FnMut(&str) -> TermId,
+) -> Result<HashMap<TermId, u32>, TsvError> {
+    let mut bag = HashMap::new();
+    for (term, count) in counts {
+        let sum = bag.entry(intern(term)).or_insert(0u32);
+        *sum = sum.checked_add(*count).ok_or_else(|| TsvError::Parse {
+            line,
+            message: format!("repeated term '{term}' overflows its count"),
+        })?;
+    }
+    Ok(bag)
+}
+
 /// Reads a collection previously written by [`write_collection`].
 ///
 /// Batch semantics on top of [`TsvStreamReader`]: the whole file is
@@ -307,9 +327,9 @@ pub fn read_collection<R: BufRead>(input: R) -> Result<Collection, TsvError> {
     let mut reader = TsvStreamReader::new(input)?;
     let mut builder = CollectionBuilder::new(reader.timeline_len());
     let mut stream_map: HashMap<u32, StreamId> = HashMap::new();
-    let mut pending_docs: Vec<RawDocument> = Vec::new();
+    let mut pending_docs: Vec<(usize, RawDocument)> = Vec::new();
 
-    for record in reader.by_ref() {
+    while let Some(record) = reader.next() {
         match record? {
             TsvRecord::Stream {
                 ext_id,
@@ -320,20 +340,16 @@ pub fn read_collection<R: BufRead>(input: R) -> Result<Collection, TsvError> {
                 let id = builder.add_stream_with_position(&name, geostamp, position);
                 stream_map.insert(ext_id, id);
             }
-            TsvRecord::Document(doc) => pending_docs.push(doc),
+            TsvRecord::Document(doc) => pending_docs.push((reader.line(), doc)),
         }
     }
 
-    for doc in pending_docs {
+    for (line, doc) in pending_docs {
         let stream = *stream_map.get(&doc.stream).ok_or(TsvError::Parse {
             line: 0,
             message: format!("document references unknown stream {}", doc.stream),
         })?;
-        let mut bag = HashMap::new();
-        for (term, count) in doc.counts {
-            let id = builder.dict_mut().intern(&term);
-            *bag.entry(id).or_insert(0) += count;
-        }
+        let bag = fold_counts(&doc.counts, line, |term| builder.dict_mut().intern(term))?;
         builder.add_document(stream, doc.timestamp, bag);
     }
     Ok(builder.build())
@@ -423,6 +439,11 @@ mod tests {
         assert!(read_collection(Cursor::new(bad)).is_err());
         let missing_colon = "C\t2\nS\t0\tA\t0\t0\t0\t0\nD\t0\t0\tfoo\n";
         assert!(read_collection(Cursor::new(missing_colon)).is_err());
+        let repeat_overflows = "C\t2\nS\t0\tA\t0\t0\t0\t0\nD\t0\t0\tx:4294967295\tx:2\n";
+        assert!(matches!(
+            read_collection(Cursor::new(repeat_overflows)),
+            Err(TsvError::Parse { line: 3, .. })
+        ));
     }
 
     #[test]

@@ -1,0 +1,355 @@
+//! Admission control, ahead of the commit path: the staging bound with its
+//! [`Backpressure`] policy, and the quarantine log that parks poison
+//! documents instead of letting them kill a tick.
+
+use crate::config::IngestConfig;
+#[cfg(doc)]
+use crate::pipeline::IngestPipeline;
+use crate::report::{HealthReport, TickReceipt};
+use std::collections::{HashMap, VecDeque};
+use std::fmt;
+use std::sync::Arc;
+
+use stb_corpus::{Collection, StreamId, TermId, Timestamp};
+use stb_obs::Counter;
+
+/// What [`IngestPipeline::try_stage_document`] does when the staging
+/// buffer ([`IngestConfig::max_staged_docs`]) is full.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Backpressure {
+    /// Commit the open tick in-line to drain the buffer, then stage the
+    /// document into the next tick. The caller pays the commit latency —
+    /// the single-threaded analogue of blocking the producer.
+    #[default]
+    Block,
+    /// Drop the document (counted in [`HealthReport::docs_shed`]) and keep
+    /// the pipeline responsive.
+    Shed,
+    /// Refuse with [`IngestError::StagingFull`]; the caller decides.
+    Error,
+}
+
+/// Why a document was quarantined instead of staged.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum QuarantineReason {
+    /// The document references a stream the collection does not have —
+    /// applying it would panic the commit.
+    UnknownStream,
+    /// The document references a term id beyond the live dictionary —
+    /// logging it would poison WAL replay and scoring.
+    UnknownTerm,
+    /// The document's total term count exceeds
+    /// [`IngestConfig::max_terms_per_doc`].
+    OversizedDoc,
+}
+
+impl fmt::Display for QuarantineReason {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            QuarantineReason::UnknownStream => write!(f, "unknown stream"),
+            QuarantineReason::UnknownTerm => write!(f, "unknown term id"),
+            QuarantineReason::OversizedDoc => write!(f, "term count over bound"),
+        }
+    }
+}
+
+/// A poison document parked in the quarantine log instead of killing its
+/// tick. The original counts are retained so an operator can inspect (or
+/// re-submit after fixing) the input.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct QuarantinedDoc {
+    /// The tick that was open when the document arrived.
+    pub tick: Timestamp,
+    /// The stream the document claimed to belong to.
+    pub stream: StreamId,
+    /// The document's term counts, sorted by term id.
+    pub counts: Vec<(TermId, u32)>,
+    /// Why it was quarantined.
+    pub reason: QuarantineReason,
+}
+
+/// How [`IngestPipeline::try_stage_document`] disposed of a document.
+#[derive(Debug)]
+pub enum StageOutcome {
+    /// Staged into the open tick.
+    Staged,
+    /// The staging buffer was full under [`Backpressure::Block`]: the open
+    /// tick was committed in-line (receipt attached) and the document was
+    /// staged into the next tick.
+    StagedAfterCommit(Box<TickReceipt>),
+    /// The staging buffer was full under [`Backpressure::Shed`]: the
+    /// document was dropped.
+    Shed,
+    /// The document was poison and went to the quarantine log.
+    Quarantined(QuarantineReason),
+}
+
+/// Typed staging failures surfaced by
+/// [`IngestPipeline::try_stage_document`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+#[non_exhaustive]
+pub enum IngestError {
+    /// The staging buffer is full and the pipeline is configured with
+    /// [`Backpressure::Error`].
+    StagingFull {
+        /// Documents currently staged.
+        staged: usize,
+        /// The configured bound.
+        max: usize,
+    },
+}
+
+impl fmt::Display for IngestError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            IngestError::StagingFull { staged, max } => write!(
+                f,
+                "staging buffer full ({staged}/{max} documents); commit the open tick or \
+                 configure a different backpressure policy"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for IngestError {}
+
+/// What [`Admission::decide`] says about one incoming document.
+pub(crate) enum Decision {
+    /// Stage it into the open tick.
+    Admit,
+    /// Poison: park it in the quarantine log.
+    Quarantine(QuarantineReason),
+    /// The staging buffer is at its bound: apply the [`Backpressure`] policy.
+    Full,
+}
+
+/// The admission-control state of a pipeline.
+pub(crate) struct Admission {
+    pub(crate) max_staged_docs: usize,
+    pub(crate) backpressure: Backpressure,
+    max_terms_per_doc: usize,
+    max_quarantined_docs: usize,
+    /// Quarantined poison documents, oldest first (bounded).
+    quarantine: VecDeque<QuarantinedDoc>,
+    pub(crate) quarantined_total: Arc<Counter>,
+    pub(crate) docs_shed: Arc<Counter>,
+}
+
+impl Admission {
+    pub(crate) fn new(config: &IngestConfig) -> Self {
+        Self {
+            max_staged_docs: config.max_staged_docs,
+            backpressure: config.backpressure,
+            max_terms_per_doc: config.max_terms_per_doc,
+            max_quarantined_docs: config.max_quarantined_docs,
+            quarantine: VecDeque::new(),
+            quarantined_total: Arc::default(),
+            docs_shed: Arc::default(),
+        }
+    }
+
+    /// Whether `(stream, counts)` may join the `staged` documents already
+    /// waiting in the open tick of `collection`.
+    pub(crate) fn decide(
+        &self,
+        collection: &Collection,
+        staged: usize,
+        stream: StreamId,
+        counts: &HashMap<TermId, u32>,
+    ) -> Decision {
+        if stream.index() >= collection.n_streams() {
+            return Decision::Quarantine(QuarantineReason::UnknownStream);
+        }
+        let n_terms = collection.dict().len();
+        if counts.keys().any(|t| t.index() >= n_terms) {
+            return Decision::Quarantine(QuarantineReason::UnknownTerm);
+        }
+        if self.max_terms_per_doc > 0 {
+            let total: u64 = counts.values().map(|&c| u64::from(c)).sum();
+            if total > self.max_terms_per_doc as u64 {
+                return Decision::Quarantine(QuarantineReason::OversizedDoc);
+            }
+        }
+        if self.max_staged_docs > 0 && staged >= self.max_staged_docs {
+            return Decision::Full;
+        }
+        Decision::Admit
+    }
+
+    /// Parks a poison document in the (bounded) quarantine log.
+    pub(crate) fn quarantine(
+        &mut self,
+        tick: Timestamp,
+        stream: StreamId,
+        counts: HashMap<TermId, u32>,
+        reason: QuarantineReason,
+    ) {
+        let mut sorted: Vec<(TermId, u32)> = counts.into_iter().collect();
+        sorted.sort_by_key(|&(t, _)| t);
+        if self.quarantine.len() >= self.max_quarantined_docs.max(1) {
+            self.quarantine.pop_front();
+        }
+        self.quarantine.push_back(QuarantinedDoc {
+            tick,
+            stream,
+            counts: sorted,
+            reason,
+        });
+        self.quarantined_total.inc();
+    }
+
+    pub(crate) fn quarantine_log(&self) -> impl Iterator<Item = &QuarantinedDoc> {
+        self.quarantine.iter()
+    }
+
+    /// Fills in the admission fields of a health report.
+    pub(crate) fn report(&self, health: &mut HealthReport) {
+        health.max_staged_docs = self.max_staged_docs;
+        health.docs_shed = self.docs_shed.get();
+        health.quarantined = self.quarantine.len();
+        health.quarantined_total = self.quarantined_total.get();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::pipeline::IngestPipeline;
+    use stb_geo::GeoPoint;
+
+    #[test]
+    fn quarantine_catches_poison_documents() {
+        let config = IngestConfig {
+            timeline_capacity: 4,
+            max_terms_per_doc: 10,
+            ..Default::default()
+        };
+        let mut pipeline = IngestPipeline::new(config);
+        let s = pipeline.add_stream("A", GeoPoint::new(0.0, 0.0));
+        let t = pipeline.intern("t");
+
+        let unknown_stream = StreamId(99);
+        match pipeline.try_stage_document(unknown_stream, HashMap::from([(t, 1)])) {
+            Ok(StageOutcome::Quarantined(QuarantineReason::UnknownStream)) => {}
+            other => panic!("expected UnknownStream quarantine, got {other:?}"),
+        }
+        match pipeline.try_stage_document(s, HashMap::from([(TermId(42), 1)])) {
+            Ok(StageOutcome::Quarantined(QuarantineReason::UnknownTerm)) => {}
+            other => panic!("expected UnknownTerm quarantine, got {other:?}"),
+        }
+        match pipeline.try_stage_document(s, HashMap::from([(t, 11)])) {
+            Ok(StageOutcome::Quarantined(QuarantineReason::OversizedDoc)) => {}
+            other => panic!("expected OversizedDoc quarantine, got {other:?}"),
+        }
+        // The tick survives: a clean document commits normally.
+        match pipeline.try_stage_document(s, HashMap::from([(t, 1)])) {
+            Ok(StageOutcome::Staged) => {}
+            other => panic!("expected Staged, got {other:?}"),
+        }
+        let receipt = pipeline.commit_tick();
+        assert_eq!(receipt.new_docs.len(), 1);
+        let h = pipeline.health();
+        assert_eq!(h.quarantined, 3);
+        assert_eq!(h.quarantined_total, 3);
+        let reasons: Vec<QuarantineReason> = pipeline.quarantine_log().map(|q| q.reason).collect();
+        assert_eq!(
+            reasons,
+            vec![
+                QuarantineReason::UnknownStream,
+                QuarantineReason::UnknownTerm,
+                QuarantineReason::OversizedDoc
+            ]
+        );
+    }
+
+    #[test]
+    fn quarantine_log_is_bounded_but_total_keeps_counting() {
+        let config = IngestConfig {
+            timeline_capacity: 4,
+            max_quarantined_docs: 2,
+            ..Default::default()
+        };
+        let mut pipeline = IngestPipeline::new(config);
+        let _ = pipeline.add_stream("A", GeoPoint::new(0.0, 0.0));
+        let t = pipeline.intern("t");
+        for _ in 0..5 {
+            let _ = pipeline.try_stage_document(StreamId(9), HashMap::from([(t, 1)]));
+        }
+        let h = pipeline.health();
+        assert_eq!(h.quarantined, 2);
+        assert_eq!(h.quarantined_total, 5);
+    }
+
+    #[test]
+    fn backpressure_block_commits_inline() {
+        let config = IngestConfig {
+            timeline_capacity: 8,
+            max_staged_docs: 2,
+            backpressure: Backpressure::Block,
+            ..Default::default()
+        };
+        let mut pipeline = IngestPipeline::new(config);
+        let s = pipeline.add_stream("A", GeoPoint::new(0.0, 0.0));
+        let t = pipeline.intern("t");
+        for _ in 0..2 {
+            match pipeline.try_stage_document(s, HashMap::from([(t, 1)])) {
+                Ok(StageOutcome::Staged) => {}
+                other => panic!("expected Staged, got {other:?}"),
+            }
+        }
+        match pipeline.try_stage_document(s, HashMap::from([(t, 1)])) {
+            Ok(StageOutcome::StagedAfterCommit(receipt)) => {
+                assert_eq!(receipt.tick, 0);
+                assert_eq!(receipt.new_docs.len(), 2);
+            }
+            other => panic!("expected StagedAfterCommit, got {other:?}"),
+        }
+        assert_eq!(pipeline.ticks_committed(), 1);
+        assert_eq!(pipeline.health().staged_docs, 1);
+    }
+
+    #[test]
+    fn backpressure_shed_drops_and_counts() {
+        let config = IngestConfig {
+            timeline_capacity: 8,
+            max_staged_docs: 1,
+            backpressure: Backpressure::Shed,
+            ..Default::default()
+        };
+        let mut pipeline = IngestPipeline::new(config);
+        let s = pipeline.add_stream("A", GeoPoint::new(0.0, 0.0));
+        let t = pipeline.intern("t");
+        let _ = pipeline.try_stage_document(s, HashMap::from([(t, 1)]));
+        match pipeline.try_stage_document(s, HashMap::from([(t, 1)])) {
+            Ok(StageOutcome::Shed) => {}
+            other => panic!("expected Shed, got {other:?}"),
+        }
+        let receipt = pipeline.commit_tick();
+        assert_eq!(receipt.new_docs.len(), 1, "shed doc never entered");
+        assert_eq!(pipeline.health().docs_shed, 1);
+    }
+
+    #[test]
+    fn backpressure_error_is_typed() {
+        let config = IngestConfig {
+            timeline_capacity: 8,
+            max_staged_docs: 1,
+            backpressure: Backpressure::Error,
+            ..Default::default()
+        };
+        let mut pipeline = IngestPipeline::new(config);
+        let s = pipeline.add_stream("A", GeoPoint::new(0.0, 0.0));
+        let t = pipeline.intern("t");
+        let _ = pipeline.try_stage_document(s, HashMap::from([(t, 1)]));
+        match pipeline.try_stage_document(s, HashMap::from([(t, 1)])) {
+            Err(IngestError::StagingFull { staged: 1, max: 1 }) => {}
+            other => panic!("expected StagingFull, got {other:?}"),
+        }
+        // Committing drains the buffer and staging resumes.
+        pipeline.commit_tick();
+        assert!(matches!(
+            pipeline.try_stage_document(s, HashMap::from([(t, 1)])),
+            Ok(StageOutcome::Staged)
+        ));
+    }
+}

@@ -49,10 +49,16 @@
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
+mod admission;
+mod config;
+mod durability;
 pub mod live;
+mod miner;
 pub mod obs;
 pub mod pipeline;
+mod recovery;
 pub mod replay;
+mod report;
 
 pub use live::LiveCollection;
 pub use obs::{PipelineObs, PipelineObsConfig};

@@ -1,0 +1,293 @@
+//! Per-term mining on the live path: the paper's two miners kept fresh one
+//! tick at a time, and the [`PatternDelta`]s a commit hands to the engine.
+
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeSet, HashMap};
+use std::sync::Arc;
+
+use stb_core::{
+    CombinatorialPattern, PatternRecord, RegionalPattern, STComb, STCombConfig, STLocal,
+    STLocalConfig,
+};
+use stb_corpus::{Collection, TermId, Timestamp};
+use stb_geo::Point2D;
+use stb_obs::Counter;
+use stb_search::ShardedEngine;
+
+/// Which miner keeps the patterns fresh while ingesting.
+#[derive(Debug, Clone)]
+pub enum MinerKind {
+    /// The streaming regional miner (Section 4, Algorithm 2): one online
+    /// `STLocal` instance per term, advanced every tick.
+    STLocal(STLocalConfig),
+    /// The combinatorial miner (Section 3): dirty terms are re-mined from
+    /// their full (fixed-timeline) series on each commit.
+    STComb(STCombConfig),
+}
+
+/// A per-term pattern update emitted by a tick commit and applied to the
+/// search engine (`BurstySearchEngine::set_patterns`).
+#[derive(Debug, Clone)]
+pub enum PatternDelta {
+    /// New regional patterns of a term (the `STLocal` view).
+    Regional {
+        /// The re-mined term.
+        term: TermId,
+        /// Its complete current pattern set (replace semantics).
+        patterns: Vec<RegionalPattern>,
+    },
+    /// New combinatorial patterns of a term (the `STComb` view).
+    Combinatorial {
+        /// The re-mined term.
+        term: TermId,
+        /// Its complete current pattern set (replace semantics).
+        patterns: Vec<CombinatorialPattern>,
+    },
+}
+
+impl PatternDelta {
+    /// The term the delta applies to.
+    pub fn term(&self) -> TermId {
+        match self {
+            PatternDelta::Regional { term, .. } | PatternDelta::Combinatorial { term, .. } => *term,
+        }
+    }
+
+    /// Number of patterns the term now has.
+    pub fn n_patterns(&self) -> usize {
+        match self {
+            PatternDelta::Regional { patterns, .. } => patterns.len(),
+            PatternDelta::Combinatorial { patterns, .. } => patterns.len(),
+        }
+    }
+
+    /// Replaces the term's pattern set in the engine (re-scoring its
+    /// posting list).
+    pub(crate) fn apply_to(&self, engine: &mut ShardedEngine) {
+        match self {
+            PatternDelta::Regional { term, patterns } => engine.set_patterns(*term, patterns),
+            PatternDelta::Combinatorial { term, patterns } => engine.set_patterns(*term, patterns),
+        }
+    }
+
+    /// The patterns with their spatial footprints captured, as standing
+    /// subscriptions receive them.
+    pub(crate) fn records(&self, positions: &[Point2D]) -> Vec<PatternRecord> {
+        match self {
+            PatternDelta::Regional { patterns, .. } => patterns
+                .iter()
+                .map(|p| PatternRecord::capture(p, positions))
+                .collect(),
+            PatternDelta::Combinatorial { patterns, .. } => patterns
+                .iter()
+                .map(|p| PatternRecord::capture(p, positions))
+                .collect(),
+        }
+    }
+}
+
+/// The mining state of a pipeline: the configured miner, one online
+/// `STLocal` instance per term ever seen, and the flags that force a wider
+/// re-mine than the tick's dirty set.
+pub(crate) struct Miners {
+    kind: MinerKind,
+    /// One online miner per term ever seen (`STLocal` mode only).
+    local: HashMap<TermId, STLocal>,
+    /// A stream was added since the last commit: per-term miner state is
+    /// positional and must be rebuilt from collection history.
+    structural_dirty: bool,
+    /// The timeline length changed (or a structural change happened), so
+    /// every term's `STComb` view is stale.
+    comb_all_dirty: bool,
+    /// Miners (re)built by replaying collection history.
+    pub(crate) catchup_replays: Arc<Counter>,
+}
+
+impl Miners {
+    pub(crate) fn new(kind: MinerKind) -> Self {
+        Self {
+            kind,
+            local: HashMap::new(),
+            structural_dirty: false,
+            comb_all_dirty: false,
+            catchup_replays: Arc::default(),
+        }
+    }
+
+    /// A stream was registered: every term must be re-derived next commit.
+    pub(crate) fn mark_structural(&mut self) {
+        self.structural_dirty = true;
+        self.comb_all_dirty = true;
+    }
+
+    /// The timeline grew, changing the `B_T` normalization of every
+    /// term's series: the combinatorial view of every term is stale.
+    pub(crate) fn mark_timeline_grown(&mut self) {
+        self.comb_all_dirty = true;
+    }
+
+    /// `(structural_dirty, comb_all_dirty)`, as snapshots persist them.
+    pub(crate) fn pending_flags(&self) -> (bool, bool) {
+        (self.structural_dirty, self.comb_all_dirty)
+    }
+
+    pub(crate) fn restore_pending_flags(&mut self, structural_dirty: bool, comb_all_dirty: bool) {
+        self.structural_dirty = structural_dirty;
+        self.comb_all_dirty = comb_all_dirty;
+    }
+
+    /// Online miners currently tracked (`STLocal` mode).
+    pub(crate) fn tracked(&self) -> usize {
+        self.local.len()
+    }
+
+    /// Mines tick `tick` of `snapshot`: widens `dirty` to every term when a
+    /// pending flag demands it, then returns fresh patterns for each dirty
+    /// term; in `STLocal` mode every tracked term additionally advances its
+    /// online state by one tick.
+    pub(crate) fn mine(
+        &mut self,
+        snapshot: &Collection,
+        tick: Timestamp,
+        dirty: &mut BTreeSet<TermId>,
+    ) -> Vec<PatternDelta> {
+        if self.structural_dirty {
+            // Stream positions changed: per-term miner state is positional,
+            // so drop it and re-derive every term from collection history.
+            self.local.clear();
+            dirty.extend(snapshot.terms());
+            self.structural_dirty = false;
+        }
+        if self.comb_all_dirty && matches!(self.kind, MinerKind::STComb(_)) {
+            dirty.extend(snapshot.terms());
+        }
+        self.comb_all_dirty = false;
+
+        let mut deltas = Vec::with_capacity(dirty.len());
+        match &self.kind {
+            MinerKind::STLocal(config) => {
+                for &term in dirty.iter() {
+                    if let Entry::Vacant(slot) = self.local.entry(term) {
+                        // Late-arriving term: replay its (mostly zero)
+                        // history so its miner state matches a batch run.
+                        let mut miner = STLocal::new(snapshot.positions(), config.clone());
+                        for ts in 0..tick {
+                            miner.step(&snapshot.term_snapshot(term, ts).frequencies);
+                        }
+                        slot.insert(miner);
+                        self.catchup_replays.inc();
+                    }
+                }
+                let mut tracked: Vec<TermId> = self.local.keys().copied().collect();
+                tracked.sort();
+                for term in tracked {
+                    let snap = snapshot.term_snapshot(term, tick);
+                    if let Some(miner) = self.local.get_mut(&term) {
+                        miner.step(&snap.frequencies);
+                    }
+                }
+                deltas.extend(dirty.iter().map(|&term| self.regional(term)));
+            }
+            MinerKind::STComb(config) => {
+                let miner = STComb::with_config(config.clone());
+                for &term in dirty.iter() {
+                    deltas.push(PatternDelta::Combinatorial {
+                        term,
+                        patterns: miner.mine_collection(snapshot, term),
+                    });
+                }
+            }
+        }
+        deltas
+    }
+
+    /// The accumulated windows of `term`'s online miner (none if the term
+    /// was never seen).
+    fn regional(&self, term: TermId) -> PatternDelta {
+        PatternDelta::Regional {
+            term,
+            patterns: self
+                .local
+                .get(&term)
+                .map(STLocal::patterns)
+                .unwrap_or_default(),
+        }
+    }
+
+    /// One term's current patterns: its live `STLocal` miner's accumulated
+    /// windows, or a fresh combinatorial pass over `collection`.
+    pub(crate) fn current_patterns(&self, collection: &Collection, term: TermId) -> PatternDelta {
+        match &self.kind {
+            MinerKind::STLocal(_) => self.regional(term),
+            MinerKind::STComb(config) => PatternDelta::Combinatorial {
+                term,
+                patterns: STComb::with_config(config.clone()).mine_collection(collection, term),
+            },
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::pipeline::tests::{burst_tick, run, run_text, two_cluster_pipeline};
+    use stb_geo::GeoPoint;
+
+    #[test]
+    fn unseen_term_is_searchable_after_it_arrives() {
+        let (mut pipeline, streams) =
+            two_cluster_pipeline(MinerKind::STLocal(STLocalConfig::default()), 12);
+        let early = pipeline.intern("early");
+        let handle = pipeline.search_handle();
+        for _ in 0..5 {
+            burst_tick(&mut pipeline, &streams, early, false);
+        }
+        // "late" is unknown to the engine's snapshot: empty results, no
+        // panic (Exclude policy).
+        assert!(run_text(&handle, "late", 5).is_empty());
+
+        let late = pipeline.intern("late");
+        for tick in 5..12 {
+            for &s in &streams[..2] {
+                let f = if (6..9).contains(&tick) { 30 } else { 1 };
+                pipeline.stage_document(s, HashMap::from([(late, f)]));
+            }
+            pipeline.commit_tick();
+        }
+        let hits = run_text(&handle, "late", 5);
+        assert!(!hits.is_empty(), "late term must score once it arrived");
+        let collection = handle.collection();
+        assert!((6..9).contains(&collection.document(hits[0].doc).timestamp));
+    }
+
+    #[test]
+    fn adding_a_stream_mid_flight_rebuilds_miners() {
+        let (mut pipeline, streams) =
+            two_cluster_pipeline(MinerKind::STLocal(STLocalConfig::default()), 16);
+        let t = pipeline.intern("t");
+        for _ in 0..4 {
+            burst_tick(&mut pipeline, &streams, t, false);
+        }
+        let before = pipeline.metrics().catchup_replays;
+        let d = pipeline.add_stream("D", GeoPoint::new(1.5, 0.5));
+        let mut all = streams.clone();
+        all.push(d);
+        for tick in 4..16 {
+            for (i, &s) in all.iter().enumerate() {
+                let bursty = (6..9).contains(&tick) && (i < 2 || s == d);
+                let f = if bursty { 25 } else { 1 };
+                pipeline.stage_document(s, HashMap::from([(t, f)]));
+            }
+            pipeline.commit_tick();
+        }
+        assert!(
+            pipeline.metrics().catchup_replays > before,
+            "the structural change must have rebuilt miner state"
+        );
+        let handle = pipeline.search_handle();
+        let top = run(&handle, &[t], 3);
+        assert!(!top.is_empty());
+        let collection = handle.collection();
+        assert!((6..9).contains(&collection.document(top[0].doc).timestamp));
+    }
+}

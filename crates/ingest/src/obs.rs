@@ -15,6 +15,7 @@
 //! [`crate::PipelineMetrics`] and [`crate::HealthReport`] remain exact
 //! views of what the registry exports — no mirroring, no double counting.
 
+use crate::{DurabilityState, HealthReport};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 
@@ -165,28 +166,32 @@ impl PipelineObs {
         }
     }
 
-    /// Refreshes the durability gauges; `transition` marks a state change
-    /// since the previous refresh.
-    pub(crate) fn set_durability(&self, code: f64, seconds_in_state: f64, transition: bool) {
-        if transition {
-            self.durability_transitions.inc();
-        }
-        self.durability_state.set(code);
-        self.durability_state_seconds.set(seconds_in_state);
+    /// The `ingest_commit_ns` p99 in milliseconds, once a commit has been
+    /// recorded.
+    pub(crate) fn commit_p99_ms(&self) -> Option<f64> {
+        let snap = self.commit_ns.snapshot();
+        (snap.count() > 0).then(|| snap.p99() as f64 / 1e6)
     }
 
-    /// Refreshes the queue-depth gauges (published with every health
-    /// update).
-    pub(crate) fn set_queue_depths(
-        &self,
-        staged: usize,
-        dirty: usize,
-        buffered: usize,
-        quarantined: usize,
-    ) {
-        self.staged_docs.set(staged as f64);
-        self.dirty_terms.set(dirty as f64);
-        self.buffered_ticks.set(buffered as f64);
-        self.quarantined_docs.set(quarantined as f64);
+    /// Counts one durability-state change.
+    pub(crate) fn durability_transition(&self) {
+        self.durability_transitions.inc();
+    }
+
+    /// Refreshes the durability and queue-depth gauges from a health
+    /// report (published with every health update).
+    pub(crate) fn set_health(&self, health: &HealthReport) {
+        self.durability_state.set(match health.durability {
+            DurabilityState::Ephemeral => 0.0,
+            DurabilityState::Durable => 1.0,
+            DurabilityState::Degraded { .. } => 2.0,
+            DurabilityState::NonDurable => 3.0,
+        });
+        self.durability_state_seconds
+            .set(health.durability_state_secs);
+        self.staged_docs.set(health.staged_docs as f64);
+        self.dirty_terms.set(health.dirty_terms as f64);
+        self.buffered_ticks.set(health.buffered_ticks as f64);
+        self.quarantined_docs.set(health.quarantined as f64);
     }
 }

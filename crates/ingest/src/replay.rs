@@ -20,7 +20,7 @@ use std::fmt;
 use std::io::BufRead;
 use std::path::Path;
 
-use stb_corpus::tsv::{TsvError, TsvRecord, TsvStreamReader};
+use stb_corpus::tsv::{fold_counts, TsvError, TsvRecord, TsvStreamReader};
 use stb_corpus::StreamId;
 use stb_store::StoreError;
 
@@ -199,11 +199,7 @@ fn drive_replay<R: BufRead>(
                         line,
                         stream: doc.stream,
                     })?;
-                let mut counts = HashMap::new();
-                for (term, count) in doc.counts {
-                    let id = pipeline.intern(&term);
-                    *counts.entry(id).or_insert(0) += count;
-                }
+                let counts = fold_counts(&doc.counts, line, |term| pipeline.intern(term))?;
                 pipeline.stage_document(stream, counts);
             }
         }
@@ -332,6 +328,11 @@ mod tests {
         assert!(matches!(
             replay_tsv(Cursor::new(data), IngestConfig::default()),
             Err(ReplayError::Tsv(_))
+        ));
+        let repeat_overflows = "C\t2\nS\t0\tA\t0\t0\t0\t0\nD\t0\t0\tx:4294967295\tx:2\n";
+        assert!(matches!(
+            replay_tsv(Cursor::new(repeat_overflows), IngestConfig::default()),
+            Err(ReplayError::Tsv(TsvError::Parse { line: 3, .. }))
         ));
     }
 }
