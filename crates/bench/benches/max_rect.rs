@@ -3,15 +3,15 @@
 //!
 //! `tree` (the `O(m^2 log m)` DGM max-subsegment-tree kernel) is compared
 //! against `sweep` (the `O(m^3)` Kadane re-scan) at sizes where the
-//! asymptotic gap is visible, plus the `grid16` approximation ablation and
-//! the incremental vs from-scratch R-Bursty extraction loops. The
+//! asymptotic gap is visible, plus the incremental vs from-scratch R-Bursty
+//! extraction loops. The
 //! `bench_maxrect` binary runs the same comparison headlessly and writes
 //! `BENCH_maxrect.json`.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use stb_discrepancy::{max_weight_rect_grid, max_weight_rect_with, RBursty, RectKernel, WPoint};
+use stb_discrepancy::{max_weight_rect_with, RBursty, RectKernel, WPoint};
 
 fn points(n: usize, seed: u64) -> Vec<WPoint> {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -35,9 +35,6 @@ fn bench_max_rect(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("sweep", n), &pts, |b, pts| {
             b.iter(|| black_box(max_weight_rect_with(pts, RectKernel::Sweep)))
-        });
-        group.bench_with_input(BenchmarkId::new("grid16", n), &pts, |b, pts| {
-            b.iter(|| black_box(max_weight_rect_grid(pts, 16)))
         });
     }
     group.finish();

@@ -16,9 +16,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use stb_bench::{ExperimentCtx, TableWriter};
-use stb_discrepancy::{
-    max_weight_rect_grid, max_weight_rect_naive, max_weight_rect_with, MaxRect, RectKernel, WPoint,
-};
+use stb_discrepancy::{max_weight_rect_naive, max_weight_rect_with, MaxRect, RectKernel, WPoint};
 use std::time::Instant;
 
 /// Sizes the issue pins for the scaling comparison.
@@ -83,7 +81,6 @@ struct SizeResult {
     m: usize,
     tree_ns: u128,
     sweep_ns: u128,
-    grid16_ns: u128,
     naive_ns: Option<u128>,
 }
 
@@ -101,7 +98,6 @@ fn run_size(shape: Shape, m: usize, seed: u64, reps: usize) -> SizeResult {
     let pts = points(shape, m, seed);
     let (tree_ns, tree) = time_ns(reps, || max_weight_rect_with(&pts, RectKernel::Tree));
     let (sweep_ns, sweep) = time_ns(reps, || max_weight_rect_with(&pts, RectKernel::Sweep));
-    let (grid16_ns, _) = time_ns(reps, || max_weight_rect_grid(&pts, 16));
     let naive_ns = (m <= NAIVE_CAP).then(|| {
         let (ns, naive) = time_ns(1, || max_weight_rect_naive(&pts));
         assert!(
@@ -131,7 +127,6 @@ fn run_size(shape: Shape, m: usize, seed: u64, reps: usize) -> SizeResult {
         m,
         tree_ns,
         sweep_ns,
-        grid16_ns,
         naive_ns,
     }
 }
@@ -148,12 +143,11 @@ fn render_json(ctx: &ExperimentCtx, blocks: &[(Shape, Vec<SizeResult>)]) -> Stri
         out.push_str(&format!("  \"{}\": [\n", shape.name()));
         for (i, r) in results.iter().enumerate() {
             out.push_str(&format!(
-                "    {{\"m\": {}, \"tree_ns\": {}, \"sweep_ns\": {}, \"grid16_ns\": {}, \
+                "    {{\"m\": {}, \"tree_ns\": {}, \"sweep_ns\": {}, \
                  \"naive_ns\": {}, \"speedup_tree_vs_sweep\": {:.2}}}{}\n",
                 r.m,
                 r.tree_ns,
                 r.sweep_ns,
-                r.grid16_ns,
                 r.naive_ns
                     .map(|ns| ns.to_string())
                     .unwrap_or_else(|| "null".to_string()),
@@ -196,13 +190,12 @@ fn main() {
             "max_weight_rect kernels, {} points: ns per call",
             shape.name()
         ));
-        table.header(["m", "tree", "sweep", "grid16", "naive", "tree vs sweep"]);
+        table.header(["m", "tree", "sweep", "naive", "tree vs sweep"]);
         for r in results {
             table.row([
                 r.m.to_string(),
                 r.tree_ns.to_string(),
                 r.sweep_ns.to_string(),
-                r.grid16_ns.to_string(),
                 r.naive_ns
                     .map(|ns| ns.to_string())
                     .unwrap_or_else(|| "-".to_string()),

@@ -15,8 +15,8 @@ use stb_core::{
 };
 use stb_corpus::{Collection, DocId, StreamId, TermId};
 use stb_datagen::{
-    EventTier, GeneratorConfig, MajorEvent, PatternGenerator, StreamSelection, SyntheticDataset,
-    TopixConfig, TopixCorpus,
+    GeneratorConfig, MajorEvent, PatternGenerator, StreamSelection, SyntheticDataset, TopixConfig,
+    TopixCorpus,
 };
 use stb_geo::Mbr;
 use stb_search::{BurstySearchEngine, EngineConfig, Query};
@@ -52,8 +52,8 @@ pub fn topix_corpus(ctx: &ExperimentCtx) -> TopixCorpus {
 /// because clique weights are additive those noise intervals would all be
 /// absorbed into the top clique. Real bursts sit well above `B_T = 0.5`, so
 /// a small threshold recovers the behaviour the paper reports on its real
-/// corpus (see EXPERIMENTS.md for the ablation).
-pub const STCOMB_MIN_INTERVAL_SCORE: f64 = 0.2;
+/// corpus.
+pub(crate) const STCOMB_MIN_INTERVAL_SCORE: f64 = 0.2;
 
 /// The `STComb` miner configured as used throughout the experiments.
 pub fn stcomb_miner() -> STComb {
@@ -113,7 +113,7 @@ pub struct EventAnalysis {
 
 /// Mines the top STLocal and STComb pattern for one event (0-based index)
 /// of the Topix corpus and summarizes them.
-pub fn analyze_event(corpus: &TopixCorpus, event_idx: usize) -> EventAnalysis {
+pub(crate) fn analyze_event(corpus: &TopixCorpus, event_idx: usize) -> EventAnalysis {
     let event = &corpus.events()[event_idx];
     let collection = corpus.collection();
 
@@ -173,7 +173,7 @@ pub fn analyze_event(corpus: &TopixCorpus, event_idx: usize) -> EventAnalysis {
     }
 }
 
-/// Runs [`analyze_event`] for every event of the Major Events List.
+/// Runs `analyze_event` for every event of the Major Events List.
 pub fn analyze_all_events(corpus: &TopixCorpus) -> Vec<EventAnalysis> {
     (0..corpus.events().len())
         .map(|i| analyze_event(corpus, i))
@@ -347,8 +347,6 @@ pub struct SearchEvaluation {
     pub stlocal_precision: f64,
     /// Precision@k of the STComb-backed engine.
     pub stcomb_precision: f64,
-    /// Top-k documents of each approach (TB, STLocal, STComb).
-    pub results: [Vec<DocId>; 3],
 }
 
 /// Average pairwise overlap of the top-k sets of the three approaches
@@ -431,7 +429,6 @@ pub fn evaluate_search(corpus: &TopixCorpus, k: usize) -> (Vec<SearchEvaluation>
             tb_precision: precision(&tb_docs, &relevant),
             stlocal_precision: precision(&local_docs, &relevant),
             stcomb_precision: precision(&comb_docs, &relevant),
-            results: [tb_docs, local_docs, comb_docs],
         });
     }
     let n = corpus.events().len().max(1) as f64;
@@ -676,11 +673,6 @@ pub fn scalability_experiment(
 // ---------------------------------------------------------------------------
 // Helpers shared by the binaries.
 // ---------------------------------------------------------------------------
-
-/// Returns the tier label used in the table output.
-pub fn tier_label(tier: EventTier) -> &'static str {
-    tier.label()
-}
 
 #[cfg(test)]
 mod tests {

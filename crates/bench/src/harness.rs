@@ -28,7 +28,7 @@ impl ExperimentCtx {
     }
 
     /// Builds a context from an explicit argument slice (used in tests).
-    pub fn from_arg_slice(args: &[String]) -> Self {
+    pub(crate) fn from_arg_slice(args: &[String]) -> Self {
         let full = args.iter().any(|a| a == "--full");
         let seed = args
             .iter()
@@ -38,19 +38,11 @@ impl ExperimentCtx {
             .unwrap_or(2012);
         Self { full, seed }
     }
-
-    /// A fixed default context (reduced scale, seed 2012).
-    pub fn default_scale() -> Self {
-        Self {
-            full: false,
-            seed: 2012,
-        }
-    }
 }
 
 /// Runs `f` and returns its result together with the elapsed wall-clock time
 /// in milliseconds.
-pub fn measure_ms<T>(f: impl FnOnce() -> T) -> (T, f64) {
+pub(crate) fn measure_ms<T>(f: impl FnOnce() -> T) -> (T, f64) {
     let start = Instant::now();
     let out = f();
     (out, start.elapsed().as_secs_f64() * 1000.0)
@@ -59,13 +51,6 @@ pub fn measure_ms<T>(f: impl FnOnce() -> T) -> (T, f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn default_context() {
-        let ctx = ExperimentCtx::default_scale();
-        assert!(!ctx.full);
-        assert_eq!(ctx.seed, 2012);
-    }
 
     #[test]
     fn parses_full_and_seed() {

@@ -10,8 +10,8 @@
 #![warn(missing_docs)]
 
 pub mod experiments;
-pub mod harness;
-pub mod tables;
+mod harness;
+mod tables;
 
-pub use harness::{measure_ms, ExperimentCtx};
+pub use harness::ExperimentCtx;
 pub use tables::TableWriter;

@@ -39,11 +39,6 @@ impl TableWriter {
         self
     }
 
-    /// Number of data rows added so far.
-    pub fn n_rows(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Renders the table to a string.
     pub fn render(&self) -> String {
         let n_cols = self
@@ -103,7 +98,6 @@ mod tests {
         assert!(s.contains("=== Table X ==="));
         assert!(s.contains("Query"));
         assert!(s.contains("financial crisis"));
-        assert_eq!(t.n_rows(), 2);
         // Columns are aligned: both data rows have the number at the same
         // byte offset as the header.
         let lines: Vec<&str> = s.lines().collect();
@@ -115,7 +109,6 @@ mod tests {
         let t = TableWriter::new("Empty");
         let s = t.render();
         assert!(s.contains("Empty"));
-        assert_eq!(t.n_rows(), 0);
     }
 
     #[test]

@@ -16,16 +16,16 @@
 //! merged into it, is reported as a pattern.
 
 use crate::pattern::CombinatorialPattern;
-use stb_corpus::{Collection, StreamId, TermId};
-use stb_timeseries::{burstiness_series, RunningMean, TimeInterval};
+use stb_corpus::StreamId;
+use stb_timeseries::{burstiness_series, TimeInterval};
 
 /// Configuration of the `Base` baseline.
 #[derive(Debug, Clone)]
-pub struct BaseConfig {
+pub(crate) struct BaseConfig {
     /// Maximum length `ℓ` of an interior zero-gap that is filled with ones.
-    pub gap_fill: usize,
+    pub(crate) gap_fill: usize,
     /// Minimum Jaccard overlap `δ` for two intervals to be merged.
-    pub delta: f64,
+    pub(crate) delta: f64,
 }
 
 impl Default for BaseConfig {
@@ -57,20 +57,15 @@ impl Base {
     }
 
     /// Creates a baseline miner with explicit parameters.
-    pub fn with_config(config: BaseConfig) -> Self {
+    #[cfg(test)]
+    pub(crate) fn with_config(config: BaseConfig) -> Self {
         Self { config }
-    }
-
-    /// The miner's configuration.
-    pub fn config(&self) -> &BaseConfig {
-        &self.config
     }
 
     /// Extracts the binarised, gap-filled bursty intervals of one frequency
     /// series.
-    pub fn stream_intervals(&self, frequencies: &[f64]) -> Vec<TimeInterval> {
-        let mut model = RunningMean::new();
-        let burst = burstiness_series(frequencies, &mut model);
+    pub(crate) fn stream_intervals(&self, frequencies: &[f64]) -> Vec<TimeInterval> {
+        let burst = burstiness_series(frequencies);
         let mut bits: Vec<bool> = burst.iter().map(|&b| b > 0.0).collect();
         self.fill_gaps(&mut bits);
         let mut intervals = Vec::new();
@@ -113,24 +108,6 @@ impl Base {
                 i += 1;
             }
         }
-    }
-
-    /// Mines patterns for one term of a collection. Streams are visited in
-    /// ascending id order (the paper prescribes "a random order"; a fixed
-    /// order keeps results reproducible — callers can shuffle the series
-    /// themselves via [`Base::mine_series`] if they want the paper's exact
-    /// randomized behaviour).
-    pub fn mine_collection(
-        &self,
-        collection: &Collection,
-        term: TermId,
-    ) -> Vec<CombinatorialPattern> {
-        let series: Vec<(StreamId, Vec<f64>)> = collection
-            .streams_with_term(term)
-            .into_iter()
-            .map(|s| (s, collection.term_stream_series(term, s)))
-            .collect();
-        self.mine_series(&series)
     }
 
     /// Mines patterns from explicit per-stream frequency series, visiting

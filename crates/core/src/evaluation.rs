@@ -2,15 +2,11 @@
 //!
 //! * [`jaccard_similarity`] — `|Y ∩ Y'| / |Y ∪ Y'|` between the retrieved and
 //!   the ground-truth stream sets of a pattern ("JaccardSim").
-//! * [`start_error`] / [`end_error`] — absolute difference between the
-//!   retrieved and ground-truth first/last timestamp of a pattern's
-//!   timeframe.
 //! * [`topk_overlap`] — size of the overlap of two top-k result lists
 //!   divided by k, used to compare the result sets of TB / STLocal / STComb
 //!   in the Bursty Documents experiment.
 
 use stb_corpus::StreamId;
-use stb_timeseries::TimeInterval;
 use std::collections::HashSet;
 use std::hash::Hash;
 
@@ -25,16 +21,6 @@ pub fn jaccard_similarity(retrieved: &[StreamId], truth: &[StreamId]) -> f64 {
     let inter = a.intersection(&b).count();
     let union = a.union(&b).count();
     inter as f64 / union as f64
-}
-
-/// Absolute error between the retrieved and ground-truth first timestamps.
-pub fn start_error(retrieved: TimeInterval, truth: TimeInterval) -> usize {
-    retrieved.start.abs_diff(truth.start)
-}
-
-/// Absolute error between the retrieved and ground-truth last timestamps.
-pub fn end_error(retrieved: TimeInterval, truth: TimeInterval) -> usize {
-    retrieved.end.abs_diff(truth.end)
 }
 
 /// Overlap of two top-k lists: `|A ∩ B| / k`, where `k` is the length of the
@@ -92,17 +78,6 @@ mod tests {
     fn jaccard_empty_sets() {
         assert_eq!(jaccard_similarity(&[], &[]), 1.0);
         assert_eq!(jaccard_similarity(&s(&[1]), &[]), 0.0);
-    }
-
-    #[test]
-    fn start_end_errors() {
-        let truth = TimeInterval::new(10, 20);
-        let retrieved = TimeInterval::new(13, 18);
-        assert_eq!(start_error(retrieved, truth), 3);
-        assert_eq!(end_error(retrieved, truth), 2);
-        assert_eq!(start_error(truth, truth), 0);
-        // Errors are symmetric in direction.
-        assert_eq!(start_error(TimeInterval::new(7, 20), truth), 3);
     }
 
     #[test]

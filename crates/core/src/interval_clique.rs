@@ -17,11 +17,11 @@ use stb_timeseries::TimeInterval;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WeightedInterval {
     /// The interval on the timeline.
-    pub interval: TimeInterval,
+    pub(crate) interval: TimeInterval,
     /// The weight of the interval (its temporal burstiness `B_T`).
-    pub weight: f64,
+    pub(crate) weight: f64,
     /// Caller-defined tag (e.g. the stream index the interval belongs to).
-    pub tag: usize,
+    pub(crate) tag: usize,
 }
 
 impl WeightedInterval {
@@ -39,11 +39,11 @@ impl WeightedInterval {
 #[derive(Debug, Clone, PartialEq)]
 pub struct IntervalClique {
     /// Indices (into the input slice) of the intervals in the clique.
-    pub members: Vec<usize>,
+    pub(crate) members: Vec<usize>,
     /// The common segment shared by every interval of the clique.
-    pub common: TimeInterval,
+    pub(crate) common: TimeInterval,
     /// Total weight of the clique.
-    pub weight: f64,
+    pub(crate) weight: f64,
 }
 
 /// Finds the maximum-weight clique of the interval graph induced by
@@ -99,13 +99,10 @@ pub fn max_weight_interval_clique(intervals: &[WeightedInterval]) -> Option<Inte
         .filter(|(_, wi)| wi.interval.contains(point))
         .map(|(i, _)| i)
         .collect();
-    let common = members
-        .iter()
-        .map(|&i| intervals[i].interval)
-        .reduce(|a, b| {
-            a.intersection(&b)
-                .expect("clique intervals share the sweep point")
-        })?;
+    // Every member contains the sweep point, so each intersection exists.
+    let mut member_intervals = members.iter().map(|&i| intervals[i].interval);
+    let first = member_intervals.next()?;
+    let common = member_intervals.try_fold(first, |a, b| a.intersection(&b))?;
     Some(IntervalClique {
         members,
         common,
@@ -115,7 +112,8 @@ pub fn max_weight_interval_clique(intervals: &[WeightedInterval]) -> Option<Inte
 
 /// Exhaustive maximum-weight clique for small inputs: enumerates every
 /// candidate common point. Test oracle for [`max_weight_interval_clique`].
-pub fn max_weight_clique_naive(intervals: &[WeightedInterval]) -> Option<IntervalClique> {
+#[cfg(test)]
+pub(crate) fn max_weight_clique_naive(intervals: &[WeightedInterval]) -> Option<IntervalClique> {
     let max_t = intervals.iter().map(|wi| wi.interval.end).max()?;
     let mut best: Option<IntervalClique> = None;
     for point in 0..=max_t {

@@ -7,7 +7,7 @@
 //!   streams that are simultaneously bursty during a common temporal
 //!   interval. Implemented by extracting per-stream temporal bursts and
 //!   solving the Highest-Scoring-Subset problem as a maximum-weight clique
-//!   on an interval graph ([`interval_clique`]), iterated for multiple
+//!   on an interval graph ([`max_weight_interval_clique`]), iterated for multiple
 //!   non-overlapping patterns.
 //! * [`STLocal`] (Section 4) — **regional patterns**: axis-aligned map
 //!   rectangles that stay bursty over maximal time windows. Implemented as a
@@ -19,27 +19,30 @@
 //! [`Base`] (binarised per-stream bursts greedily merged across streams by
 //! Jaccard overlap) and [`TB`] (temporal-only burstiness over the merged
 //! stream, the KDD 2009 predecessor) — and the evaluation metrics of
-//! Section 6.2.2 ([`evaluation`]).
+//! Section 6.2.2 ([`jaccard_similarity`], [`precision`], [`topk_overlap`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod base;
-pub mod evaluation;
-pub mod interval_clique;
-pub mod parallel;
-pub mod pattern;
-pub mod stcomb;
-pub mod stlocal;
-pub mod tb;
+mod base;
+mod evaluation;
+mod interval_clique;
+mod parallel;
+mod pattern;
+#[cfg(test)]
+mod proptests;
+mod stcomb;
+mod stlocal;
+mod tb;
 
-pub use base::{Base, BaseConfig};
-pub use evaluation::{end_error, jaccard_similarity, precision, start_error, topk_overlap};
-pub use interval_clique::{max_weight_interval_clique, WeightedInterval};
+pub use base::Base;
+pub use evaluation::{jaccard_similarity, precision, topk_overlap};
+pub use interval_clique::{max_weight_interval_clique, IntervalClique, WeightedInterval};
 pub use parallel::parallel_map;
 pub use pattern::{
     CombinatorialPattern, Pattern, PatternGeometry, PatternRecord, PatternSource, RegionalPattern,
 };
 pub use stcomb::{STComb, STCombConfig};
-pub use stlocal::{BaselineKind, STLocal, STLocalConfig, STLocalStats, StepStats};
-pub use tb::{TBConfig, TB};
+pub use stlocal::{STLocal, STLocalConfig, STLocalStats, StepStats};
+pub use tb::TB;

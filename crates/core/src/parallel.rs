@@ -9,14 +9,15 @@
 //! input order and the output is deterministic regardless of thread count.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 /// Applies `f` to every index in `0..n_items` using up to `n_threads`
 /// scoped worker threads and returns the results in index order.
 ///
 /// `n_threads` is clamped to at least 1; with one thread this degrades to a
 /// plain serial map. A panic in `f` propagates out of the call (the scope
-/// joins all workers first).
+/// joins all workers first). The slot mutex is only held for one store, so
+/// a poisoned lock still holds consistent slots and is recovered.
 pub fn parallel_map<T, F>(n_items: usize, n_threads: usize, f: F) -> Vec<T>
 where
     T: Send,
@@ -33,16 +34,19 @@ where
                     break;
                 }
                 let value = f(i);
-                results.lock().unwrap()[i] = Some(value);
+                results.lock().unwrap_or_else(PoisonError::into_inner)[i] = Some(value);
             });
         }
     });
-    results
+    let out: Vec<T> = results
         .into_inner()
-        .unwrap()
+        .unwrap_or_else(PoisonError::into_inner)
         .into_iter()
-        .map(|r| r.expect("every index processed"))
-        .collect()
+        .flatten()
+        .collect();
+    // `scope` re-raised any worker panic, so every slot was filled.
+    debug_assert_eq!(out.len(), n_items);
+    out
 }
 
 #[cfg(test)]

@@ -86,7 +86,7 @@ pub struct CombinatorialPattern {
     pub score: f64,
     /// The per-stream bursty intervals that formed the pattern: for each
     /// participating stream, its full interval and that interval's `B_T`.
-    pub intervals: Vec<(StreamId, TimeInterval, f64)>,
+    pub(crate) intervals: Vec<(StreamId, TimeInterval, f64)>,
 }
 
 impl CombinatorialPattern {
@@ -138,7 +138,7 @@ impl PatternGeometry for CombinatorialPattern {}
 /// Two stream sets are carried: [`RegionalPattern::streams`] holds the
 /// streams that actually contributed positive burstiness to the window (the
 /// streams "included" in the pattern, which is what the paper counts in its
-/// evaluation), while [`RegionalPattern::region_streams`] holds every stream
+/// evaluation), while `RegionalPattern::region_streams` holds every stream
 /// whose position falls inside the rectangle — a superset that may contain
 /// streams that never mentioned the term (the "false positives" the paper's
 /// Section 4 discussion says are trivial to remember and exclude).
@@ -150,7 +150,7 @@ pub struct RegionalPattern {
     /// sorted by id.
     pub streams: Vec<StreamId>,
     /// Every stream whose position falls inside the region, sorted by id.
-    pub region_streams: Vec<StreamId>,
+    pub(crate) region_streams: Vec<StreamId>,
     /// The maximal time window of the pattern.
     pub timeframe: TimeInterval,
     /// The w-score of the window: the sum of the region's r-scores over the
@@ -166,7 +166,7 @@ impl RegionalPattern {
     }
 
     /// Creates a pattern with distinct contributing and region stream sets.
-    pub fn with_region(
+    pub(crate) fn with_region(
         rect: Rect,
         mut streams: Vec<StreamId>,
         mut region_streams: Vec<StreamId>,
@@ -189,11 +189,6 @@ impl RegionalPattern {
     /// Number of contributing streams.
     pub fn n_streams(&self) -> usize {
         self.streams.len()
-    }
-
-    /// Number of streams inside the region (contributing or not).
-    pub fn n_region_streams(&self) -> usize {
-        self.region_streams.len()
     }
 }
 

@@ -1,8 +1,8 @@
 //! Property-based tests for the pattern miners.
 
+use crate::interval_clique::{max_weight_clique_naive, max_weight_interval_clique};
+use crate::{Pattern, STComb, STLocal, STLocalConfig, WeightedInterval, TB};
 use proptest::prelude::*;
-use stb_core::interval_clique::{max_weight_clique_naive, max_weight_interval_clique};
-use stb_core::{Pattern, STComb, STLocal, STLocalConfig, WeightedInterval, TB};
 use stb_corpus::StreamId;
 use stb_geo::Point2D;
 use stb_timeseries::TimeInterval;

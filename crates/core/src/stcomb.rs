@@ -8,16 +8,14 @@
 //! 2. pools all intervals and solves the Highest-Scoring-Subset problem —
 //!    the maximum-weight clique of the interval graph — to obtain the
 //!    strongest set of streams that were simultaneously bursty
-//!    ([`crate::interval_clique`]),
+//!    ([`crate::max_weight_interval_clique`]),
 //! 3. optionally iterates: removing the clique's intervals and re-solving
 //!    yields multiple non-overlapping combinatorial patterns, strongest
 //!    first, exactly as the paper's "Getting Multiple Patterns" paragraph
 //!    prescribes.
 //!
-//! The miner is agnostic to how the per-stream intervals were produced: any
-//! detector of non-overlapping weighted intervals can be plugged in through
-//! [`STComb::mine_intervals`] (e.g. Kleinberg bursts via
-//! [`stb_timeseries::KleinbergDetector`]).
+//! Steps 2 and 3 ([`STComb::mine_intervals`]) only see the pooled weighted
+//! intervals, not the detector that produced them.
 
 use crate::interval_clique::{max_weight_interval_clique, WeightedInterval};
 use crate::pattern::CombinatorialPattern;
@@ -89,11 +87,6 @@ impl STComb {
         Self { config }
     }
 
-    /// The miner's configuration.
-    pub fn config(&self) -> &STCombConfig {
-        &self.config
-    }
-
     /// Mines combinatorial patterns for one term of a document collection.
     ///
     /// Every stream in which the term occurs contributes its bursty temporal
@@ -127,9 +120,12 @@ impl STComb {
     /// Mines combinatorial patterns from an explicit pool of per-stream
     /// bursty intervals (the tag of each interval must be the stream index).
     ///
-    /// This is the lowest-level entry point; it lets callers substitute any
-    /// temporal burst detector.
-    pub fn mine_intervals(&self, intervals: &[WeightedInterval]) -> Vec<CombinatorialPattern> {
+    /// This is the lowest-level step: it does not depend on which temporal
+    /// burst detector produced the intervals.
+    pub(crate) fn mine_intervals(
+        &self,
+        intervals: &[WeightedInterval],
+    ) -> Vec<CombinatorialPattern> {
         let mut pool: Vec<WeightedInterval> = intervals.to_vec();
         let mut patterns = Vec::new();
         while patterns.len() < self.config.max_patterns {

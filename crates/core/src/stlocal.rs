@@ -5,7 +5,7 @@
 //! every new snapshot it:
 //!
 //! 1. computes the per-stream burstiness `B(t, D_x[i]) = observed − expected`
-//!    (Eq. 7) using a pluggable expected-frequency baseline — kept only for
+//!    (Eq. 7) using the running-mean expected-frequency baseline — kept only for
 //!    the *activated* streams, those that have mentioned the term at least
 //!    once: a stream whose history is all zeros expects 0, observes 0 and
 //!    has burstiness 0 without any state,
@@ -26,35 +26,17 @@
 use crate::pattern::RegionalPattern;
 use stb_corpus::{Collection, StreamId, TermId};
 use stb_discrepancy::{RBursty, WPoint};
-use stb_geo::{Mbr, Point2D, Rect};
-use stb_timeseries::{BaselineModel, OnlineMaxSeg, TimeInterval};
-
-/// Choice of expected-frequency baseline `E_x[i][t]` (see
-/// [`stb_timeseries::baseline`]). The paper leaves this open; the default is
-/// the running mean of all history, which is also the paper's default
-/// suggestion.
-#[derive(Debug, Clone, PartialEq)]
-pub enum BaselineKind {
-    /// Mean of all observations so far.
-    RunningMean,
-    /// Mean of the last `n` observations.
-    SlidingWindow(usize),
-    /// Exponentially weighted moving average with the given smoothing factor.
-    Ewma(f64),
-    /// Seasonal mean with the given period length.
-    Seasonal(usize),
-}
+use stb_geo::{Point2D, Rect};
+use stb_timeseries::{OnlineMaxSeg, RunningMean, TimeInterval};
 
 /// Configuration of the `STLocal` miner.
 #[derive(Debug, Clone)]
 pub struct STLocalConfig {
-    /// Expected-frequency baseline used for the per-stream burstiness.
-    pub baseline: BaselineKind,
     /// Minimum r-score for a rectangle to be reported by R-Bursty. The paper
     /// uses 0 (strictly positive); raising it suppresses noise rectangles.
-    pub min_rectangle_score: f64,
+    pub(crate) min_rectangle_score: f64,
     /// Minimum w-score for a maximal window to be reported as a pattern.
-    pub min_window_score: f64,
+    pub(crate) min_window_score: f64,
     /// A member stream is reported as *included* in a pattern only if its
     /// total burstiness contribution within the window exceeds this fraction
     /// of the strongest member's contribution. This implements the paper's
@@ -62,13 +44,12 @@ pub struct STLocalConfig {
     /// "false positives" contained in a bursty rectangle are remembered and
     /// ultimately excluded from the pattern. Set to 0 to keep every member
     /// with any positive contribution.
-    pub min_member_contribution_ratio: f64,
+    pub(crate) min_member_contribution_ratio: f64,
 }
 
 impl Default for STLocalConfig {
     fn default() -> Self {
         Self {
-            baseline: BaselineKind::RunningMean,
             min_rectangle_score: 0.0,
             min_window_score: 0.0,
             min_member_contribution_ratio: 0.05,
@@ -87,7 +68,7 @@ pub struct STLocalStats {
     /// processed timestamp (Figure 6).
     pub open_windows_per_timestamp: Vec<usize>,
     /// Number of active region sequences after each processed timestamp.
-    pub active_sequences_per_timestamp: Vec<usize>,
+    pub(crate) active_sequences_per_timestamp: Vec<usize>,
 }
 
 impl STLocalStats {
@@ -106,11 +87,11 @@ impl STLocalStats {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StepStats {
     /// Bursty rectangles found in this snapshot.
-    pub rectangles: usize,
+    pub(crate) rectangles: usize,
     /// Open (still tracked) spatiotemporal windows after this snapshot.
-    pub open_windows: usize,
+    pub(crate) open_windows: usize,
     /// Active region sequences after this snapshot.
-    pub active_sequences: usize,
+    pub(crate) active_sequences: usize,
 }
 
 /// A tracked region: the set of streams it covers, its rectangle, and the
@@ -192,7 +173,7 @@ impl RegionSequence {
 ///     let f = if (2..=4).contains(&ts) { 10.0 } else { 1.0 };
 ///     miner.step(&[f, f, 1.0]); // one frequency per stream
 /// }
-/// let top = miner.top_pattern().expect("burst detected");
+/// let top = miner.patterns().into_iter().next().expect("burst detected");
 /// assert_eq!(top.streams.len(), 2);
 /// assert!(top.timeframe.contains(3));
 /// ```
@@ -202,54 +183,12 @@ pub struct STLocal {
     positions: Vec<Point2D>,
     /// The streams that have mentioned the term, in order of their first
     /// non-zero observation, each with the baseline of its full history.
-    activated: Vec<(usize, BaselineState)>,
+    activated: Vec<(usize, RunningMean)>,
     /// `is_active[x]`: stream `x` has an entry in `activated`.
     is_active: Vec<bool>,
     sequences: Vec<RegionSequence>,
     retired: Vec<RegionalPattern>,
     timestamp: usize,
-}
-
-/// Concrete baseline state instantiated from a [`BaselineKind`].
-#[derive(Debug, Clone)]
-enum BaselineState {
-    RunningMean(stb_timeseries::RunningMean),
-    SlidingWindow(stb_timeseries::SlidingWindowMean),
-    Ewma(stb_timeseries::Ewma),
-    Seasonal(stb_timeseries::Seasonal),
-}
-
-impl BaselineState {
-    fn new(kind: &BaselineKind) -> Self {
-        match kind {
-            BaselineKind::RunningMean => {
-                BaselineState::RunningMean(stb_timeseries::RunningMean::new())
-            }
-            BaselineKind::SlidingWindow(w) => {
-                BaselineState::SlidingWindow(stb_timeseries::SlidingWindowMean::new(*w))
-            }
-            BaselineKind::Ewma(a) => BaselineState::Ewma(stb_timeseries::Ewma::new(*a)),
-            BaselineKind::Seasonal(p) => BaselineState::Seasonal(stb_timeseries::Seasonal::new(*p)),
-        }
-    }
-
-    fn expected(&self) -> Option<f64> {
-        match self {
-            BaselineState::RunningMean(m) => m.expected(),
-            BaselineState::SlidingWindow(m) => m.expected(),
-            BaselineState::Ewma(m) => m.expected(),
-            BaselineState::Seasonal(m) => m.expected(),
-        }
-    }
-
-    fn observe(&mut self, v: f64) {
-        match self {
-            BaselineState::RunningMean(m) => m.observe(v),
-            BaselineState::SlidingWindow(m) => m.observe(v),
-            BaselineState::Ewma(m) => m.observe(v),
-            BaselineState::Seasonal(m) => m.observe(v),
-        }
-    }
 }
 
 impl STLocal {
@@ -265,16 +204,6 @@ impl STLocal {
             retired: Vec::new(),
             timestamp: 0,
         }
-    }
-
-    /// Number of streams the miner was configured with.
-    pub fn n_streams(&self) -> usize {
-        self.positions.len()
-    }
-
-    /// Number of snapshots processed so far.
-    pub fn timestamps_processed(&self) -> usize {
-        self.timestamp
     }
 
     /// Processes one snapshot: the observed frequency of the term in every
@@ -295,7 +224,7 @@ impl STLocal {
         //    baseline kept from timestamp 0 would have seen them.
         for (x, &obs) in observed.iter().enumerate() {
             if obs != 0.0 && !self.is_active[x] {
-                let mut baseline = BaselineState::new(&self.config.baseline);
+                let mut baseline = RunningMean::new();
                 for _ in 0..self.timestamp {
                     baseline.observe(0.0);
                 }
@@ -414,7 +343,8 @@ impl STLocal {
     }
 
     /// The single strongest pattern seen so far, if any.
-    pub fn top_pattern(&self) -> Option<RegionalPattern> {
+    #[cfg(test)]
+    pub(crate) fn top_pattern(&self) -> Option<RegionalPattern> {
         self.patterns().into_iter().next()
     }
 
@@ -449,15 +379,6 @@ impl STLocal {
             let (patterns, _) = STLocal::mine_collection(collection, term, config.clone());
             (term, patterns)
         })
-    }
-
-    /// The minimum bounding rectangle of the streams of a pattern, expressed
-    /// in the miner's map coordinates, together with the number of streams
-    /// (of all streams known to the miner) that fall inside it. Used by the
-    /// Table 1 experiment for the "# countries in MBR" column.
-    pub fn mbr_stream_count(&self, pattern_streams: &[StreamId]) -> usize {
-        let mbr = Mbr::from_points(pattern_streams.iter().map(|s| self.positions[s.index()]));
-        mbr.count_contained(&self.positions)
     }
 }
 
@@ -574,60 +495,37 @@ mod tests {
 
     #[test]
     fn late_activation_is_bit_identical_to_a_baseline_kept_from_the_start() {
-        use stb_timeseries::{Ewma, RunningMean, Seasonal, SlidingWindowMean};
-
         // One stream, silent for five steps: its baseline is created at
         // step 5 and must stand where one fed every observation would.
         const SERIES: [f64; 13] = [
             0.0, 0.0, 0.0, 0.0, 0.0, 6.0, 9.0, 4.0, 1.0, 0.0, 2.0, 7.0, 1.0,
         ];
-        fn dense_reference(mut model: impl BaselineModel) -> (u64, TimeInterval) {
-            let mut maxseg = OnlineMaxSeg::new();
-            let mut start = None;
-            for (ts, &obs) in SERIES.iter().enumerate() {
-                let b = model.expected().map_or(0.0, |e| obs - e);
-                model.observe(obs);
-                if b > 0.0 {
-                    start.get_or_insert(ts);
-                }
-                if start.is_some() {
-                    maxseg.push(b);
-                    assert!(maxseg.total() >= 0.0, "SERIES must keep one sequence open");
-                }
+        let mut model = RunningMean::new();
+        let mut maxseg = OnlineMaxSeg::new();
+        let mut start = None;
+        for (ts, &obs) in SERIES.iter().enumerate() {
+            let b = model.expected().map_or(0.0, |e| obs - e);
+            model.observe(obs);
+            if b > 0.0 {
+                start.get_or_insert(ts);
             }
-            let start = start.expect("SERIES has a positive step");
-            let best = maxseg.best_segment().expect("a positive score was pushed");
-            (
-                best.score.to_bits(),
-                TimeInterval::new(start + best.start(), start + best.end()),
-            )
-        }
-        let cases = [
-            (
-                BaselineKind::RunningMean,
-                dense_reference(RunningMean::new()),
-            ),
-            (
-                BaselineKind::SlidingWindow(3),
-                dense_reference(SlidingWindowMean::new(3)),
-            ),
-            (BaselineKind::Ewma(0.3), dense_reference(Ewma::new(0.3))),
-            (BaselineKind::Seasonal(4), dense_reference(Seasonal::new(4))),
-        ];
-        for (kind, (score_bits, timeframe)) in cases {
-            let config = STLocalConfig {
-                baseline: kind.clone(),
-                ..STLocalConfig::default()
-            };
-            let mut miner = STLocal::new(vec![Point2D::new(0.0, 0.0)], config);
-            for &obs in &SERIES {
-                miner.step(&[obs]);
+            if start.is_some() {
+                maxseg.push(b);
+                assert!(maxseg.total() >= 0.0, "SERIES must keep one sequence open");
             }
-            let top = miner.top_pattern().expect("a pattern should be found");
-            assert_eq!(top.score.to_bits(), score_bits, "{kind:?}");
-            assert_eq!(top.timeframe, timeframe, "{kind:?}");
-            assert_eq!(timeframe.start, 5, "{kind:?}");
         }
+        let start = start.expect("SERIES has a positive step");
+        let best = maxseg.best_segment().expect("a positive score was pushed");
+        let timeframe = TimeInterval::new(start + best.start(), start + best.end());
+
+        let mut miner = STLocal::new(vec![Point2D::new(0.0, 0.0)], STLocalConfig::default());
+        for &obs in &SERIES {
+            miner.step(&[obs]);
+        }
+        let top = miner.top_pattern().expect("a pattern should be found");
+        assert_eq!(top.score.to_bits(), best.score.to_bits());
+        assert_eq!(top.timeframe, timeframe);
+        assert_eq!(timeframe.start, 5);
     }
 
     #[test]
@@ -702,19 +600,6 @@ mod tests {
                 assert!((a.score - b.score).abs() < 1e-12);
             }
         }
-    }
-
-    #[test]
-    fn mbr_count_covers_intermediate_streams() {
-        let positions = vec![
-            Point2D::new(0.0, 0.0),
-            Point2D::new(10.0, 10.0),
-            Point2D::new(5.0, 5.0),   // inside the MBR of 0 and 1
-            Point2D::new(50.0, 50.0), // outside
-        ];
-        let miner = STLocal::new(positions, STLocalConfig::default());
-        let count = miner.mbr_stream_count(&[StreamId(0), StreamId(1)]);
-        assert_eq!(count, 3);
     }
 
     #[test]

@@ -13,11 +13,11 @@ use stb_timeseries::temporal_burst::bursty_intervals_with_threshold;
 
 /// Configuration of the `TB` baseline.
 #[derive(Debug, Clone)]
-pub struct TBConfig {
+pub(crate) struct TBConfig {
     /// Minimum temporal burstiness `B_T` for a burst to become a pattern.
-    pub min_interval_score: f64,
+    pub(crate) min_interval_score: f64,
     /// Maximum number of patterns (bursts) reported per term.
-    pub max_patterns: usize,
+    pub(crate) max_patterns: usize,
 }
 
 impl Default for TBConfig {
@@ -42,7 +42,8 @@ impl TB {
     }
 
     /// Creates a baseline miner with an explicit configuration.
-    pub fn with_config(config: TBConfig) -> Self {
+    #[cfg(test)]
+    pub(crate) fn with_config(config: TBConfig) -> Self {
         Self { config }
     }
 

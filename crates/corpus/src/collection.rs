@@ -10,8 +10,8 @@
 //!   at timestamp `i` (Eq. 6), available as per-stream series
 //!   ([`Collection::term_stream_series`]) and as per-timestamp snapshots
 //!   across streams ([`Collection::term_snapshot`]).
-//! * per-stream totals (all terms), used by detectors that need the overall
-//!   traffic volume (e.g. the Kleinberg automaton).
+//! * per-stream totals (all terms), the overall traffic volume of each
+//!   stream ([`Collection::stream_total_series`]).
 
 use crate::dictionary::{TermDict, TermId};
 use crate::document::{DocId, Document};
@@ -53,8 +53,6 @@ pub struct StreamMeta {
 /// in every stream at a single timestamp.
 #[derive(Debug, Clone)]
 pub struct Snapshot {
-    /// The timestamp of the snapshot.
-    pub timestamp: Timestamp,
     /// Frequency of the term per stream, indexed by [`StreamId::index`].
     pub frequencies: Vec<f64>,
 }
@@ -164,10 +162,7 @@ impl Collection {
                 }
             }
         }
-        Snapshot {
-            timestamp,
-            frequencies,
-        }
+        Snapshot { frequencies }
     }
 
     /// Aggregated frequency series of `term` over *all* streams merged into
@@ -189,11 +184,6 @@ impl Collection {
     /// Total term occurrences (all terms) of `stream` per timestamp.
     pub fn stream_total_series(&self, stream: StreamId) -> &[f64] {
         &self.stream_totals[stream.index()]
-    }
-
-    /// Total number of term occurrences in the whole collection.
-    pub fn total_tokens(&self) -> f64 {
-        self.stream_totals.iter().flatten().sum()
     }
 
     // ------------------------------------------------------------------
@@ -295,7 +285,7 @@ impl Collection {
 /// One term's exported frequency series: for each stream it occurs in
 /// (sorted by id), its `(timestamp, frequency)` entries sorted by
 /// timestamp with one entry per timestamp.
-pub type TermSeriesParts = Vec<(StreamId, Vec<(Timestamp, f64)>)>;
+pub(crate) type TermSeriesParts = Vec<(StreamId, Vec<(Timestamp, f64)>)>;
 
 /// The raw constituent parts of a [`Collection`], exposed for persistence
 /// (`stb-store` serializes these, never the private fields directly).
@@ -525,11 +515,6 @@ impl CollectionBuilder {
         &mut self.dict
     }
 
-    /// Read access to the term dictionary.
-    pub fn dict(&self) -> &TermDict {
-        &self.dict
-    }
-
     /// Registers a stream with an explicit planar position.
     pub fn add_stream_with_position(
         &mut self,
@@ -555,11 +540,6 @@ impl CollectionBuilder {
     /// [`CollectionBuilder::add_stream_with_position`].
     pub fn add_stream(&mut self, name: &str, geostamp: GeoPoint) -> StreamId {
         self.add_stream_with_position(name, geostamp, Point2D::new(geostamp.lon, geostamp.lat))
-    }
-
-    /// Number of streams registered so far.
-    pub fn n_streams(&self) -> usize {
-        self.streams.len()
     }
 
     /// Adds a document given its term-frequency bag.
@@ -699,7 +679,6 @@ mod tests {
         let totals = c.stream_total_series(StreamId(0));
         assert_eq!(totals[0], 3.0);
         assert_eq!(totals[2], 2.0);
-        assert_eq!(c.total_tokens(), 10.0);
     }
 
     #[test]
@@ -776,7 +755,6 @@ mod tests {
         assert_eq!(batch.timeline_len(), live.timeline_len());
         assert_eq!(batch.documents().len(), live.documents().len());
         assert_eq!(batch.n_terms(), live.n_terms());
-        assert_eq!(batch.total_tokens(), live.total_tokens());
         let term_ids: Vec<TermId> = batch.terms().collect();
         assert_eq!(term_ids, live.terms().collect::<Vec<_>>());
         for &term in &term_ids {

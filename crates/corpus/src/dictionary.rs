@@ -27,7 +27,7 @@ pub struct TermDict {
 
 impl TermDict {
     /// Creates an empty dictionary.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 

@@ -10,7 +10,7 @@ pub struct DocId(pub u32);
 
 impl DocId {
     /// The document id as a usize index.
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         self.0 as usize
     }
 }
@@ -34,7 +34,7 @@ pub struct Document {
 
 impl Document {
     /// Creates a document from its parts.
-    pub fn new(
+    pub(crate) fn new(
         id: DocId,
         stream: StreamId,
         timestamp: Timestamp,
@@ -54,19 +54,9 @@ impl Document {
         self.counts.get(&t).copied().unwrap_or(0)
     }
 
-    /// Total number of term occurrences in the document.
-    pub fn token_count(&self) -> u64 {
-        self.counts.values().map(|&c| c as u64).sum()
-    }
-
     /// Number of distinct terms in the document.
     pub fn distinct_terms(&self) -> usize {
         self.counts.len()
-    }
-
-    /// Whether the document contains the term at least once.
-    pub fn contains(&self, t: TermId) -> bool {
-        self.counts.contains_key(&t)
     }
 }
 
@@ -92,15 +82,7 @@ mod tests {
     #[test]
     fn token_and_term_counts() {
         let d = sample_doc();
-        assert_eq!(d.token_count(), 4);
         assert_eq!(d.distinct_terms(), 2);
-    }
-
-    #[test]
-    fn contains_terms() {
-        let d = sample_doc();
-        assert!(d.contains(TermId(0)));
-        assert!(!d.contains(TermId(1)));
     }
 
     #[test]

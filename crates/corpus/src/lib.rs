@@ -26,16 +26,17 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod collection;
-pub mod dictionary;
-pub mod document;
-pub mod tokenizer;
+mod collection;
+mod dictionary;
+mod document;
+mod tokenizer;
 pub mod tsv;
 
 pub use collection::{
     Collection, CollectionBuilder, CollectionParts, PartsError, Snapshot, StreamId, StreamMeta,
-    TermSeriesParts, Timestamp,
+    Timestamp,
 };
 pub use dictionary::{TermDict, TermId};
 pub use document::{DocId, Document};

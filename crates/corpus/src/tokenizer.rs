@@ -16,7 +16,7 @@ const DEFAULT_STOPWORDS: &[&str] = &[
     "this", "to", "was", "were", "will", "with",
 ];
 
-/// Configurable tokenizer producing term-frequency bags.
+/// Tokenizer producing term-frequency bags.
 #[derive(Debug, Clone)]
 pub struct Tokenizer {
     stopwords: Vec<String>,
@@ -37,30 +37,6 @@ impl Tokenizer {
     /// length of 2.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// A tokenizer that keeps every token (no stop words, length >= 1).
-    pub fn keep_everything() -> Self {
-        Self {
-            stopwords: Vec::new(),
-            min_len: 1,
-        }
-    }
-
-    /// Replaces the stop-word list.
-    pub fn with_stopwords<I, S>(mut self, words: I) -> Self
-    where
-        I: IntoIterator<Item = S>,
-        S: Into<String>,
-    {
-        self.stopwords = words.into_iter().map(|w| w.into().to_lowercase()).collect();
-        self
-    }
-
-    /// Sets the minimum kept token length.
-    pub fn with_min_len(mut self, min_len: usize) -> Self {
-        self.min_len = min_len.max(1);
-        self
     }
 
     /// Splits `text` into normalized tokens (lowercased, alphanumeric runs),
@@ -104,22 +80,6 @@ mod tests {
         assert!(toks.contains(&"price".to_string()));
         assert!(toks.contains(&"oil".to_string()));
         assert!(toks.contains(&"us".to_string()));
-    }
-
-    #[test]
-    fn keep_everything_keeps_stopwords() {
-        let t = Tokenizer::keep_everything();
-        let toks: Vec<_> = t.tokenize("the a I").collect();
-        assert_eq!(toks, vec!["the", "a", "i"]);
-    }
-
-    #[test]
-    fn custom_stopwords_replace_the_default_list() {
-        let t = Tokenizer::new().with_stopwords(["earthquake"]);
-        let toks: Vec<_> = t.tokenize("earthquake in Chile").collect();
-        // "earthquake" is now filtered; "in" is kept because the custom list
-        // replaces (not extends) the default one.
-        assert_eq!(toks, vec!["in", "chile"]);
     }
 
     #[test]

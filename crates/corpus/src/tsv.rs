@@ -9,9 +9,8 @@
 //! D   <stream_id> <timestamp> <term>:<count> <term>:<count> ...
 //! ```
 //!
-//! Term strings must not contain tabs or colons; the writer replaces both
-//! with spaces. This is sufficient for checkpointing synthetic corpora and
-//! for shipping small example datasets with the repository.
+//! Term strings must not contain tabs or colons. Stream ids are unique: a
+//! second `S` record with an id already declared is a parse error.
 //!
 //! Two readers share the same parser:
 //!
@@ -26,9 +25,9 @@
 
 use crate::collection::{Collection, CollectionBuilder, StreamId};
 use crate::dictionary::TermId;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
-use std::io::{BufRead, Write};
+use std::io::BufRead;
 
 use stb_geo::{GeoPoint, Point2D};
 
@@ -61,42 +60,6 @@ impl From<std::io::Error> for TsvError {
     fn from(e: std::io::Error) -> Self {
         TsvError::Io(e)
     }
-}
-
-fn sanitize(term: &str) -> String {
-    term.replace(['\t', ':', '\n'], " ")
-}
-
-/// Writes a collection in the TSV format described in the module docs.
-pub fn write_collection<W: Write>(collection: &Collection, mut out: W) -> Result<(), TsvError> {
-    writeln!(out, "C\t{}", collection.timeline_len())?;
-    for s in collection.streams() {
-        writeln!(
-            out,
-            "S\t{}\t{}\t{}\t{}\t{}\t{}",
-            s.id.0,
-            sanitize(&s.name),
-            s.geostamp.lat,
-            s.geostamp.lon,
-            s.position.x,
-            s.position.y
-        )?;
-    }
-    for d in collection.documents() {
-        write!(out, "D\t{}\t{}", d.stream.0, d.timestamp)?;
-        let mut terms: Vec<(&TermId, &u32)> = d.counts.iter().collect();
-        terms.sort_by_key(|(t, _)| **t);
-        for (term, count) in terms {
-            let name = collection
-                .dict()
-                .resolve(*term)
-                .map(sanitize)
-                .unwrap_or_else(|| format!("term{}", term.0));
-            write!(out, "\t{name}:{count}")?;
-        }
-        writeln!(out)?;
-    }
-    Ok(())
 }
 
 /// A `D` record as parsed from the file: the externally-assigned stream id,
@@ -159,6 +122,7 @@ pub struct TsvStreamReader<R: BufRead> {
     lines: std::io::Lines<R>,
     lineno: usize,
     timeline_len: usize,
+    stream_ids: HashSet<u32>,
 }
 
 impl<R: BufRead> TsvStreamReader<R> {
@@ -197,6 +161,7 @@ impl<R: BufRead> TsvStreamReader<R> {
                 lines,
                 lineno,
                 timeline_len,
+                stream_ids: HashSet::new(),
             });
         }
     }
@@ -211,10 +176,11 @@ impl<R: BufRead> TsvStreamReader<R> {
         self.lineno
     }
 
-    fn parse_record(&self, line: &str) -> Result<TsvRecord, TsvError> {
+    fn parse_record(&mut self, line: &str) -> Result<TsvRecord, TsvError> {
         let fields: Vec<&str> = line.split('\t').collect();
+        let lineno = self.lineno;
         let err = |message: String| TsvError::Parse {
-            line: self.lineno,
+            line: lineno,
             message,
         };
         match fields[0] {
@@ -237,6 +203,9 @@ impl<R: BufRead> TsvStreamReader<R> {
                 let y: f64 = fields[6]
                     .parse()
                     .map_err(|_| err("invalid y".to_string()))?;
+                if !self.stream_ids.insert(ext_id) {
+                    return Err(err(format!("duplicate stream id {ext_id}")));
+                }
                 Ok(TsvRecord::Stream {
                     ext_id,
                     name: fields[2].to_string(),
@@ -317,7 +286,7 @@ pub fn fold_counts(
     Ok(bag)
 }
 
-/// Reads a collection previously written by [`write_collection`].
+/// Reads a collection in the TSV format described in the module docs.
 ///
 /// Batch semantics on top of [`TsvStreamReader`]: the whole file is
 /// consumed first, so documents may reference streams declared later in the
@@ -346,7 +315,7 @@ pub fn read_collection<R: BufRead>(input: R) -> Result<Collection, TsvError> {
 
     for (line, doc) in pending_docs {
         let stream = *stream_map.get(&doc.stream).ok_or(TsvError::Parse {
-            line: 0,
+            line,
             message: format!("document references unknown stream {}", doc.stream),
         })?;
         let bag = fold_counts(&doc.counts, line, |term| builder.dict_mut().intern(term))?;
@@ -358,79 +327,31 @@ pub fn read_collection<R: BufRead>(input: R) -> Result<Collection, TsvError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tokenizer::Tokenizer;
     use std::io::Cursor;
 
-    fn sample() -> Collection {
-        let mut b = CollectionBuilder::new(4);
-        let tok = Tokenizer::new();
-        let s0 = b.add_stream("Athens", GeoPoint::new(38.0, 23.7));
-        let s1 = b.add_stream("Lima", GeoPoint::new(-12.0, -77.0));
-        b.add_text_document(s0, 0, "ceasefire announced today", &tok);
-        b.add_text_document(s1, 3, "piracy piracy somalia", &tok);
-        b.build()
-    }
+    /// Two streams and two documents, as `C`/`S`/`D` records.
+    const SAMPLE: &str = "C\t4\n\
+                          S\t0\tAthens\t38\t23.7\t23.7\t38\n\
+                          S\t1\tLima\t-12\t-77\t-77\t-12\n\
+                          D\t0\t0\tceasefire:1\tannounced:1\ttoday:1\n\
+                          D\t1\t3\tpiracy:2\tsomalia:1\n";
 
     #[test]
-    fn round_trip_preserves_structure() {
-        let original = sample();
-        let mut buf = Vec::new();
-        write_collection(&original, &mut buf).unwrap();
-        let restored = read_collection(Cursor::new(buf)).unwrap();
+    fn read_collection_builds_the_declared_structure() {
+        let restored = read_collection(Cursor::new(SAMPLE)).unwrap();
 
-        assert_eq!(restored.n_streams(), original.n_streams());
-        assert_eq!(restored.timeline_len(), original.timeline_len());
-        assert_eq!(restored.documents().len(), original.documents().len());
-        assert_eq!(restored.n_terms(), original.n_terms());
+        assert_eq!(restored.n_streams(), 2);
+        assert_eq!(restored.timeline_len(), 4);
+        assert_eq!(restored.documents().len(), 2);
+        assert_eq!(restored.n_terms(), 5);
 
-        let piracy_orig = original.dict().get("piracy").unwrap();
-        let piracy_rest = restored.dict().get("piracy").unwrap();
+        let piracy = restored.dict().get("piracy").unwrap();
         assert_eq!(
-            original.term_merged_series(piracy_orig),
-            restored.term_merged_series(piracy_rest)
+            restored.term_merged_series(piracy),
+            vec![0.0, 0.0, 0.0, 2.0]
         );
         assert_eq!(restored.stream(StreamId(0)).name, "Athens");
         assert!((restored.stream(StreamId(1)).geostamp.lon - -77.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn serialize_parse_serialize_is_a_fixpoint() {
-        // After one round trip the text form must be stable byte-for-byte:
-        // writer output is deterministic (sorted term ids, fixed field
-        // order), so a second round trip cannot drift.
-        let original = sample();
-        let mut first = Vec::new();
-        write_collection(&original, &mut first).unwrap();
-        let restored = read_collection(Cursor::new(first.clone())).unwrap();
-        let mut second = Vec::new();
-        write_collection(&restored, &mut second).unwrap();
-        assert_eq!(
-            String::from_utf8(first).unwrap(),
-            String::from_utf8(second).unwrap()
-        );
-    }
-
-    #[test]
-    fn round_trip_sanitizes_hostile_term_and_stream_names() {
-        let mut b = CollectionBuilder::new(2);
-        let s = b.add_stream("Tab\tCity", GeoPoint::new(1.0, 2.0));
-        let weird = b.dict_mut().intern("a:b\tc");
-        let plain = b.dict_mut().intern("plain");
-        let mut counts = HashMap::new();
-        counts.insert(weird, 3);
-        counts.insert(plain, 1);
-        b.add_document(s, 0, counts);
-        let original = b.build();
-
-        let mut buf = Vec::new();
-        write_collection(&original, &mut buf).unwrap();
-        let restored = read_collection(Cursor::new(buf)).unwrap();
-        assert_eq!(restored.documents().len(), 1);
-        // The hostile separators were replaced by spaces but the term count
-        // survives under the sanitized name.
-        let sanitized = restored.dict().get("a b c").unwrap();
-        assert_eq!(restored.documents()[0].counts.get(&sanitized), Some(&3));
-        assert_eq!(restored.stream(StreamId(0)).name, "Tab City");
     }
 
     #[test]
@@ -449,7 +370,25 @@ mod tests {
     #[test]
     fn rejects_document_for_unknown_stream() {
         let bad = "C\t2\nS\t0\tA\t0\t0\t0\t0\nD\t9\t0\tfoo:1\n";
-        assert!(read_collection(Cursor::new(bad)).is_err());
+        assert!(matches!(
+            read_collection(Cursor::new(bad)),
+            Err(TsvError::Parse { line: 3, .. })
+        ));
+    }
+
+    #[test]
+    fn rejects_repeated_stream_id() {
+        let bad = "C\t2\nS\t0\tA\t0\t0\t0\t0\nS\t0\tB\t1\t1\t1\t1\nD\t0\t0\tfoo:1\n";
+        assert!(matches!(
+            read_collection(Cursor::new(bad)),
+            Err(TsvError::Parse { line: 3, .. })
+        ));
+        let mut reader = TsvStreamReader::new(Cursor::new(bad)).unwrap();
+        assert!(reader.next().unwrap().is_ok());
+        assert!(matches!(
+            reader.next().unwrap(),
+            Err(TsvError::Parse { line: 3, .. })
+        ));
     }
 
     #[test]
@@ -477,11 +416,6 @@ mod tests {
     }
 
     #[test]
-    fn sanitize_strips_separators() {
-        assert_eq!(sanitize("a:b\tc"), "a b c");
-    }
-
-    #[test]
     fn empty_document_is_allowed() {
         let data = "C\t2\nS\t0\tA\t0\t0\t0\t0\nD\t0\t1\n";
         let c = read_collection(Cursor::new(data)).unwrap();
@@ -491,11 +425,8 @@ mod tests {
 
     #[test]
     fn stream_reader_yields_records_in_file_order() {
-        let original = sample();
-        let mut buf = Vec::new();
-        write_collection(&original, &mut buf).unwrap();
-        let reader = TsvStreamReader::new(Cursor::new(buf)).unwrap();
-        assert_eq!(reader.timeline_len(), original.timeline_len());
+        let reader = TsvStreamReader::new(Cursor::new(SAMPLE)).unwrap();
+        assert_eq!(reader.timeline_len(), 4);
         let records: Vec<TsvRecord> = reader.map(Result::unwrap).collect();
         let n_streams = records
             .iter()
@@ -508,10 +439,8 @@ mod tests {
                 TsvRecord::Stream { .. } => None,
             })
             .collect();
-        assert_eq!(n_streams, original.n_streams());
-        assert_eq!(docs.len(), original.documents().len());
-        // Document term lists are written sorted by term id, so the first
-        // sample document must lead with its first interned term.
+        assert_eq!(n_streams, 2);
+        assert_eq!(docs.len(), 2);
         assert_eq!(docs[0].timestamp, 0);
         assert_eq!(docs[0].stream, 0);
         assert_eq!(docs[1].counts.iter().map(|(_, c)| c).sum::<u32>(), 3);

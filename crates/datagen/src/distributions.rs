@@ -2,12 +2,13 @@
 //!
 //! Appendix B of the paper builds its artificial corpora from three
 //! ingredients: exponential background frequencies ("the exponential
-//! distribution is a good fit" for the typical frequency of terms), Weibull
-//! burst profiles (whose PDF shape "emulates the progress of virtually every
-//! type of event" — Figure 9), and a skewed choice of vocabulary, for which
-//! we use a Zipf distribution. All three are implemented here on top of the
-//! `rand` RNG traits, so every generator in this crate stays deterministic
-//! under a fixed seed.
+//! distribution is a good fit" for the typical frequency of terms; the
+//! generators invert its CDF inline), Weibull burst profiles (whose PDF
+//! shape "emulates the progress of virtually every type of event" —
+//! Figure 9), and a skewed choice of vocabulary, for which we use a Zipf
+//! distribution. The last two are implemented here on top of the `rand` RNG
+//! traits, so every generator in this crate stays deterministic under a
+//! fixed seed.
 
 use rand::Rng;
 
@@ -15,9 +16,9 @@ use rand::Rng;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Weibull {
     /// Shape parameter `k` (> 0).
-    pub shape: f64,
+    pub(crate) shape: f64,
     /// Scale parameter `c` (> 0).
-    pub scale: f64,
+    pub(crate) scale: f64,
 }
 
 impl Weibull {
@@ -43,38 +44,10 @@ impl Weibull {
         (k / c) * (x / c).powf(k - 1.0) * (-(x / c).powf(k)).exp()
     }
 
-    /// The mode of the distribution (the `x` at which the PDF peaks):
-    /// `c ((k-1)/k)^(1/k)` for `k > 1`, and 0 otherwise.
-    pub fn mode(&self) -> f64 {
-        if self.shape > 1.0 {
-            self.scale * ((self.shape - 1.0) / self.shape).powf(1.0 / self.shape)
-        } else {
-            0.0
-        }
-    }
-
-    /// The PDF value at the mode (the curve's peak height).
-    pub fn peak_density(&self) -> f64 {
-        // For k <= 1 the density is maximal as x -> 0+, where it diverges for
-        // k < 1; clamp to the density at a small positive offset so profile
-        // scaling stays finite.
-        if self.shape > 1.0 {
-            self.pdf(self.mode())
-        } else {
-            self.pdf(self.scale * 0.01).max(f64::MIN_POSITIVE)
-        }
-    }
-
-    /// Draws a sample by inverse-CDF transform.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-        self.scale * (-(1.0 - u).ln()).powf(1.0 / self.shape)
-    }
-
     /// The burst profile used when injecting a pattern: the PDF evaluated at
     /// the (1-based) position of each timestamp within a window of `len`
     /// timestamps, rescaled so the largest value equals `peak`.
-    pub fn profile(&self, len: usize, peak: f64) -> Vec<f64> {
+    pub(crate) fn profile(&self, len: usize, peak: f64) -> Vec<f64> {
         if len == 0 {
             return Vec::new();
         }
@@ -85,47 +58,39 @@ impl Weibull {
 }
 
 /// Exponential distribution with the given rate `lambda` (mean `1/lambda`).
+/// Test reference for [`Weibull::pdf`] at shape 1.
+#[cfg(test)]
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Exponential {
+pub(crate) struct Exponential {
     /// Rate parameter (> 0).
-    pub lambda: f64,
+    pub(crate) lambda: f64,
 }
 
+#[cfg(test)]
 impl Exponential {
     /// Creates an exponential distribution with rate `lambda`.
     ///
     /// # Panics
     ///
     /// Panics if `lambda` is not strictly positive.
-    pub fn new(lambda: f64) -> Self {
+    pub(crate) fn new(lambda: f64) -> Self {
         assert!(lambda > 0.0, "rate must be positive");
         Self { lambda }
     }
 
-    /// Creates an exponential distribution with the given mean.
-    pub fn with_mean(mean: f64) -> Self {
-        Self::new(1.0 / mean)
-    }
-
     /// Probability density at `x` (zero for negative `x`).
-    pub fn pdf(&self, x: f64) -> f64 {
+    pub(crate) fn pdf(&self, x: f64) -> f64 {
         if x < 0.0 {
             0.0
         } else {
             self.lambda * (-self.lambda * x).exp()
         }
     }
-
-    /// Draws a sample by inverse-CDF transform.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-        -(1.0 - u).ln() / self.lambda
-    }
 }
 
 /// Zipf distribution over ranks `1..=n` with exponent `s`.
 #[derive(Debug, Clone)]
-pub struct Zipf {
+pub(crate) struct Zipf {
     cdf: Vec<f64>,
 }
 
@@ -135,7 +100,7 @@ impl Zipf {
     /// # Panics
     ///
     /// Panics if `n == 0` or `s < 0`.
-    pub fn new(n: usize, s: f64) -> Self {
+    pub(crate) fn new(n: usize, s: f64) -> Self {
         assert!(n > 0, "Zipf needs at least one rank");
         assert!(s >= 0.0, "Zipf exponent must be non-negative");
         let mut cdf = Vec::with_capacity(n);
@@ -152,17 +117,14 @@ impl Zipf {
     }
 
     /// Number of ranks.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.cdf.len()
     }
 
-    /// Whether the distribution has no ranks (never true after construction).
-    pub fn is_empty(&self) -> bool {
-        self.cdf.is_empty()
-    }
-
     /// Probability of rank `rank` (0-based).
-    pub fn pmf(&self, rank: usize) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn pmf(&self, rank: usize) -> f64 {
         if rank >= self.cdf.len() {
             return 0.0;
         }
@@ -171,7 +133,7 @@ impl Zipf {
     }
 
     /// Draws a 0-based rank.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
+    pub(crate) fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
         let u: f64 = rng.gen_range(0.0..1.0);
         match self
             .cdf
@@ -213,16 +175,6 @@ mod tests {
     }
 
     #[test]
-    fn weibull_mode_is_pdf_maximum() {
-        let w = Weibull::new(3.0, 5.0);
-        let mode = w.mode();
-        let at_mode = w.pdf(mode);
-        for x in [mode - 0.5, mode + 0.5, mode * 0.5, mode * 1.5] {
-            assert!(w.pdf(x) <= at_mode + 1e-12);
-        }
-    }
-
-    #[test]
     fn weibull_profile_peaks_at_requested_value() {
         let w = Weibull::new(2.0, 6.0);
         let profile = w.profile(15, 40.0);
@@ -231,25 +183,6 @@ mod tests {
         assert!((max - 40.0).abs() < 1e-9);
         assert!(profile.iter().all(|&v| v >= 0.0));
         assert!(w.profile(0, 10.0).is_empty());
-    }
-
-    #[test]
-    fn weibull_samples_are_positive_with_expected_spread(/* deterministic */) {
-        let w = Weibull::new(2.0, 3.0);
-        let mut r = rng();
-        let samples: Vec<f64> = (0..5000).map(|_| w.sample(&mut r)).collect();
-        assert!(samples.iter().all(|&x| x > 0.0));
-        let mean: f64 = samples.iter().sum::<f64>() / samples.len() as f64;
-        // E[X] = c * Gamma(1 + 1/k) = 3 * Gamma(1.5) ≈ 2.659.
-        assert!((mean - 2.659).abs() < 0.15, "mean {mean}");
-    }
-
-    #[test]
-    fn exponential_samples_match_mean() {
-        let e = Exponential::with_mean(4.0);
-        let mut r = rng();
-        let mean: f64 = (0..5000).map(|_| e.sample(&mut r)).sum::<f64>() / 5000.0;
-        assert!((mean - 4.0).abs() < 0.25, "mean {mean}");
     }
 
     #[test]

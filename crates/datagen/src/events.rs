@@ -53,13 +53,8 @@ pub struct MajorEvent {
 }
 
 /// The 18 events of the paper's Table 9.
-pub fn major_events() -> &'static [MajorEvent] {
+pub(crate) fn major_events() -> &'static [MajorEvent] {
     MAJOR_EVENTS
-}
-
-/// Looks an event up by its 1-based id.
-pub fn event_by_id(id: usize) -> Option<&'static MajorEvent> {
-    MAJOR_EVENTS.iter().find(|e| e.id == id)
 }
 
 static MAJOR_EVENTS: &[MajorEvent] = &[
@@ -288,14 +283,6 @@ mod tests {
             assert!(!e.query.is_empty());
             assert!(seen.insert(e.query), "duplicate query {}", e.query);
         }
-    }
-
-    #[test]
-    fn lookup_by_id() {
-        assert_eq!(event_by_id(6).unwrap().query, "earthquake");
-        assert_eq!(event_by_id(15).unwrap().epicenter, "ZW");
-        assert!(event_by_id(0).is_none());
-        assert!(event_by_id(19).is_none());
     }
 
     #[test]

@@ -6,27 +6,26 @@
 //! and additionally provides a *synthetic Topix-like corpus* that stands in
 //! for the unavailable crawl (see DESIGN.md for the substitution argument).
 //!
-//! * [`distributions`] — Weibull (the burst-shape profile of Appendix B,
-//!   Figure 9), exponential (background frequencies), and Zipf (vocabulary)
-//!   samplers built on top of `rand`.
-//! * [`pattern_gen`] — `distGen` / `randGen`: inject ground-truth
+//! * [`Weibull`] — the burst-shape profile of Appendix B (Figure 9); a Zipf
+//!   vocabulary sampler beside it, both built on top of `rand`.
+//! * [`PatternGenerator`] — `distGen` / `randGen`: inject ground-truth
 //!   spatiotemporal patterns into background frequency streams.
-//! * [`topix`] — the synthetic Topix-like document corpus: 181 country
+//! * [`TopixCorpus`] — the synthetic Topix-like document corpus: 181 country
 //!   streams, 48 weekly snapshots, Zipf background vocabulary, and the 18
 //!   Major Events of the paper's Table 9 with ground-truth document labels.
-//! * [`events`] — the Major Events List (query, description, epicenter,
+//! * [`MajorEvent`] — the Major Events List (query, description, epicenter,
 //!   impact tier).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod distributions;
-pub mod events;
-pub mod pattern_gen;
-pub mod topix;
+mod distributions;
+mod events;
+mod pattern_gen;
+mod topix;
 
-pub use distributions::{Exponential, Weibull, Zipf};
-pub use events::{major_events, EventTier, MajorEvent};
+pub use distributions::Weibull;
+pub use events::{EventTier, MajorEvent};
 pub use pattern_gen::{
     GeneratorConfig, GroundTruthPattern, PatternGenerator, StreamSelection, SyntheticDataset,
 };

@@ -100,19 +100,6 @@ impl Default for GeneratorConfig {
     }
 }
 
-impl GeneratorConfig {
-    /// The paper's full-scale Table 2 configuration (1000 patterns, 365-day
-    /// timeline, 10,000 terms) at the given stream count and selection.
-    pub fn paper_scale(n_streams: usize, selection: StreamSelection, seed: u64) -> Self {
-        Self {
-            n_streams,
-            selection,
-            seed,
-            ..Default::default()
-        }
-    }
-}
-
 /// A ground-truth injected pattern.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GroundTruthPattern {
@@ -274,11 +261,6 @@ fn splitmix64(mut x: u64) -> u64 {
 }
 
 impl SyntheticDataset {
-    /// The generator configuration the dataset was built from.
-    pub fn config(&self) -> &GeneratorConfig {
-        &self.config
-    }
-
     /// Map positions of the streams.
     pub fn positions(&self) -> &[Point2D] {
         &self.positions
@@ -336,8 +318,7 @@ impl SyntheticDataset {
                 )),
         );
         // Map to (0, 1) and invert the exponential CDF (mean =
-        // `background_mean`), mirroring what [`Exponential::sample`] does but
-        // without carrying RNG state per cell.
+        // `background_mean`) without carrying RNG state per cell.
         let u = (h >> 11) as f64 / (1u64 << 53) as f64;
         let u = u.clamp(f64::MIN_POSITIVE, 1.0 - 1e-12);
         -(1.0 - u).ln() * self.config.background_mean
@@ -364,7 +345,7 @@ impl SyntheticDataset {
 
     /// Frequency of `term` in `stream` at timestamp `ts` (background plus
     /// any injected pattern mass).
-    pub fn frequency(&self, term: usize, stream: usize, ts: usize) -> f64 {
+    pub(crate) fn frequency(&self, term: usize, stream: usize, ts: usize) -> f64 {
         self.background(term, stream, ts) + self.injected(term, stream, ts)
     }
 

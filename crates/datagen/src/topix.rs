@@ -36,7 +36,7 @@ use stb_geo::haversine::pairwise_distance_matrix;
 use stb_geo::{classical_mds, GeoPoint};
 
 /// Number of weekly timestamps between September 2008 and July 2009.
-pub const TOPIX_WEEKS: usize = 48;
+pub(crate) const TOPIX_WEEKS: usize = 48;
 
 /// Configuration of the synthetic Topix corpus.
 #[derive(Debug, Clone)]
@@ -101,6 +101,7 @@ pub struct TopixCorpus {
     query_terms: Vec<Vec<TermId>>,
     relevant_docs: Vec<HashSet<DocId>>,
     affected_streams: Vec<Vec<StreamId>>,
+    #[cfg(test)]
     country_streams: HashMap<&'static str, StreamId>,
 }
 
@@ -247,6 +248,7 @@ impl TopixCorpus {
             query_terms,
             relevant_docs,
             affected_streams,
+            #[cfg(test)]
             country_streams,
         }
     }
@@ -278,7 +280,8 @@ impl TopixCorpus {
     }
 
     /// The stream of a country, by ISO code.
-    pub fn stream_of_country(&self, code: &str) -> Option<StreamId> {
+    #[cfg(test)]
+    pub(crate) fn stream_of_country(&self, code: &str) -> Option<StreamId> {
         self.country_streams
             .get(code.to_ascii_uppercase().as_str())
             .copied()

@@ -30,7 +30,7 @@ pub struct BurstyRectangle {
     pub members: Vec<usize>,
     /// The r-score of the rectangle (sum of member burstiness values);
     /// strictly positive.
-    pub score: f64,
+    pub(crate) score: f64,
 }
 
 /// Configuration of the R-Bursty extraction.
@@ -51,27 +51,21 @@ pub struct BurstyRectangle {
 /// let rects = RBursty::new().find(&points);
 /// assert_eq!(rects.len(), 1);
 /// assert_eq!(rects[0].members, vec![0, 1]);
-/// assert!((rects[0].score - 3.5).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone)]
 pub struct RBursty {
-    /// Upper bound on the number of rectangles reported. The theoretical
-    /// bound is the number of streams; lowering this trades completeness for
-    /// speed. `None` means no limit beyond the theoretical one.
-    pub max_rectangles: Option<usize>,
     /// Minimum r-score for a rectangle to be reported. The paper uses 0
     /// (strictly positive scores); raising it suppresses noise-level
     /// rectangles.
-    pub min_score: f64,
+    pub(crate) min_score: f64,
     /// The exact maximum-weight rectangle kernel driving each extraction
     /// round (see [`RectKernel`]).
-    pub kernel: RectKernel,
+    pub(crate) kernel: RectKernel,
 }
 
 impl Default for RBursty {
     fn default() -> Self {
         Self {
-            max_rectangles: None,
             min_score: 0.0,
             kernel: RectKernel::default(),
         }
@@ -79,16 +73,10 @@ impl Default for RBursty {
 }
 
 impl RBursty {
-    /// Creates the default configuration (no rectangle cap, strictly
-    /// positive scores, the [`RectKernel::Tree`] kernel).
+    /// Creates the default configuration (strictly positive scores, the
+    /// [`RectKernel::Tree`] kernel).
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Limits the number of reported rectangles.
-    pub fn with_max_rectangles(mut self, max: usize) -> Self {
-        self.max_rectangles = Some(max);
-        self
     }
 
     /// Sets the minimum reported r-score.
@@ -98,7 +86,8 @@ impl RBursty {
     }
 
     /// Selects the exact rectangle kernel.
-    pub fn with_kernel(mut self, kernel: RectKernel) -> Self {
+    #[cfg(test)]
+    pub(crate) fn with_kernel(mut self, kernel: RectKernel) -> Self {
         self.kernel = kernel;
         self
     }
@@ -123,8 +112,7 @@ impl RBursty {
         };
         let mut claimed = vec![false; points.len()];
         let mut out = Vec::new();
-        let cap = self.max_rectangles.unwrap_or(points.len());
-        while out.len() < cap {
+        while out.len() < points.len() {
             let Some((score, rect)) = ws.best_rect(self.kernel, self.min_score) else {
                 break;
             };
@@ -158,8 +146,7 @@ impl RBursty {
         let mut working: Vec<WPoint> = points.to_vec();
         let mut claimed = vec![false; points.len()];
         let mut out = Vec::new();
-        let cap = self.max_rectangles.unwrap_or(points.len());
-        while out.len() < cap {
+        while out.len() < points.len() {
             let Some(mut ws) = RectWorkspace::new(&working) else {
                 break;
             };
@@ -297,21 +284,6 @@ mod tests {
         // All-positive points on a line are absorbed into one rectangle.
         assert_eq!(rects.len(), 1);
         assert_eq!(rects[0].members.len(), 30);
-    }
-
-    #[test]
-    fn max_rectangles_cap_is_respected() {
-        let pts = vec![
-            wp(0.0, 0.0, 1.0),
-            wp(100.0, 0.0, -5.0),
-            wp(200.0, 0.0, 1.0),
-            wp(300.0, 0.0, -5.0),
-            wp(400.0, 0.0, 1.0),
-        ];
-        let all = RBursty::new().find(&pts);
-        assert_eq!(all.len(), 3);
-        let capped = RBursty::new().with_max_rectangles(2).find(&pts);
-        assert_eq!(capped.len(), 2);
     }
 
     #[test]

@@ -12,16 +12,14 @@
 //!
 //! * [`WPoint`] — a weighted planar point (a stream's map position and its
 //!   burstiness at the current timestamp).
-//! * [`max_weight_rect`] — an exact maximizer of the rectangle score over
-//!   all axis-aligned rectangles. Two exact kernels are selectable through
-//!   [`RectKernel`]: the default DGM-style max-subsegment-tree sweep
-//!   ([`MaxSegTree`], anchored at the columns that hold a positive point)
-//!   and the Kadane re-scan sweep (`O(m^3)`) the tests compare it against;
-//!   both share a positive-mass upper-bound pruner and a reusable
-//!   [`RectWorkspace`]. A brute-force oracle ([`max_weight_rect_naive`])
-//!   and a grid-restricted approximation ([`max_weight_rect_grid`]) are
-//!   provided for testing and ablation — see [`max_rect`] for the full
-//!   complexity table.
+//! * [`max_weight_rect_with`] — an exact maximizer of the rectangle score
+//!   over all axis-aligned rectangles. Two exact kernels are selectable
+//!   through [`RectKernel`]: the default DGM-style max-subsegment-tree sweep
+//!   (anchored at the columns that hold a positive point) and the Kadane
+//!   re-scan sweep (`O(m^3)`) the tests compare it against; both share a
+//!   positive-mass upper-bound pruner and a reusable search workspace. A
+//!   brute-force oracle ([`max_weight_rect_naive`]) is provided for
+//!   testing.
 //! * [`RBursty`] — Algorithm 1: iteratively report the best rectangle and
 //!   mask its streams until no positive-score rectangle remains. The
 //!   extraction loop reuses one workspace across rounds, applying masking
@@ -32,15 +30,13 @@
 // The kernel runs on the ingest pipeline's commit thread.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod bursty_rect;
-pub mod max_rect;
-pub mod maxseg_tree;
-pub mod weighted_point;
+mod bursty_rect;
+mod max_rect;
+mod maxseg_tree;
+#[cfg(test)]
+mod proptests;
+mod weighted_point;
 
 pub use bursty_rect::{BurstyRectangle, RBursty};
-pub use max_rect::{
-    max_weight_rect, max_weight_rect_grid, max_weight_rect_naive, max_weight_rect_with, MaxRect,
-    RectKernel, RectWorkspace,
-};
-pub use maxseg_tree::MaxSegTree;
+pub use max_rect::{max_weight_rect_naive, max_weight_rect_with, MaxRect, RectKernel};
 pub use weighted_point::WPoint;

@@ -6,14 +6,13 @@
 //! weight. The paper's reference for this kernel is the bichromatic-
 //! discrepancy algorithm of Dobkin, Gunopulos & Maass (DGM) at
 //! `O(m^2 log m)`; this module implements it together with the simpler
-//! alternatives used for testing and ablation:
+//! alternatives the tests compare it against:
 //!
 //! | kernel | complexity | role |
 //! |---|---|---|
 //! | [`max_weight_rect_naive`] | `O(m^5)` (`O(m^4)` rectangles × `O(m)` scan) | brute-force test oracle |
 //! | [`RectKernel::Sweep`] | `O(m_x^2 · m_y)` ≈ `O(m^3)` | exact Kadane sweep; the independent reference the tests compare against |
 //! | [`RectKernel::Tree`] | `O(p_x · N log m)` ≤ `O(m^2 log m)` | exact DGM max-subsegment tree, right-anchored; the kernel the miners run |
-//! | [`max_weight_rect_grid`] | `O(m + r^3)` at grid resolution `r` | boundary-restricted approximation for ablations |
 //!
 //! (`N` non-zero points, `p_x` columns holding a positive point: in a
 //! mined snapshot most non-zero streams sit at `0 − baseline < 0`, so
@@ -83,7 +82,7 @@ pub struct MaxRect {
 pub enum RectKernel {
     /// DGM-style max-subsegment segment tree over the y-buckets, swept
     /// from the columns that hold a positive point: `O(p_x · N log m)`
-    /// (see [`MaxSegTree`]).
+    /// (see `MaxSegTree`).
     #[default]
     Tree,
     /// Kadane re-scan of the y-buckets for every x-boundary pair,
@@ -104,7 +103,7 @@ fn members_of(points: &[WPoint], rect: &Rect) -> Vec<usize> {
 /// (`f64::total_cmp` for both steps), so NaN or mixed-zero inputs can
 /// never silently corrupt the coordinate index: the `total_cmp` binary
 /// searches over the result find exactly the values kept here, even for
-/// `-0.0` vs `+0.0` points built through [`WPoint`]'s public fields
+/// `-0.0` vs `+0.0` points built as [`WPoint`] struct literals
 /// (the constructor additionally canonicalizes `-0.0` and rejects NaN).
 fn dedup_sorted(values: &mut Vec<f64>) {
     values.sort_by(f64::total_cmp);
@@ -162,7 +161,7 @@ struct ColPoint {
 /// [`best_rect`]: RectWorkspace::best_rect
 /// [`mask`]: RectWorkspace::mask
 #[derive(Debug, Clone)]
-pub struct RectWorkspace {
+pub(crate) struct RectWorkspace {
     /// Distinct x-coordinates of the non-zero-weight points, ascending.
     xs: Vec<f64>,
     /// Distinct y-coordinates of the non-zero-weight points, ascending.
@@ -184,7 +183,7 @@ pub struct RectWorkspace {
 impl RectWorkspace {
     /// Builds the workspace, or `None` when no point carries weight (the
     /// search domain is empty: no rectangle can have a non-zero score).
-    pub fn new(points: &[WPoint]) -> Option<Self> {
+    pub(crate) fn new(points: &[WPoint]) -> Option<Self> {
         let mut xs = Vec::new();
         let mut ys = Vec::new();
         for p in points {
@@ -231,7 +230,7 @@ impl RectWorkspace {
     /// Masks the point at input index `idx` with `-inf` weight, so no
     /// later rectangle can profitably contain it (Algorithm 1, step 2).
     /// A no-op for zero-weight points, which are not part of the search.
-    pub fn mask(&mut self, idx: usize) {
+    pub(crate) fn mask(&mut self, idx: usize) {
         if let Some((xi, slot)) = self.point_col[idx] {
             self.by_x[xi as usize][slot as usize].weight = f64::NEG_INFINITY;
         }
@@ -244,7 +243,7 @@ impl RectWorkspace {
     /// floor. Passing the caller's minimum-score threshold as `floor`
     /// (instead of filtering afterwards) feeds the pruner a better
     /// incumbent from the start.
-    pub fn best_rect(&mut self, kernel: RectKernel, floor: f64) -> Option<(f64, Rect)> {
+    pub(crate) fn best_rect(&mut self, kernel: RectKernel, floor: f64) -> Option<(f64, Rect)> {
         let m = self.xs.len();
         self.pos_prefix[0] = 0.0;
         for i in 0..m {
@@ -381,14 +380,16 @@ impl RectWorkspace {
 /// Returns `None` when the input is empty or every point has non-positive
 /// weight (no rectangle can achieve a positive score, and the burstiness
 /// semantics only care about positive-score regions).
-pub fn max_weight_rect(points: &[WPoint]) -> Option<MaxRect> {
+#[cfg(test)]
+pub(crate) fn max_weight_rect(points: &[WPoint]) -> Option<MaxRect> {
     max_weight_rect_with(points, RectKernel::default())
 }
 
 /// Exact maximum-weight axis-aligned rectangle with an explicit kernel.
 ///
-/// See [`max_weight_rect`]; both kernels return the same optimal score and
-/// a valid maximizer.
+/// Returns `None` when the input is empty or every point has non-positive
+/// weight; both kernels return the same optimal score and a valid
+/// maximizer.
 pub fn max_weight_rect_with(points: &[WPoint], kernel: RectKernel) -> Option<MaxRect> {
     let mut ws = RectWorkspace::new(points)?;
     let (score, rect) = ws.best_rect(kernel, 0.0)?;
@@ -435,71 +436,6 @@ pub fn max_weight_rect_naive(points: &[WPoint]) -> Option<MaxRect> {
     })
 }
 
-/// Grid-restricted approximate maximum-weight rectangle.
-///
-/// Aggregates point weights into a `resolution x resolution` uniform grid
-/// over the bounding box of the points and finds the best rectangle whose
-/// boundaries are grid lines. Much cheaper when `resolution` is small
-/// compared to the number of distinct coordinates, at the cost of missing
-/// maximizers whose boundaries fall strictly between grid lines. Used as an
-/// ablation of the exact algorithm (see EXPERIMENTS.md).
-pub fn max_weight_rect_grid(points: &[WPoint], resolution: usize) -> Option<MaxRect> {
-    if points.is_empty() || resolution == 0 {
-        return None;
-    }
-    let min_x = points.iter().map(|p| p.x).fold(f64::INFINITY, f64::min);
-    let max_x = points.iter().map(|p| p.x).fold(f64::NEG_INFINITY, f64::max);
-    let min_y = points.iter().map(|p| p.y).fold(f64::INFINITY, f64::min);
-    let max_y = points.iter().map(|p| p.y).fold(f64::NEG_INFINITY, f64::max);
-    let width = (max_x - min_x).max(f64::MIN_POSITIVE);
-    let height = (max_y - min_y).max(f64::MIN_POSITIVE);
-
-    // Cell weight accumulation.
-    let mut cells = vec![vec![0.0f64; resolution]; resolution];
-    for p in points {
-        let cx = (((p.x - min_x) / width * resolution as f64) as usize).min(resolution - 1);
-        let cy = (((p.y - min_y) / height * resolution as f64) as usize).min(resolution - 1);
-        cells[cx][cy] += p.weight;
-    }
-
-    let cell_w = width / resolution as f64;
-    let cell_h = height / resolution as f64;
-    let mut best: Option<(f64, Rect)> = None;
-    let mut buckets = vec![0.0f64; resolution];
-    for left in 0..resolution {
-        buckets.iter_mut().for_each(|b| *b = 0.0);
-        for right in left..resolution {
-            for (cy, bucket) in buckets.iter_mut().enumerate() {
-                *bucket += cells[right][cy];
-            }
-            let mut cur_sum = 0.0;
-            let mut cur_start = 0usize;
-            for (cy, &b) in buckets.iter().enumerate() {
-                if cur_sum <= 0.0 {
-                    cur_sum = b;
-                    cur_start = cy;
-                } else {
-                    cur_sum += b;
-                }
-                if cur_sum > 0.0 && best.as_ref().is_none_or(|(s, _)| cur_sum > *s) {
-                    let rect = Rect::new(
-                        min_x + left as f64 * cell_w,
-                        min_y + cur_start as f64 * cell_h,
-                        min_x + (right + 1) as f64 * cell_w,
-                        min_y + (cy + 1) as f64 * cell_h,
-                    );
-                    best = Some((cur_sum, rect));
-                }
-            }
-        }
-    }
-    best.map(|(score, rect)| MaxRect {
-        members: members_of(points, &rect),
-        rect,
-        score,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -517,7 +453,6 @@ mod tests {
         }
         assert!(max_weight_rect(&[]).is_none());
         assert!(max_weight_rect_naive(&[]).is_none());
-        assert!(max_weight_rect_grid(&[], 4).is_none());
         assert!(RectWorkspace::new(&[]).is_none());
     }
 
@@ -748,35 +683,5 @@ mod tests {
             let r = max_weight_rect_with(&pts, kernel).unwrap();
             assert!((r.score - 5.0).abs() < 1e-12, "{kernel:?}");
         }
-    }
-
-    #[test]
-    fn grid_score_never_exceeds_exact() {
-        let pts = vec![
-            wp(0.0, 0.0, 1.0),
-            wp(0.3, 0.7, 2.0),
-            wp(4.0, 4.0, -1.0),
-            wp(6.0, 2.0, 3.0),
-            wp(9.0, 9.0, 1.5),
-        ];
-        let exact = max_weight_rect(&pts).unwrap().score;
-        for res in [1, 2, 4, 8, 16] {
-            if let Some(g) = max_weight_rect_grid(&pts, res) {
-                assert!(g.score <= exact + 1e-9, "resolution {res}");
-            }
-        }
-    }
-
-    #[test]
-    fn grid_converges_to_exact_with_fine_resolution() {
-        let pts = vec![
-            wp(0.0, 0.0, 2.0),
-            wp(1.0, 1.0, 2.0),
-            wp(5.0, 5.0, -10.0),
-            wp(9.0, 9.0, 3.0),
-        ];
-        let exact = max_weight_rect(&pts).unwrap().score;
-        let grid = max_weight_rect_grid(&pts, 64).unwrap().score;
-        assert!((exact - grid).abs() < 1e-9);
     }
 }

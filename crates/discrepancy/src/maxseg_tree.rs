@@ -81,22 +81,8 @@ impl Node {
 
 /// Segment tree over `m` weight buckets supporting `O(log m)` point-weight
 /// adds and an `O(1)` root query for the maximum bucket-interval sum.
-///
-/// # Example
-///
-/// ```
-/// use stb_discrepancy::MaxSegTree;
-///
-/// let mut tree = MaxSegTree::new(4);
-/// tree.add(0, 2.0);
-/// tree.add(1, -5.0);
-/// tree.add(2, 3.0);
-/// tree.add(3, 1.0);
-/// // Best interval is buckets 2..=3 with sum 4.0.
-/// assert_eq!(tree.best(), Some(4.0));
-/// ```
 #[derive(Debug, Clone)]
-pub struct MaxSegTree {
+pub(crate) struct MaxSegTree {
     /// Number of real leaves (weight buckets).
     n: usize,
     /// Power-of-two leaf capacity; leaves live at `nodes[size..size + n]`.
@@ -109,7 +95,7 @@ pub struct MaxSegTree {
 
 impl MaxSegTree {
     /// Creates a tree over `n` buckets, all holding weight `0.0`.
-    pub fn new(n: usize) -> Self {
+    pub(crate) fn new(n: usize) -> Self {
         let size = n.next_power_of_two().max(1);
         let mut zero = vec![Node::identity(); 2 * size];
         for slot in zero.iter_mut().skip(size).take(n) {
@@ -126,18 +112,8 @@ impl MaxSegTree {
         }
     }
 
-    /// Number of buckets.
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// Whether the tree has no buckets.
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
     /// Resets every bucket to weight `0.0` without reallocating.
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.nodes.copy_from_slice(&self.zero);
     }
 
@@ -147,7 +123,7 @@ impl MaxSegTree {
     ///
     /// Panics (in debug builds) if `leaf >= self.len()`.
     #[inline]
-    pub fn add(&mut self, leaf: usize, w: f64) {
+    pub(crate) fn add(&mut self, leaf: usize, w: f64) {
         debug_assert!(leaf < self.n, "bucket {leaf} out of range (len {})", self.n);
         let nodes = &mut self.nodes[..];
         let mut i = self.size + leaf;
@@ -173,7 +149,7 @@ impl MaxSegTree {
     /// not tracked (see the module docs); recover it with one linear
     /// Kadane pass over the bucket values when needed.
     #[inline]
-    pub fn best(&self) -> Option<f64> {
+    pub(crate) fn best(&self) -> Option<f64> {
         if self.n == 0 {
             return None;
         }
@@ -207,15 +183,24 @@ mod tests {
     }
 
     #[test]
+    fn max_seg_tree_doc_example() {
+        let mut tree = MaxSegTree::new(4);
+        tree.add(0, 2.0);
+        tree.add(1, -5.0);
+        tree.add(2, 3.0);
+        tree.add(3, 1.0);
+        // Best interval is buckets 2..=3 with sum 4.0.
+        assert_eq!(tree.best(), Some(4.0));
+    }
+
+    #[test]
     fn empty_tree_has_no_best() {
         assert!(MaxSegTree::new(0).best().is_none());
-        assert!(MaxSegTree::new(0).is_empty());
     }
 
     #[test]
     fn fresh_tree_is_all_zero() {
         let tree = MaxSegTree::new(5);
-        assert_eq!(tree.len(), 5);
         assert_eq!(tree.best(), Some(0.0));
     }
 

@@ -1,10 +1,8 @@
 //! Property-based tests for the spatial discrepancy substrate.
 
+use crate::max_rect::max_weight_rect;
+use crate::{max_weight_rect_naive, max_weight_rect_with, RBursty, RectKernel, WPoint};
 use proptest::prelude::*;
-use stb_discrepancy::{
-    max_weight_rect, max_weight_rect_grid, max_weight_rect_naive, max_weight_rect_with, RBursty,
-    RectKernel, WPoint,
-};
 use std::collections::HashSet;
 
 fn arb_points() -> impl Strategy<Value = Vec<WPoint>> {
@@ -105,13 +103,6 @@ proptest! {
             let r = max_weight_rect(&points).expect("a positive point guarantees a rectangle");
             prop_assert!(r.score >= best_single - 1e-9);
         }
-    }
-
-    #[test]
-    fn grid_never_beats_exact(points in arb_points_larger(), resolution in 1usize..20) {
-        let exact = max_weight_rect(&points).map(|r| r.score).unwrap_or(0.0);
-        let grid = max_weight_rect_grid(&points, resolution).map(|r| r.score).unwrap_or(0.0);
-        prop_assert!(grid <= exact + 1e-9);
     }
 
     #[test]

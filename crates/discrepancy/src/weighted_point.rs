@@ -13,11 +13,11 @@ use stb_geo::Point2D;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WPoint {
     /// Horizontal map coordinate.
-    pub x: f64,
+    pub(crate) x: f64,
     /// Vertical map coordinate.
-    pub y: f64,
+    pub(crate) y: f64,
     /// Weight (burstiness) of the point; may be negative or `-inf`.
-    pub weight: f64,
+    pub(crate) weight: f64,
 }
 
 /// Collapses `-0.0` to `+0.0` so coordinate compression, which orders by
@@ -60,13 +60,8 @@ impl WPoint {
     }
 
     /// The position of the point.
-    pub fn position(&self) -> Point2D {
+    pub(crate) fn position(&self) -> Point2D {
         Point2D::new(self.x, self.y)
-    }
-
-    /// Whether the point is masked (weight is negative infinity).
-    pub fn is_masked(&self) -> bool {
-        self.weight == f64::NEG_INFINITY
     }
 }
 
@@ -78,7 +73,6 @@ mod tests {
     fn construction_and_position() {
         let p = WPoint::new(1.0, 2.0, 3.5);
         assert_eq!(p.position(), Point2D::new(1.0, 2.0));
-        assert!(!p.is_masked());
     }
 
     #[test]
@@ -109,13 +103,5 @@ mod tests {
     #[should_panic(expected = "weight must be finite or -inf")]
     fn nan_weight_is_rejected() {
         let _ = WPoint::new(0.0, 0.0, f64::NAN);
-    }
-
-    #[test]
-    fn masked_detection() {
-        let p = WPoint::new(0.0, 0.0, f64::NEG_INFINITY);
-        assert!(p.is_masked());
-        let q = WPoint::new(0.0, 0.0, -1e300);
-        assert!(!q.is_masked());
     }
 }

@@ -18,9 +18,9 @@ pub struct Country {
     /// English short name.
     pub name: &'static str,
     /// Approximate centroid latitude (decimal degrees).
-    pub lat: f64,
+    pub(crate) lat: f64,
     /// Approximate centroid longitude (decimal degrees).
-    pub lon: f64,
+    pub(crate) lon: f64,
 }
 
 impl Country {
@@ -42,7 +42,8 @@ pub fn by_code(code: &str) -> Option<&'static Country> {
 }
 
 /// Looks up a country by its English short name (case-insensitive).
-pub fn by_name(name: &str) -> Option<&'static Country> {
+#[cfg(test)]
+pub(crate) fn by_name(name: &str) -> Option<&'static Country> {
     COUNTRIES.iter().find(|c| c.name.eq_ignore_ascii_case(name))
 }
 

@@ -10,20 +10,10 @@
 use crate::point::GeoPoint;
 
 /// Mean Earth radius in kilometers (IUGG value).
-pub const EARTH_RADIUS_KM: f64 = 6371.0088;
+pub(crate) const EARTH_RADIUS_KM: f64 = 6371.0088;
 
 /// Great-circle distance between two geostamps, in kilometers.
-///
-/// # Examples
-///
-/// ```
-/// use stb_geo::{GeoPoint, haversine_km};
-/// let athens = GeoPoint::new(37.98, 23.73);
-/// let riverside = GeoPoint::new(33.95, -117.40);
-/// let d = haversine_km(&athens, &riverside);
-/// assert!(d > 10_000.0 && d < 12_000.0);
-/// ```
-pub fn haversine_km(a: &GeoPoint, b: &GeoPoint) -> f64 {
+pub(crate) fn haversine_km(a: &GeoPoint, b: &GeoPoint) -> f64 {
     let (lat1, lon1) = (a.lat_rad(), a.lon_rad());
     let (lat2, lon2) = (b.lat_rad(), b.lon_rad());
     let dlat = lat2 - lat1;
@@ -54,6 +44,14 @@ pub fn pairwise_distance_matrix(points: &[GeoPoint]) -> Vec<Vec<f64>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn haversine_km_doc_example() {
+        let athens = GeoPoint::new(37.98, 23.73);
+        let riverside = GeoPoint::new(33.95, -117.40);
+        let d = haversine_km(&athens, &riverside);
+        assert!(d > 10_000.0 && d < 12_000.0);
+    }
 
     #[test]
     fn zero_distance_to_self() {

@@ -6,14 +6,11 @@
 //! "where" a document stream lives:
 //!
 //! * [`GeoPoint`] — a latitude/longitude geostamp, with great-circle
-//!   distances ([`haversine_km`]).
+//!   distances ([`haversine`]).
 //! * [`Point2D`] and [`Rect`] — planar points and axis-aligned rectangles,
 //!   the geometry used by the regional (`STLocal`) patterns.
 //! * [`Mbr`] — minimum bounding rectangles, used to report the spatial
 //!   extent of combinatorial (`STComb`) patterns (Table 1 of the paper).
-//! * [`Grid`] — the grid partitioning of the map discussed in Section 2
-//!   ("Granularity") of the paper, used to aggregate fine-grained streams
-//!   into cells.
 //! * [`classical_mds`] — classical (Torgerson) Multidimensional Scaling,
 //!   the projection the paper uses to place the Topix country sources on a
 //!   2-D plane from their pairwise geographic distances.
@@ -21,23 +18,22 @@
 //!   181 Topix country sources.
 //!
 //! The linear algebra needed by MDS (a symmetric eigensolver) is implemented
-//! from scratch in [`linalg`]; the crate has no heavyweight dependencies.
+//! from scratch; the crate has no heavyweight dependencies.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod countries;
-pub mod grid;
 pub mod haversine;
-pub mod linalg;
-pub mod mds;
-pub mod point;
-pub mod rect;
+mod linalg;
+mod mds;
+mod point;
+#[cfg(test)]
+mod proptests;
+mod rect;
 
-pub use countries::{all_countries, Country};
-pub use grid::{Grid, GridCell};
-pub use haversine::{haversine_km, EARTH_RADIUS_KM};
-pub use linalg::SymMatrix;
+pub use countries::all_countries;
 pub use mds::{classical_mds, MdsError};
 pub use point::{GeoPoint, Point2D};
 pub use rect::{Mbr, Rect};

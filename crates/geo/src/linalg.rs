@@ -14,14 +14,14 @@ use std::fmt;
 /// Only symmetric data should be stored; [`SymMatrix::set`] writes both
 /// `(i, j)` and `(j, i)` to make that easy to maintain.
 #[derive(Debug, Clone, PartialEq)]
-pub struct SymMatrix {
+pub(crate) struct SymMatrix {
     n: usize,
     data: Vec<f64>,
 }
 
 impl SymMatrix {
     /// Creates an `n x n` zero matrix.
-    pub fn zeros(n: usize) -> Self {
+    pub(crate) fn zeros(n: usize) -> Self {
         Self {
             n,
             data: vec![0.0; n * n],
@@ -34,7 +34,8 @@ impl SymMatrix {
     /// # Panics
     ///
     /// Panics if `rows` is not square.
-    pub fn from_rows(rows: &[Vec<f64>]) -> Self {
+    #[cfg(test)]
+    pub(crate) fn from_rows(rows: &[Vec<f64>]) -> Self {
         let n = rows.len();
         for r in rows {
             assert_eq!(r.len(), n, "matrix must be square");
@@ -48,25 +49,20 @@ impl SymMatrix {
         m
     }
 
-    /// Dimension of the matrix.
-    pub fn dim(&self) -> usize {
-        self.n
-    }
-
     /// Element at `(i, j)`.
-    pub fn get(&self, i: usize, j: usize) -> f64 {
+    pub(crate) fn get(&self, i: usize, j: usize) -> f64 {
         self.data[i * self.n + j]
     }
 
     /// Sets elements `(i, j)` and `(j, i)` to `v`.
-    pub fn set(&mut self, i: usize, j: usize, v: f64) {
+    pub(crate) fn set(&mut self, i: usize, j: usize, v: f64) {
         self.data[i * self.n + j] = v;
         self.data[j * self.n + i] = v;
     }
 
     /// Sum of squares of all off-diagonal elements; the Jacobi convergence
     /// criterion drives this to (numerical) zero.
-    pub fn off_diagonal_norm_sq(&self) -> f64 {
+    pub(crate) fn off_diagonal_norm_sq(&self) -> f64 {
         let mut s = 0.0;
         for i in 0..self.n {
             for j in 0..self.n {
@@ -85,7 +81,7 @@ impl SymMatrix {
     /// eigenvector is returned as a length-`n` column. The decomposition
     /// satisfies `A v = lambda v` to roughly `1e-9` relative accuracy for
     /// well-conditioned inputs.
-    pub fn eigen_jacobi(&self) -> Eigen {
+    pub(crate) fn eigen_jacobi(&self) -> Eigen {
         let n = self.n;
         if n == 0 {
             return Eigen {
@@ -159,7 +155,7 @@ impl SymMatrix {
     }
 
     /// Frobenius norm of the matrix.
-    pub fn frobenius_norm(&self) -> f64 {
+    pub(crate) fn frobenius_norm(&self) -> f64 {
         self.data.iter().map(|x| x * x).sum::<f64>().sqrt()
     }
 
@@ -167,8 +163,9 @@ impl SymMatrix {
     ///
     /// # Panics
     ///
-    /// Panics if `x.len() != self.dim()`.
-    pub fn mat_vec(&self, x: &[f64]) -> Vec<f64> {
+    /// Panics if `x.len()` is not the matrix dimension.
+    #[cfg(test)]
+    pub(crate) fn mat_vec(&self, x: &[f64]) -> Vec<f64> {
         assert_eq!(x.len(), self.n, "dimension mismatch");
         let mut y = vec![0.0; self.n];
         for i in 0..self.n {
@@ -194,11 +191,11 @@ impl fmt::Display for SymMatrix {
 /// Result of a symmetric eigendecomposition: eigenvalues in descending order
 /// and the matching eigenvectors (unit columns).
 #[derive(Debug, Clone)]
-pub struct Eigen {
+pub(crate) struct Eigen {
     /// Eigenvalues, descending.
-    pub values: Vec<f64>,
+    pub(crate) values: Vec<f64>,
     /// Eigenvectors; `vectors[k]` corresponds to `values[k]`.
-    pub vectors: Vec<Vec<f64>>,
+    pub(crate) vectors: Vec<Vec<f64>>,
 }
 
 #[cfg(test)]

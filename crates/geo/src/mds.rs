@@ -138,8 +138,10 @@ pub fn classical_mds(distances: &[Vec<f64>]) -> Result<Vec<Point2D>, MdsError> {
 /// Stress-1 goodness-of-fit of an embedding: the normalized root of the sum
 /// of squared differences between the input distances and the embedded
 /// Euclidean distances. Zero means a perfect fit; values below ~0.1 are
-/// conventionally considered a good 2-D representation.
-pub fn stress(distances: &[Vec<f64>], embedding: &[Point2D]) -> f64 {
+/// conventionally considered a good 2-D representation. Test oracle for
+/// [`classical_mds`].
+#[cfg(test)]
+pub(crate) fn stress(distances: &[Vec<f64>], embedding: &[Point2D]) -> f64 {
     let n = distances.len();
     let mut num = 0.0;
     let mut den = 0.0;

@@ -28,12 +28,12 @@ impl GeoPoint {
     }
 
     /// Latitude in radians.
-    pub fn lat_rad(&self) -> f64 {
+    pub(crate) fn lat_rad(&self) -> f64 {
         self.lat.to_radians()
     }
 
     /// Longitude in radians.
-    pub fn lon_rad(&self) -> f64 {
+    pub(crate) fn lon_rad(&self) -> f64 {
         self.lon.to_radians()
     }
 

@@ -1,9 +1,10 @@
 //! Property-based tests for the geographic substrate.
 
+use crate::haversine::{haversine_km, pairwise_distance_matrix};
+use crate::linalg::SymMatrix;
+use crate::mds::stress;
+use crate::{classical_mds, GeoPoint, Mbr, Point2D, Rect};
 use proptest::prelude::*;
-use stb_geo::haversine::pairwise_distance_matrix;
-use stb_geo::mds::stress;
-use stb_geo::{classical_mds, haversine_km, GeoPoint, Grid, Mbr, Point2D, Rect, SymMatrix};
 
 fn arb_geopoint() -> impl Strategy<Value = GeoPoint> {
     (-85.0f64..85.0, -179.0f64..179.0).prop_map(|(lat, lon)| GeoPoint::new(lat, lon))
@@ -21,7 +22,7 @@ proptest! {
         prop_assert!(d1 >= 0.0);
         prop_assert!((d1 - d2).abs() < 1e-9);
         // No two points on Earth are farther apart than half the circumference.
-        prop_assert!(d1 <= std::f64::consts::PI * stb_geo::EARTH_RADIUS_KM + 1.0);
+        prop_assert!(d1 <= std::f64::consts::PI * crate::haversine::EARTH_RADIUS_KM + 1.0);
     }
 
     #[test]
@@ -49,33 +50,6 @@ proptest! {
             prop_assert!(r.contains(p));
         }
         prop_assert_eq!(mbr.count_contained(&pts), pts.len());
-    }
-
-    #[test]
-    fn grid_cell_rect_contains_point(pts in prop::collection::vec(arb_point2d(), 1..30), cols in 1usize..10, rows in 1usize..10) {
-        let bounds = Rect::new(-1000.0, -1000.0, 1000.0, 1000.0);
-        let grid = Grid::new(bounds, cols, rows);
-        for p in &pts {
-            let cell = grid.cell_of(p).expect("point inside bounds");
-            prop_assert!(grid.cell_rect(cell).contains(p));
-        }
-    }
-
-    #[test]
-    fn grid_assign_partitions_points(pts in prop::collection::vec(arb_point2d(), 0..50)) {
-        let bounds = Rect::new(-1000.0, -1000.0, 1000.0, 1000.0);
-        let grid = Grid::new(bounds, 7, 5);
-        let groups = grid.assign(&pts);
-        let total: usize = groups.iter().map(|(_, v)| v.len()).sum();
-        prop_assert_eq!(total, pts.len());
-        // Every index appears exactly once.
-        let mut seen = vec![false; pts.len()];
-        for (_, idxs) in &groups {
-            for &i in idxs {
-                prop_assert!(!seen[i]);
-                seen[i] = true;
-            }
-        }
     }
 
     #[test]

@@ -38,7 +38,7 @@ impl Rect {
     }
 
     /// A degenerate rectangle covering exactly one point.
-    pub fn from_point(p: Point2D) -> Self {
+    pub(crate) fn from_point(p: Point2D) -> Self {
         Self::new(p.x, p.y, p.x, p.y)
     }
 
@@ -52,26 +52,14 @@ impl Rect {
         self.max_y - self.min_y
     }
 
-    /// Area of the rectangle (zero for degenerate rectangles).
-    pub fn area(&self) -> f64 {
-        self.width() * self.height()
-    }
-
-    /// Center of the rectangle.
-    pub fn center(&self) -> Point2D {
-        Point2D::new(
-            (self.min_x + self.max_x) / 2.0,
-            (self.min_y + self.max_y) / 2.0,
-        )
-    }
-
     /// Whether the (closed) rectangle contains the point `p`.
     pub fn contains(&self, p: &Point2D) -> bool {
         p.x >= self.min_x && p.x <= self.max_x && p.y >= self.min_y && p.y <= self.max_y
     }
 
     /// Whether the (closed) rectangle fully contains `other`.
-    pub fn contains_rect(&self, other: &Rect) -> bool {
+    #[cfg(test)]
+    pub(crate) fn contains_rect(&self, other: &Rect) -> bool {
         other.min_x >= self.min_x
             && other.max_x <= self.max_x
             && other.min_y >= self.min_y
@@ -87,22 +75,12 @@ impl Rect {
     }
 
     /// The smallest rectangle containing both `self` and `other`.
-    pub fn union(&self, other: &Rect) -> Rect {
+    pub(crate) fn union(&self, other: &Rect) -> Rect {
         Rect {
             min_x: self.min_x.min(other.min_x),
             min_y: self.min_y.min(other.min_y),
             max_x: self.max_x.max(other.max_x),
             max_y: self.max_y.max(other.max_y),
-        }
-    }
-
-    /// Expands the rectangle by `margin` on every side.
-    pub fn expanded(&self, margin: f64) -> Rect {
-        Rect {
-            min_x: self.min_x - margin,
-            min_y: self.min_y - margin,
-            max_x: self.max_x + margin,
-            max_y: self.max_y + margin,
         }
     }
 }
@@ -155,11 +133,6 @@ impl Mbr {
         self.rect
     }
 
-    /// Whether any point has been pushed.
-    pub fn is_empty(&self) -> bool {
-        self.rect.is_none()
-    }
-
     /// Counts how many of the given points fall inside the accumulated MBR.
     ///
     /// Returns 0 when the MBR is empty.
@@ -196,7 +169,6 @@ mod tests {
     #[test]
     fn degenerate_rect_contains_only_its_point() {
         let r = Rect::from_point(Point2D::new(1.0, 1.0));
-        assert_eq!(r.area(), 0.0);
         assert!(r.contains(&Point2D::new(1.0, 1.0)));
         assert!(!r.contains(&Point2D::new(1.0, 1.1)));
     }
@@ -239,7 +211,6 @@ mod tests {
     #[test]
     fn empty_mbr() {
         let mbr = Mbr::new();
-        assert!(mbr.is_empty());
         assert!(mbr.rect().is_none());
         assert_eq!(mbr.count_contained(&[Point2D::new(0.0, 0.0)]), 0);
     }
@@ -253,19 +224,5 @@ mod tests {
             Point2D::new(0.0, 10.0),
         ];
         assert_eq!(mbr.count_contained(&pts), 2);
-    }
-
-    #[test]
-    fn expanded_contains_original() {
-        let r = Rect::new(0.0, 0.0, 1.0, 1.0);
-        let e = r.expanded(0.5);
-        assert!(e.contains_rect(&r));
-        assert_eq!(e.width(), 2.0);
-    }
-
-    #[test]
-    fn center_of_rect() {
-        let r = Rect::new(0.0, 0.0, 4.0, 2.0);
-        assert_eq!(r.center(), Point2D::new(2.0, 1.0));
     }
 }

@@ -5,7 +5,7 @@
 use crate::config::IngestConfig;
 #[cfg(doc)]
 use crate::pipeline::IngestPipeline;
-use crate::report::{HealthReport, TickReceipt};
+use crate::report::HealthReport;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::sync::Arc;
@@ -13,8 +13,8 @@ use std::sync::Arc;
 use stb_corpus::{Collection, StreamId, TermId, Timestamp};
 use stb_obs::Counter;
 
-/// What [`IngestPipeline::try_stage_document`] does when the staging
-/// buffer ([`IngestConfig::max_staged_docs`]) is full.
+/// What staging a document does when the staging buffer
+/// ([`IngestConfig::max_staged_docs`]) is full.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Backpressure {
     /// Commit the open tick in-line to drain the buffer, then stage the
@@ -25,13 +25,13 @@ pub enum Backpressure {
     /// Drop the document (counted in [`HealthReport::docs_shed`]) and keep
     /// the pipeline responsive.
     Shed,
-    /// Refuse with [`IngestError::StagingFull`]; the caller decides.
+    /// Refuse the document: `IngestPipeline::stage_document` panics.
     Error,
 }
 
 /// Why a document was quarantined instead of staged.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum QuarantineReason {
+pub(crate) enum QuarantineReason {
     /// The document references a stream the collection does not have —
     /// applying it would panic the commit.
     UnknownStream,
@@ -57,38 +57,38 @@ impl fmt::Display for QuarantineReason {
 /// tick. The original counts are retained so an operator can inspect (or
 /// re-submit after fixing) the input.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct QuarantinedDoc {
+pub(crate) struct QuarantinedDoc {
     /// The tick that was open when the document arrived.
-    pub tick: Timestamp,
+    pub(crate) tick: Timestamp,
     /// The stream the document claimed to belong to.
-    pub stream: StreamId,
+    pub(crate) stream: StreamId,
     /// The document's term counts, sorted by term id.
-    pub counts: Vec<(TermId, u32)>,
+    pub(crate) counts: Vec<(TermId, u32)>,
     /// Why it was quarantined.
-    pub reason: QuarantineReason,
+    pub(crate) reason: QuarantineReason,
 }
 
 /// How [`IngestPipeline::try_stage_document`] disposed of a document.
 #[derive(Debug)]
-pub enum StageOutcome {
+pub(crate) enum StageOutcome {
     /// Staged into the open tick.
     Staged,
     /// The staging buffer was full under [`Backpressure::Block`]: the open
-    /// tick was committed in-line (receipt attached) and the document was
-    /// staged into the next tick.
-    StagedAfterCommit(Box<TickReceipt>),
+    /// tick was committed in-line and the document was staged into the
+    /// next tick.
+    StagedAfterCommit,
     /// The staging buffer was full under [`Backpressure::Shed`]: the
     /// document was dropped.
     Shed,
     /// The document was poison and went to the quarantine log.
-    Quarantined(QuarantineReason),
+    Quarantined,
 }
 
 /// Typed staging failures surfaced by
 /// [`IngestPipeline::try_stage_document`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
-pub enum IngestError {
+pub(crate) enum IngestError {
     /// The staging buffer is full and the pipeline is configured with
     /// [`Backpressure::Error`].
     StagingFull {
@@ -198,6 +198,7 @@ impl Admission {
         self.quarantined_total.inc();
     }
 
+    #[cfg(test)]
     pub(crate) fn quarantine_log(&self) -> impl Iterator<Item = &QuarantinedDoc> {
         self.quarantine.iter()
     }
@@ -230,15 +231,15 @@ mod tests {
 
         let unknown_stream = StreamId(99);
         match pipeline.try_stage_document(unknown_stream, HashMap::from([(t, 1)])) {
-            Ok(StageOutcome::Quarantined(QuarantineReason::UnknownStream)) => {}
+            Ok(StageOutcome::Quarantined) => {}
             other => panic!("expected UnknownStream quarantine, got {other:?}"),
         }
         match pipeline.try_stage_document(s, HashMap::from([(TermId(42), 1)])) {
-            Ok(StageOutcome::Quarantined(QuarantineReason::UnknownTerm)) => {}
+            Ok(StageOutcome::Quarantined) => {}
             other => panic!("expected UnknownTerm quarantine, got {other:?}"),
         }
         match pipeline.try_stage_document(s, HashMap::from([(t, 11)])) {
-            Ok(StageOutcome::Quarantined(QuarantineReason::OversizedDoc)) => {}
+            Ok(StageOutcome::Quarantined) => {}
             other => panic!("expected OversizedDoc quarantine, got {other:?}"),
         }
         // The tick survives: a clean document commits normally.
@@ -298,10 +299,7 @@ mod tests {
             }
         }
         match pipeline.try_stage_document(s, HashMap::from([(t, 1)])) {
-            Ok(StageOutcome::StagedAfterCommit(receipt)) => {
-                assert_eq!(receipt.tick, 0);
-                assert_eq!(receipt.new_docs.len(), 2);
-            }
+            Ok(StageOutcome::StagedAfterCommit) => {}
             other => panic!("expected StagedAfterCommit, got {other:?}"),
         }
         assert_eq!(pipeline.ticks_committed(), 1);

@@ -23,8 +23,8 @@ pub struct IngestConfig {
     /// split evenly across the `n_shards` result caches.
     pub cache_capacity: usize,
     /// Number of result caches in the read tier (must be > 0). A query is
-    /// routed to one by the hash of its minimum term
-    /// ([`stb_search::shard_of`]), so more shards mean readers contend on
+    /// routed to one by the hash of its minimum term, so more shards mean
+    /// readers contend on
     /// more, smaller cache mutexes. The serving state itself is one shared
     /// index, not partitioned.
     pub n_shards: usize,
@@ -48,8 +48,7 @@ pub struct IngestConfig {
     /// Upper bound on documents staged for the open tick; staging beyond
     /// it triggers the [`Backpressure`] policy. 0 means unbounded.
     pub max_staged_docs: usize,
-    /// What [`IngestPipeline::try_stage_document`] does when the staging
-    /// buffer is full.
+    /// What staging a document does when the staging buffer is full.
     pub backpressure: Backpressure,
     /// Poison bound: a document whose total term count (sum of
     /// multiplicities) exceeds this is quarantined instead of staged. 0

@@ -69,7 +69,8 @@ impl DurabilityState {
     }
 
     /// Whether the pipeline is in the degraded, actively-recovering state.
-    pub fn is_degraded(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_degraded(&self) -> bool {
         matches!(self, DurabilityState::Degraded { .. })
     }
 }

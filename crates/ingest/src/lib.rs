@@ -6,10 +6,10 @@
 //! documents, ticks, streams, and previously-unseen terms keep arriving
 //! while queries are being served:
 //!
-//! * [`LiveCollection`] — a mutable collection behind generational
+//! * [`IngestPipeline`] — owns a mutable collection behind generational
 //!   `Arc<Collection>` snapshots (copy-on-write per generation), sharing
-//!   the frequency-tensor representation with `stb-corpus`.
-//! * [`IngestPipeline`] — stage documents, commit ticks: each commit
+//!   the frequency-tensor representation with `stb-corpus`. It stages
+//!   documents and commits ticks: each commit
 //!   advances the per-(term, stream) online burst state, re-mines only the
 //!   tick's *dirty terms* (the streaming `STLocal` step of Algorithm 2, or
 //!   a dirty-subset `STComb` pass), and applies the resulting
@@ -27,7 +27,8 @@
 //! * [`replay_tsv`] — drive a TSV corpus from disk through the pipeline
 //!   tick-by-tick via the streaming reader in `stb_corpus::tsv`.
 //! * **Standing subscriptions** ([`SearchHandle::subscribe`]) — register a
-//!   typed [`Query`] once and receive a [`ResultDiff`] after every commit
+//!   typed [`Query`] once and receive a
+//!   [`ResultDiff`](stb_subscribe::ResultDiff) after every commit
 //!   whose dirty terms intersect its term set: each commit intersects the
 //!   tick's dirty set with the `stb-subscribe` registry's term index, so
 //!   only affected registrations re-evaluate (against the generation just
@@ -52,40 +53,37 @@
 mod admission;
 mod config;
 mod durability;
-pub mod live;
+mod live;
 mod miner;
-pub mod obs;
-pub mod pipeline;
+mod obs;
+mod pipeline;
 mod recovery;
-pub mod replay;
+mod replay;
 mod report;
 
-pub use live::LiveCollection;
 pub use obs::{PipelineObs, PipelineObsConfig};
 pub use pipeline::{
-    Backpressure, DurabilityState, HealthReport, IngestConfig, IngestError, IngestPipeline,
-    MinerKind, PatternDelta, PipelineMetrics, QuarantineReason, QuarantinedDoc, RecoveryReport,
-    SearchHandle, StageOutcome, TickReceipt,
+    Backpressure, DurabilityState, HealthReport, IngestConfig, IngestPipeline, MinerKind,
+    PatternDelta, PipelineMetrics, RecoveryReport, SearchHandle, TickReceipt,
 };
 pub use replay::{replay_tsv, replay_tsv_durable, ReplayError};
 
 // Re-exported so live-serving callers can build and inspect typed queries
 // without depending on `stb-search` directly.
-pub use stb_search::{Query, QueryError, QueryResponse, QueryStats, UnknownWords};
+pub use stb_search::{Query, QueryResponse, UnknownWords};
 
 // Re-exported so subscribing callers can configure channels and consume
 // diffs without depending on `stb-subscribe` directly.
 pub use stb_subscribe::{
-    NotifyReport, OverflowPolicy, ResultDiff, SubscribeMetrics, SubscriptionHandle, SubscriptionId,
-    SubscriptionInfo, SubscriptionOptions, SubscriptionRegistry, Trigger,
+    OverflowPolicy, SubscribeMetrics, SubscriptionHandle, SubscriptionOptions,
 };
 
 // Re-exported so instrumented callers can configure serving-side
 // observability and read the exposition surface without depending on
 // `stb-search`/`stb-obs` directly.
-pub use stb_obs::{ObsRegistry, ObsSnapshot};
-pub use stb_search::{SearchObs, SearchObsConfig};
+pub use stb_obs::ObsSnapshot;
+pub use stb_search::SearchObsConfig;
 
 // Re-exported so durable-pipeline callers can configure and match on the
 // persistence layer without depending on `stb-store` directly.
-pub use stb_store::{Durability, RetryPolicy, SnapshotState, Store, StoreError};
+pub use stb_store::{Durability, RetryPolicy, Store, StoreError};

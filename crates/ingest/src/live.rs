@@ -19,25 +19,8 @@ use stb_geo::{GeoPoint, Point2D};
 /// A collection that keeps accepting streams, ticks, documents, and
 /// previously-unseen terms after construction, publishing immutable
 /// generational snapshots.
-///
-/// ```
-/// use stb_ingest::LiveCollection;
-/// use stb_geo::GeoPoint;
-/// use std::collections::HashMap;
-///
-/// let mut live = LiveCollection::new(4);
-/// let athens = live.add_stream("Athens", GeoPoint::new(38.0, 23.7));
-/// let quake = live.intern("earthquake");
-///
-/// let frozen = live.snapshot(); // published: next mutation copies on write
-/// live.push_document(athens, 0, HashMap::from([(quake, 3)]));
-///
-/// // The published snapshot still sees the pre-mutation generation.
-/// assert_eq!(frozen.documents().len(), 0);
-/// assert_eq!(live.snapshot().documents().len(), 1);
-/// ```
 #[derive(Debug, Clone)]
-pub struct LiveCollection {
+pub(crate) struct LiveCollection {
     snapshot: Arc<Collection>,
     generation: u64,
 }
@@ -51,7 +34,7 @@ impl LiveCollection {
     /// burstiness `B_T` of every interval depends on the timeline length,
     /// so a growing timeline re-dirties every term, while a pre-sized one
     /// keeps per-tick work proportional to the tick's dirty terms.
-    pub fn new(timeline_capacity: usize) -> Self {
+    pub(crate) fn new(timeline_capacity: usize) -> Self {
         Self {
             snapshot: Arc::new(CollectionBuilder::new(timeline_capacity).build()),
             generation: 0,
@@ -60,7 +43,7 @@ impl LiveCollection {
 
     /// Wraps an existing collection (e.g. a batch-built corpus to keep
     /// ingesting into).
-    pub fn from_collection(collection: impl Into<Arc<Collection>>) -> Self {
+    pub(crate) fn from_collection(collection: impl Into<Arc<Collection>>) -> Self {
         Self {
             snapshot: collection.into(),
             generation: 0,
@@ -69,17 +52,17 @@ impl LiveCollection {
 
     /// The current snapshot handle. Cheap (`Arc` clone); the returned
     /// snapshot is immutable and detached from future mutations.
-    pub fn snapshot(&self) -> Arc<Collection> {
+    pub(crate) fn snapshot(&self) -> Arc<Collection> {
         Arc::clone(&self.snapshot)
     }
 
     /// Number of mutations applied so far (the "generation" of the data).
-    pub fn generation(&self) -> u64 {
+    pub(crate) fn generation(&self) -> u64 {
         self.generation
     }
 
     /// Read access to the underlying collection without publishing.
-    pub fn collection(&self) -> &Collection {
+    pub(crate) fn collection(&self) -> &Collection {
         &self.snapshot
     }
 
@@ -89,7 +72,7 @@ impl LiveCollection {
     }
 
     /// Interns a term (new or existing) into the live dictionary.
-    pub fn intern(&mut self, term: &str) -> TermId {
+    pub(crate) fn intern(&mut self, term: &str) -> TermId {
         if let Some(id) = self.snapshot.dict().get(term) {
             return id; // avoid a copy-on-write clone for known terms
         }
@@ -97,7 +80,7 @@ impl LiveCollection {
     }
 
     /// Read access to the live dictionary.
-    pub fn dict(&self) -> &TermDict {
+    pub(crate) fn dict(&self) -> &TermDict {
         self.snapshot.dict()
     }
 
@@ -108,7 +91,7 @@ impl LiveCollection {
     /// Like [`LiveCollection::intern`], this only mutates (and therefore
     /// only copies a shared snapshot) when the text actually contains a
     /// token the dictionary has not seen yet.
-    pub fn term_counts(
+    pub(crate) fn term_counts(
         &mut self,
         text: &str,
         tokenizer: &stb_corpus::Tokenizer,
@@ -131,12 +114,12 @@ impl LiveCollection {
     }
 
     /// Registers a new stream (position derived from the geostamp).
-    pub fn add_stream(&mut self, name: &str, geostamp: GeoPoint) -> StreamId {
+    pub(crate) fn add_stream(&mut self, name: &str, geostamp: GeoPoint) -> StreamId {
         self.make_mut().add_stream(name, geostamp)
     }
 
     /// Registers a new stream with an explicit planar position.
-    pub fn add_stream_with_position(
+    pub(crate) fn add_stream_with_position(
         &mut self,
         name: &str,
         geostamp: GeoPoint,
@@ -147,7 +130,7 @@ impl LiveCollection {
     }
 
     /// Grows the timeline to at least `new_len` timestamps.
-    pub fn extend_timeline(&mut self, new_len: usize) {
+    pub(crate) fn extend_timeline(&mut self, new_len: usize) {
         if new_len > self.snapshot.timeline_len() {
             self.make_mut().extend_timeline(new_len);
         }
@@ -159,7 +142,7 @@ impl LiveCollection {
     ///
     /// Panics if the stream is unknown or the timestamp is beyond the
     /// timeline.
-    pub fn push_document(
+    pub(crate) fn push_document(
         &mut self,
         stream: StreamId,
         timestamp: Timestamp,
@@ -169,12 +152,12 @@ impl LiveCollection {
     }
 
     /// Length of the timeline.
-    pub fn timeline_len(&self) -> usize {
+    pub(crate) fn timeline_len(&self) -> usize {
         self.snapshot.timeline_len()
     }
 
     /// Number of registered streams.
-    pub fn n_streams(&self) -> usize {
+    pub(crate) fn n_streams(&self) -> usize {
         self.snapshot.n_streams()
     }
 }
@@ -182,6 +165,20 @@ impl LiveCollection {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn live_collection_doc_example() {
+        let mut live = LiveCollection::new(4);
+        let athens = live.add_stream("Athens", GeoPoint::new(38.0, 23.7));
+        let quake = live.intern("earthquake");
+
+        let frozen = live.snapshot(); // published: next mutation copies on write
+        live.push_document(athens, 0, HashMap::from([(quake, 3)]));
+
+        // The published snapshot still sees the pre-mutation generation.
+        assert_eq!(frozen.documents().len(), 0);
+        assert_eq!(live.snapshot().documents().len(), 1);
+    }
 
     #[test]
     fn snapshots_are_generational() {

@@ -47,7 +47,7 @@ pub enum PatternDelta {
 
 impl PatternDelta {
     /// The term the delta applies to.
-    pub fn term(&self) -> TermId {
+    pub(crate) fn term(&self) -> TermId {
         match self {
             PatternDelta::Regional { term, .. } | PatternDelta::Combinatorial { term, .. } => *term,
         }

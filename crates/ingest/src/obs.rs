@@ -97,7 +97,10 @@ impl PipelineObs {
     /// Creates the pipeline metric set on an existing registry — the way
     /// to serve several instrumented components from one exposition
     /// endpoint.
-    pub fn with_registry(registry: Arc<ObsRegistry>, config: &PipelineObsConfig) -> Arc<Self> {
+    pub(crate) fn with_registry(
+        registry: Arc<ObsRegistry>,
+        config: &PipelineObsConfig,
+    ) -> Arc<Self> {
         Arc::new(Self {
             search: SearchObs::new(Arc::clone(&registry), &config.search),
             wal: WalObs::register(&registry),
@@ -135,13 +138,8 @@ impl PipelineObs {
 
     /// The WAL metric set the pipeline attaches to every log writer it
     /// opens.
-    pub fn wal(&self) -> &WalObs {
+    pub(crate) fn wal(&self) -> &WalObs {
         &self.wal
-    }
-
-    /// The end-to-end commit latency histogram (`ingest_commit_ns`).
-    pub fn commit_latency(&self) -> &Arc<LatencyHistogram> {
-        &self.commit_ns
     }
 
     /// The sampled commit traces currently retained (stage breakdown of

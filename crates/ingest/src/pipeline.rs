@@ -52,8 +52,7 @@ use crate::live::LiveCollection;
 use crate::miner::Miners;
 use crate::obs::PipelineObs;
 use std::collections::{BTreeSet, HashMap};
-use std::path::Path;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 use std::time::Instant;
 
 use stb_obs::{Counter, SpanClock, SpanKind};
@@ -64,13 +63,14 @@ use stb_search::{
     EngineMetrics, Query, QueryError, QueryResponse, Relevance, ServingFront, ShardedEngine,
 };
 use stb_store::{
-    DocRecord, PendingState, SnapshotState, Store, StoreError, StreamRecord, TermRecord, TickRecord,
+    DocRecord, PendingState, SnapshotState, StoreError, StreamRecord, TermRecord, TickRecord,
 };
 use stb_subscribe::{SubscriptionHandle, SubscriptionOptions, SubscriptionRegistry};
 
-pub use crate::admission::{
-    Backpressure, IngestError, QuarantineReason, QuarantinedDoc, StageOutcome,
-};
+pub use crate::admission::Backpressure;
+#[cfg(test)]
+pub(crate) use crate::admission::QuarantinedDoc;
+pub(crate) use crate::admission::{IngestError, StageOutcome};
 pub use crate::config::IngestConfig;
 pub use crate::durability::DurabilityState;
 pub use crate::miner::{MinerKind, PatternDelta};
@@ -93,26 +93,12 @@ pub use crate::report::{HealthReport, PipelineMetrics, TickReceipt};
 #[derive(Clone)]
 pub struct SearchHandle {
     front: Arc<ServingFront>,
-    /// Shared health cell, refreshed by the pipeline after every public
-    /// mutating operation.
-    health: Arc<Mutex<HealthReport>>,
     /// The pipeline's standing-subscription registry, notified by every
     /// commit right after publish.
     subscriptions: Arc<SubscriptionRegistry>,
 }
 
 impl SearchHandle {
-    /// The pipeline's health as of its most recent operation (commit,
-    /// stage, checkpoint, or recovery attempt) — durability state, retry
-    /// counters, queue depths, quarantine size. Serving-side callers use
-    /// this for admission control without a reference to the pipeline.
-    pub fn health(&self) -> HealthReport {
-        self.health
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone()
-    }
-
     /// Executes a typed [`Query`] against the current tick's generation.
     /// See [`ServingFront::query`].
     pub fn query(&self, query: &Query) -> Result<QueryResponse, QueryError> {
@@ -246,8 +232,6 @@ pub struct IngestPipeline {
     /// The `ingest_commit_ns` p99 as of the last commit — the histogram
     /// only changes there, so health publishes never re-read it.
     commit_p99_ms: Option<f64>,
-    /// Shared health cell mirrored into every [`SearchHandle`].
-    health_cell: Arc<Mutex<HealthReport>>,
     /// Attached observability bundle, if any (commit traces, durability
     /// gauges; search/WAL instrumentation is attached to the engine front
     /// and log writers directly).
@@ -289,7 +273,6 @@ impl IngestPipeline {
             last_commit_ms: 0.0,
             total_commit_ms: 0.0,
             commit_p99_ms: None,
-            health_cell: Arc::new(Mutex::new(HealthReport::default())),
             obs: None,
             subscriptions,
         }
@@ -334,29 +317,12 @@ impl IngestPipeline {
         self.publish_health();
     }
 
-    /// The attached observability bundle, if any.
-    pub fn obs(&self) -> Option<&Arc<PipelineObs>> {
-        self.obs.as_ref()
-    }
-
     /// A cloneable query handle over the engine's serving front.
     pub fn search_handle(&self) -> SearchHandle {
         SearchHandle {
             front: self.engine.front(),
-            health: Arc::clone(&self.health_cell),
             subscriptions: Arc::clone(&self.subscriptions),
         }
-    }
-
-    /// Registers a standing subscription for `query`, evaluated after
-    /// every commit whose dirty terms intersect the query's term set.
-    /// Equivalent to [`SearchHandle::subscribe`].
-    pub fn subscribe(
-        &self,
-        query: &Query,
-        options: SubscriptionOptions,
-    ) -> Result<SubscriptionHandle, QueryError> {
-        self.subscriptions.subscribe(query, options)
     }
 
     /// The standing-subscription registry shared with every
@@ -377,7 +343,8 @@ impl IngestPipeline {
     }
 
     /// Current timeline length of the live collection.
-    pub fn timeline_len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn timeline_len(&self) -> usize {
         self.live.timeline_len()
     }
 
@@ -405,16 +372,13 @@ impl IngestPipeline {
         id
     }
 
-    /// Stages a document for the open tick, shorthand for
-    /// [`IngestPipeline::try_stage_document`] when the caller does not
-    /// inspect outcomes: poison documents are quarantined silently and a
-    /// full staging buffer follows the configured [`Backpressure`] policy.
+    /// Stages a document for the open tick: poison documents are
+    /// quarantined silently and a full staging buffer follows the
+    /// configured [`Backpressure`] policy.
     ///
     /// # Panics
     ///
-    /// Panics if the buffer is full under [`Backpressure::Error`] — that
-    /// policy demands the caller handle refusal, so use the fallible
-    /// method with it.
+    /// Panics if the buffer is full under [`Backpressure::Error`].
     pub fn stage_document(&mut self, stream: StreamId, counts: HashMap<TermId, u32>) {
         #[allow(clippy::expect_used)]
         self.try_stage_document(stream, counts)
@@ -431,7 +395,7 @@ impl IngestPipeline {
     /// instead of killing the tick. A staging buffer at
     /// [`IngestConfig::max_staged_docs`] triggers the configured
     /// [`Backpressure`] policy.
-    pub fn try_stage_document(
+    pub(crate) fn try_stage_document(
         &mut self,
         stream: StreamId,
         counts: HashMap<TermId, u32>,
@@ -445,14 +409,14 @@ impl IngestPipeline {
                 self.admission
                     .quarantine(self.ticks_committed, stream, counts, reason);
                 self.publish_health();
-                Ok(StageOutcome::Quarantined(reason))
+                Ok(StageOutcome::Quarantined)
             }
             Decision::Full => match self.admission.backpressure {
                 Backpressure::Block => {
-                    let receipt = self.commit_tick();
+                    self.commit_tick();
                     self.stage_raw(stream, counts);
                     self.publish_health();
-                    Ok(StageOutcome::StagedAfterCommit(Box::new(receipt)))
+                    Ok(StageOutcome::StagedAfterCommit)
                 }
                 Backpressure::Shed => {
                     self.admission.docs_shed.inc();
@@ -480,7 +444,8 @@ impl IngestPipeline {
 
     /// The quarantine log, oldest first (bounded by
     /// [`IngestConfig::max_quarantined_docs`]).
-    pub fn quarantine_log(&self) -> impl Iterator<Item = &QuarantinedDoc> {
+    #[cfg(test)]
+    pub(crate) fn quarantine_log(&self) -> impl Iterator<Item = &QuarantinedDoc> {
         self.admission.quarantine_log()
     }
 
@@ -745,28 +710,18 @@ impl IngestPipeline {
         report
     }
 
-    /// Refreshes the health cell shared with every [`SearchHandle`], and
-    /// — when observability is attached — the durability and queue-depth
-    /// gauges.
+    /// Refreshes, when observability is attached, the durability and
+    /// queue-depth gauges.
     pub(crate) fn publish_health(&mut self) {
-        let report = self.health();
         if let Some(obs) = &self.obs {
-            obs.set_health(&report);
+            obs.set_health(&self.health());
         }
-        *self
-            .health_cell
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner) = report;
     }
 
     /// Whether this pipeline has a durable store attached.
-    pub fn is_durable(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_durable(&self) -> bool {
         self.durability.is_attached()
-    }
-
-    /// The durable store directory, if any.
-    pub fn store_dir(&self) -> Option<&Path> {
-        self.durability.store().map(Store::dir)
     }
 
     /// The pipeline's current mining output for one term: the live
@@ -805,7 +760,7 @@ pub(crate) mod tests {
     use super::*;
     use stb_core::{STCombConfig, STLocal, STLocalConfig};
     use stb_search::{BurstySearchEngine, EngineConfig, NoPatternPolicy, SearchResult};
-    use stb_store::{FaultSchedule, FaultSite, InjectedFault, RetryPolicy, Store};
+    use stb_store::{FaultSchedule, RetryPolicy, Store};
 
     /// Typed-API term query through a live handle.
     pub(crate) fn run(handle: &SearchHandle, terms: &[TermId], k: usize) -> Vec<SearchResult> {
@@ -1202,20 +1157,5 @@ pub(crate) mod tests {
         let receipt = burst_tick(&mut pipeline, &streams, t, false);
         assert_eq!(receipt.durability, DurabilityState::Ephemeral);
         assert_eq!(pipeline.health().durability, DurabilityState::Ephemeral);
-    }
-
-    #[test]
-    fn search_handle_surfaces_health() {
-        let (mut pipeline, faults, s, t, dir) = faulted_pipeline("handle-health", 0, 8);
-        let handle = pipeline.search_handle();
-        assert_eq!(handle.health().durability, DurabilityState::Durable);
-        faults.fail_next_at(FaultSite::WalAppend, InjectedFault::transient());
-        faults.fail_next_at(FaultSite::WalRead, InjectedFault::transient());
-        commit_one(&mut pipeline, s, t);
-        let h = handle.health();
-        assert!(h.durability.is_degraded());
-        assert_eq!(h.buffered_ticks, 1);
-        assert!(h.last_error.is_some());
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

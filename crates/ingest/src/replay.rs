@@ -334,5 +334,10 @@ mod tests {
             replay_tsv(Cursor::new(repeat_overflows), IngestConfig::default()),
             Err(ReplayError::Tsv(TsvError::Parse { line: 3, .. }))
         ));
+        let repeated_stream = "C\t2\nS\t0\tA\t0\t0\t0\t0\nS\t0\tB\t1\t1\t1\t1\nD\t0\t0\tx:1\n";
+        assert!(matches!(
+            replay_tsv(Cursor::new(repeated_stream), IngestConfig::default()),
+            Err(ReplayError::Tsv(TsvError::Parse { line: 3, .. }))
+        ));
     }
 }

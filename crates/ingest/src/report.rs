@@ -11,39 +11,38 @@ use stb_search::EngineMetrics;
 /// A point-in-time health summary of the pipeline: durability state,
 /// failure/retry counters, queue depths, and quarantine size.
 ///
-/// Obtained from [`IngestPipeline::health`] (always current) or
-/// [`SearchHandle::health`] (as of the last pipeline operation) — the
-/// admission-control and monitoring surface.
+/// Obtained from [`IngestPipeline::health`] — the admission-control and
+/// monitoring surface.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct HealthReport {
     /// The durability contract currently honored.
-    pub durability: DurabilityState,
+    pub(crate) durability: DurabilityState,
     /// Documents staged for the open tick.
-    pub staged_docs: usize,
+    pub(crate) staged_docs: usize,
     /// Configured staging bound (0 = unbounded).
-    pub max_staged_docs: usize,
+    pub(crate) max_staged_docs: usize,
     /// Committed-but-unlogged tick records buffered in degraded mode.
-    pub buffered_ticks: usize,
+    pub(crate) buffered_ticks: usize,
     /// Configured degraded-buffer bound.
-    pub max_buffered_ticks: usize,
+    pub(crate) max_buffered_ticks: usize,
     /// Dirty terms pending for the open tick.
-    pub dirty_terms: usize,
+    pub(crate) dirty_terms: usize,
     /// Tick records successfully appended to the WAL.
-    pub wal_appends: u64,
+    pub(crate) wal_appends: u64,
     /// Store operations that failed after exhausting their retries.
-    pub wal_failures: u64,
+    pub(crate) wal_failures: u64,
     /// Transient-failure retries performed across all store operations.
-    pub store_retries: u64,
+    pub(crate) store_retries: u64,
     /// Times the pipeline returned from `Degraded` to `Durable`.
-    pub recoveries: u64,
+    pub(crate) recoveries: u64,
     /// Snapshots written (manual and automatic checkpoints).
-    pub checkpoints: u64,
+    pub(crate) checkpoints: u64,
     /// Checkpoint attempts that failed.
-    pub checkpoint_failures: u64,
+    pub(crate) checkpoint_failures: u64,
     /// Documents dropped by [`Backpressure::Shed`].
     pub docs_shed: u64,
     /// Documents currently in the quarantine log.
-    pub quarantined: usize,
+    pub(crate) quarantined: usize,
     /// Documents ever quarantined (keeps counting past the log bound).
     pub quarantined_total: u64,
     /// Ticks committed over the pipeline's lifetime (the "age" of the
@@ -53,19 +52,19 @@ pub struct HealthReport {
     pub last_commit_ms: f64,
     /// Wall-clock seconds the pipeline has spent in its *current*
     /// durability state (resets on every state transition).
-    pub durability_state_secs: f64,
+    pub(crate) durability_state_secs: f64,
     /// The 99th-percentile commit latency in milliseconds, from the
     /// `ingest_commit_ns` histogram. `None` until
     /// [`IngestPipeline::attach_obs`] wires an observability registry (or
     /// while no commit has been recorded yet).
     pub commit_p99_ms: Option<f64>,
     /// Standing subscriptions currently registered.
-    pub subscriptions: usize,
+    pub(crate) subscriptions: usize,
     /// Result diffs delivered to subscription channels over the
     /// pipeline's lifetime (coalesced merges count once).
-    pub notifications: u64,
+    pub(crate) notifications: u64,
     /// Result diffs dropped by full `DropCounted` subscription channels.
-    pub notifications_dropped: u64,
+    pub(crate) notifications_dropped: u64,
     /// The most recent store failure, while durability is not intact.
     pub last_error: Option<String>,
 }
@@ -91,30 +90,30 @@ pub struct TickReceipt {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PipelineMetrics {
     /// Ticks committed so far.
-    pub ticks_committed: usize,
+    pub(crate) ticks_committed: usize,
     /// Documents applied over the pipeline's lifetime.
-    pub docs_ingested: u64,
+    pub(crate) docs_ingested: u64,
     /// Documents currently staged for the open tick (queue depth).
     pub staged_docs: usize,
     /// Dirty terms currently pending for the open tick (queue depth).
-    pub dirty_terms: usize,
+    pub(crate) dirty_terms: usize,
     /// Per-term online miners currently tracked (`STLocal` mode).
-    pub tracked_miners: usize,
+    pub(crate) tracked_miners: usize,
     /// Miners (re)built by replaying collection history — late-arriving
     /// terms and post-`add_stream` rebuilds.
-    pub catchup_replays: u64,
+    pub(crate) catchup_replays: u64,
     /// Wall-clock milliseconds of the most recent commit.
-    pub last_commit_ms: f64,
+    pub(crate) last_commit_ms: f64,
     /// Cumulative wall-clock milliseconds spent in commits.
-    pub total_commit_ms: f64,
+    pub(crate) total_commit_ms: f64,
     /// Mutation generation of the live collection.
-    pub generation: u64,
+    pub(crate) generation: u64,
     /// Whether the pipeline has a durable store attached.
-    pub durable: bool,
+    pub(crate) durable: bool,
     /// Tick records appended to the write-ahead log.
-    pub wal_appends: u64,
+    pub(crate) wal_appends: u64,
     /// Snapshots written (manual and automatic checkpoints).
     pub checkpoints: u64,
     /// The serving engine's counters.
-    pub engine: EngineMetrics,
+    pub(crate) engine: EngineMetrics,
 }

@@ -5,14 +5,14 @@ use std::time::Duration;
 
 /// Linear sub-buckets per power-of-two magnitude (32 ⇒ ≤ ~3.1% relative
 /// quantile error).
-pub const HIST_SUB_BUCKETS: usize = 32;
+pub(crate) const HIST_SUB_BUCKETS: usize = 32;
 
 const SUB_BITS: u32 = HIST_SUB_BUCKETS.trailing_zeros(); // 5
 
 /// Total bucket count covering the full `u64` value range: one linear
 /// group below [`HIST_SUB_BUCKETS`], then one 32-wide group per remaining
 /// power of two (magnitudes `SUB_BITS..=63`).
-pub const HIST_BUCKETS: usize = (64 - SUB_BITS as usize + 1) * HIST_SUB_BUCKETS;
+pub(crate) const HIST_BUCKETS: usize = (64 - SUB_BITS as usize + 1) * HIST_SUB_BUCKETS;
 
 /// The bucket index of a recorded value.
 ///
@@ -45,7 +45,7 @@ fn bucket_bounds(i: usize) -> (u64, u64) {
 }
 
 /// A lock-free log-linear latency histogram over `u64` values
-/// (nanoseconds by convention; see [`crate::duration_ns`]).
+/// (nanoseconds by convention; see `crate::duration_ns`).
 ///
 /// Recording is one relaxed atomic increment on the value's bucket plus
 /// bookkeeping (`count`, `sum`, `min`, `max` — all relaxed atomics), so
@@ -55,9 +55,9 @@ fn bucket_bounds(i: usize) -> (u64, u64) {
 /// order-independent merging.
 ///
 /// The bucket layout is HDR-style log-linear: unit-width buckets below
-/// [`HIST_SUB_BUCKETS`], then every power-of-two magnitude split into
-/// [`HIST_SUB_BUCKETS`] linear sub-buckets, covering the full `u64` range
-/// in [`HIST_BUCKETS`] buckets with relative error bounded by
+/// `HIST_SUB_BUCKETS`, then every power-of-two magnitude split into
+/// `HIST_SUB_BUCKETS` linear sub-buckets, covering the full `u64` range
+/// in `HIST_BUCKETS` buckets with relative error bounded by
 /// `1 / HIST_SUB_BUCKETS`.
 #[derive(Debug)]
 pub struct LatencyHistogram {
@@ -100,11 +100,6 @@ impl LatencyHistogram {
         self.record(crate::duration_ns(d));
     }
 
-    /// Number of observations recorded so far.
-    pub fn count(&self) -> u64 {
-        self.count.load(Relaxed)
-    }
-
     /// A point-in-time copy of the bucket counts and summary stats.
     ///
     /// Individual loads are relaxed, so a snapshot taken while recorders
@@ -122,8 +117,7 @@ impl LatencyHistogram {
 }
 
 /// A plain (non-atomic) copy of a [`LatencyHistogram`]: bucket counts plus
-/// `count`/`sum`/`min`/`max`, supporting quantile readout and cheap
-/// order-independent [`merge`](HistogramSnapshot::merge).
+/// `count`/`sum`/`min`/`max`, supporting quantile readout.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     buckets: Vec<u64>,
@@ -141,7 +135,7 @@ impl Default for HistogramSnapshot {
 
 impl HistogramSnapshot {
     /// A snapshot with no observations.
-    pub fn empty() -> Self {
+    pub(crate) fn empty() -> Self {
         Self {
             buckets: vec![0; HIST_BUCKETS],
             count: 0,
@@ -157,12 +151,12 @@ impl HistogramSnapshot {
     }
 
     /// Sum of all observations (wraps only after ~2^64 ns ≈ 584 years).
-    pub fn sum(&self) -> u64 {
+    pub(crate) fn sum(&self) -> u64 {
         self.sum
     }
 
     /// Smallest observation, or 0 when empty.
-    pub fn min(&self) -> u64 {
+    pub(crate) fn min(&self) -> u64 {
         if self.count == 0 {
             0
         } else {
@@ -171,12 +165,12 @@ impl HistogramSnapshot {
     }
 
     /// Largest observation.
-    pub fn max(&self) -> u64 {
+    pub(crate) fn max(&self) -> u64 {
         self.max
     }
 
     /// Arithmetic mean, or 0.0 when empty.
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
@@ -189,7 +183,7 @@ impl HistogramSnapshot {
     /// maximum), so the reported value is within one log-linear bucket —
     /// ≤ ~3.1% relative error — of the exact order statistic. Returns 0
     /// when empty.
-    pub fn quantile(&self, q: f64) -> u64 {
+    pub(crate) fn quantile(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
         }
@@ -204,13 +198,13 @@ impl HistogramSnapshot {
         self.max
     }
 
-    /// Median (see [`quantile`](Self::quantile)).
+    /// Median (see `quantile`).
     pub fn p50(&self) -> u64 {
         self.quantile(0.50)
     }
 
     /// 90th percentile.
-    pub fn p90(&self) -> u64 {
+    pub(crate) fn p90(&self) -> u64 {
         self.quantile(0.90)
     }
 
@@ -220,21 +214,8 @@ impl HistogramSnapshot {
     }
 
     /// 99.9th percentile.
-    pub fn p999(&self) -> u64 {
+    pub(crate) fn p999(&self) -> u64 {
         self.quantile(0.999)
-    }
-
-    /// Accumulates `other` into `self` bucket-wise. Merging is commutative
-    /// and associative, so shard- or thread-local histograms can be
-    /// combined in any order and yield identical quantiles.
-    pub fn merge(&mut self, other: &HistogramSnapshot) {
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum = self.sum.wrapping_add(other.sum);
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
     }
 }
 
@@ -298,23 +279,5 @@ mod tests {
         assert_eq!(s.max(), 0);
         assert_eq!(s.p50(), 0);
         assert_eq!(s.mean(), 0.0);
-    }
-
-    #[test]
-    fn merge_equals_recording_into_one() {
-        let a = LatencyHistogram::new();
-        let b = LatencyHistogram::new();
-        let all = LatencyHistogram::new();
-        for v in [3u64, 77, 1024, 5_000_000] {
-            a.record(v);
-            all.record(v);
-        }
-        for v in [9u64, 77, 40_000] {
-            b.record(v);
-            all.record(v);
-        }
-        let mut merged = a.snapshot();
-        merged.merge(&b.snapshot());
-        assert_eq!(merged, all.snapshot());
     }
 }

@@ -1,9 +1,10 @@
-//! Property and stress tests for the log-linear latency histogram: merge
-//! order-independence, quantile accuracy against an exact oracle, and
-//! lock-free recording under thread contention.
+//! Property and stress tests for the log-linear latency histogram:
+//! quantile accuracy against an exact oracle, and lock-free recording under
+//! thread contention.
 
+use crate::hist::HIST_SUB_BUCKETS;
+use crate::LatencyHistogram;
 use proptest::prelude::*;
-use stb_obs::{HistogramSnapshot, LatencyHistogram, HIST_SUB_BUCKETS};
 
 /// Exact nearest-rank quantile over raw samples: the oracle the histogram
 /// readout is compared against.
@@ -22,44 +23,6 @@ fn within_one_bucket(reported: u64, exact: u64) -> bool {
 }
 
 proptest! {
-    #[test]
-    fn merge_is_order_independent(
-        xs in prop::collection::vec(0u64..50_000_000, 0..200),
-        ys in prop::collection::vec(0u64..50_000_000, 0..200),
-        zs in prop::collection::vec(0u64..50_000_000, 0..200),
-    ) {
-        let record_all = |vals: &[u64]| {
-            let h = LatencyHistogram::new();
-            for &v in vals {
-                h.record(v);
-            }
-            h.snapshot()
-        };
-        let (a, b, c) = (record_all(&xs), record_all(&ys), record_all(&zs));
-
-        // (a ⊕ b) ⊕ c == c ⊕ (b ⊕ a) == recording everything into one.
-        let mut abc = a.clone();
-        abc.merge(&b);
-        abc.merge(&c);
-        let mut cba = c.clone();
-        let mut ba = b.clone();
-        ba.merge(&a);
-        cba.merge(&ba);
-        prop_assert_eq!(&abc, &cba);
-
-        let mut all: Vec<u64> = Vec::new();
-        all.extend(&xs);
-        all.extend(&ys);
-        all.extend(&zs);
-        let direct = record_all(&all);
-        prop_assert_eq!(&abc, &direct);
-
-        // Identity: merging an empty snapshot changes nothing.
-        let mut with_empty = abc.clone();
-        with_empty.merge(&HistogramSnapshot::empty());
-        prop_assert_eq!(&with_empty, &abc);
-    }
-
     #[test]
     fn quantiles_within_one_bucket_of_oracle(
         samples in prop::collection::vec(0u64..10_000_000_000, 1..400),
@@ -81,37 +44,6 @@ proptest! {
                 within_one_bucket(reported, exact),
                 "q={} reported={} exact={} (n={})",
                 q, reported, exact, sorted.len()
-            );
-        }
-    }
-
-    #[test]
-    fn merged_quantiles_match_pooled_oracle(
-        xs in prop::collection::vec(1u64..1_000_000, 1..150),
-        ys in prop::collection::vec(1u64..1_000_000, 1..150),
-    ) {
-        // Per-shard histograms merged must answer quantiles for the pooled
-        // population — the property the serving tier's per-shard metrics
-        // rely on.
-        let ha = LatencyHistogram::new();
-        let hb = LatencyHistogram::new();
-        for &v in &xs {
-            ha.record(v);
-        }
-        for &v in &ys {
-            hb.record(v);
-        }
-        let mut merged = ha.snapshot();
-        merged.merge(&hb.snapshot());
-
-        let mut pooled: Vec<u64> = xs.iter().chain(ys.iter()).copied().collect();
-        pooled.sort_unstable();
-        for q in [0.5, 0.9, 0.99] {
-            let exact = oracle_quantile(&pooled, q);
-            prop_assert!(
-                within_one_bucket(merged.quantile(q), exact),
-                "q={} merged={} exact={}",
-                q, merged.quantile(q), exact
             );
         }
     }

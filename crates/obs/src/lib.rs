@@ -12,12 +12,11 @@
 //!    `stb-search`'s `ServingFront` can record latencies while holding an
 //!    epoch-pinned snapshot. Trace capture ([`TraceRing`],
 //!    [`SlowQueryLog`]) claims a slot with one atomic `fetch_add` and
-//!    *tries* a per-slot lock — on contention the sample is dropped (and
-//!    counted), never waited for.
-//! 2. **Readout must be mergeable and machine-consumable.** Histograms
-//!    snapshot into plain bucket arrays ([`HistogramSnapshot`]) with
-//!    order-independent [`HistogramSnapshot::merge`], and the registry
-//!    renders Prometheus text ([`ObsRegistry::render_prometheus`]) and
+//!    *tries* a per-slot lock — on contention the sample is dropped, never
+//!    waited for.
+//! 2. **Readout must be machine-consumable.** Histograms snapshot into
+//!    plain bucket arrays ([`HistogramSnapshot`]), and the registry renders
+//!    Prometheus text ([`ObsRegistry::render_prometheus`]) and
 //!    JSON ([`ObsRegistry::render_json`]) from one consistent
 //!    [`ObsSnapshot`].
 //!
@@ -36,27 +35,29 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 mod hist;
+#[cfg(test)]
+mod hist_proptests;
 mod metric;
 mod registry;
 mod ring;
 mod slow;
 mod trace;
 
-pub use hist::{HistogramSnapshot, LatencyHistogram, HIST_BUCKETS, HIST_SUB_BUCKETS};
+pub use hist::{HistogramSnapshot, LatencyHistogram};
 pub use metric::{Counter, Gauge};
 pub use registry::{ObsRegistry, ObsSnapshot};
 pub use slow::{SlowQueryLog, SlowQueryRecord};
+use std::time::Duration;
 pub use trace::{
     Sampler, SpanClock, SpanKind, SpanRecord, TraceId, TraceKind, TraceRecord, TraceRing,
 };
 
-use std::time::Duration;
-
 /// Converts a [`Duration`] to whole nanoseconds, saturating at `u64::MAX`
 /// (~584 years) — the unit every latency histogram and span in this crate
 /// records.
-pub fn duration_ns(d: Duration) -> u64 {
+fn duration_ns(d: Duration) -> u64 {
     u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
 }

@@ -55,7 +55,7 @@ impl Default for Gauge {
 
 impl Gauge {
     /// Creates a gauge at `0.0`.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -65,7 +65,7 @@ impl Gauge {
     }
 
     /// The current value.
-    pub fn get(&self) -> f64 {
+    pub(crate) fn get(&self) -> f64 {
         f64::from_bits(self.bits.load(Relaxed))
     }
 }

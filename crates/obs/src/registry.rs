@@ -136,11 +136,11 @@ impl ObsRegistry {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ObsSnapshot {
     /// Counter values by name.
-    pub counters: Vec<(String, u64)>,
+    pub(crate) counters: Vec<(String, u64)>,
     /// Gauge values by name.
-    pub gauges: Vec<(String, f64)>,
+    pub(crate) gauges: Vec<(String, f64)>,
     /// Histogram snapshots by name.
-    pub histograms: Vec<(String, HistogramSnapshot)>,
+    pub(crate) histograms: Vec<(String, HistogramSnapshot)>,
 }
 
 impl ObsSnapshot {
@@ -166,7 +166,7 @@ impl ObsSnapshot {
     }
 
     /// See [`ObsRegistry::render_prometheus`].
-    pub fn render_prometheus(&self) -> String {
+    pub(crate) fn render_prometheus(&self) -> String {
         let mut out = String::new();
         for (name, v) in &self.counters {
             let name = sanitize(name);
@@ -191,7 +191,7 @@ impl ObsSnapshot {
     }
 
     /// See [`ObsRegistry::render_json`].
-    pub fn render_json(&self) -> String {
+    pub(crate) fn render_json(&self) -> String {
         let mut out = String::from("{\"counters\":{");
         for (i, (name, v)) in self.counters.iter().enumerate() {
             if i > 0 {

@@ -2,8 +2,8 @@
 //! and [`crate::SlowQueryLog`].
 //!
 //! Writers claim a slot with one atomic `fetch_add` and then *try* the
-//! slot's mutex: on contention the record is dropped (and counted) rather
-//! than waited for, so pushing from the lock-free query path can never
+//! slot's mutex: on contention the record is dropped rather than waited
+//! for, so pushing from the lock-free query path can never
 //! block a reader — the ring trades completeness for progress, which is
 //! the right trade for sampled diagnostics.
 
@@ -14,8 +14,6 @@ use std::sync::Mutex;
 pub(crate) struct Ring<T> {
     slots: Vec<Mutex<Option<T>>>,
     head: AtomicU64,
-    pushed: AtomicU64,
-    dropped: AtomicU64,
 }
 
 impl<T: Clone> Ring<T> {
@@ -24,25 +22,13 @@ impl<T: Clone> Ring<T> {
         Self {
             slots: (0..capacity).map(|_| Mutex::new(None)).collect(),
             head: AtomicU64::new(0),
-            pushed: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
         }
-    }
-
-    pub(crate) fn capacity(&self) -> usize {
-        self.slots.len()
     }
 
     pub(crate) fn push(&self, record: T) {
         let slot = self.head.fetch_add(1, Relaxed) as usize % self.slots.len();
-        match self.slots[slot].try_lock() {
-            Ok(mut guard) => {
-                *guard = Some(record);
-                self.pushed.fetch_add(1, Relaxed);
-            }
-            Err(_) => {
-                self.dropped.fetch_add(1, Relaxed);
-            }
+        if let Ok(mut guard) = self.slots[slot].try_lock() {
+            *guard = Some(record);
         }
     }
 
@@ -54,14 +40,6 @@ impl<T: Clone> Ring<T> {
             .iter()
             .filter_map(|s| s.lock().ok().and_then(|g| g.clone()))
             .collect()
-    }
-
-    pub(crate) fn pushed(&self) -> u64 {
-        self.pushed.load(Relaxed)
-    }
-
-    pub(crate) fn dropped(&self) -> u64 {
-        self.dropped.load(Relaxed)
     }
 }
 
@@ -80,7 +58,5 @@ mod tests {
         for v in kept {
             assert!(v >= 6, "old record {v} survived wraparound");
         }
-        assert_eq!(ring.pushed(), 10);
-        assert_eq!(ring.dropped(), 0);
     }
 }

@@ -49,14 +49,8 @@ impl SlowQueryLog {
     }
 
     /// The current threshold in nanoseconds.
-    pub fn threshold_ns(&self) -> u64 {
+    pub(crate) fn threshold_ns(&self) -> u64 {
         self.threshold_ns.load(Relaxed)
-    }
-
-    /// Adjusts the threshold on a live system.
-    pub fn set_threshold(&self, threshold: Duration) {
-        self.threshold_ns
-            .store(crate::duration_ns(threshold), Relaxed);
     }
 
     /// Whether a query of `total_ns` qualifies as slow.
@@ -73,16 +67,6 @@ impl SlowQueryLog {
     pub fn snapshot(&self) -> Vec<SlowQueryRecord> {
         self.ring.snapshot()
     }
-
-    /// Total slow queries logged.
-    pub fn logged(&self) -> u64 {
-        self.ring.pushed()
-    }
-
-    /// Records dropped because the claimed slot was contended.
-    pub fn dropped(&self) -> u64 {
-        self.ring.dropped()
-    }
 }
 
 #[cfg(test)]
@@ -95,8 +79,6 @@ mod tests {
         let log = SlowQueryLog::new(Duration::from_millis(50), 8);
         assert!(!log.is_slow(10_000_000));
         assert!(log.is_slow(50_000_000));
-        log.set_threshold(Duration::ZERO);
-        assert!(log.is_slow(0));
     }
 
     #[test]
@@ -116,6 +98,5 @@ mod tests {
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].key, "terms=[3] k=10");
         assert_eq!(got[0].stats[0], ("postings_scanned", 7));
-        assert_eq!(log.logged(), 1);
     }
 }

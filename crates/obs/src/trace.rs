@@ -71,7 +71,7 @@ pub enum SpanKind {
 
 impl SpanKind {
     /// Stable lower-case name used in rendered traces and logs.
-    pub fn as_str(&self) -> &'static str {
+    pub(crate) fn as_str(&self) -> &'static str {
         match self {
             SpanKind::Plan => "plan",
             SpanKind::CacheLookup => "cache-lookup",
@@ -122,9 +122,9 @@ pub struct TraceRecord {
 /// A bounded ring of recent [`TraceRecord`]s.
 ///
 /// Pushing claims a slot with one atomic `fetch_add` and then *tries* the
-/// slot lock: on contention the trace is dropped and counted in
-/// [`dropped`](Self::dropped), so the recording path never blocks — the
-/// ring holds the most recent `capacity` traces on a best-effort basis.
+/// slot lock: on contention the trace is dropped, so the recording path
+/// never blocks — the ring holds the most recent `capacity` traces on a
+/// best-effort basis.
 #[derive(Debug)]
 pub struct TraceRing {
     ring: Ring<TraceRecord>,
@@ -138,11 +138,6 @@ impl TraceRing {
         }
     }
 
-    /// Maximum number of retained traces.
-    pub fn capacity(&self) -> usize {
-        self.ring.capacity()
-    }
-
     /// Records a completed trace (non-blocking; may drop on contention).
     pub fn push(&self, record: TraceRecord) {
         self.ring.push(record);
@@ -151,16 +146,6 @@ impl TraceRing {
     /// Clones the currently retained traces.
     pub fn snapshot(&self) -> Vec<TraceRecord> {
         self.ring.snapshot()
-    }
-
-    /// Total traces successfully recorded.
-    pub fn pushed(&self) -> u64 {
-        self.ring.pushed()
-    }
-
-    /// Traces dropped because the claimed slot was contended.
-    pub fn dropped(&self) -> u64 {
-        self.ring.dropped()
     }
 }
 
@@ -191,11 +176,6 @@ impl Sampler {
             return false;
         }
         self.n.fetch_add(1, Relaxed).is_multiple_of(self.every)
-    }
-
-    /// The configured period.
-    pub fn period(&self) -> u64 {
-        self.every
     }
 }
 
@@ -239,11 +219,6 @@ impl SpanClock {
             duration_ns: crate::duration_ns(now - self.last),
         });
         self.last = now;
-    }
-
-    /// Nanoseconds elapsed since the clock started.
-    pub fn total_ns(&self) -> u64 {
-        crate::duration_ns(self.origin.elapsed())
     }
 
     /// Consumes the clock, returning `(total_ns, spans)`.

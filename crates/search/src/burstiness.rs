@@ -3,50 +3,20 @@
 //! `burstiness(d, t)` looks at the spatiotemporal patterns mined for the
 //! term `t` that *overlap* the document `d` (contain both its stream of
 //! origin and its timestamp) and aggregates their scores with a function
-//! `f(P_{t,d})`. The paper found the maximum to work best; minimum, mean and
-//! median are provided as alternatives. When *no* pattern overlaps the
+//! `f(P_{t,d})`. The paper found the maximum to work best, and it is the
+//! aggregation implemented here. When *no* pattern overlaps the
 //! document the paper assigns `-inf` (the document cannot be bursty for that
 //! term); [`NoPatternPolicy`] makes that behaviour explicit and optionally
 //! relaxes it to a zero contribution.
 
-/// Aggregation function `f(P_{t,d})` over the scores of the overlapping
-/// patterns.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum BurstinessAgg {
-    /// Maximum overlapping pattern score — the paper's best choice (default).
-    #[default]
-    Max,
-    /// Minimum overlapping pattern score.
-    Min,
-    /// Arithmetic mean of the overlapping pattern scores.
-    Mean,
-    /// Median of the overlapping pattern scores.
-    Median,
-}
-
-impl BurstinessAgg {
-    /// Aggregates a non-empty slice of pattern scores. Returns `None` when
-    /// the slice is empty (no overlapping pattern — see [`NoPatternPolicy`]).
-    pub fn aggregate(&self, scores: &[f64]) -> Option<f64> {
-        if scores.is_empty() {
-            return None;
-        }
-        Some(match self {
-            BurstinessAgg::Max => scores.iter().copied().fold(f64::NEG_INFINITY, f64::max),
-            BurstinessAgg::Min => scores.iter().copied().fold(f64::INFINITY, f64::min),
-            BurstinessAgg::Mean => scores.iter().sum::<f64>() / scores.len() as f64,
-            BurstinessAgg::Median => {
-                let mut sorted = scores.to_vec();
-                sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-                let mid = sorted.len() / 2;
-                if sorted.len() % 2 == 1 {
-                    sorted[mid]
-                } else {
-                    (sorted[mid - 1] + sorted[mid]) / 2.0
-                }
-            }
-        })
+/// The aggregation `f(P_{t,d})` over the scores of the overlapping
+/// patterns: their maximum, the paper's best choice. Returns `None` when
+/// the slice is empty (no overlapping pattern — see [`NoPatternPolicy`]).
+pub(crate) fn max_score(scores: &[f64]) -> Option<f64> {
+    if scores.is_empty() {
+        return None;
     }
+    Some(scores.iter().copied().fold(f64::NEG_INFINITY, f64::max))
 }
 
 /// What to do when a document overlaps no pattern of a query term.
@@ -67,41 +37,17 @@ mod tests {
     const SCORES: &[f64] = &[0.4, 1.2, 0.8, 0.1];
 
     #[test]
-    fn max_min_mean_median() {
-        assert_eq!(BurstinessAgg::Max.aggregate(SCORES), Some(1.2));
-        assert_eq!(BurstinessAgg::Min.aggregate(SCORES), Some(0.1));
-        let mean = BurstinessAgg::Mean.aggregate(SCORES).unwrap();
-        assert!((mean - 0.625).abs() < 1e-12);
-        let median = BurstinessAgg::Median.aggregate(SCORES).unwrap();
-        assert!((median - 0.6).abs() < 1e-12);
-    }
-
-    #[test]
-    fn median_of_odd_length() {
-        assert_eq!(BurstinessAgg::Median.aggregate(&[3.0, 1.0, 2.0]), Some(2.0));
-    }
-
-    #[test]
-    fn single_score_all_aggregates_agree() {
-        for agg in [
-            BurstinessAgg::Max,
-            BurstinessAgg::Min,
-            BurstinessAgg::Mean,
-            BurstinessAgg::Median,
-        ] {
-            assert_eq!(agg.aggregate(&[0.7]), Some(0.7));
-        }
+    fn max_of_overlapping_scores() {
+        assert_eq!(max_score(SCORES), Some(1.2));
     }
 
     #[test]
     fn empty_scores_give_none() {
-        assert_eq!(BurstinessAgg::Max.aggregate(&[]), None);
-        assert_eq!(BurstinessAgg::Median.aggregate(&[]), None);
+        assert_eq!(max_score(&[]), None);
     }
 
     #[test]
     fn defaults_match_paper() {
-        assert_eq!(BurstinessAgg::default(), BurstinessAgg::Max);
         assert_eq!(NoPatternPolicy::default(), NoPatternPolicy::Exclude);
     }
 }

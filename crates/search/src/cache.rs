@@ -49,13 +49,14 @@ pub struct QueryKey {
 
 impl QueryKey {
     /// Builds the key for an unfiltered query, normalizing term order.
-    pub fn new(query: &[TermId], k: usize, config: EngineConfig) -> Self {
+    #[cfg(test)]
+    pub(crate) fn new(query: &[TermId], k: usize, config: EngineConfig) -> Self {
         Self::canonical(query, k, config, None, None)
     }
 
     /// Builds the full canonical key: sorted terms, result size, effective
     /// configuration, and the query's time/region filters.
-    pub fn canonical(
+    pub(crate) fn canonical(
         query: &[TermId],
         k: usize,
         config: EngineConfig,
@@ -139,7 +140,7 @@ struct Inner {
 /// `O(capacity)` per insertion past capacity — fine for the intended
 /// capacities (hundreds to a few thousand distinct queries).
 #[derive(Debug)]
-pub struct QueryCache {
+pub(crate) struct QueryCache {
     inner: Mutex<Inner>,
     capacity: usize,
     hits: Arc<Counter>,
@@ -148,7 +149,7 @@ pub struct QueryCache {
 
 impl QueryCache {
     /// Creates a cache holding at most `capacity` distinct queries.
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         Self::with_counters(capacity, Arc::new(Counter::new()), Arc::new(Counter::new()))
     }
 
@@ -160,7 +161,7 @@ impl QueryCache {
     /// path itself — and an `ObsRegistry` that adopts the cells renders
     /// them live, making `EngineMetrics` a thin view over the registry
     /// rather than a separate tally.
-    pub fn with_counters(capacity: usize, hits: Arc<Counter>, misses: Arc<Counter>) -> Self {
+    pub(crate) fn with_counters(capacity: usize, hits: Arc<Counter>, misses: Arc<Counter>) -> Self {
         Self {
             inner: Mutex::new(Inner::default()),
             capacity,
@@ -170,7 +171,7 @@ impl QueryCache {
     }
 
     /// Maximum number of cached queries (0 = caching disabled).
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         self.capacity
     }
 
@@ -191,7 +192,7 @@ impl QueryCache {
     /// counted as a miss): a reader still holding generation `g` while
     /// `g+1` is being published must not serve results referencing state
     /// (e.g. documents) that `g` does not contain.
-    pub fn get_at(&self, key: &QueryKey, generation: u64) -> Option<Vec<SearchResult>> {
+    pub(crate) fn get_at(&self, key: &QueryKey, generation: u64) -> Option<Vec<SearchResult>> {
         if self.capacity == 0 {
             self.misses.inc();
             return None;
@@ -224,7 +225,7 @@ impl QueryCache {
     /// takes, a stale result either observes the bumped generation here
     /// (and is not inserted) or is inserted before the writer invalidates —
     /// in which case the writer's invalidation removes it.
-    pub fn put_tagged(
+    pub(crate) fn put_tagged(
         &self,
         key: QueryKey,
         results: Vec<SearchResult>,
@@ -261,7 +262,7 @@ impl QueryCache {
     }
 
     /// Drops every cached query that involves `term`.
-    pub fn invalidate_term(&self, term: TermId) {
+    pub(crate) fn invalidate_term(&self, term: TermId) {
         self.invalidate_terms(|t| t == term);
     }
 
@@ -278,7 +279,7 @@ impl QueryCache {
     }
 
     /// Drops every cached entry.
-    pub fn clear(&self) {
+    pub(crate) fn clear(&self) {
         if self.capacity == 0 {
             return;
         }
@@ -286,25 +287,26 @@ impl QueryCache {
     }
 
     /// Number of currently cached queries.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.lock().map.len()
     }
 
     /// Whether the cache currently holds no entries.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
     /// Number of lookups answered from the cache since construction (the
     /// shared cell's total when constructed via
     /// [`QueryCache::with_counters`]).
-    pub fn hits(&self) -> u64 {
+    pub(crate) fn hits(&self) -> u64 {
         self.hits.get()
     }
 
     /// Number of lookups that missed since construction (the shared
     /// cell's total when constructed via [`QueryCache::with_counters`]).
-    pub fn misses(&self) -> u64 {
+    pub(crate) fn misses(&self) -> u64 {
         self.misses.get()
     }
 }

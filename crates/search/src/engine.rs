@@ -6,8 +6,7 @@
 //! 2. the spatiotemporal patterns mined per term by one of the miners
 //!    (`STComb`, `STLocal`, or the temporal-only `TB` baseline) — the engine
 //!    handles one pattern source at a time, as in the paper,
-//! 3. a scoring configuration (relevance strategy, burstiness aggregation,
-//!    no-pattern policy).
+//! 3. a scoring configuration (relevance strategy, no-pattern policy).
 //!
 //! For every query term the engine needs a posting list whose per-document
 //! score is `relevance(d, t) × burstiness(d, t)` (Eq. 10–11); the top-k is
@@ -42,7 +41,7 @@
 //! * an incremental per-term rebuild: updating one term's patterns after
 //!   finalization re-scores only that term's posting list.
 
-use crate::burstiness::{BurstinessAgg, NoPatternPolicy};
+use crate::burstiness::{max_score, NoPatternPolicy};
 use crate::cache::{QueryCache, QueryKey};
 use crate::error::QueryError;
 use crate::index::{InvertedIndex, Posting};
@@ -91,8 +90,6 @@ pub const DEFAULT_CACHE_CAPACITY: usize = 1024;
 pub struct EngineConfig {
     /// Relevance strategy (default: `log(freq + 1)`).
     pub relevance: Relevance,
-    /// Burstiness aggregation over overlapping patterns (default: maximum).
-    pub aggregation: BurstinessAgg,
     /// Behaviour for documents with no overlapping pattern (default:
     /// exclude, per Eq. 11).
     pub no_pattern: NoPatternPolicy,
@@ -117,12 +114,6 @@ impl EngineConfigBuilder {
     /// Sets the relevance strategy.
     pub fn relevance(mut self, relevance: Relevance) -> Self {
         self.config.relevance = relevance;
-        self
-    }
-
-    /// Sets the burstiness aggregation.
-    pub fn aggregation(mut self, aggregation: BurstinessAgg) -> Self {
-        self.config.aggregation = aggregation;
         self
     }
 
@@ -184,8 +175,8 @@ impl From<&StoredPattern> for PatternRecord {
 /// registration time) and, when the engine is finalized, its prebuilt
 /// score-sorted posting lists.
 ///
-/// Produced by [`BurstySearchEngine::export_state`] and consumed by
-/// [`BurstySearchEngine::import_state`]; the `stb-store` snapshot format
+/// Produced by `BurstySearchEngine::export_state` and consumed by
+/// `BurstySearchEngine::import_state`; the `stb-store` snapshot format
 /// persists exactly this structure. The corpus-level term→documents lists
 /// are *not* part of the state — they are re-derived deterministically from
 /// the collection on construction.
@@ -352,14 +343,14 @@ pub struct EngineMetrics {
     /// Total postings in the prebuilt index (0 if cold).
     pub indexed_postings: usize,
     /// Number of full prebuilt-index builds so far.
-    pub finalize_count: u64,
+    pub(crate) finalize_count: u64,
     /// Wall-clock milliseconds of the most recent full build, if any.
-    pub last_finalize_ms: Option<f64>,
+    pub(crate) last_finalize_ms: Option<f64>,
     /// Single-term posting-list rebuilds applied to the prebuilt index
     /// (incremental `set_patterns` / `refresh_term` calls).
     pub term_rescore_count: u64,
     /// Documents in the engine's current collection snapshot.
-    pub n_docs: usize,
+    pub(crate) n_docs: usize,
 }
 
 impl BurstySearchEngine {
@@ -413,11 +404,6 @@ impl BurstySearchEngine {
         &self.state.config
     }
 
-    /// The engine's current collection snapshot.
-    pub fn collection(&self) -> &Arc<Collection> {
-        &self.state.collection
-    }
-
     /// The state queries run over — what the sharded tier publishes.
     pub(crate) fn state(&self) -> &DerivedState {
         &self.state
@@ -458,7 +444,7 @@ impl BurstySearchEngine {
     /// its patterns — new documents arrived via
     /// [`BurstySearchEngine::update_collection`], or the corpus-level
     /// statistics a [`Relevance::TfIdf`] configuration depends on moved.
-    pub fn refresh_term(&mut self, term: TermId) {
+    pub(crate) fn refresh_term(&mut self, term: TermId) {
         if self.state.prebuilt.is_some() {
             let list = self.term_postings(term);
             if let Some(index) = self.state.prebuilt.as_mut() {
@@ -477,7 +463,7 @@ impl BurstySearchEngine {
     /// This does **not** re-score any posting list: after swapping, refresh
     /// the terms whose scores the new documents affect (their own terms, at
     /// minimum) with [`BurstySearchEngine::set_patterns`] or
-    /// [`BurstySearchEngine::refresh_term`] — which is exactly what the
+    /// `BurstySearchEngine::refresh_term` — which is exactly what the
     /// `stb-ingest` pipeline's per-tick commit does with its dirty-term set.
     pub fn update_collection(&mut self, collection: Arc<Collection>, new_docs: &[DocId]) {
         let state = &mut self.state;
@@ -511,18 +497,6 @@ impl BurstySearchEngine {
         S::P: PatternGeometry,
     {
         source.for_each_term(&mut |term, patterns| self.set_patterns(term, patterns));
-    }
-
-    /// Number of documents that contain the term.
-    pub fn doc_freq(&self, term: TermId) -> usize {
-        self.state.term_docs(term).map_or(0, <[DocId]>::len)
-    }
-
-    /// `burstiness(d, t)` of Eq. 11: aggregates the scores of the patterns of
-    /// `term` that overlap the document, or `None` if no pattern overlaps
-    /// (or `doc` is not in the engine's snapshot).
-    pub fn document_burstiness(&self, term: TermId, doc: DocId) -> Option<f64> {
-        document_burstiness(&self.state, term, doc)
     }
 
     /// The Eq. 10–11 scored posting list of one term (unsorted) under the
@@ -571,11 +545,6 @@ impl BurstySearchEngine {
         self.last_finalize = Some(start.elapsed());
     }
 
-    /// Whether the full-collection posting index has been prebuilt.
-    pub fn is_finalized(&self) -> bool {
-        self.state.prebuilt.is_some()
-    }
-
     /// The prebuilt full-collection posting index, if
     /// [`BurstySearchEngine::finalize`] has run.
     pub fn prebuilt_index(&self) -> Option<&InvertedIndex> {
@@ -586,7 +555,7 @@ impl BurstySearchEngine {
     /// captured spatial footprints and, if finalized, the prebuilt posting
     /// lists — in a deterministic order, preserving every score's exact
     /// `f64` bit pattern. See [`EngineState`].
-    pub fn export_state(&self) -> EngineState {
+    pub(crate) fn export_state(&self) -> EngineState {
         let mut terms: Vec<TermId> = self.state.patterns.keys().copied().collect();
         terms.sort();
         let patterns = terms
@@ -628,7 +597,7 @@ impl BurstySearchEngine {
     /// importing an exported state into an engine holding the same
     /// collection snapshot yields an engine that answers every query
     /// byte-identically to the original.
-    pub fn import_state(&mut self, state: EngineState) {
+    pub(crate) fn import_state(&mut self, state: EngineState) {
         self.state.patterns = state
             .patterns
             .into_iter()
@@ -677,7 +646,7 @@ impl BurstySearchEngine {
     /// API.
     ///
     /// Scoring follows Eq. 10–11 restricted to the patterns that pass the
-    /// query's time/region filters (see the [`crate::query`] module docs
+    /// query's time/region filters (see the `crate::query` module docs
     /// for the exact filter semantics). Results come from the result cache
     /// when the *full* canonical query — terms, `k`, effective
     /// configuration, and filters — was answered before; otherwise the
@@ -845,19 +814,6 @@ pub(crate) fn execute(
     Ok(response)
 }
 
-/// `burstiness(d, t)` of Eq. 11 against a state's pattern store; `None` if
-/// no pattern overlaps or `doc` is outside the state's snapshot.
-pub(crate) fn document_burstiness(state: &DerivedState, term: TermId, doc: DocId) -> Option<f64> {
-    let document = state.collection.documents().get(doc.index())?;
-    burstiness_of(
-        state.patterns(term),
-        document.stream,
-        document.timestamp,
-        state.config.aggregation,
-        PatternFilter::NONE,
-    )
-}
-
 /// Validates and resolves a [`Query`] against a collection snapshot under a
 /// base configuration (per-query overrides applied on top).
 pub(crate) fn plan_query(
@@ -991,7 +947,6 @@ fn burstiness_of(
     patterns: Option<&[StoredPattern]>,
     stream: StreamId,
     timestamp: Timestamp,
-    aggregation: BurstinessAgg,
     filter: PatternFilter,
 ) -> Option<f64> {
     let overlapping: Vec<f64> = patterns?
@@ -999,7 +954,7 @@ fn burstiness_of(
         .filter(|p| filter.passes(p) && p.overlaps(stream, timestamp))
         .map(|p| p.score)
         .collect();
-    aggregation.aggregate(&overlapping)
+    max_score(&overlapping)
 }
 
 /// The Eq. 10–11 scored posting list of one term (unsorted) over a state's
@@ -1021,13 +976,7 @@ fn scored_postings(
     for &doc_id in docs {
         let doc = collection.document(doc_id);
         let relevance = config.relevance.score(doc.freq(term), doc_freq, n_docs);
-        match burstiness_of(
-            patterns,
-            doc.stream,
-            doc.timestamp,
-            config.aggregation,
-            filter,
-        ) {
+        match burstiness_of(patterns, doc.stream, doc.timestamp, filter) {
             Some(burst) => list.push(Posting {
                 doc: doc_id,
                 score: relevance * burst,
@@ -1101,7 +1050,7 @@ fn explain(
                         })
                         .collect();
                     let scores: Vec<f64> = patterns.iter().map(|p| p.score).collect();
-                    let burstiness = plan.config.aggregation.aggregate(&scores);
+                    let burstiness = max_score(&scores);
                     let contribution = burstiness.map_or(0.0, |b| relevance * b);
                     total += contribution;
                     TermExplanation {
@@ -1235,27 +1184,6 @@ mod tests {
     }
 
     #[test]
-    fn document_burstiness_uses_max_aggregation() {
-        let (c, flood) = build_fixture();
-        let mut engine = BurstySearchEngine::new(&c, EngineConfig::default());
-        let weak = CombinatorialPattern::new(
-            vec![StreamId(0), StreamId(1)],
-            TimeInterval::new(4, 6),
-            0.5,
-            vec![],
-        );
-        engine.set_patterns(flood, &[weak, flood_pattern()]);
-        // Find a burst document.
-        let doc = c
-            .documents()
-            .iter()
-            .find(|d| d.freq(flood) == 10)
-            .unwrap()
-            .id;
-        assert_eq!(engine.document_burstiness(flood, doc), Some(1.5));
-    }
-
-    #[test]
     fn search_text_resolves_terms() {
         let (c, flood) = build_fixture();
         let mut engine = BurstySearchEngine::new(&c, EngineConfig::default());
@@ -1330,10 +1258,6 @@ mod tests {
             }
             assert!(run(&engine, &[ghost], 5).is_empty());
             assert!(run(&engine, &[flood, ghost], 5).is_empty());
-            assert_eq!(engine.doc_freq(ghost), 0);
-            assert_eq!(engine.document_burstiness(ghost, DocId(0)), None);
-            // Nor may a DocId outside the snapshot index out of bounds.
-            assert_eq!(engine.document_burstiness(flood, DocId(u32::MAX)), None);
         }
     }
 
@@ -1388,7 +1312,6 @@ mod tests {
         assert!(!cold.finalized);
         assert_eq!(cold.finalize_count, 0);
         assert_eq!(cold.last_finalize_ms, None);
-        assert_eq!(cold.n_docs, engine.collection().documents().len());
 
         engine.set_patterns(flood, &[flood_pattern()]);
         engine.finalize_with_threads(2);
@@ -1411,15 +1334,6 @@ mod tests {
     fn engine_is_send_and_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<BurstySearchEngine>();
-    }
-
-    #[test]
-    fn doc_freq_counts_documents_not_occurrences() {
-        let (c, flood) = build_fixture();
-        let engine = BurstySearchEngine::new(&c, EngineConfig::default());
-        // "flood" appears in documents at ts 0,3,6,9 for 3 streams (12 docs)
-        // plus 6 burst documents.
-        assert_eq!(engine.doc_freq(flood), 18);
     }
 
     #[test]
@@ -1473,7 +1387,6 @@ mod tests {
             hot.set_patterns(flood, &[flood_pattern()]);
             hot.set_patterns(cricket, std::slice::from_ref(&all_streams));
             hot.finalize_with_threads(3);
-            assert!(hot.is_finalized());
 
             for query in [vec![flood], vec![cricket], vec![flood, cricket]] {
                 for k in [1, 5, 50] {
@@ -1854,11 +1767,9 @@ mod tests {
         assert_eq!(EngineConfig::builder().build(), EngineConfig::default());
         let custom = EngineConfig::builder()
             .relevance(Relevance::TfIdf)
-            .aggregation(BurstinessAgg::Mean)
             .no_pattern(NoPatternPolicy::Zero)
             .build();
         assert_eq!(custom.relevance, Relevance::TfIdf);
-        assert_eq!(custom.aggregation, BurstinessAgg::Mean);
         assert_eq!(custom.no_pattern, NoPatternPolicy::Zero);
     }
 }

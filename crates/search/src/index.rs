@@ -22,20 +22,6 @@
 //! [`InvertedIndex::set_postings`], which keeps the per-term invariants
 //! without touching the rest of the index — this is what the search
 //! engine's incremental per-term rebuild uses.
-//!
-//! ```
-//! use stb_search::InvertedIndex;
-//! use stb_corpus::{DocId, TermId};
-//!
-//! let mut idx = InvertedIndex::new();
-//! idx.insert(TermId(0), DocId(7), 1.5);
-//! idx.insert(TermId(0), DocId(3), 4.0);
-//! idx.finalize();
-//! // Sorted access: best document first.
-//! assert_eq!(idx.postings(TermId(0))[0].doc, DocId(3));
-//! // Random access: score lookup by (term, doc).
-//! assert_eq!(idx.score(TermId(0), DocId(7)), Some(1.5));
-//! ```
 
 use crate::threshold::PostingAccess;
 use std::collections::HashMap;
@@ -134,7 +120,7 @@ impl InvertedIndex {
     /// Unlike [`InvertedIndex::insert`] this does *not* un-finalize the
     /// index: it is the building block of the engine's incremental per-term
     /// rebuild, where the rest of the index stays valid.
-    pub fn set_postings(&mut self, term: TermId, list: Vec<Posting>) {
+    pub(crate) fn set_postings(&mut self, term: TermId, list: Vec<Posting>) {
         if list.is_empty() {
             self.lists.remove(&term);
             return;
@@ -163,11 +149,6 @@ impl InvertedIndex {
         self.finalized = true;
     }
 
-    /// Whether the index is finalized (sorted access is allowed).
-    pub fn is_finalized(&self) -> bool {
-        self.finalized
-    }
-
     /// The posting list of a term, sorted by descending score. Empty slice
     /// for unknown terms.
     ///
@@ -176,7 +157,7 @@ impl InvertedIndex {
     /// In debug builds, panics if called before [`InvertedIndex::finalize`]:
     /// sorted access over unsorted lists would silently break the Threshold
     /// Algorithm's early-termination bound.
-    pub fn postings(&self, term: TermId) -> &[Posting] {
+    pub(crate) fn postings(&self, term: TermId) -> &[Posting] {
         debug_assert!(
             self.finalized,
             "sorted access before InvertedIndex::finalize()"
@@ -186,31 +167,26 @@ impl InvertedIndex {
 
     /// Random access: the score of `doc` for `term`, if the document appears
     /// in the term's posting list. Allowed in any state.
-    pub fn score(&self, term: TermId, doc: DocId) -> Option<f64> {
+    pub(crate) fn score(&self, term: TermId, doc: DocId) -> Option<f64> {
         self.lists.get(&term)?.by_doc.get(&doc).copied()
     }
 
     /// Number of terms with at least one posting.
-    pub fn n_terms(&self) -> usize {
+    pub(crate) fn n_terms(&self) -> usize {
         self.lists.len()
     }
 
     /// Ids of every term with at least one posting, sorted (a deterministic
     /// iteration order for state export).
-    pub fn terms(&self) -> Vec<TermId> {
+    pub(crate) fn terms(&self) -> Vec<TermId> {
         let mut terms: Vec<TermId> = self.lists.keys().copied().collect();
         terms.sort();
         terms
     }
 
     /// Total number of postings over all terms.
-    pub fn n_postings(&self) -> usize {
+    pub(crate) fn n_postings(&self) -> usize {
         self.lists.values().map(|l| l.sorted.len()).sum()
-    }
-
-    /// Number of postings of a term.
-    pub fn doc_freq(&self, term: TermId) -> usize {
-        self.lists.get(&term).map_or(0, |l| l.sorted.len())
     }
 
     /// The shared entry of a term, if it has postings.
@@ -276,13 +252,23 @@ mod tests {
     }
 
     #[test]
+    fn index_module_doc_example() {
+        let mut idx = InvertedIndex::new();
+        idx.insert(TermId(0), DocId(7), 1.5);
+        idx.insert(TermId(0), DocId(3), 4.0);
+        idx.finalize();
+        // Sorted access: best document first.
+        assert_eq!(idx.postings(TermId(0))[0].doc, DocId(3));
+        // Random access: score lookup by (term, doc).
+        assert_eq!(idx.score(TermId(0), DocId(7)), Some(1.5));
+    }
+
+    #[test]
     fn empty_index() {
         let idx = InvertedIndex::new();
-        assert!(idx.is_finalized());
         assert_eq!(idx.n_terms(), 0);
         assert!(idx.postings(term(0)).is_empty());
         assert_eq!(idx.score(term(0), doc(0)), None);
-        assert_eq!(idx.doc_freq(term(0)), 0);
     }
 
     #[test]
@@ -315,7 +301,6 @@ mod tests {
         assert_eq!(idx.score(term(2), doc(0)), Some(0.25));
         assert_eq!(idx.score(term(2), doc(1)), Some(0.75));
         assert_eq!(idx.score(term(2), doc(2)), None);
-        assert_eq!(idx.doc_freq(term(2)), 2);
     }
 
     #[test]
@@ -325,7 +310,6 @@ mod tests {
         idx.insert(term(0), doc(0), 3.0);
         idx.finalize();
         assert_eq!(idx.score(term(0), doc(0)), Some(3.0));
-        assert_eq!(idx.doc_freq(term(0)), 1);
         // The surviving posting carries the surviving score.
         assert_eq!(idx.postings(term(0))[0].score, 3.0);
     }
@@ -357,13 +341,16 @@ mod tests {
     #[test]
     fn insert_unfinalizes() {
         let mut idx = InvertedIndex::new();
-        assert!(idx.is_finalized());
+        assert!(idx.finalized);
         idx.insert(term(0), doc(0), 1.0);
-        assert!(!idx.is_finalized());
+        assert!(!idx.finalized);
         idx.finalize();
-        assert!(idx.is_finalized());
+        assert!(idx.finalized);
         idx.insert(term(0), doc(1), 2.0);
-        assert!(!idx.is_finalized());
+        assert!(!idx.finalized);
+        idx.finalize();
+        let docs: Vec<DocId> = idx.postings(term(0)).iter().map(|p| p.doc).collect();
+        assert_eq!(docs, vec![doc(1), doc(0)], "re-sorted after the insert");
     }
 
     #[test]
@@ -394,7 +381,6 @@ mod tests {
                 },
             ],
         );
-        assert!(idx.is_finalized());
         let docs: Vec<DocId> = idx.postings(term(0)).iter().map(|p| p.doc).collect();
         assert_eq!(docs, vec![doc(6), doc(5)]);
         assert_eq!(idx.score(term(0), doc(0)), None);
@@ -431,8 +417,6 @@ mod tests {
         let shared_again = idx.clone();
         idx.insert(term(0), doc(3), 3.0);
         idx.finalize();
-        assert_eq!(idx.doc_freq(term(0)), 2);
-        assert_eq!(shared_again.doc_freq(term(0)), 1);
         assert_eq!(shared_again.score(term(0), doc(3)), None);
         assert_eq!(view(&held), before);
         assert!(Arc::ptr_eq(&entry, held.entry(term(0)).unwrap()));

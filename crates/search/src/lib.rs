@@ -26,45 +26,46 @@
 //! per-term postings sorted by score, queried with Fagin's Threshold
 //! Algorithm ([`threshold_topk`]) for early-terminating top-k evaluation.
 //! For serving repeated query traffic, [`BurstySearchEngine::finalize`]
-//! prebuilds the whole collection's scored posting lists in parallel, an
-//! and an LRU [`cache::QueryCache`] short-circuits repeated queries (keyed
-//! on the full canonical query, filters included).
+//! prebuilds the whole collection's scored posting lists in parallel, and
+//! an LRU result cache short-circuits repeated queries (keyed on the full
+//! canonical query, filters included).
 //!
 //! The engine owns its collection as an `Arc` snapshot, so queries can be
 //! served concurrently with ingestion: the `stb-ingest` pipeline swaps in
 //! newer snapshots with [`BurstySearchEngine::update_collection`] and
-//! re-scores only the affected terms
-//! ([`BurstySearchEngine::refresh_term`]); serving counters are exposed
-//! through [`EngineMetrics`].
+//! re-scores only the affected terms; serving counters are exposed through
+//! [`EngineMetrics`].
 //!
-//! For concurrent serving under live ingestion, the [`shard`] module adds a
-//! serving tier on top: a [`ShardedEngine`] write side that publishes
+//! For concurrent serving under live ingestion, a serving tier sits on
+//! top: a [`ShardedEngine`] write side that publishes
 //! generational snapshots — pointer-sharing clones of its engine's derived
 //! state — by swapping one `Arc` under a `RwLock`, and a [`ServingFront`]
 //! read side whose queries never wait on a commit's mining or publish work
 //! (they take the read lock for one pointer clone) yet answer
 //! bit-identically to the unsharded engine, behind result caches sharded by
-//! term hash ([`shard_of`]). Both tiers run the same single query flow over
-//! the same state type.
+//! term hash. Both tiers run the same single query flow over the same state
+//! type.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 // A serving thread must not panic on a recoverable condition.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod burstiness;
-pub mod cache;
-pub mod engine;
-pub mod error;
-pub mod index;
-pub mod obs;
-pub mod query;
-pub mod relevance;
-pub mod shard;
+mod burstiness;
+mod cache;
+mod engine;
+mod error;
+mod index;
+mod obs;
+#[cfg(test)]
+mod proptests;
+mod query;
+mod relevance;
+mod shard;
 pub mod threshold;
 
-pub use burstiness::{BurstinessAgg, NoPatternPolicy};
-pub use cache::{QueryCache, QueryKey};
+pub use burstiness::NoPatternPolicy;
+pub use cache::QueryKey;
 pub use engine::{
     BurstySearchEngine, EngineConfig, EngineConfigBuilder, EngineMetrics, EngineState,
     SearchResult, DEFAULT_CACHE_CAPACITY,
@@ -74,8 +75,8 @@ pub use index::{InvertedIndex, Posting};
 pub use obs::{SearchObs, SearchObsConfig};
 pub use query::{
     DocExplanation, PatternMatch, Query, QueryResponse, QueryStats, ResponseSnapshot,
-    TermExplanation, UnknownWords, DEFAULT_TOP_K,
+    TermExplanation, UnknownWords,
 };
 pub use relevance::Relevance;
-pub use shard::{shard_of, ServingFront, ShardedEngine, DEFAULT_SHARDS};
-pub use threshold::{threshold_topk, threshold_topk_with_stats, PostingAccess, TopkStats};
+pub use shard::{ServingFront, ShardedEngine, DEFAULT_SHARDS};
+pub use threshold::threshold_topk;

@@ -32,9 +32,7 @@ pub struct SearchObsConfig {
     pub trace_sample_every: u64,
     /// Capacity of the sampled trace ring.
     pub trace_capacity: usize,
-    /// Queries at or above this latency enter the slow-query log. The
-    /// threshold is runtime-adjustable afterwards via
-    /// [`SlowQueryLog::set_threshold`].
+    /// Queries at or above this latency enter the slow-query log.
     pub slow_query_threshold: Duration,
     /// Capacity of the slow-query log.
     pub slow_log_capacity: usize,
@@ -96,13 +94,9 @@ impl SearchObs {
     }
 
     /// The registry the metric handles live in.
-    pub fn registry(&self) -> &Arc<ObsRegistry> {
+    #[cfg(test)]
+    pub(crate) fn registry(&self) -> &Arc<ObsRegistry> {
         &self.registry
-    }
-
-    /// The end-to-end query latency histogram (`search_query_ns`).
-    pub fn query_latency(&self) -> &Arc<LatencyHistogram> {
-        &self.query_ns
     }
 
     /// The sampled query traces currently retained.

@@ -4,16 +4,16 @@
 //! a spatiotemporally filtered `Query` must be byte-identical to an
 //! exhaustive search whose pattern set was post-filtered by geometry.
 
+use crate::threshold::exhaustive_topk;
+use crate::{
+    threshold_topk, BurstySearchEngine, EngineConfig, InvertedIndex, NoPatternPolicy, Query,
+    QueryKey, SearchResult,
+};
 use proptest::prelude::*;
 use proptest::TestCaseError;
 use stb_core::{CombinatorialPattern, PatternGeometry, RegionalPattern};
 use stb_corpus::{Collection, CollectionBuilder, DocId, StreamId, TermId};
 use stb_geo::{GeoPoint, Rect};
-use stb_search::threshold::exhaustive_topk;
-use stb_search::{
-    threshold_topk, BurstySearchEngine, EngineConfig, InvertedIndex, NoPatternPolicy, Query,
-    QueryKey, SearchResult,
-};
 use stb_timeseries::TimeInterval;
 use std::collections::HashMap;
 

@@ -73,7 +73,7 @@ pub(crate) enum QueryTerms {
 }
 
 /// Default number of results a [`Query`] returns.
-pub const DEFAULT_TOP_K: usize = 10;
+pub(crate) const DEFAULT_TOP_K: usize = 10;
 
 /// A typed, immutable description of one search: terms, spatiotemporal
 /// filters, result size, and scoring/diagnostic options.
@@ -116,7 +116,6 @@ pub const DEFAULT_TOP_K: usize = 10;
 ///
 /// // Each result is explained: which pattern matched, where and when.
 /// let explanation = &response.explanations[0];
-/// assert_eq!(explanation.total, response.results[0].score);
 /// let matched = &explanation.terms[0].patterns[0];
 /// assert_eq!(matched.interval, TimeInterval::new(2, 3));
 ///
@@ -185,7 +184,7 @@ impl Query {
         self
     }
 
-    /// Number of results to return (default [`DEFAULT_TOP_K`]). Zero fails
+    /// Number of results to return (default `DEFAULT_TOP_K`). Zero fails
     /// execution with [`crate::QueryError::ZeroTopK`].
     pub fn top_k(mut self, k: usize) -> Self {
         self.top_k = k;
@@ -216,11 +215,6 @@ impl Query {
         self.explain = explain;
         self
     }
-
-    /// Whether the query carries a time or region filter.
-    pub fn is_filtered(&self) -> bool {
-        self.time_window.is_some() || self.region.is_some()
-    }
 }
 
 /// One pattern that contributed to a document's burstiness: where it lives,
@@ -233,7 +227,7 @@ pub struct PatternMatch {
     /// located spatially).
     pub region: Option<Rect>,
     /// The pattern's burstiness score.
-    pub score: f64,
+    pub(crate) score: f64,
 }
 
 /// One query term's contribution to a document's score (one factor pair of
@@ -241,17 +235,17 @@ pub struct PatternMatch {
 #[derive(Debug, Clone, PartialEq)]
 pub struct TermExplanation {
     /// The query term.
-    pub term: TermId,
+    pub(crate) term: TermId,
     /// `relevance(d, t)` under the query's effective configuration.
-    pub relevance: f64,
+    pub(crate) relevance: f64,
     /// `burstiness(d, t)` (Eq. 11) aggregated over the matching patterns,
     /// or `None` when no (filter-surviving) pattern overlaps the document.
-    pub burstiness: Option<f64>,
+    pub(crate) burstiness: Option<f64>,
     /// `relevance × burstiness`, or `0.0` when no pattern matched (the
     /// term contributes nothing under [`crate::NoPatternPolicy::Zero`];
     /// under [`crate::NoPatternPolicy::Exclude`] such a document never
     /// appears in the results at all).
-    pub contribution: f64,
+    pub(crate) contribution: f64,
     /// The patterns of the term that overlap the document *and* pass the
     /// query's filters — the set Eq. 11 aggregates over.
     pub patterns: Vec<PatternMatch>,
@@ -261,9 +255,9 @@ pub struct TermExplanation {
 #[derive(Debug, Clone, PartialEq)]
 pub struct DocExplanation {
     /// The explained document.
-    pub doc: DocId,
+    pub(crate) doc: DocId,
     /// Sum of the per-term contributions — equals the result's score.
-    pub total: f64,
+    pub(crate) total: f64,
     /// One entry per distinct query term, in first-occurrence order.
     pub terms: Vec<TermExplanation>,
 }
@@ -286,7 +280,7 @@ pub struct QueryStats {
     /// Distinct resolved query terms (duplicates collapse in planning).
     pub terms: usize,
     /// Whether a time or region filter restricted the pattern set.
-    pub filtered: bool,
+    pub(crate) filtered: bool,
 }
 
 /// The outcome of a successfully executed [`Query`].
@@ -321,18 +315,6 @@ impl ResponseSnapshot {
     pub fn results(&self) -> &[SearchResult] {
         &self.response.results
     }
-
-    /// Whether two snapshots rank the same documents with bit-identical
-    /// scores (generation and stats are *not* compared — two generations
-    /// may legitimately serve identical results).
-    pub fn same_results(&self, other: &Self) -> bool {
-        self.results().len() == other.results().len()
-            && self
-                .results()
-                .iter()
-                .zip(other.results())
-                .all(|(a, b)| a.doc == b.doc && a.score.to_bits() == b.score.to_bits())
-    }
 }
 
 #[cfg(test)]
@@ -349,7 +331,6 @@ mod tests {
             .unknown_words(UnknownWords::Drop)
             .explain(true);
         assert_eq!(q.top_k, 7);
-        assert!(q.is_filtered());
         assert_eq!(q.relevance, Some(Relevance::RawFreq));
         assert_eq!(q.unknown_words, UnknownWords::Drop);
         assert!(q.explain);
@@ -360,7 +341,6 @@ mod tests {
     fn defaults_are_unfiltered_top_10() {
         let q = Query::text("flood warning");
         assert_eq!(q.top_k, DEFAULT_TOP_K);
-        assert!(!q.is_filtered());
         assert!(!q.explain);
         assert_eq!(q.unknown_words, UnknownWords::Error);
         assert_eq!(q.relevance, None);

@@ -26,7 +26,7 @@ impl Relevance {
     ///   [`Relevance::TfIdf`] only).
     /// * `n_docs` — total number of documents (used by [`Relevance::TfIdf`]
     ///   only).
-    pub fn score(&self, freq: u32, doc_freq: usize, n_docs: usize) -> f64 {
+    pub(crate) fn score(&self, freq: u32, doc_freq: usize, n_docs: usize) -> f64 {
         match self {
             Relevance::LogFreq => (freq as f64 + 1.0).ln(),
             Relevance::RawFreq => freq as f64,

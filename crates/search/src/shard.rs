@@ -42,8 +42,8 @@
 
 use crate::cache::{QueryCache, QueryKey};
 use crate::engine::{
-    document_burstiness, execute, plan_key, plan_query, BurstySearchEngine, DerivedState,
-    EngineConfig, EngineMetrics, EngineState,
+    execute, plan_key, plan_query, BurstySearchEngine, DerivedState, EngineConfig, EngineMetrics,
+    EngineState,
 };
 use crate::error::QueryError;
 use crate::obs::SearchObs;
@@ -64,7 +64,7 @@ pub const DEFAULT_SHARDS: usize = 8;
 ///
 /// A multiplicative hash of the term id, so consecutively interned terms
 /// spread across shards instead of clustering.
-pub fn shard_of(term: TermId, n_shards: usize) -> usize {
+pub(crate) fn shard_of(term: TermId, n_shards: usize) -> usize {
     debug_assert!(n_shards > 0);
     let h = u64::from(term.0).wrapping_mul(0x9E37_79B9_7F4A_7C15);
     ((h >> 32) as usize) % n_shards
@@ -147,14 +147,9 @@ impl ServingFront {
     /// Attach once at wiring time; later calls are ignored. Un-attached
     /// fronts pay one atomic load and a branch per query — the baseline
     /// arm of `stbench`'s `obs.trace_overhead_pct`.
-    pub fn attach_obs(&self, obs: Arc<SearchObs>) {
+    pub(crate) fn attach_obs(&self, obs: Arc<SearchObs>) {
         obs.adopt_cache_counters(&self.cache_hits, &self.cache_misses);
         let _ = self.obs.set(obs);
-    }
-
-    /// The attached observability hooks, if any.
-    pub fn obs(&self) -> Option<&Arc<SearchObs>> {
-        self.obs.get()
     }
 
     /// The currently published state. The read lock covers one pointer
@@ -172,19 +167,9 @@ impl ServingFront {
         self.load().generation
     }
 
-    /// Number of result-cache shards.
-    pub fn n_shards(&self) -> usize {
-        self.caches.len()
-    }
-
     /// The collection snapshot of the current generation.
     pub fn collection(&self) -> Arc<Collection> {
         Arc::clone(&self.load().derived.collection)
-    }
-
-    /// The scoring configuration of the currently published generation.
-    pub fn config(&self) -> EngineConfig {
-        self.load().derived.config
     }
 
     /// A point-in-time snapshot of the serving counters: the write-side
@@ -276,13 +261,6 @@ impl ServingFront {
             query,
             obs,
         )
-    }
-
-    /// `burstiness(d, t)` of Eq. 11 against the current generation's
-    /// pattern store (the front-side counterpart of
-    /// [`BurstySearchEngine::document_burstiness`]).
-    pub fn document_burstiness(&self, term: TermId, doc: DocId) -> Option<f64> {
-        document_burstiness(&self.load().derived, term, doc)
     }
 
     /// Publishes `state` as the new serving generation. The ordering is
@@ -387,7 +365,7 @@ impl ShardedEngine {
     }
 
     /// Attaches observability hooks to the read front. See
-    /// [`ServingFront::attach_obs`].
+    /// `ServingFront::attach_obs`.
     pub fn attach_obs(&self, obs: Arc<SearchObs>) {
         self.front.attach_obs(obs);
     }
@@ -396,16 +374,6 @@ impl ShardedEngine {
     /// whatever has not been [`publish`](Self::publish)ed yet).
     pub fn engine(&self) -> &BurstySearchEngine {
         &self.engine
-    }
-
-    /// Number of result-cache shards.
-    pub fn n_shards(&self) -> usize {
-        self.front.n_shards()
-    }
-
-    /// The generation of the last publish.
-    pub fn generation(&self) -> u64 {
-        self.generation
     }
 
     /// Registers the mined patterns of a term on the write side (visible to
@@ -426,7 +394,7 @@ impl ShardedEngine {
     }
 
     /// Re-derives one term's posting list on the write side. See
-    /// [`BurstySearchEngine::refresh_term`].
+    /// `BurstySearchEngine::refresh_term`.
     pub fn refresh_term(&mut self, term: TermId) {
         self.engine.refresh_term(term);
         self.dirty.insert(term);
@@ -453,17 +421,9 @@ impl ShardedEngine {
     }
 
     /// Exports the write-side engine's derived state (for snapshots). See
-    /// [`BurstySearchEngine::export_state`].
+    /// `BurstySearchEngine::export_state`.
     pub fn export_state(&self) -> EngineState {
         self.engine.export_state()
-    }
-
-    /// Replaces the write-side engine's derived state with a previously
-    /// exported one and marks everything dirty. See
-    /// [`BurstySearchEngine::import_state`].
-    pub fn import_state(&mut self, state: EngineState) {
-        self.engine.import_state(state);
-        self.all_dirty = true;
     }
 
     /// Crash-recovery restore: replaces the write side with a fresh engine
@@ -870,21 +830,6 @@ mod tests {
                 when_current[0].results.len() + round as usize + 1
             );
         }
-    }
-
-    #[test]
-    fn document_burstiness_matches_engine() {
-        let (reference, sharded, flood, _) = build_pair(2);
-        let front = sharded.front();
-        let collection = front.collection();
-        for doc in collection.documents() {
-            assert_eq!(
-                reference.document_burstiness(flood, doc.id),
-                front.document_burstiness(flood, doc.id),
-            );
-        }
-        // A caller-supplied id outside the snapshot is `None`, not a panic.
-        assert_eq!(front.document_burstiness(flood, DocId(u32::MAX)), None);
     }
 
     #[test]

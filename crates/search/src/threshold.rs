@@ -116,11 +116,11 @@ fn full_score<I: PostingAccess + ?Sized>(
 /// the early termination was — filtered queries shrink the lists *before*
 /// the scan, so the bound applies to filtered lists unchanged.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct TopkStats {
+pub(crate) struct TopkStats {
     /// Postings read by sorted access.
-    pub postings_scanned: usize,
+    pub(crate) postings_scanned: usize,
     /// Postings never read because the algorithm terminated early.
-    pub candidates_pruned: usize,
+    pub(crate) candidates_pruned: usize,
 }
 
 /// Runs the Threshold Algorithm over the query terms and returns the top-`k`
@@ -138,7 +138,7 @@ pub fn threshold_topk<I: PostingAccess + ?Sized>(
 
 /// [`threshold_topk`] plus the [`TopkStats`] of the evaluation — the
 /// serving path uses this to report per-query execution statistics.
-pub fn threshold_topk_with_stats<I: PostingAccess + ?Sized>(
+pub(crate) fn threshold_topk_with_stats<I: PostingAccess + ?Sized>(
     index: &I,
     query: &[TermId],
     k: usize,

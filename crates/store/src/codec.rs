@@ -56,37 +56,37 @@ impl Enc {
     }
 
     /// Appends one byte.
-    pub fn put_u8(&mut self, v: u8) {
+    pub(crate) fn put_u8(&mut self, v: u8) {
         self.buf.push(v);
     }
 
     /// Appends a bool as one byte (0 or 1).
-    pub fn put_bool(&mut self, v: bool) {
+    pub(crate) fn put_bool(&mut self, v: bool) {
         self.put_u8(v as u8);
     }
 
     /// Appends a `u32` little-endian.
-    pub fn put_u32(&mut self, v: u32) {
+    pub(crate) fn put_u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Appends a `u64` little-endian.
-    pub fn put_u64(&mut self, v: u64) {
+    pub(crate) fn put_u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Appends a `usize` as a `u64`.
-    pub fn put_usize(&mut self, v: usize) {
+    pub(crate) fn put_usize(&mut self, v: usize) {
         self.put_u64(v as u64);
     }
 
     /// Appends an `f64` as its raw bit pattern (byte-identical round trip).
-    pub fn put_f64(&mut self, v: f64) {
+    pub(crate) fn put_f64(&mut self, v: f64) {
         self.put_u64(v.to_bits());
     }
 
     /// Appends a length-prefixed UTF-8 string.
-    pub fn put_str(&mut self, v: &str) {
+    pub(crate) fn put_str(&mut self, v: &str) {
         self.put_u32(v.len() as u32);
         self.buf.extend_from_slice(v.as_bytes());
     }
@@ -94,7 +94,7 @@ impl Enc {
 
 /// A bounds-checked little-endian decoder over a byte slice.
 #[derive(Debug)]
-pub struct Dec<'a> {
+pub(crate) struct Dec<'a> {
     data: &'a [u8],
     pos: usize,
     /// What is being decoded, for error messages ("snapshot", "wal record").
@@ -103,17 +103,17 @@ pub struct Dec<'a> {
 
 impl<'a> Dec<'a> {
     /// Creates a decoder over `data`, labelling errors with `what`.
-    pub fn new(data: &'a [u8], what: &'static str) -> Self {
+    pub(crate) fn new(data: &'a [u8], what: &'static str) -> Self {
         Self { data, pos: 0, what }
     }
 
     /// Bytes not yet consumed.
-    pub fn remaining(&self) -> usize {
+    pub(crate) fn remaining(&self) -> usize {
         self.data.len() - self.pos
     }
 
     /// Whether every byte has been consumed.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.remaining() == 0
     }
 
@@ -127,12 +127,12 @@ impl<'a> Dec<'a> {
     }
 
     /// Reads one byte.
-    pub fn get_u8(&mut self) -> Result<u8, StoreError> {
+    pub(crate) fn get_u8(&mut self) -> Result<u8, StoreError> {
         Ok(self.take(1)?[0])
     }
 
     /// Reads a bool (one byte; anything other than 0/1 is corrupt).
-    pub fn get_bool(&mut self) -> Result<bool, StoreError> {
+    pub(crate) fn get_bool(&mut self) -> Result<bool, StoreError> {
         match self.get_u8()? {
             0 => Ok(false),
             1 => Ok(true),
@@ -144,13 +144,13 @@ impl<'a> Dec<'a> {
     }
 
     /// Reads a little-endian `u32`.
-    pub fn get_u32(&mut self) -> Result<u32, StoreError> {
+    pub(crate) fn get_u32(&mut self) -> Result<u32, StoreError> {
         let b = self.take(4)?;
         Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
     }
 
     /// Reads a little-endian `u64`.
-    pub fn get_u64(&mut self) -> Result<u64, StoreError> {
+    pub(crate) fn get_u64(&mut self) -> Result<u64, StoreError> {
         let b = self.take(8)?;
         Ok(u64::from_le_bytes([
             b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
@@ -158,21 +158,21 @@ impl<'a> Dec<'a> {
     }
 
     /// Reads a `u64` persisted from a `usize`.
-    pub fn get_usize(&mut self) -> Result<usize, StoreError> {
+    pub(crate) fn get_usize(&mut self) -> Result<usize, StoreError> {
         let v = self.get_u64()?;
         usize::try_from(v)
             .map_err(|_| StoreError::corrupt(self.what, format!("usize out of range: {v}")))
     }
 
     /// Reads an `f64` from its raw bit pattern.
-    pub fn get_f64(&mut self) -> Result<f64, StoreError> {
+    pub(crate) fn get_f64(&mut self) -> Result<f64, StoreError> {
         Ok(f64::from_bits(self.get_u64()?))
     }
 
     /// Reads a count prefix that must plausibly fit in the remaining bytes
     /// (each element occupying at least `min_elem_bytes`), guarding
     /// `Vec::with_capacity` against garbage lengths.
-    pub fn get_count(&mut self, min_elem_bytes: usize) -> Result<usize, StoreError> {
+    pub(crate) fn get_count(&mut self, min_elem_bytes: usize) -> Result<usize, StoreError> {
         let n = self.get_u32()? as usize;
         if n.saturating_mul(min_elem_bytes.max(1)) > self.remaining() {
             return Err(StoreError::corrupt(
@@ -187,7 +187,7 @@ impl<'a> Dec<'a> {
     }
 
     /// Reads a length-prefixed UTF-8 string.
-    pub fn get_str(&mut self) -> Result<String, StoreError> {
+    pub(crate) fn get_str(&mut self) -> Result<String, StoreError> {
         let len = self.get_count(1)?;
         let bytes = self.take(len)?;
         String::from_utf8(bytes.to_vec())

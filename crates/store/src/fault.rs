@@ -48,7 +48,7 @@ pub enum FaultKind {
 
 /// An in-memory sink that crashes deterministically at a byte offset.
 #[derive(Debug)]
-pub struct FaultFile {
+pub(crate) struct FaultFile {
     written: Vec<u8>,
     crash_at: u64,
     kind: FaultKind,
@@ -58,7 +58,7 @@ pub struct FaultFile {
 impl FaultFile {
     /// A sink that will crash once `crash_at` total bytes have been
     /// written.
-    pub fn new(kind: FaultKind, crash_at: u64) -> Self {
+    pub(crate) fn new(kind: FaultKind, crash_at: u64) -> Self {
         FaultFile {
             written: Vec::new(),
             crash_at,
@@ -67,19 +67,9 @@ impl FaultFile {
         }
     }
 
-    /// Whether the crash offset has been reached.
-    pub fn crashed(&self) -> bool {
-        self.crashed
-    }
-
     /// The bytes that made it to "disk" — the crash artifact.
-    pub fn into_bytes(self) -> Vec<u8> {
+    pub(crate) fn into_bytes(self) -> Vec<u8> {
         self.written
-    }
-
-    /// The bytes that made it to "disk", borrowed.
-    pub fn bytes(&self) -> &[u8] {
-        &self.written
     }
 }
 
@@ -114,7 +104,7 @@ impl Write for FaultFile {
 
 impl SyncWrite for FaultFile {}
 
-/// Replays `clean` through a [`FaultFile`] crashing at `crash_at`,
+/// Replays `clean` through a `FaultFile` crashing at `crash_at`,
 /// returning the artifact a crash at that offset would have left. The
 /// clean bytes are offered in `chunk`-sized writes so the torn-write
 /// garbage stays bounded to one chunk, like a real buffered writer.
@@ -206,7 +196,7 @@ impl InjectedFault {
     }
 
     /// The `io::Error` this fault surfaces as.
-    pub fn to_io_error(self) -> io::Error {
+    pub(crate) fn to_io_error(self) -> io::Error {
         match self.error {
             FaultError::Transient => {
                 io::Error::new(io::ErrorKind::Interrupted, "injected transient fault")
@@ -226,10 +216,6 @@ struct ScheduleInner {
     global: VecDeque<Option<InjectedFault>>,
     /// Faults consumed only by a specific site, checked first.
     per_site: HashMap<FaultSite, VecDeque<InjectedFault>>,
-    /// Total store operations that consulted the schedule.
-    ops: u64,
-    /// Total faults injected.
-    injected: u64,
 }
 
 /// A deterministic, scripted schedule of injected store faults.
@@ -257,7 +243,8 @@ impl FaultSchedule {
     }
 
     /// Queues `fault` to fire on the next consultation of any site.
-    pub fn fail_next(&self, fault: InjectedFault) {
+    #[cfg(test)]
+    pub(crate) fn fail_next(&self, fault: InjectedFault) {
         self.lock().global.push_back(Some(fault));
     }
 
@@ -273,7 +260,8 @@ impl FaultSchedule {
 
     /// Queues an explicit success slot on the global queue — the next
     /// operation is let through even if more faults are queued behind it.
-    pub fn succeed_next(&self) {
+    #[cfg(test)]
+    pub(crate) fn succeed_next(&self) {
         self.lock().global.push_back(None);
     }
 
@@ -282,22 +270,6 @@ impl FaultSchedule {
         let mut inner = self.lock();
         inner.global.clear();
         inner.per_site.clear();
-    }
-
-    /// Whether any fault is still queued.
-    pub fn is_armed(&self) -> bool {
-        let inner = self.lock();
-        inner.global.iter().any(Option::is_some) || inner.per_site.values().any(|q| !q.is_empty())
-    }
-
-    /// Total operations that consulted this schedule.
-    pub fn ops(&self) -> u64 {
-        self.lock().ops
-    }
-
-    /// Total faults injected so far.
-    pub fn injected(&self) -> u64 {
-        self.lock().injected
     }
 
     /// Primes a deterministic "fault storm": `n` slots on the global
@@ -326,23 +298,18 @@ impl FaultSchedule {
 
     /// Consults the schedule at `site`. `Some(fault)` means the operation
     /// must fail with that fault; `None` means it proceeds normally.
-    pub fn check(&self, site: FaultSite) -> Option<InjectedFault> {
+    pub(crate) fn check(&self, site: FaultSite) -> Option<InjectedFault> {
         let mut inner = self.lock();
-        inner.ops += 1;
-        let fault = if let Some(f) = inner.per_site.get_mut(&site).and_then(VecDeque::pop_front) {
+        if let Some(f) = inner.per_site.get_mut(&site).and_then(VecDeque::pop_front) {
             Some(f)
         } else {
             inner.global.pop_front().flatten()
-        };
-        if fault.is_some() {
-            inner.injected += 1;
         }
-        fault
     }
 
     /// Consults the schedule at `site` and converts a hit into an `Err`.
     /// The store's write paths call this before touching the file system.
-    pub fn check_io(&self, site: FaultSite) -> io::Result<()> {
+    pub(crate) fn check_io(&self, site: FaultSite) -> io::Result<()> {
         match self.check(site) {
             Some(f) => Err(f.to_io_error()),
             None => Ok(()),
@@ -361,7 +328,7 @@ pub fn truncate_bytes(mut bytes: Vec<u8>, len: usize) -> Vec<u8> {
 /// # Panics
 ///
 /// Panics if `byte` is out of range or `bit > 7`.
-pub fn flip_bit(bytes: &mut [u8], byte: usize, bit: u8) {
+pub(crate) fn flip_bit(bytes: &mut [u8], byte: usize, bit: u8) {
     assert!(bit < 8, "bit index out of range");
     bytes[byte] ^= 1 << bit;
 }
@@ -394,8 +361,6 @@ mod tests {
     fn short_write_stops_at_offset() {
         let mut f = FaultFile::new(FaultKind::ShortWrite, 5);
         f.write_all(b"hello world").unwrap();
-        assert!(f.crashed());
-        assert_eq!(f.bytes(), b"hello");
         // Later writes succeed but are dropped.
         f.write_all(b"more").unwrap();
         assert_eq!(f.into_bytes(), b"hello");
@@ -467,8 +432,6 @@ mod tests {
             None,
             "drained schedule is clean"
         );
-        assert_eq!(s.ops(), 4);
-        assert_eq!(s.injected(), 2);
     }
 
     #[test]
@@ -492,9 +455,7 @@ mod tests {
     fn heal_clears_everything() {
         let s = FaultSchedule::new();
         s.storm(42, 100, 500);
-        assert!(s.is_armed());
         s.heal();
-        assert!(!s.is_armed());
         assert_eq!(s.check(FaultSite::WalAppend), None);
     }
 

@@ -3,56 +3,52 @@
 //! The live ingestion pipeline (`stb-ingest`) keeps everything in memory;
 //! this crate makes that state survive restarts and crashes:
 //!
-//! * [`snapshot`] — a versioned, checksummed binary snapshot of the full
-//!   engine state (collection tensor, mined patterns with captured spatial
-//!   footprints, finalized posting lists, and the pipeline's pending
-//!   bookkeeping), written atomically via temp-file + rename.
-//! * [`wal`] — a write-ahead log of committed ticks: length-prefixed,
-//!   CRC-framed [`TickRecord`]s with a configurable [`Durability`] policy,
-//!   and tail-repair on read (a torn final record is discarded, never
-//!   fatal).
-//! * [`store`] — the directory layout tying the two together: recovery is
+//! * [`SnapshotState`] — a versioned, checksummed binary snapshot of the
+//!   full engine state (collection tensor, mined patterns with captured
+//!   spatial footprints, finalized posting lists, and the pipeline's
+//!   pending bookkeeping), written atomically via temp-file + rename.
+//! * [`WalWriter`] — a write-ahead log of committed ticks:
+//!   length-prefixed, CRC-framed [`TickRecord`]s with a configurable
+//!   [`Durability`] policy, and tail-repair on read (a torn final record
+//!   is discarded, never fatal).
+//! * [`Store`] — the directory layout tying the two together: recovery is
 //!   `load_snapshot + replay_wal`, and a checkpoint is `write_snapshot`
 //!   followed by truncating the log.
-//! * [`fault`] — deterministic fault injection: crash artifacts
-//!   ([`FaultFile`], bit flips, truncation) for the crash-recovery
-//!   proptest harness, and scripted live-error schedules
-//!   ([`FaultSchedule`]) for the chaos harness.
-//! * [`retry`] — bounded exponential-backoff retry ([`RetryPolicy`]) for
-//!   transient store failures, with injectable sleep for deterministic
-//!   tests.
-//! * [`codec`] — the little-endian primitives everything is built from;
-//!   `f64`s are persisted as IEEE 754 bit patterns so recovered scores are
-//!   byte-identical.
-//! * [`error`] — [`StoreError`]: every corruption mode is a typed,
-//!   matchable error. Corrupt files fail closed; they never load as an
-//!   empty index.
+//! * Deterministic fault injection: crash artifacts ([`crash_artifact`],
+//!   bit flips, truncation) for the crash-recovery proptest harness, and
+//!   scripted live-error schedules ([`FaultSchedule`]) for the chaos
+//!   harness.
+//! * [`RetryPolicy`] — bounded exponential-backoff retry for transient
+//!   store failures.
+//! * A little-endian codec everything is built from; `f64`s are persisted
+//!   as IEEE 754 bit patterns so recovered scores are byte-identical.
+//! * [`StoreError`]: every corruption mode is a typed, matchable error.
+//!   Corrupt files fail closed; they never load as an empty index.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod codec;
-pub mod error;
-pub mod fault;
-pub mod retry;
+mod codec;
+#[cfg(test)]
+mod decode_proptests;
+mod error;
+mod fault;
+mod retry;
 pub mod snapshot;
-pub mod store;
-pub mod wal;
+mod store;
+mod wal;
 
-pub use codec::{crc32, Dec, Enc};
+pub use codec::{crc32, Enc};
 pub use error::StoreError;
 pub use fault::{
-    crash_artifact, flip_bit, flip_bit_file, truncate_bytes, truncate_file, FaultError, FaultFile,
-    FaultKind, FaultSchedule, FaultSite, InjectedFault,
+    crash_artifact, flip_bit_file, truncate_bytes, truncate_file, FaultError, FaultKind,
+    FaultSchedule, FaultSite, InjectedFault,
 };
-pub use retry::{RecordingSleeper, RetryPolicy, Sleeper, ThreadSleeper};
-pub use snapshot::{
-    read_snapshot, write_snapshot, write_snapshot_with_faults, PendingState, SnapshotState,
-    SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
-};
+pub use retry::RetryPolicy;
+pub use snapshot::{PendingState, SnapshotState};
 pub use store::{Store, SNAPSHOT_FILE, WAL_FILE};
 pub use wal::{
-    decode_wal, read_wal, DocRecord, Durability, StreamRecord, SyncWrite, TermRecord, TickRecord,
-    WalObs, WalReplay, WalWriter, WAL_HEADER_LEN, WAL_MAGIC, WAL_VERSION,
+    DocRecord, Durability, StreamRecord, SyncWrite, TermRecord, TickRecord, WalObs, WalReplay,
+    WalWriter, WAL_HEADER_LEN,
 };

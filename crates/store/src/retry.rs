@@ -20,14 +20,14 @@ use crate::error::StoreError;
 
 /// Puts the current thread to sleep between retry attempts. Injectable so
 /// tests observe the schedule instead of waiting for it.
-pub trait Sleeper {
+pub(crate) trait Sleeper {
     /// Sleeps for (at least) `d`.
     fn sleep(&mut self, d: Duration);
 }
 
 /// The production sleeper: [`std::thread::sleep`].
 #[derive(Debug, Clone, Copy, Default)]
-pub struct ThreadSleeper;
+pub(crate) struct ThreadSleeper;
 
 impl Sleeper for ThreadSleeper {
     fn sleep(&mut self, d: Duration) {
@@ -38,12 +38,14 @@ impl Sleeper for ThreadSleeper {
 }
 
 /// A test sleeper that records every requested delay and never sleeps.
+#[cfg(test)]
 #[derive(Debug, Clone, Default)]
-pub struct RecordingSleeper {
+pub(crate) struct RecordingSleeper {
     /// Every delay requested so far, in order.
-    pub slept: Vec<Duration>,
+    pub(crate) slept: Vec<Duration>,
 }
 
+#[cfg(test)]
 impl Sleeper for RecordingSleeper {
     fn sleep(&mut self, d: Duration) {
         self.slept.push(d);
@@ -55,42 +57,22 @@ impl Sleeper for RecordingSleeper {
 /// Delay before retry `i` (0-based) is
 /// `min(initial_backoff * multiplier^i, max_backoff)`, scaled by a
 /// deterministic jitter factor in `[1 - jitter, 1 + jitter]`.
-///
-/// ```
-/// use stb_store::retry::RetryPolicy;
-/// use std::time::Duration;
-///
-/// let policy = RetryPolicy {
-///     max_retries: 3,
-///     initial_backoff: Duration::from_millis(1),
-///     multiplier: 2.0,
-///     max_backoff: Duration::from_millis(50),
-///     jitter: 0.0,
-///     seed: 0,
-/// };
-/// let delays: Vec<Duration> = policy.delays().collect();
-/// assert_eq!(delays, vec![
-///     Duration::from_millis(1),
-///     Duration::from_millis(2),
-///     Duration::from_millis(4),
-/// ]);
-/// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct RetryPolicy {
     /// Additional attempts after the first (0 disables retrying).
-    pub max_retries: u32,
+    pub(crate) max_retries: u32,
     /// Delay before the first retry.
-    pub initial_backoff: Duration,
+    pub(crate) initial_backoff: Duration,
     /// Growth factor applied per retry (values below 1.0 are clamped to
     /// 1.0 — backoff never shrinks).
-    pub multiplier: f64,
+    pub(crate) multiplier: f64,
     /// Upper bound on any single delay (applied before jitter).
-    pub max_backoff: Duration,
+    pub(crate) max_backoff: Duration,
     /// Jitter fraction in `[0, 1]`: each delay is scaled by a
     /// deterministic factor in `[1 - jitter, 1 + jitter]`.
-    pub jitter: f64,
+    pub(crate) jitter: f64,
     /// Seed of the deterministic jitter sequence.
-    pub seed: u64,
+    pub(crate) seed: u64,
 }
 
 impl Default for RetryPolicy {
@@ -141,7 +123,7 @@ impl RetryPolicy {
 
     /// The delay before retry `attempt` (0-based), jitter included. A pure
     /// function: the same policy and attempt always yield the same delay.
-    pub fn backoff(&self, attempt: u32) -> Duration {
+    pub(crate) fn backoff(&self, attempt: u32) -> Duration {
         let multiplier = self.multiplier.max(1.0);
         let base = self.initial_backoff.as_secs_f64() * multiplier.powi(attempt as i32);
         let capped = base.min(self.max_backoff.as_secs_f64().max(0.0));
@@ -154,18 +136,9 @@ impl RetryPolicy {
     }
 
     /// The full delay schedule: one entry per allowed retry.
-    pub fn delays(&self) -> impl Iterator<Item = Duration> + '_ {
+    #[cfg(test)]
+    pub(crate) fn delays(&self) -> impl Iterator<Item = Duration> + '_ {
         (0..self.max_retries).map(|i| self.backoff(i))
-    }
-
-    /// An upper bound on the total time this policy can spend sleeping
-    /// (the sum of all delays at maximal jitter). Harnesses use it to
-    /// assert that recovery-to-durable completes "within the policy's
-    /// bound".
-    pub fn max_total_backoff(&self) -> Duration {
-        let jitter = 1.0 + self.jitter.clamp(0.0, 1.0);
-        let total: f64 = self.delays().map(|d| d.as_secs_f64() * jitter).sum::<f64>();
-        Duration::from_secs_f64(total)
     }
 
     /// Runs `op` under this policy with the production sleeper. Returns
@@ -181,7 +154,7 @@ impl RetryPolicy {
     /// through `sleeper` between attempts. Permanent failures return
     /// immediately; the second element counts the retries actually
     /// performed (0 = first attempt settled it).
-    pub fn run_with<T, S: Sleeper>(
+    pub(crate) fn run_with<T, S: Sleeper>(
         &self,
         sleeper: &mut S,
         mut op: impl FnMut() -> Result<T, StoreError>,
@@ -222,6 +195,27 @@ mod tests {
             jitter: 0.0,
             seed: 7,
         }
+    }
+
+    #[test]
+    fn retry_policy_doc_example() {
+        let policy = RetryPolicy {
+            max_retries: 3,
+            initial_backoff: Duration::from_millis(1),
+            multiplier: 2.0,
+            max_backoff: Duration::from_millis(50),
+            jitter: 0.0,
+            seed: 0,
+        };
+        let delays: Vec<Duration> = policy.delays().collect();
+        assert_eq!(
+            delays,
+            vec![
+                Duration::from_millis(1),
+                Duration::from_millis(2),
+                Duration::from_millis(4),
+            ]
+        );
     }
 
     #[test]
@@ -335,14 +329,6 @@ mod tests {
     fn immediate_policy_has_zero_delays() {
         let p = RetryPolicy::immediate(4);
         assert!(p.delays().all(|d| d.is_zero()));
-        assert_eq!(p.max_total_backoff(), Duration::ZERO);
-    }
-
-    #[test]
-    fn max_total_backoff_bounds_the_schedule() {
-        let p = RetryPolicy::default();
-        let total: Duration = p.delays().sum();
-        assert!(p.max_total_backoff() >= total);
     }
 
     #[test]

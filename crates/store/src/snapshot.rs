@@ -15,7 +15,7 @@
 //! payload: payload_len bytes
 //! ```
 //!
-//! The payload is encoded with the little-endian [`crate::codec`]
+//! The payload is encoded with the little-endian `crate::codec`
 //! primitives; every `f64` is persisted as its IEEE 754 bit pattern so
 //! round trips preserve score bits exactly. Snapshots are written
 //! atomically: the bytes go to a temp file in the same directory, which is
@@ -41,9 +41,9 @@ use crate::fault::{FaultSchedule, FaultSite};
 use crate::wal::DocRecord;
 
 /// The snapshot file magic number.
-pub const SNAPSHOT_MAGIC: [u8; 8] = *b"STBSNAP0";
+pub(crate) const SNAPSHOT_MAGIC: [u8; 8] = *b"STBSNAP0";
 /// The single snapshot format version this build reads and writes.
-pub const SNAPSHOT_VERSION: u32 = 1;
+pub(crate) const SNAPSHOT_VERSION: u32 = 1;
 
 /// The ingestion pipeline's uncommitted bookkeeping at snapshot time.
 ///
@@ -139,7 +139,7 @@ pub fn encode_collection(e: &mut Enc, collection: &Collection) {
 
 /// Decodes a collection, validating every structural invariant via
 /// [`Collection::from_parts`].
-pub fn decode_collection(d: &mut Dec<'_>) -> Result<Collection, StoreError> {
+pub(crate) fn decode_collection(d: &mut Dec<'_>) -> Result<Collection, StoreError> {
     let n_terms = d.get_count(4)?;
     let mut terms = Vec::with_capacity(n_terms);
     for _ in 0..n_terms {
@@ -222,7 +222,7 @@ pub fn decode_collection(d: &mut Dec<'_>) -> Result<Collection, StoreError> {
 }
 
 /// Encodes one pattern record.
-pub fn encode_pattern(e: &mut Enc, p: &PatternRecord) {
+pub(crate) fn encode_pattern(e: &mut Enc, p: &PatternRecord) {
     e.put_u32(p.streams.len() as u32);
     for s in &p.streams {
         e.put_u32(s.0);
@@ -243,7 +243,7 @@ pub fn encode_pattern(e: &mut Enc, p: &PatternRecord) {
 }
 
 /// Decodes one pattern record.
-pub fn decode_pattern(d: &mut Dec<'_>) -> Result<PatternRecord, StoreError> {
+pub(crate) fn decode_pattern(d: &mut Dec<'_>) -> Result<PatternRecord, StoreError> {
     let n = d.get_count(4)?;
     let mut streams = Vec::with_capacity(n);
     for _ in 0..n {
@@ -281,7 +281,7 @@ pub fn decode_pattern(d: &mut Dec<'_>) -> Result<PatternRecord, StoreError> {
 }
 
 /// Encodes the engine's exported state.
-pub fn encode_engine(e: &mut Enc, state: &EngineState) {
+pub(crate) fn encode_engine(e: &mut Enc, state: &EngineState) {
     e.put_u32(state.patterns.len() as u32);
     for (term, records) in &state.patterns {
         e.put_u32(term.0);
@@ -303,7 +303,7 @@ pub fn encode_engine(e: &mut Enc, state: &EngineState) {
 }
 
 /// Decodes the engine's exported state.
-pub fn decode_engine(d: &mut Dec<'_>) -> Result<EngineState, StoreError> {
+pub(crate) fn decode_engine(d: &mut Dec<'_>) -> Result<EngineState, StoreError> {
     let n_terms = d.get_count(4)?;
     let mut patterns = Vec::with_capacity(n_terms);
     for _ in 0..n_terms {
@@ -343,7 +343,7 @@ pub fn decode_engine(d: &mut Dec<'_>) -> Result<EngineState, StoreError> {
 }
 
 /// Encodes one staged-document record.
-pub fn encode_doc_record(e: &mut Enc, d: &DocRecord) {
+pub(crate) fn encode_doc_record(e: &mut Enc, d: &DocRecord) {
     e.put_u32(d.stream.0);
     e.put_u32(d.counts.len() as u32);
     for &(term, count) in &d.counts {
@@ -353,7 +353,7 @@ pub fn encode_doc_record(e: &mut Enc, d: &DocRecord) {
 }
 
 /// Decodes one staged-document record.
-pub fn decode_doc_record(d: &mut Dec<'_>) -> Result<DocRecord, StoreError> {
+pub(crate) fn decode_doc_record(d: &mut Dec<'_>) -> Result<DocRecord, StoreError> {
     let stream = StreamId(d.get_u32()?);
     let n = d.get_count(8)?;
     let mut counts = Vec::with_capacity(n);
@@ -366,7 +366,7 @@ pub fn decode_doc_record(d: &mut Dec<'_>) -> Result<DocRecord, StoreError> {
 }
 
 /// Encodes the pending pipeline bookkeeping.
-pub fn encode_pending(e: &mut Enc, p: &PendingState) {
+pub(crate) fn encode_pending(e: &mut Enc, p: &PendingState) {
     e.put_bool(p.structural_dirty);
     e.put_bool(p.comb_all_dirty);
     e.put_u32(p.dirty_terms.len() as u32);
@@ -380,7 +380,7 @@ pub fn encode_pending(e: &mut Enc, p: &PendingState) {
 }
 
 /// Decodes the pending pipeline bookkeeping.
-pub fn decode_pending(d: &mut Dec<'_>) -> Result<PendingState, StoreError> {
+pub(crate) fn decode_pending(d: &mut Dec<'_>) -> Result<PendingState, StoreError> {
     let structural_dirty = d.get_bool()?;
     let comb_all_dirty = d.get_bool()?;
     let n = d.get_count(4)?;
@@ -487,7 +487,7 @@ fn validate_snapshot_ids(
 }
 
 /// Decodes a full snapshot payload (the header must already be verified).
-pub fn decode_snapshot(payload: &[u8]) -> Result<SnapshotState, StoreError> {
+pub(crate) fn decode_snapshot(payload: &[u8]) -> Result<SnapshotState, StoreError> {
     let mut d = Dec::new(payload, "snapshot");
     let ticks_committed = d.get_u64()?;
     let collection = decode_collection(&mut d)?;
@@ -509,7 +509,7 @@ pub fn decode_snapshot(payload: &[u8]) -> Result<SnapshotState, StoreError> {
 }
 
 /// Frames a snapshot payload into the full file bytes (header + payload).
-pub fn frame_snapshot(payload: &[u8]) -> Vec<u8> {
+pub(crate) fn frame_snapshot(payload: &[u8]) -> Vec<u8> {
     let mut bytes = Vec::with_capacity(24 + payload.len());
     bytes.extend_from_slice(&SNAPSHOT_MAGIC);
     bytes.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
@@ -520,7 +520,7 @@ pub fn frame_snapshot(payload: &[u8]) -> Vec<u8> {
 }
 
 /// Verifies a snapshot file's header and checksum, returning the payload.
-pub fn unframe_snapshot(bytes: &[u8]) -> Result<&[u8], StoreError> {
+pub(crate) fn unframe_snapshot(bytes: &[u8]) -> Result<&[u8], StoreError> {
     if bytes.len() < 24 {
         return Err(StoreError::Truncated { what: "snapshot" });
     }
@@ -569,7 +569,7 @@ pub fn unframe_snapshot(bytes: &[u8]) -> Result<&[u8], StoreError> {
 }
 
 /// Reads and fully validates a snapshot file.
-pub fn read_snapshot(path: &Path) -> Result<SnapshotState, StoreError> {
+pub(crate) fn read_snapshot(path: &Path) -> Result<SnapshotState, StoreError> {
     let bytes = std::fs::read(path)?;
     decode_snapshot(unframe_snapshot(&bytes)?)
 }
@@ -577,7 +577,8 @@ pub fn read_snapshot(path: &Path) -> Result<SnapshotState, StoreError> {
 /// Writes a snapshot atomically: temp file in the same directory, data
 /// sync, rename over the destination, parent-directory fsync. Returns the
 /// total file size in bytes.
-pub fn write_snapshot(path: &Path, state: &SnapshotState) -> Result<u64, StoreError> {
+#[cfg(test)]
+pub(crate) fn write_snapshot(path: &Path, state: &SnapshotState) -> Result<u64, StoreError> {
     write_snapshot_with_faults(path, state, None)
 }
 
@@ -587,7 +588,7 @@ pub fn write_snapshot(path: &Path, state: &SnapshotState) -> Result<u64, StoreEr
 /// the protocol at any seam. Failing *after* the rename leaves a fully
 /// valid snapshot on disk whose caller believes the checkpoint failed —
 /// the same ambiguity real directory-fsync failures create.
-pub fn write_snapshot_with_faults(
+pub(crate) fn write_snapshot_with_faults(
     path: &Path,
     state: &SnapshotState,
     faults: Option<&FaultSchedule>,

@@ -12,12 +12,11 @@
 //! already-snapshotted records in the log; replay skips them by tick
 //! index, so the window is harmless.
 
-use std::path::{Path, PathBuf};
-
 use crate::error::StoreError;
 use crate::fault::{FaultSchedule, FaultSite};
 use crate::snapshot::{read_snapshot, write_snapshot_with_faults, SnapshotState};
 use crate::wal::{read_wal, Durability, WalReplay, WalWriter};
+use std::path::PathBuf;
 
 /// Name of the snapshot file inside a store directory.
 pub const SNAPSHOT_FILE: &str = "snapshot.stb";
@@ -51,14 +50,9 @@ impl Store {
         Ok(store)
     }
 
-    /// The fault schedule attached via [`Store::open_with_faults`], if
-    /// any.
-    pub fn faults(&self) -> Option<&FaultSchedule> {
-        self.faults.as_ref()
-    }
-
     /// The store's directory.
-    pub fn dir(&self) -> &Path {
+    #[cfg(test)]
+    pub(crate) fn dir(&self) -> &std::path::Path {
         &self.dir
     }
 

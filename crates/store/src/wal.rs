@@ -42,9 +42,9 @@ use crate::error::StoreError;
 use crate::fault::{FaultSchedule, FaultSite};
 
 /// The WAL file magic number.
-pub const WAL_MAGIC: [u8; 8] = *b"STBWAL00";
+pub(crate) const WAL_MAGIC: [u8; 8] = *b"STBWAL00";
 /// The single WAL format version this build reads and writes.
-pub const WAL_VERSION: u32 = 1;
+pub(crate) const WAL_VERSION: u32 = 1;
 /// Size of the WAL header in bytes (magic + version).
 pub const WAL_HEADER_LEN: u64 = 12;
 
@@ -110,7 +110,7 @@ pub struct TickRecord {
 
 impl TickRecord {
     /// Encodes the record payload (without the frame).
-    pub fn encode(&self) -> Vec<u8> {
+    pub(crate) fn encode(&self) -> Vec<u8> {
         let mut e = Enc::new();
         e.put_u64(self.tick);
         e.put_u32(self.new_streams.len() as u32);
@@ -141,7 +141,7 @@ impl TickRecord {
 
     /// Decodes a record payload. The payload must already have passed its
     /// frame checksum; a decode failure here means real corruption.
-    pub fn decode(payload: &[u8]) -> Result<Self, StoreError> {
+    pub(crate) fn decode(payload: &[u8]) -> Result<Self, StoreError> {
         let mut d = Dec::new(payload, "wal record");
         let tick = d.get_u64()?;
         let n_streams = d.get_count(4)?;
@@ -211,7 +211,7 @@ pub struct WalReplay {
 
 impl WalReplay {
     /// An empty replay for a WAL file that does not exist yet.
-    pub fn empty() -> Self {
+    pub(crate) fn empty() -> Self {
         WalReplay {
             ticks: Vec::new(),
             valid_len: 0,
@@ -227,7 +227,7 @@ impl WalReplay {
 /// from the first invalid record onward. Corruption that cannot be a crash
 /// artifact (a foreign magic number, an unsupported version, a
 /// checksum-valid record that decodes to garbage) is a hard error.
-pub fn decode_wal(bytes: &[u8]) -> Result<WalReplay, StoreError> {
+pub(crate) fn decode_wal(bytes: &[u8]) -> Result<WalReplay, StoreError> {
     if bytes.is_empty() {
         // Crash before the header was written: recover as a fresh log.
         return Ok(WalReplay::empty());
@@ -302,7 +302,7 @@ pub fn decode_wal(bytes: &[u8]) -> Result<WalReplay, StoreError> {
 
 /// Reads and decodes a WAL file from disk. A missing file is an empty
 /// replay, not an error.
-pub fn read_wal(path: &Path) -> Result<WalReplay, StoreError> {
+pub(crate) fn read_wal(path: &Path) -> Result<WalReplay, StoreError> {
     match std::fs::read(path) {
         Ok(bytes) => decode_wal(&bytes),
         Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(WalReplay::empty()),
@@ -401,40 +401,6 @@ impl WalObs {
             resets: registry.counter("wal_resets_total"),
         }
     }
-
-    /// End-to-end latency of successful [`WalWriter::append`] calls
-    /// (encode + write + durability step), in nanoseconds.
-    pub fn append_latency(&self) -> &LatencyHistogram {
-        &self.append_ns
-    }
-
-    /// Latency of the explicit durability step (`fdatasync` under
-    /// [`Durability::Fsync`], plus manual [`WalWriter::sync`] calls), in
-    /// nanoseconds.
-    pub fn fsync_latency(&self) -> &LatencyHistogram {
-        &self.fsync_ns
-    }
-
-    /// Successful appends recorded so far.
-    pub fn appends(&self) -> u64 {
-        self.appends.get()
-    }
-
-    /// Failed appends (each one triggered a rollback attempt).
-    pub fn append_errors(&self) -> u64 {
-        self.append_errors.get()
-    }
-
-    /// Successful rewinds to the last acknowledged frame after a failed
-    /// append. `append_errors - rollbacks` failures poisoned the writer.
-    pub fn rollbacks(&self) -> u64 {
-        self.rollbacks.get()
-    }
-
-    /// Successful post-snapshot truncations ([`WalWriter::reset`]).
-    pub fn resets(&self) -> u64 {
-        self.resets.get()
-    }
 }
 
 /// An append-only WAL writer over any [`SyncWrite`] sink.
@@ -442,7 +408,7 @@ impl WalObs {
 /// File-backed writers are obtained from
 /// [`WalWriter::open`], which repairs a torn tail (truncating
 /// back to the last whole record) before the first append. In-memory
-/// writers ([`WalWriter::from_sink`]) serve tests and fault injection.
+/// writers (`WalWriter::from_sink`) serve tests and fault injection.
 /// Failed appends roll the sink back to the last acknowledged frame so
 /// bounded retries are always safe; see [`WalWriter::append`].
 #[derive(Debug)]
@@ -457,7 +423,11 @@ pub struct WalWriter<W: SyncWrite = File> {
 impl<W: SyncWrite> WalWriter<W> {
     /// Wraps a sink that is positioned at the end of a valid WAL prefix
     /// (or at zero, in which case the header is written first).
-    pub fn from_sink(mut sink: W, at_start: bool, durability: Durability) -> io::Result<Self> {
+    pub(crate) fn from_sink(
+        mut sink: W,
+        at_start: bool,
+        durability: Durability,
+    ) -> io::Result<Self> {
         if at_start {
             sink.write_all(&WAL_MAGIC)?;
             sink.write_all(&WAL_VERSION.to_le_bytes())?;
@@ -478,7 +448,8 @@ impl<W: SyncWrite> WalWriter<W> {
 
     /// Attaches a chaos-harness fault schedule: every append, sync, and
     /// reset consults it before touching the sink.
-    pub fn with_faults(mut self, faults: FaultSchedule) -> Self {
+    #[cfg(test)]
+    pub(crate) fn with_faults(mut self, faults: FaultSchedule) -> Self {
         self.faults = Some(faults);
         self
     }
@@ -491,7 +462,8 @@ impl<W: SyncWrite> WalWriter<W> {
     }
 
     /// Builder-style [`WalWriter::set_obs`].
-    pub fn with_obs(mut self, obs: WalObs) -> Self {
+    #[cfg(test)]
+    pub(crate) fn with_obs(mut self, obs: WalObs) -> Self {
         self.set_obs(obs);
         self
     }
@@ -595,27 +567,9 @@ impl<W: SyncWrite> WalWriter<W> {
         Ok(())
     }
 
-    /// Forces everything written so far toward stable storage, regardless
-    /// of the configured policy.
-    pub fn sync(&mut self) -> io::Result<()> {
-        if let Some(s) = &self.faults {
-            s.check_io(FaultSite::WalSync)?;
-        }
-        let started = self.obs.as_ref().map(|_| Instant::now());
-        self.sink.sync()?;
-        if let (Some(obs), Some(t)) = (&self.obs, started) {
-            obs.fsync_ns.record_duration(t.elapsed());
-        }
-        Ok(())
-    }
-
-    /// The configured durability policy.
-    pub fn durability(&self) -> Durability {
-        self.durability
-    }
-
     /// Consumes the writer, returning the sink (tests inspect the bytes).
-    pub fn into_sink(self) -> W {
+    #[cfg(test)]
+    pub(crate) fn into_sink(self) -> W {
         self.sink
     }
 }
@@ -623,7 +577,7 @@ impl<W: SyncWrite> WalWriter<W> {
 impl WalWriter<File> {
     /// Opens (or creates) the WAL file at `path` for appending.
     ///
-    /// `valid_len` is the verified length from [`read_wal`]; anything after
+    /// `valid_len` is the verified length from `read_wal`; anything after
     /// it is a torn tail and is truncated away before the first append. A
     /// `valid_len` of zero (fresh or torn-header file) rewrites the header.
     pub fn open(path: &Path, valid_len: u64, durability: Durability) -> Result<Self, StoreError> {
@@ -633,7 +587,7 @@ impl WalWriter<File> {
     /// [`WalWriter::open`] with an optional fault schedule consulted at
     /// [`FaultSite::WalOpen`] (and attached to the writer for its
     /// appends).
-    pub fn open_with_faults(
+    pub(crate) fn open_with_faults(
         path: &Path,
         valid_len: u64,
         durability: Durability,
@@ -793,22 +747,18 @@ mod tests {
 
         w.append(&sample_record(0)).unwrap();
         w.append(&sample_record(1)).unwrap();
-        w.sync().unwrap();
-        assert_eq!(obs.appends(), 2);
-        assert_eq!(obs.append_latency().count(), 2);
-        // Two per-append fsyncs (Durability::Fsync) plus the manual sync.
-        assert_eq!(obs.fsync_latency().count(), 3);
+        let snap = registry.snapshot();
+        assert_eq!(snap.counter("wal_appends_total"), Some(2));
+        assert_eq!(snap.histogram("wal_append_ns").map(|h| h.count()), Some(2));
+        // Two per-append fsyncs (Durability::Fsync).
+        assert_eq!(snap.histogram("wal_fsync_ns").map(|h| h.count()), Some(2));
 
         // A failed append is rolled back and counted, then a retry lands.
         faults.fail_next_at(FaultSite::WalAppend, InjectedFault::transient());
         assert!(w.append(&sample_record(2)).is_err());
         w.append(&sample_record(2)).unwrap();
-        assert_eq!(obs.append_errors(), 1);
-        assert_eq!(obs.rollbacks(), 1);
-        assert_eq!(obs.appends(), 3);
-
-        // Registry sees the same cells under the wal_* names.
         let snap = registry.snapshot();
+        assert_eq!(snap.counter("wal_append_errors_total"), Some(1));
         assert_eq!(snap.counter("wal_appends_total"), Some(3));
         assert_eq!(snap.counter("wal_rollbacks_total"), Some(1));
         assert_eq!(snap.histogram("wal_append_ns").map(|h| h.count()), Some(3));
@@ -826,8 +776,9 @@ mod tests {
             .with_obs(obs.clone());
         w.append(&sample_record(0)).unwrap();
         w.reset().unwrap();
-        assert_eq!(obs.resets(), 1);
-        assert_eq!(obs.appends(), 1);
+        let snap = registry.snapshot();
+        assert_eq!(snap.counter("wal_resets_total"), Some(1));
+        assert_eq!(snap.counter("wal_appends_total"), Some(1));
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -5,8 +5,9 @@ use crate::diff::ResultDiff;
 use crate::registry::SubscriptionId;
 use stb_search::QueryKey;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering::SeqCst};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::SeqCst};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+#[cfg(test)]
 use std::time::{Duration, Instant};
 
 /// What the commit-side sender does when a subscription's channel is full
@@ -42,8 +43,8 @@ pub(crate) enum SendOutcome {
     Coalesced(u64),
     /// Dropped under [`OverflowPolicy::DropCounted`].
     Dropped,
-    /// Every receiving handle is gone (or the channel was closed); the
-    /// registry should garbage-collect the registration.
+    /// Every receiving handle is gone; the registry should
+    /// garbage-collect the registration.
     Disconnected,
 }
 
@@ -56,16 +57,15 @@ struct Queue {
 #[derive(Debug)]
 pub(crate) struct DiffChannel {
     queue: Mutex<Queue>,
-    /// Signaled when a diff is pushed or the channel closes.
+    /// Signaled when a diff is pushed or the last handle drops.
     ready: Condvar,
-    /// Signaled when space frees up or the channel closes.
+    /// Signaled when space frees up or the last handle drops.
     space: Condvar,
     capacity: usize,
     policy: OverflowPolicy,
     /// Live receiving handles; at 0 the sender treats the channel as
     /// disconnected.
     receivers: AtomicUsize,
-    closed: AtomicBool,
     delivered: AtomicU64,
     dropped: AtomicU64,
     coalesced: AtomicU64,
@@ -80,7 +80,6 @@ impl DiffChannel {
             capacity: capacity.max(1),
             policy,
             receivers: AtomicUsize::new(0),
-            closed: AtomicBool::new(false),
             delivered: AtomicU64::new(0),
             dropped: AtomicU64::new(0),
             coalesced: AtomicU64::new(0),
@@ -97,12 +96,12 @@ impl DiffChannel {
     }
 
     fn disconnected(&self) -> bool {
-        self.closed.load(SeqCst) || self.receivers.load(SeqCst) == 0
+        self.receivers.load(SeqCst) == 0
     }
 
     /// Pushes one diff under the channel's overflow policy. Called from
     /// the commit path with no registry lock held, so a `Block` wait can
-    /// never deadlock against `subscribe`/`unsubscribe`.
+    /// never deadlock against concurrent `subscribe` calls.
     pub(crate) fn send(&self, diff: ResultDiff) -> SendOutcome {
         if self.disconnected() {
             return SendOutcome::Disconnected;
@@ -166,6 +165,7 @@ impl DiffChannel {
         }
     }
 
+    #[cfg(test)]
     fn pop(&self, q: &mut Queue) -> Option<ResultDiff> {
         let diff = q.diffs.pop_front();
         if diff.is_some() {
@@ -174,20 +174,19 @@ impl DiffChannel {
         diff
     }
 
+    #[cfg(test)]
     pub(crate) fn try_recv(&self) -> Option<ResultDiff> {
         let mut q = self.lock();
         self.pop(&mut q)
     }
 
+    #[cfg(test)]
     pub(crate) fn recv_timeout(&self, timeout: Duration) -> Option<ResultDiff> {
         let deadline = Instant::now() + timeout;
         let mut q = self.lock();
         loop {
             if let Some(diff) = self.pop(&mut q) {
                 return Some(diff);
-            }
-            if self.closed.load(SeqCst) {
-                return None;
             }
             let now = Instant::now();
             if now >= deadline {
@@ -218,23 +217,6 @@ impl DiffChannel {
 
     pub(crate) fn pending(&self) -> usize {
         self.lock().diffs.len()
-    }
-
-    pub(crate) fn close(&self) {
-        self.closed.store(true, SeqCst);
-        // Order the flag flip against a Block sender's check-then-wait:
-        // without taking the queue mutex, the notify below could land
-        // between a sender's `disconnected()` check (under the lock) and
-        // its `space.wait()`, and be lost — wedging the commit path
-        // forever. Acquiring and releasing the mutex forces any sender
-        // that saw the old flag to already be parked in `wait`.
-        drop(self.lock());
-        self.space.notify_all();
-        self.ready.notify_all();
-    }
-
-    pub(crate) fn is_closed(&self) -> bool {
-        self.closed.load(SeqCst)
     }
 
     pub(crate) fn receivers(&self) -> usize {
@@ -288,13 +270,14 @@ impl SubscriptionHandle {
     }
 
     /// Takes the next pending diff without waiting.
-    pub fn try_recv(&self) -> Option<ResultDiff> {
+    #[cfg(test)]
+    pub(crate) fn try_recv(&self) -> Option<ResultDiff> {
         self.channel.try_recv()
     }
 
-    /// Waits up to `timeout` for the next diff. Returns `None` on timeout
-    /// or when the subscription has been closed and the queue is empty.
-    pub fn recv_timeout(&self, timeout: Duration) -> Option<ResultDiff> {
+    /// Waits up to `timeout` for the next diff. Returns `None` on timeout.
+    #[cfg(test)]
+    pub(crate) fn recv_timeout(&self, timeout: Duration) -> Option<ResultDiff> {
         self.channel.recv_timeout(timeout)
     }
 
@@ -304,14 +287,9 @@ impl SubscriptionHandle {
     }
 
     /// Number of diffs currently queued.
-    pub fn pending(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn pending(&self) -> usize {
         self.channel.pending()
-    }
-
-    /// Total diffs enqueued for this subscription (including coalesced
-    /// merges, which enqueue one merged diff).
-    pub fn delivered(&self) -> u64 {
-        self.channel.delivered()
     }
 
     /// Diffs dropped under [`OverflowPolicy::DropCounted`].
@@ -322,20 +300,6 @@ impl SubscriptionHandle {
     /// Diffs merged away under [`OverflowPolicy::CoalesceLatest`].
     pub fn coalesced(&self) -> u64 {
         self.channel.coalesced()
-    }
-
-    /// Whether the subscription has been closed (via [`close`](Self::close)
-    /// or `SubscriptionRegistry::unsubscribe`). Pending diffs remain
-    /// drainable after closing.
-    pub fn is_closed(&self) -> bool {
-        self.channel.is_closed()
-    }
-
-    /// Closes the subscription from the receiving side: senders stop
-    /// delivering and the registry garbage-collects the registration on
-    /// the next commit that would have touched it.
-    pub fn close(&self) {
-        self.channel.close();
     }
 }
 

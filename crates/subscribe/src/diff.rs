@@ -18,7 +18,7 @@ use crate::registry::SubscriptionId;
 #[derive(Debug, Clone, PartialEq)]
 pub struct Trigger {
     /// The dirty term that intersected this subscription's term set.
-    pub term: TermId,
+    pub(crate) term: TermId,
     /// The term's patterns as mined by the triggering commit.
     pub patterns: Vec<PatternRecord>,
 }
@@ -28,15 +28,15 @@ pub struct Trigger {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Reranked {
     /// The document.
-    pub doc: stb_corpus::DocId,
+    pub(crate) doc: stb_corpus::DocId,
     /// Its rank in the previous top-k (0 = best).
-    pub previous_rank: usize,
+    pub(crate) previous_rank: usize,
     /// Its rank in the current top-k.
-    pub rank: usize,
+    pub(crate) rank: usize,
     /// Its previous score.
-    pub previous_score: f64,
+    pub(crate) previous_score: f64,
     /// Its current score.
-    pub score: f64,
+    pub(crate) score: f64,
 }
 
 /// One notification on a subscription channel: the standing query's top-k
@@ -50,10 +50,8 @@ pub struct Reranked {
 #[derive(Debug, Clone, PartialEq)]
 pub struct ResultDiff {
     /// The subscription this diff belongs to.
-    pub subscription: SubscriptionId,
-    /// The ingest tick whose commit produced this diff, or `None` for the
-    /// initial registration snapshot
-    /// ([`SubscriptionOptions::notify_initial`](crate::SubscriptionOptions::notify_initial)).
+    pub(crate) subscription: SubscriptionId,
+    /// The ingest tick whose commit produced this diff.
     pub tick: Option<u64>,
     /// The serving generation the current results were evaluated against.
     /// Evaluation loads the serving state once, so `current` and
@@ -135,7 +133,7 @@ impl ResultDiff {
     }
 
     /// Whether the diff carries no membership, rank, or score change.
-    pub fn is_unchanged(&self) -> bool {
+    pub(crate) fn is_unchanged(&self) -> bool {
         self.entered.is_empty() && self.left.is_empty() && self.reranked.is_empty()
     }
 

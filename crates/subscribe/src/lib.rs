@@ -7,7 +7,8 @@
 //! window/region". This crate turns the typed query DSL of `stb-search`
 //! into that push modality:
 //!
-//! * A [`SubscriptionRegistry`] accepts standing [`Query`]s (time/region
+//! * A [`SubscriptionRegistry`] accepts standing
+//!   [`Query`](stb_search::Query)s (time/region
 //!   filters included) and hands back a cloneable [`SubscriptionHandle`]
 //!   yielding [`ResultDiff`]s — which documents entered, left, or
 //!   re-ranked within the top-k, plus the mined patterns that triggered
@@ -39,9 +40,11 @@
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod channel;
-pub mod diff;
-pub mod registry;
+mod channel;
+mod diff;
+#[cfg(test)]
+mod overflow_policies;
+mod registry;
 
 pub use channel::{OverflowPolicy, SubscriptionHandle};
 pub use diff::{Reranked, ResultDiff, Trigger};
@@ -49,6 +52,3 @@ pub use registry::{
     NotifyReport, SubscribeMetrics, SubscriptionId, SubscriptionInfo, SubscriptionOptions,
     SubscriptionRegistry,
 };
-
-// Re-exported for convenience: the types a subscriber interacts with.
-pub use stb_search::{Query, QueryError, SearchResult};

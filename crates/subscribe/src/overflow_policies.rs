@@ -10,19 +10,19 @@
 //!
 //! Plus the registry mechanics the policies sit on: canonical
 //! subscription identity (duplicate terms collapse), dirty-term
-//! intersection (non-matching registrations are never evaluated), initial
-//! baselines, unchanged-suppression, and disconnect garbage collection.
+//! intersection (non-matching registrations are never evaluated),
+//! unchanged-suppression, and disconnect garbage collection.
 
 use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use crate::{OverflowPolicy, SubscriptionOptions, SubscriptionRegistry};
 use stb_core::CombinatorialPattern;
 use stb_corpus::{CollectionBuilder, StreamId, TermId};
 use stb_geo::GeoPoint;
 use stb_search::{EngineConfig, Query, ServingFront, ShardedEngine};
-use stb_subscribe::{OverflowPolicy, SubscriptionOptions, SubscriptionRegistry};
 use stb_timeseries::TimeInterval;
 
 /// A small two-term fixture: `flood` is the subscribed term whose
@@ -241,8 +241,7 @@ fn drop_counted_diff_stream_stays_contiguous_across_drops() {
 }
 
 /// A committer blocked on a full `Block` channel must wake and observe
-/// the disconnect when the last handle is dropped (or the subscription
-/// closed) concurrently — the commit path may never wedge on an
+/// the disconnect when the last handle is dropped concurrently — the commit path may never wedge on an
 /// abandoned subscription. The disconnect notification takes the queue
 /// mutex before signalling so the wakeup cannot be lost between the
 /// sender's disconnect check and its wait.
@@ -276,41 +275,10 @@ fn blocked_sender_wakes_when_last_handle_drops() {
     assert_eq!(fx.registry.len(), 0, "registration garbage-collected");
 }
 
-#[test]
-fn blocked_sender_wakes_when_subscription_closes() {
-    let mut fx = Fixture::new();
-    let handle = fx
-        .registry
-        .subscribe(
-            &Query::terms([fx.flood]).top_k(5),
-            SubscriptionOptions::default()
-                .capacity(1)
-                .overflow(OverflowPolicy::Block),
-        )
-        .unwrap();
-    fx.commit_flood(2.0);
-    fx.engine.set_patterns(fx.flood, &[pattern(3.0)]);
-    fx.engine.publish();
-
-    let registry = Arc::clone(&fx.registry);
-    let flood = fx.flood;
-    let committer = std::thread::spawn(move || {
-        let dirty: BTreeSet<TermId> = [flood].into_iter().collect();
-        registry.on_commit(2, &dirty, |_| Vec::new())
-    });
-    std::thread::sleep(Duration::from_millis(50));
-    handle.close();
-    let report = committer.join().unwrap();
-    assert_eq!(report.notified, 0);
-    assert_eq!(report.disconnected, 1);
-    assert_eq!(handle.drain().len(), 1, "queued diff stays drainable");
-}
-
 /// Registering while commits race: a fresh registration must never be
 /// garbage-collected before its handle exists, its baseline must be
 /// ordered against the notify pass (no commit falls silently between
-/// snapshot and index insert), and the initial baseline diff is always
-/// first on the channel.
+/// snapshot and index insert).
 #[test]
 fn subscribing_under_concurrent_commits_never_loses_a_registration() {
     let fx = Fixture::new();
@@ -346,7 +314,7 @@ fn subscribing_under_concurrent_commits_never_loses_a_registration() {
             registry
                 .subscribe(
                     &Query::terms([flood]).top_k(5),
-                    SubscriptionOptions::default().notify_initial(true),
+                    SubscriptionOptions::default(),
                 )
                 .unwrap(),
         );
@@ -370,10 +338,6 @@ fn subscribing_under_concurrent_commits_never_loses_a_registration() {
     for handle in &handles {
         let diffs = handle.drain();
         let last = diffs.last().expect("every registration hears the commit");
-        assert!(
-            diffs[0].previous.is_empty(),
-            "the initial baseline is first on the channel"
-        );
         for pair in diffs.windows(2) {
             assert!(
                 pair[0].generation <= pair[1].generation,
@@ -431,27 +395,23 @@ fn duplicate_terms_collapse_to_one_canonical_identity() {
 }
 
 #[test]
-fn initial_baseline_and_unchanged_suppression() {
+fn unchanged_suppression() {
     let mut fx = Fixture::new();
     let handle = fx
         .registry
         .subscribe(
             &Query::terms([fx.flood]).top_k(5),
-            SubscriptionOptions::default().notify_initial(true),
+            SubscriptionOptions::default(),
         )
         .unwrap();
-    let initial = handle.try_recv().expect("initial baseline diff");
-    assert_eq!(initial.tick, None);
-    assert!(initial.previous.is_empty());
-    assert_eq!(initial.current.len(), initial.entered.len());
 
     // Re-publishing the identical pattern changes nothing: the
     // registration is evaluated (the term is dirty) but stays silent.
     fx.commit_flood(1.0);
-    assert!(handle.try_recv().is_none());
+    assert!(handle.drain().is_empty());
     let metrics = fx.registry.metrics();
     assert_eq!(metrics.evaluations, 1);
-    assert_eq!(metrics.notifications, 1, "only the initial diff");
+    assert_eq!(metrics.notifications, 0);
 }
 
 #[test]
@@ -472,25 +432,6 @@ fn dropping_every_handle_garbage_collects_the_registration() {
     drop(clone);
     fx.commit_flood(3.0);
     assert_eq!(fx.registry.len(), 0, "last drop disconnects");
-}
-
-#[test]
-fn unsubscribe_closes_but_pending_diffs_stay_drainable() {
-    let mut fx = Fixture::new();
-    let handle = fx
-        .registry
-        .subscribe(
-            &Query::terms([fx.flood]).top_k(5),
-            SubscriptionOptions::default(),
-        )
-        .unwrap();
-    fx.commit_flood(2.0);
-    assert!(fx.registry.unsubscribe(handle.id()));
-    assert!(!fx.registry.unsubscribe(handle.id()));
-    assert!(handle.is_closed());
-    assert_eq!(handle.drain().len(), 1);
-    fx.commit_flood(3.0);
-    assert!(handle.try_recv().is_none());
 }
 
 #[test]

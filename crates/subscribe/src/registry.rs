@@ -25,18 +25,9 @@ impl std::fmt::Display for SubscriptionId {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SubscriptionOptions {
     /// Bounded channel capacity in diffs (clamped to at least 1).
-    pub capacity: usize,
+    pub(crate) capacity: usize,
     /// What the sender does when the channel is full.
-    pub overflow: OverflowPolicy,
-    /// Deliver an initial diff at registration time carrying the standing
-    /// query's current results (`previous` empty, `tick` `None`), so the
-    /// subscriber starts from an explicit baseline.
-    pub notify_initial: bool,
-    /// Also deliver diffs for re-evaluations whose results are
-    /// bit-identical to the last delivered state (off by default — an
-    /// affected registration whose top-k did not actually change stays
-    /// silent).
-    pub notify_unchanged: bool,
+    pub(crate) overflow: OverflowPolicy,
 }
 
 impl Default for SubscriptionOptions {
@@ -44,8 +35,6 @@ impl Default for SubscriptionOptions {
         Self {
             capacity: 64,
             overflow: OverflowPolicy::default(),
-            notify_initial: false,
-            notify_unchanged: false,
         }
     }
 }
@@ -62,18 +51,6 @@ impl SubscriptionOptions {
         self.overflow = overflow;
         self
     }
-
-    /// Requests the initial baseline diff.
-    pub fn notify_initial(mut self, notify: bool) -> Self {
-        self.notify_initial = notify;
-        self
-    }
-
-    /// Requests diffs even when re-evaluation left the results unchanged.
-    pub fn notify_unchanged(mut self, notify: bool) -> Self {
-        self.notify_unchanged = notify;
-        self
-    }
 }
 
 /// One standing registration.
@@ -85,7 +62,6 @@ struct SubEntry {
     /// dictionary growth does not change what this subscription means).
     query: Query,
     key: QueryKey,
-    options: SubscriptionOptions,
     /// The last result list actually *enqueued* to the channel. Neither
     /// suppressed unchanged diffs (the state genuinely did not change
     /// bitwise) nor `DropCounted` drops advance it, so every delivered
@@ -116,8 +92,6 @@ pub struct SubscriptionInfo {
     pub pending: usize,
     /// Total diffs enqueued so far.
     pub delivered: u64,
-    /// Diffs dropped (`DropCounted`).
-    pub dropped: u64,
     /// Diffs merged away (`CoalesceLatest`).
     pub coalesced: u64,
 }
@@ -128,7 +102,7 @@ pub struct SubscribeMetrics {
     /// Currently active registrations.
     pub active: usize,
     /// Registrations ever accepted.
-    pub registered_total: u64,
+    pub(crate) registered_total: u64,
     /// Standing-query re-evaluations run by commits.
     pub evaluations: u64,
     /// Re-evaluations that failed (counted, skipped; the registration
@@ -150,11 +124,11 @@ pub struct NotifyReport {
     /// set).
     pub evaluated: usize,
     /// Diffs enqueued (including coalesced merges).
-    pub notified: usize,
+    pub(crate) notified: usize,
     /// Diffs dropped by `DropCounted` channels.
-    pub dropped: usize,
+    pub(crate) dropped: usize,
     /// Registrations garbage-collected (every handle dropped).
-    pub disconnected: usize,
+    pub(crate) disconnected: usize,
 }
 
 /// A registry of standing queries over one serving front.
@@ -203,11 +177,6 @@ impl SubscriptionRegistry {
         }
     }
 
-    /// The serving front registrations evaluate against.
-    pub fn front(&self) -> &Arc<ServingFront> {
-        &self.front
-    }
-
     /// Registers a standing query and returns its receiving handle.
     ///
     /// The query is validated and resolved *now* against the current
@@ -249,58 +218,21 @@ impl SubscriptionRegistry {
                 id,
                 query: standing,
                 key,
-                options,
                 last: Mutex::new(snapshot.results().to_vec()),
                 channel,
             });
             for &term in entry.key.terms() {
                 inner.term_index.entry(term).or_default().insert(id.0);
             }
-            inner.subs.insert(id.0, Arc::clone(&entry));
-            if options.notify_initial {
-                let initial = ResultDiff::compute(
-                    id,
-                    None,
-                    snapshot.generation,
-                    Vec::new(),
-                    snapshot.response.results,
-                    Vec::new(),
-                );
-                // Still under the registry lock: any commit diff for
-                // this registration is collected — and therefore sent —
-                // only after the lock is released, so the baseline is
-                // always first on the channel. The queue is freshly
-                // created (capacity >= 1): this cannot block or drop.
-                let _ = handle_send(self, &entry, initial);
-            }
+            inner.subs.insert(id.0, entry);
             handle
         };
         self.registered_total.inc();
         Ok(handle)
     }
 
-    /// Removes a registration and closes its channel (pending diffs stay
-    /// drainable on existing handles). Returns whether it existed.
-    pub fn unsubscribe(&self, id: SubscriptionId) -> bool {
-        let entry = {
-            let mut inner = self.lock();
-            let entry = inner.subs.remove(&id.0);
-            if let Some(e) = &entry {
-                unindex(&mut inner, e);
-            }
-            entry
-        };
-        match entry {
-            Some(e) => {
-                e.channel.close();
-                true
-            }
-            None => false,
-        }
-    }
-
     /// Number of active registrations.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.lock().subs.len()
     }
 
@@ -319,7 +251,6 @@ impl SubscriptionRegistry {
                 key: e.key.clone(),
                 pending: e.channel.pending(),
                 delivered: e.channel.delivered(),
-                dropped: e.channel.dropped(),
                 coalesced: e.channel.coalesced(),
             })
             .collect()
@@ -375,7 +306,7 @@ impl SubscriptionRegistry {
     /// The registry lock is held only to collect affected entries (and
     /// to garbage-collect disconnected ones); evaluation, diffing, and
     /// channel pushes run without it, so a `Block`ed channel can never
-    /// deadlock against concurrent `subscribe`/`unsubscribe` calls.
+    /// deadlock against concurrent `subscribe` calls.
     pub fn on_commit(
         &self,
         tick: u64,
@@ -419,7 +350,7 @@ impl SubscriptionRegistry {
                 let Some(entry) = inner.subs.get(&id) else {
                     continue;
                 };
-                if entry.channel.receivers() == 0 || entry.channel.is_closed() {
+                if entry.channel.receivers() == 0 {
                     let entry = Arc::clone(entry);
                     inner.subs.remove(&id);
                     unindex(&mut inner, &entry);
@@ -460,7 +391,7 @@ impl SubscriptionRegistry {
                 current.clone(),
                 Vec::new(),
             );
-            if diff.is_unchanged() && !entry.options.notify_unchanged {
+            if diff.is_unchanged() {
                 continue;
             }
             let triggers: Vec<Trigger> = terms

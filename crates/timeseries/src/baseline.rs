@@ -1,4 +1,4 @@
-//! Expected-frequency baselines and per-stream burstiness (Eq. 7).
+//! The expected-frequency baseline and per-stream burstiness (Eq. 7).
 //!
 //! The regional framework (Section 4 of the paper) measures the burstiness
 //! of a term `t` in stream `D_x` at timestamp `i` as the *discrepancy*
@@ -9,33 +9,16 @@
 //! ```
 //!
 //! The paper deliberately leaves the choice of baseline open ("the nature of
-//! an appropriate baseline depends on the domain"): the running average of
-//! all history, a sliding window of recent history, or seasonal data from
-//! previous periods. This module provides those options behind a single
-//! trait so the mining algorithms are agnostic to the choice.
-
-/// An online model of the expected frequency of a term in one stream.
-///
-/// The model is fed observations in timeline order via [`observe`] and asked
-/// for the expectation of the *next* observation via [`expected`] — i.e. the
-/// expectation at timestamp `i` is computed strictly from history before `i`,
-/// matching the paper's definition of `E_x[i][t]`.
-///
-/// [`observe`]: BaselineModel::observe
-/// [`expected`]: BaselineModel::expected
-pub trait BaselineModel {
-    /// Expected frequency of the next observation given history seen so far,
-    /// or `None` if no history is available yet.
-    fn expected(&self) -> Option<f64>;
-
-    /// Feeds the observation for the current timestamp into the model.
-    fn observe(&mut self, value: f64);
-
-    /// Resets the model to its initial (no-history) state.
-    fn reset(&mut self);
-}
+//! an appropriate baseline depends on the domain") and suggests the running
+//! average of all history, which is the model this module provides.
 
 /// Mean of *all* observations seen so far — the paper's default suggestion.
+///
+/// The model is fed observations in timeline order via
+/// [`observe`](RunningMean::observe) and asked for the expectation of the
+/// *next* observation via [`expected`](RunningMean::expected) — i.e. the
+/// expectation at timestamp `i` is computed strictly from history before
+/// `i`, matching the paper's definition of `E_x[i][t]`.
 #[derive(Debug, Clone, Default)]
 pub struct RunningMean {
     sum: f64,
@@ -47,173 +30,29 @@ impl RunningMean {
     pub fn new() -> Self {
         Self::default()
     }
-}
 
-impl BaselineModel for RunningMean {
-    fn expected(&self) -> Option<f64> {
+    /// Expected frequency of the next observation given history seen so far,
+    /// or `None` if no history is available yet.
+    pub fn expected(&self) -> Option<f64> {
         (self.count > 0).then(|| self.sum / self.count as f64)
     }
 
-    fn observe(&mut self, value: f64) {
+    /// Feeds the observation for the current timestamp into the model.
+    pub fn observe(&mut self, value: f64) {
         self.sum += value;
         self.count += 1;
-    }
-
-    fn reset(&mut self) {
-        self.sum = 0.0;
-        self.count = 0;
-    }
-}
-
-/// Mean of the last `window` observations ("focus only on the most recent
-/// measurements").
-#[derive(Debug, Clone)]
-pub struct SlidingWindowMean {
-    window: usize,
-    buf: std::collections::VecDeque<f64>,
-    sum: f64,
-}
-
-impl SlidingWindowMean {
-    /// Creates a sliding-window model over the last `window` observations.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window == 0`.
-    pub fn new(window: usize) -> Self {
-        assert!(window > 0, "window must be positive");
-        Self {
-            window,
-            buf: std::collections::VecDeque::with_capacity(window),
-            sum: 0.0,
-        }
-    }
-}
-
-impl BaselineModel for SlidingWindowMean {
-    fn expected(&self) -> Option<f64> {
-        (!self.buf.is_empty()).then(|| self.sum / self.buf.len() as f64)
-    }
-
-    fn observe(&mut self, value: f64) {
-        self.buf.push_back(value);
-        self.sum += value;
-        if self.buf.len() > self.window {
-            if let Some(old) = self.buf.pop_front() {
-                self.sum -= old;
-            }
-        }
-    }
-
-    fn reset(&mut self) {
-        self.buf.clear();
-        self.sum = 0.0;
-    }
-}
-
-/// Exponentially weighted moving average with smoothing factor `alpha`
-/// (weight of the most recent observation).
-#[derive(Debug, Clone)]
-pub struct Ewma {
-    alpha: f64,
-    value: Option<f64>,
-}
-
-impl Ewma {
-    /// Creates an EWMA model; `alpha` must be in `(0, 1]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `alpha` is outside `(0, 1]`.
-    pub fn new(alpha: f64) -> Self {
-        assert!(alpha > 0.0 && alpha <= 1.0, "alpha must be in (0, 1]");
-        Self { alpha, value: None }
-    }
-}
-
-impl BaselineModel for Ewma {
-    fn expected(&self) -> Option<f64> {
-        self.value
-    }
-
-    fn observe(&mut self, value: f64) {
-        self.value = Some(match self.value {
-            None => value,
-            Some(prev) => self.alpha * value + (1.0 - self.alpha) * prev,
-        });
-    }
-
-    fn reset(&mut self) {
-        self.value = None;
-    }
-}
-
-/// Seasonal baseline: the expectation at phase `p` of the current period is
-/// the mean of the observations at phase `p` of all *previous* periods
-/// (e.g. "the average daily frequency over the Decembers of previous
-/// years"). Falls back to the overall running mean until a full period of
-/// history exists for the phase.
-#[derive(Debug, Clone)]
-pub struct Seasonal {
-    period: usize,
-    phase_sums: Vec<f64>,
-    phase_counts: Vec<usize>,
-    next_phase: usize,
-    overall: RunningMean,
-}
-
-impl Seasonal {
-    /// Creates a seasonal model with the given period length (in timestamps).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `period == 0`.
-    pub fn new(period: usize) -> Self {
-        assert!(period > 0, "period must be positive");
-        Self {
-            period,
-            phase_sums: vec![0.0; period],
-            phase_counts: vec![0; period],
-            next_phase: 0,
-            overall: RunningMean::new(),
-        }
-    }
-}
-
-impl BaselineModel for Seasonal {
-    fn expected(&self) -> Option<f64> {
-        let phase = self.next_phase;
-        if self.phase_counts[phase] > 0 {
-            Some(self.phase_sums[phase] / self.phase_counts[phase] as f64)
-        } else {
-            self.overall.expected()
-        }
-    }
-
-    fn observe(&mut self, value: f64) {
-        let phase = self.next_phase;
-        self.phase_sums[phase] += value;
-        self.phase_counts[phase] += 1;
-        self.overall.observe(value);
-        self.next_phase = (self.next_phase + 1) % self.period;
-    }
-
-    fn reset(&mut self) {
-        self.phase_sums.iter_mut().for_each(|x| *x = 0.0);
-        self.phase_counts.iter_mut().for_each(|x| *x = 0);
-        self.next_phase = 0;
-        self.overall.reset();
     }
 }
 
 /// Computes the per-timestamp burstiness series `B(t, D_x[i])` (Eq. 7) of a
-/// frequency series under the given baseline model.
+/// frequency series under the running-mean baseline.
 ///
 /// The expectation at each timestamp is computed strictly from the history
 /// before that timestamp. When no history exists yet (the first timestamp),
 /// the burstiness is reported as 0: with nothing to compare against, nothing
 /// is a deviation.
-pub fn burstiness_series<M: BaselineModel>(frequencies: &[f64], model: &mut M) -> Vec<f64> {
+pub fn burstiness_series(frequencies: &[f64]) -> Vec<f64> {
+    let mut model = RunningMean::new();
     let mut out = Vec::with_capacity(frequencies.len());
     for &y in frequencies {
         let b = match model.expected() {
@@ -237,76 +76,11 @@ mod tests {
         m.observe(2.0);
         m.observe(4.0);
         assert_eq!(m.expected(), Some(3.0));
-        m.reset();
-        assert_eq!(m.expected(), None);
-    }
-
-    #[test]
-    fn sliding_window_forgets_old_values() {
-        let mut m = SlidingWindowMean::new(2);
-        m.observe(10.0);
-        m.observe(2.0);
-        m.observe(4.0);
-        // Only the last two observations (2, 4) should count.
-        assert_eq!(m.expected(), Some(3.0));
-    }
-
-    #[test]
-    fn sliding_window_before_full() {
-        let mut m = SlidingWindowMean::new(5);
-        assert_eq!(m.expected(), None);
-        m.observe(6.0);
-        assert_eq!(m.expected(), Some(6.0));
-    }
-
-    #[test]
-    fn ewma_weights_recent_observations() {
-        let mut m = Ewma::new(0.5);
-        m.observe(0.0);
-        m.observe(10.0);
-        assert_eq!(m.expected(), Some(5.0));
-        m.observe(10.0);
-        assert_eq!(m.expected(), Some(7.5));
-    }
-
-    #[test]
-    fn ewma_alpha_one_tracks_last_value() {
-        let mut m = Ewma::new(1.0);
-        m.observe(3.0);
-        m.observe(9.0);
-        assert_eq!(m.expected(), Some(9.0));
-    }
-
-    #[test]
-    fn seasonal_uses_same_phase_history() {
-        // Period 7 (weekly seasonality over daily data).
-        let mut m = Seasonal::new(7);
-        // One full week of history: phase 0 gets 70, others get 1.
-        m.observe(70.0);
-        for _ in 1..7 {
-            m.observe(1.0);
-        }
-        // Expectation for the next timestamp (phase 0) should be 70, not the
-        // overall mean.
-        assert_eq!(m.expected(), Some(70.0));
-        m.observe(72.0);
-        // Phase 1 expectation is 1.
-        assert_eq!(m.expected(), Some(1.0));
-    }
-
-    #[test]
-    fn seasonal_falls_back_to_overall_mean() {
-        let mut m = Seasonal::new(4);
-        m.observe(2.0);
-        m.observe(4.0);
-        // Phase 2 has no history yet; fall back to the overall mean (3).
-        assert_eq!(m.expected(), Some(3.0));
     }
 
     #[test]
     fn burstiness_series_first_value_is_zero() {
-        let mut m = RunningMean::new();
-        let b = burstiness_series(&[5.0, 5.0, 5.0, 20.0], &mut m);
+        let b = burstiness_series(&[5.0, 5.0, 5.0, 20.0]);
         assert_eq!(b[0], 0.0);
         assert_eq!(b[1], 0.0);
         assert_eq!(b[2], 0.0);
@@ -314,35 +88,7 @@ mod tests {
     }
 
     #[test]
-    fn burstiness_series_detects_deviation_and_recovery() {
-        let mut m = SlidingWindowMean::new(3);
-        let freqs = [4.0, 4.0, 4.0, 16.0, 4.0];
-        let b = burstiness_series(&freqs, &mut m);
-        assert_eq!(b[3], 12.0);
-        assert!(b[4] < 0.0); // after the spike the expectation is inflated
-    }
-
-    #[test]
     fn burstiness_series_empty_input() {
-        let mut m = RunningMean::new();
-        assert!(burstiness_series(&[], &mut m).is_empty());
-    }
-
-    #[test]
-    #[should_panic]
-    fn zero_window_panics() {
-        SlidingWindowMean::new(0);
-    }
-
-    #[test]
-    #[should_panic]
-    fn bad_alpha_panics() {
-        Ewma::new(1.5);
-    }
-
-    #[test]
-    #[should_panic]
-    fn zero_period_panics() {
-        Seasonal::new(0);
+        assert!(burstiness_series(&[]).is_empty());
     }
 }

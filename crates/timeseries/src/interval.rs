@@ -62,14 +62,6 @@ impl TimeInterval {
         }
     }
 
-    /// The smallest interval covering both inputs (they need not overlap).
-    pub fn span(&self, other: &TimeInterval) -> TimeInterval {
-        TimeInterval {
-            start: self.start.min(other.start),
-            end: self.end.max(other.end),
-        }
-    }
-
     /// Jaccard similarity `|A ∩ B| / |A ∪ B|` of the two intervals, measured
     /// in covered timestamps. Used by the `Base` baseline of the paper.
     pub fn jaccard(&self, other: &TimeInterval) -> f64 {
@@ -126,13 +118,6 @@ mod tests {
         let b = TimeInterval::new(3, 6);
         assert!(a.overlaps(&b));
         assert_eq!(a.intersection(&b).unwrap().len(), 1);
-    }
-
-    #[test]
-    fn span_covers_gap() {
-        let a = TimeInterval::new(0, 2);
-        let b = TimeInterval::new(8, 9);
-        assert_eq!(a.span(&b), TimeInterval::new(0, 9));
     }
 
     #[test]

@@ -31,20 +31,11 @@ impl OnlineMaxSeg {
     }
 
     /// Appends several scores in order.
-    pub fn extend<I: IntoIterator<Item = f64>>(&mut self, scores: I) {
+    #[cfg(test)]
+    pub(crate) fn extend<I: IntoIterator<Item = f64>>(&mut self, scores: I) {
         for s in scores {
             self.push(s);
         }
-    }
-
-    /// Number of scores pushed so far.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether no score has been pushed yet.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     /// Running total of all scores pushed so far.
@@ -96,8 +87,6 @@ mod tests {
     #[test]
     fn empty_state() {
         let s = OnlineMaxSeg::new();
-        assert!(s.is_empty());
-        assert_eq!(s.len(), 0);
         assert_eq!(s.total(), 0.0);
         assert!(s.maximal_segments().is_empty());
         assert!(s.best_segment().is_none());
@@ -138,7 +127,6 @@ mod tests {
         let mut s = OnlineMaxSeg::new();
         s.extend([1.0, -2.5, 3.0]);
         assert!((s.total() - 1.5).abs() < 1e-12);
-        assert_eq!(s.len(), 3);
     }
 
     #[test]

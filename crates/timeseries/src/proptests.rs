@@ -1,11 +1,9 @@
 //! Property-based tests for the temporal burst substrate.
 
+use crate::ruzzo_tompa::{max_segments_reference, max_subarray};
+use crate::temporal_burst::temporal_burstiness;
+use crate::{bursty_intervals, max_segments, OnlineMaxSeg, RunningMean, TimeInterval};
 use proptest::prelude::*;
-use stb_timeseries::{
-    bursty_intervals, max_segments, max_subarray, ruzzo_tompa::max_segments_reference,
-    temporal_burstiness, BaselineModel, KleinbergDetector, OnlineMaxSeg, RunningMean,
-    SlidingWindowMean, TimeInterval,
-};
 
 fn arb_scores() -> impl Strategy<Value = Vec<f64>> {
     prop::collection::vec(-10.0f64..10.0, 0..60)
@@ -130,40 +128,5 @@ proptest! {
         }
         let mean = values.iter().sum::<f64>() / values.len() as f64;
         prop_assert!((m.expected().unwrap() - mean).abs() < 1e-9);
-    }
-
-    #[test]
-    fn sliding_window_equals_running_mean_when_window_large(
-        values in prop::collection::vec(0.0f64..100.0, 1..30)
-    ) {
-        let mut sw = SlidingWindowMean::new(1000);
-        let mut rm = RunningMean::new();
-        for &v in &values {
-            sw.observe(v);
-            rm.observe(v);
-        }
-        prop_assert!((sw.expected().unwrap() - rm.expected().unwrap()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn kleinberg_bursts_are_disjoint_and_in_range(
-        base in 1.0f64..5.0,
-        spike in 10.0f64..40.0,
-        start in 5usize..20,
-        len in 1usize..10
-    ) {
-        let n = 40;
-        let mut counts: Vec<(f64, f64)> = vec![(base, 100.0); n];
-        for item in counts.iter_mut().skip(start).take(len) {
-            *item = (spike, 100.0);
-        }
-        let bursts = KleinbergDetector::default().detect(&counts);
-        for b in &bursts {
-            prop_assert!(b.interval.end < n);
-            prop_assert!(b.weight > 0.0);
-        }
-        for w in bursts.windows(2) {
-            prop_assert!(w[0].interval.end < w[1].interval.start);
-        }
     }
 }

@@ -15,14 +15,14 @@ use crate::interval::TimeInterval;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Segment {
     /// Inclusive index range of the segment.
-    pub interval: TimeInterval,
+    pub(crate) interval: TimeInterval,
     /// Total score of the segment (always positive for maximal segments).
     pub score: f64,
 }
 
 impl Segment {
     /// Creates a segment covering `[start, end]` with the given score.
-    pub fn new(start: usize, end: usize, score: f64) -> Self {
+    pub(crate) fn new(start: usize, end: usize, score: f64) -> Self {
         Self {
             interval: TimeInterval::new(start, end),
             score,
@@ -135,8 +135,10 @@ pub fn max_segments(scores: &[f64]) -> Vec<Segment> {
 /// Maximum-sum contiguous subarray (Kadane's algorithm).
 ///
 /// Returns `None` when every element is non-positive (the paper's burstiness
-/// semantics never report empty or non-positive bursts).
-pub fn max_subarray(scores: &[f64]) -> Option<Segment> {
+/// semantics never report empty or non-positive bursts). Test oracle, with
+/// [`max_segments_reference`].
+#[cfg(test)]
+pub(crate) fn max_subarray(scores: &[f64]) -> Option<Segment> {
     let mut best: Option<Segment> = None;
     let mut cur_sum = 0.0;
     let mut cur_start = 0usize;
@@ -160,7 +162,8 @@ pub fn max_subarray(scores: &[f64]) -> Option<Segment> {
 ///
 /// Quadratic in the worst case; only meant as a test oracle for
 /// [`max_segments`].
-pub fn max_segments_reference(scores: &[f64]) -> Vec<Segment> {
+#[cfg(test)]
+pub(crate) fn max_segments_reference(scores: &[f64]) -> Vec<Segment> {
     fn recurse(scores: &[f64], offset: usize, out: &mut Vec<Segment>) {
         if scores.is_empty() {
             return;

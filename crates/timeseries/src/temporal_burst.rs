@@ -36,18 +36,10 @@ pub struct BurstyInterval {
 /// `[start, end]` (inclusive) of the frequency series `frequencies`.
 ///
 /// Returns 0 when the series has no mass (all-zero frequencies), and clamps
-/// the interval to the series length.
-///
-/// # Examples
-///
-/// ```
-/// use stb_timeseries::{temporal_burstiness, TimeInterval};
-/// let freqs = [0.0, 0.0, 8.0, 8.0, 0.0, 0.0, 0.0, 0.0];
-/// // The two bursty days hold 100% of the mass but only 25% of the timeline.
-/// let b = temporal_burstiness(&freqs, TimeInterval::new(2, 3));
-/// assert!((b - 0.75).abs() < 1e-12);
-/// ```
-pub fn temporal_burstiness(frequencies: &[f64], interval: TimeInterval) -> f64 {
+/// the interval to the series length. Test oracle for the scores
+/// [`bursty_intervals`] reports.
+#[cfg(test)]
+pub(crate) fn temporal_burstiness(frequencies: &[f64], interval: TimeInterval) -> f64 {
     if frequencies.is_empty() {
         return 0.0;
     }
@@ -121,6 +113,14 @@ mod tests {
         assert!(bursty_intervals(&freqs).is_empty());
         // Any interval of a uniform series has zero burstiness.
         assert!(temporal_burstiness(&freqs, TimeInterval::new(3, 7)).abs() < 1e-12);
+    }
+
+    #[test]
+    fn temporal_burstiness_doc_example() {
+        let freqs = [0.0, 0.0, 8.0, 8.0, 0.0, 0.0, 0.0, 0.0];
+        // The two bursty days hold 100% of the mass but only 25% of the timeline.
+        let b = temporal_burstiness(&freqs, TimeInterval::new(2, 3));
+        assert!((b - 0.75).abs() < 1e-12);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! see the individual modules for the full documentation:
 //!
 //! * [`geo`] — geographic primitives, MDS projection, country gazetteer.
-//! * [`timeseries`] — temporal burst detection (discrepancy & Kleinberg),
+//! * [`timeseries`] — temporal burst detection (discrepancy),
 //!   Ruzzo–Tompa maximal segments.
 //! * [`corpus`] — documents, streams, spatiotemporal collections.
 //! * [`discrepancy`] — max-weight rectangles and the R-Bursty algorithm.

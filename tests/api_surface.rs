@@ -1,8 +1,11 @@
-//! Public-API surface snapshot: exercises every documented entry point of
-//! the facade so that a future signature change fails *this* test (and CI)
-//! instead of silently breaking downstream callers. Keep additions here in
-//! lockstep with README/ARCHITECTURE — a deliberate API break should edit
-//! this file in the same commit.
+//! Public-API surface snapshot: exercises the entry points that code outside
+//! the workspace crates names (the examples, the paper binaries and benches,
+//! `benchmark/`, the other integration tests), so that a future signature
+//! change fails *this* test (and CI) instead of silently breaking those
+//! callers. An item is public only because something outside its crate names
+//! it; this file pins that surface and nothing the crates keep to
+//! themselves. A deliberate API break should edit this file in the same
+//! commit.
 //!
 //! The test is mostly compile-pass: the assertions are deliberately light,
 //! the point is that the names, signatures, field sets, and trait bounds
@@ -19,16 +22,14 @@ use stburst::corpus::{Collection, CollectionBuilder, DocId, StreamId, TermId, To
 use stburst::geo::{GeoPoint, Mbr, Point2D, Rect};
 use stburst::ingest::{
     replay_tsv, replay_tsv_durable, Backpressure, Durability, DurabilityState, HealthReport,
-    IngestConfig, IngestError, IngestPipeline, MinerKind, PatternDelta, PipelineMetrics,
-    QuarantineReason, QuarantinedDoc, RecoveryReport, RetryPolicy, SearchHandle, StageOutcome,
-    StoreError, TickReceipt,
+    IngestConfig, IngestPipeline, MinerKind, PatternDelta, PipelineMetrics, RecoveryReport,
+    RetryPolicy, SearchHandle, StoreError, TickReceipt,
 };
 use stburst::search::{
-    shard_of, threshold_topk, threshold_topk_with_stats, BurstinessAgg, BurstySearchEngine,
-    DocExplanation, EngineConfig, EngineMetrics, InvertedIndex, NoPatternPolicy, PatternMatch,
-    Posting, Query, QueryCache, QueryError, QueryKey, QueryResponse, QueryStats, Relevance,
-    SearchResult, ServingFront, ShardedEngine, TermExplanation, TopkStats, UnknownWords,
-    DEFAULT_CACHE_CAPACITY, DEFAULT_SHARDS, DEFAULT_TOP_K,
+    threshold_topk, BurstySearchEngine, DocExplanation, EngineConfig, EngineMetrics, InvertedIndex,
+    NoPatternPolicy, PatternMatch, Query, QueryError, QueryResponse, QueryStats, Relevance,
+    SearchResult, ServingFront, ShardedEngine, TermExplanation, UnknownWords,
+    DEFAULT_CACHE_CAPACITY, DEFAULT_SHARDS,
 };
 use stburst::timeseries::TimeInterval;
 
@@ -64,35 +65,30 @@ fn query_dsl_surface() {
         .relevance(Relevance::LogFreq)
         .unknown_words(UnknownWords::Error)
         .explain(true);
-    assert!(query.is_filtered());
 
     let response: QueryResponse = engine.query(&query).unwrap();
     let _results: &Vec<SearchResult> = &response.results;
     let stats: QueryStats = response.stats;
-    let _: (bool, bool, usize, usize, usize, bool) = (
+    let _: (bool, bool, usize, usize, usize) = (
         stats.cache_hit,
         stats.served_from_prebuilt,
         stats.postings_scanned,
         stats.candidates_pruned,
         stats.terms,
-        stats.filtered,
     );
     for explanation in &response.explanations {
         let _: &DocExplanation = explanation;
-        let _: (DocId, f64) = (explanation.doc, explanation.total);
         for te in &explanation.terms {
             let _: &TermExplanation = te;
-            let _: (TermId, f64, Option<f64>, f64) =
-                (te.term, te.relevance, te.burstiness, te.contribution);
             for pm in &te.patterns {
                 let _: &PatternMatch = pm;
-                let _: (TimeInterval, Option<Rect>, f64) = (pm.interval, pm.region, pm.score);
+                let _: (TimeInterval, Option<Rect>) = (pm.interval, pm.region);
             }
         }
     }
 
     // Text queries and the batch entry point.
-    let _ = engine.query(&Query::text("storm").top_k(DEFAULT_TOP_K));
+    let _ = engine.query(&Query::text("storm"));
     let batch: Vec<Result<QueryResponse, QueryError>> =
         engine.query_many(&[Query::terms([term]), Query::text("storm")]);
     assert_eq!(batch.len(), 2);
@@ -117,13 +113,11 @@ fn engine_surface() {
     let (collection, term, stream) = tiny_collection();
     let config: EngineConfig = EngineConfig::builder()
         .relevance(Relevance::TfIdf)
-        .aggregation(BurstinessAgg::Max)
         .no_pattern(NoPatternPolicy::Zero)
         .build();
     let shared: Arc<Collection> = Arc::new(collection);
     let mut engine = BurstySearchEngine::new(Arc::clone(&shared), config);
     let _: &EngineConfig = engine.config();
-    let _: &Arc<Collection> = engine.collection();
 
     // All three registration paths: typed slice, trait-object-free generic,
     // and a whole `PatternSource`.
@@ -141,11 +135,7 @@ fn engine_surface() {
 
     engine.set_cache_capacity(DEFAULT_CACHE_CAPACITY);
     engine.finalize_with_threads(2);
-    assert!(engine.is_finalized());
     let _: Option<&InvertedIndex> = engine.prebuilt_index();
-    let _: usize = engine.doc_freq(term);
-    let _: Option<f64> = engine.document_burstiness(term, DocId(0));
-    engine.refresh_term(term);
     engine.update_collection(Arc::clone(&shared), &[]);
 
     let metrics: EngineMetrics = engine.metrics();
@@ -160,12 +150,7 @@ fn engine_surface() {
         metrics.indexed_terms,
         metrics.indexed_postings,
     );
-    let _: (u64, Option<f64>, u64, usize) = (
-        metrics.finalize_count,
-        metrics.last_finalize_ms,
-        metrics.term_rescore_count,
-        metrics.n_docs,
-    );
+    let _: u64 = metrics.term_rescore_count;
 }
 
 /// Index + threshold layer: the retrieval primitives under the engine.
@@ -173,34 +158,15 @@ fn engine_surface() {
 fn retrieval_surface() {
     let mut idx = InvertedIndex::new();
     idx.insert(TermId(0), DocId(0), 1.5);
-    idx.set_postings(
-        TermId(1),
-        vec![Posting {
-            doc: DocId(0),
-            score: 2.0,
-        }],
-    );
+    idx.insert(TermId(1), DocId(0), 2.0);
     idx.finalize();
-    let _: &[Posting] = idx.postings(TermId(0));
-    let _: Option<f64> = idx.score(TermId(0), DocId(0));
-    let (_, n) = (idx.n_terms(), idx.n_postings());
-    assert!(n >= 1);
 
     let query = [TermId(0), TermId(1)];
-    let _: Vec<SearchResult> = threshold_topk(&idx, &query, 2, NoPatternPolicy::Zero);
-    let (_, stats): (Vec<SearchResult>, TopkStats) =
-        threshold_topk_with_stats(&idx, &query, 2, NoPatternPolicy::Zero);
-    let _: (usize, usize) = (stats.postings_scanned, stats.candidates_pruned);
-
-    // The cache key canonicalization is public (used by cache-aware tests).
-    let _: QueryKey = QueryKey::new(&query, 2, EngineConfig::default());
-    let _: QueryKey = QueryKey::canonical(
-        &query,
-        2,
-        EngineConfig::default(),
-        Some(TimeInterval::new(0, 3)),
-        Some(Rect::new(0.0, 0.0, 1.0, 1.0)),
-    );
+    let ta: Vec<SearchResult> = threshold_topk(&idx, &query, 2, NoPatternPolicy::Zero);
+    let exhaustive: Vec<SearchResult> =
+        stburst::search::threshold::exhaustive_topk(&idx, &query, 2, NoPatternPolicy::Zero);
+    assert_eq!(ta.len(), 1);
+    assert_eq!(ta, exhaustive);
 }
 
 /// Pattern traits: overlap, geometry, and source plumbing shared by miners
@@ -273,33 +239,20 @@ fn ingest_surface() {
     pipeline.stage_text_document(stream, "storm warning", &tokenizer);
     let receipt: TickReceipt = pipeline.commit_tick();
     for delta in &receipt.deltas {
-        let _: (TermId, usize) = (delta.term(), delta.n_patterns());
+        let _: usize = delta.n_patterns();
         match delta {
             PatternDelta::Regional { .. } | PatternDelta::Combinatorial { .. } => {}
         }
     }
     let _: DurabilityState = receipt.durability;
-    let metrics: PipelineMetrics = pipeline.metrics();
-    let _: (usize, u64) = (metrics.ticks_committed, metrics.docs_ingested);
+    let _: PipelineMetrics = pipeline.metrics();
 
-    // Overload protection and poison-document quarantine.
-    let _: Result<StageOutcome, IngestError> =
-        pipeline.try_stage_document(stream, HashMap::from([(term, 1)]));
-    match pipeline.try_stage_document(StreamId(999), HashMap::from([(term, 1)])) {
-        Ok(StageOutcome::Quarantined(QuarantineReason::UnknownStream)) => {}
-        other => panic!("expected quarantine, got {other:?}"),
-    }
-    let quarantined: Vec<&QuarantinedDoc> = pipeline.quarantine_log().collect();
-    assert_eq!(quarantined.len(), 1);
+    // Poison documents are quarantined, not fatal.
+    pipeline.stage_document(StreamId(999), HashMap::from([(term, 1)]));
     let health: HealthReport = pipeline.health();
-    let _: (DurabilityState, usize, u64) = (
-        health.durability,
-        health.staged_docs,
-        health.quarantined_total,
-    );
+    assert_eq!(health.quarantined_total, 1);
 
     let handle: SearchHandle = pipeline.search_handle();
-    let _: HealthReport = handle.health();
     let _: Result<QueryResponse, QueryError> =
         handle.query(&Query::terms([term]).time_window(0..=3));
     let _: Vec<Result<QueryResponse, QueryError>> = handle.query_many(&[Query::terms([term])]);
@@ -313,20 +266,14 @@ fn ingest_surface() {
     assert_eq!(replayed.ticks_committed(), 2);
 }
 
-/// The sharded serving tier: shard routing, the read front, the
-/// write-side sharded engine, and the thread-safety bounds the whole design
-/// rests on.
+/// The sharded serving tier: the read front, the write-side sharded engine,
+/// and the thread-safety bounds the whole design rests on.
 #[test]
 fn serving_tier_surface() {
     fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<ServingFront>();
     assert_send_sync::<ShardedEngine>();
     assert_send_sync::<SearchHandle>();
-    assert_send_sync::<QueryCache>();
-
-    // Term-hash shard routing is public and total over shard counts.
-    assert!(shard_of(TermId(42), DEFAULT_SHARDS) < DEFAULT_SHARDS);
-    assert_eq!(shard_of(TermId(42), 1), 0);
 
     // ShardedEngine: the write side mirrors BurstySearchEngine's mutation
     // surface and publishes generations; the front is the shared read side.
@@ -339,27 +286,15 @@ fn serving_tier_surface() {
     engine.refresh_term(term);
     engine.finalize_with_threads(1);
     engine.publish();
-    assert_eq!(engine.n_shards(), DEFAULT_SHARDS);
-    let _: u64 = engine.generation();
     let _: &BurstySearchEngine = engine.engine();
     let _: EngineMetrics = engine.metrics();
 
     let front: Arc<ServingFront> = engine.front();
     let _: Result<QueryResponse, QueryError> = front.query(&Query::terms([term]));
     let _: Vec<Result<QueryResponse, QueryError>> = front.query_many(&[Query::terms([term])]);
-    let _: (u64, usize) = (front.generation(), front.n_shards());
+    let _: u64 = front.generation();
     let _: Arc<Collection> = front.collection();
-    let _: EngineConfig = front.config();
     let _: EngineMetrics = front.metrics();
-    let _: Option<f64> = front.document_burstiness(term, DocId(0));
-
-    // Generation-tagged cache entries: the read path's consistency gate.
-    let cache = QueryCache::new(4);
-    let key = QueryKey::new(&[term], 2, EngineConfig::default());
-    cache.put_tagged(key.clone(), Vec::new(), 3, || true);
-    assert!(cache.get_at(&key, 2).is_none()); // newer than the reader
-    assert!(cache.get_at(&key, 3).is_some());
-    let _: (u64, u64) = (cache.hits(), cache.misses());
 }
 
 /// Standing subscriptions: registration options, the handle's consumption
@@ -378,19 +313,11 @@ fn subscribe_surface() {
     assert_send_sync::<ResultDiff>();
     assert_send_sync::<SubscriptionOptions>();
 
-    // Options: the literal field set and every builder method.
-    let options = SubscriptionOptions {
-        capacity: 8,
-        overflow: OverflowPolicy::Block,
-        notify_initial: false,
-        notify_unchanged: false,
-    };
-    let options = options
+    // Options: every builder method.
+    let options = SubscriptionOptions::default()
         .capacity(16)
-        .overflow(OverflowPolicy::CoalesceLatest)
-        .notify_initial(true)
-        .notify_unchanged(false);
-    match options.overflow {
+        .overflow(OverflowPolicy::CoalesceLatest);
+    match OverflowPolicy::default() {
         OverflowPolicy::Block | OverflowPolicy::CoalesceLatest | OverflowPolicy::DropCounted => {}
     }
 
@@ -401,31 +328,21 @@ fn subscribe_surface() {
     let stream = pipeline.add_stream("Athens", GeoPoint::new(38.0, 23.7));
     let term = pipeline.intern("storm");
 
-    // Registration through both entry points: the cloneable handle and the
-    // pipeline itself. Both delegate to the same registry.
+    // Registration through the cloneable handle, into the registry the
+    // pipeline shares with every handle.
     let search: SearchHandle = pipeline.search_handle();
     let sub: SubscriptionHandle = search
         .subscribe(&Query::terms([term]).top_k(3), options)
         .unwrap();
-    let _: SubscriptionHandle = pipeline
-        .subscribe(
-            &Query::terms([term]).top_k(3),
-            SubscriptionOptions::default(),
-        )
-        .unwrap();
     let registry: &Arc<SubscriptionRegistry> = search.subscriptions();
-    assert_eq!(registry.len(), 2);
+    assert!(Arc::ptr_eq(registry, pipeline.subscriptions()));
     assert!(!registry.is_empty());
 
-    // Handle surface: identity, consumption, channel counters, lifecycle.
+    // Handle surface: identity, consumption, channel counters.
     let _: SubscriptionId = sub.id();
-    let _: &QueryKey = sub.key();
+    let _: &stburst::search::QueryKey = sub.key();
     let clone: SubscriptionHandle = sub.clone();
-    let _: Option<ResultDiff> = clone.try_recv();
-    let _: Option<ResultDiff> = sub.recv_timeout(std::time::Duration::ZERO);
-    let _: usize = sub.pending();
-    let _: (u64, u64, u64) = (sub.delivered(), sub.dropped(), sub.coalesced());
-    assert!(!sub.is_closed());
+    let _: (u64, u64) = (clone.dropped(), clone.coalesced());
 
     // A committed burst flows through as a `ResultDiff`.
     for tick in 0..8u32 {
@@ -438,56 +355,31 @@ fn subscribe_surface() {
     let diffs: Vec<ResultDiff> = sub.drain();
     assert!(!diffs.is_empty());
     for diff in &diffs {
-        let _: (SubscriptionId, Option<u64>, u64, u64) = (
-            diff.subscription,
-            diff.tick,
-            diff.generation,
-            diff.coalesced,
-        );
+        let _: (Option<u64>, u64, u64) = (diff.tick, diff.generation, diff.coalesced);
         let _: (&Vec<SearchResult>, &Vec<SearchResult>) = (&diff.previous, &diff.current);
         let _: (&Vec<SearchResult>, &Vec<SearchResult>) = (&diff.entered, &diff.left);
-        for r in &diff.reranked {
-            let _: &Reranked = r;
-            let _: (DocId, usize, usize, f64, f64) =
-                (r.doc, r.previous_rank, r.rank, r.previous_score, r.score);
-        }
+        let _: &Vec<Reranked> = &diff.reranked;
         for trigger in &diff.triggers {
             let _: &Trigger = trigger;
-            let _: TermId = trigger.term;
             assert!(!trigger.patterns.is_empty());
         }
-        let _: bool = diff.is_unchanged();
     }
 
     // Registry introspection: per-subscription info and global counters.
     for info in registry.subscriptions() {
         let _: SubscriptionInfo = info.clone();
         let _: String = info.key.describe();
-        let _: (usize, u64, u64, u64) =
-            (info.pending, info.delivered, info.dropped, info.coalesced);
+        let _: (usize, u64, u64) = (info.pending, info.delivered, info.coalesced);
     }
     let metrics: SubscribeMetrics = registry.metrics();
     assert!(metrics.active >= 1);
     assert!(metrics.notifications >= 1);
-    let _: (u64, u64, u64, u64) = (
-        metrics.registered_total,
-        metrics.evaluations,
-        metrics.eval_errors,
-        metrics.dropped,
-    );
+    let _: (u64, u64, u64) = (metrics.evaluations, metrics.eval_errors, metrics.dropped);
     let _: NotifyReport = NotifyReport::default();
 
-    // The pipeline health report carries the subscription counters.
-    let health = pipeline.health();
-    let _: (usize, u64, u64) = (
-        health.subscriptions,
-        health.notifications,
-        health.notifications_dropped,
-    );
-
-    // Unsubscribing through the registry detaches the standing query.
-    assert!(registry.unsubscribe(sub.id()));
+    // Dropping every handle detaches the standing query.
     drop(sub);
+    drop(clone);
 }
 
 /// Observability: the metrics registry, histogram, tracing, and slow-query
@@ -502,7 +394,6 @@ fn obs_surface() {
         TraceRecord, TraceRing,
     };
     use stburst::search::{SearchObs, SearchObsConfig};
-    use stburst::store::WalObs;
 
     fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<ObsRegistry>();
@@ -524,29 +415,21 @@ fn obs_surface() {
     registry.adopt_counter("api_adopted", Arc::clone(&counter));
     let gauge: Arc<Gauge> = registry.gauge("api_gauge");
     gauge.set(1.5);
-    assert_eq!(gauge.get(), 1.5);
     let hist: Arc<LatencyHistogram> = registry.histogram("api_ns");
     hist.record(1_000);
     hist.record_duration(std::time::Duration::from_micros(5));
-    assert_eq!(hist.count(), 2);
 
     let snap: ObsSnapshot = registry.snapshot();
     assert_eq!(snap.counter("api_total"), Some(3));
     assert_eq!(snap.gauge("api_gauge"), Some(1.5));
     let h: &HistogramSnapshot = snap.histogram("api_ns").unwrap();
-    let _: (u64, u64, u64, u64, f64) = (h.count(), h.sum(), h.min(), h.max(), h.mean());
-    let _: (u64, u64, u64, u64) = (h.p50(), h.p90(), h.p99(), h.p999());
-    let _: u64 = h.quantile(0.75);
-    let mut merged = HistogramSnapshot::empty();
-    merged.merge(h);
-    assert_eq!(merged.count(), h.count());
+    assert_eq!(h.count(), 2);
+    let _: (u64, u64) = (h.p50(), h.p99());
     let _: String = registry.render_prometheus();
-    let _: String = snap.render_json();
 
     // Tracing: span clocks, ring buffer, sampling.
     let mut clock = SpanClock::start();
     clock.lap(SpanKind::Plan);
-    let _: u64 = clock.total_ns();
     let (total_ns, spans): (u64, Vec<SpanRecord>) = clock.finish();
     let ring = TraceRing::new(4);
     ring.push(TraceRecord {
@@ -557,7 +440,6 @@ fn obs_surface() {
     });
     let records: Vec<TraceRecord> = ring.snapshot();
     assert_eq!(records.len(), 1);
-    let _: &'static str = SpanKind::TaScan.as_str();
     match records[0].kind {
         TraceKind::Query | TraceKind::Commit => {}
     }
@@ -573,30 +455,21 @@ fn obs_surface() {
         stats: vec![("cache_hit", 0)],
     });
     let _: Vec<SlowQueryRecord> = slow.snapshot();
-    slow.set_threshold(std::time::Duration::from_millis(1));
-    let _: u64 = slow.threshold_ns();
 
-    // Attachment points: pipeline-level (shared registry) and the per-layer
-    // obs bundles it hands out.
-    let obs: Arc<PipelineObs> = PipelineObs::with_registry(
-        Arc::clone(&registry),
-        &PipelineObsConfig {
-            search: SearchObsConfig::default(),
-            commit_sample_every: 1,
-            commit_trace_capacity: 8,
-        },
-    );
+    // Attachment points: pipeline-level and the per-layer obs bundles it
+    // hands out.
+    let obs: Arc<PipelineObs> = PipelineObs::new(&PipelineObsConfig {
+        search: SearchObsConfig::default(),
+        commit_sample_every: 1,
+        commit_trace_capacity: 8,
+    });
     let mut pipeline = IngestPipeline::new(IngestConfig::default());
     pipeline.attach_obs(&obs);
-    assert!(pipeline.obs().is_some());
     let _: &Arc<ObsRegistry> = obs.registry();
     let _: &Arc<SearchObs> = obs.search();
-    let _: &WalObs = obs.wal();
-    let _: &Arc<LatencyHistogram> = obs.commit_latency();
     let _: Vec<TraceRecord> = obs.commit_traces();
     let _: ObsSnapshot = obs.snapshot();
     let _: &SlowQueryLog = obs.search().slow_log();
-    let _: &Arc<LatencyHistogram> = obs.search().query_latency();
 }
 
 /// Durability: the store-backed pipeline constructor, checkpointing, the
@@ -604,10 +477,9 @@ fn obs_surface() {
 #[test]
 fn store_surface() {
     use stburst::store::{
-        crc32, decode_wal, read_wal, Dec, DocRecord, Enc, FaultFile, FaultKind, FaultSchedule,
-        FaultSite, InjectedFault, PendingState, RecordingSleeper, SnapshotState, Store,
-        StreamRecord, TermRecord, TickRecord, WalReplay, WalWriter, SNAPSHOT_FILE, SNAPSHOT_MAGIC,
-        SNAPSHOT_VERSION, WAL_FILE, WAL_HEADER_LEN, WAL_MAGIC, WAL_VERSION,
+        crc32, DocRecord, Enc, FaultSchedule, FaultSite, InjectedFault, PendingState,
+        SnapshotState, Store, StreamRecord, TermRecord, TickRecord, WalReplay, WalWriter,
+        WAL_HEADER_LEN,
     };
 
     let dir = std::env::temp_dir().join(format!("stb-api-surface-{}", std::process::id()));
@@ -630,18 +502,15 @@ fn store_surface() {
         report.wal_ticks_skipped,
         report.wal_bytes_discarded,
     );
-    assert!(pipeline.is_durable());
-    let _: Option<&std::path::Path> = pipeline.store_dir();
     let stream = pipeline.add_stream("Athens", GeoPoint::new(38.0, 23.7));
     let term = pipeline.intern("storm");
     pipeline.stage_document(stream, HashMap::from([(term, 5)]));
     pipeline.commit_tick();
-    let _: DurabilityState = pipeline.durability_state();
+    assert!(pipeline.durability_state().is_durable());
     let _: DurabilityState = pipeline.try_recover_durability();
     let _: SnapshotState = pipeline.export_snapshot_state();
     let _: u64 = pipeline.checkpoint().unwrap();
-    let metrics = pipeline.metrics();
-    let _: (bool, u64, u64) = (metrics.durable, metrics.wal_appends, metrics.checkpoints);
+    assert_eq!(pipeline.metrics().checkpoints, 1);
     drop(pipeline);
     let (recovered, report) = IngestPipeline::durable(config.clone(), &dir).unwrap();
     assert!(report.snapshot_loaded);
@@ -653,22 +522,13 @@ fn store_surface() {
     let (_, report) = replay_tsv_durable(std::io::Cursor::new(data), config, &dir).unwrap();
     assert!(report.snapshot_loaded);
 
-    // The persistence layer's own vocabulary stays public: store paths,
-    // file formats, the WAL record types, and the fault-injection helpers.
+    // The persistence layer's own vocabulary: store paths, the WAL record
+    // types, the log writer, and the codec checksum.
     let store = Store::open(&dir).unwrap();
-    assert!(store.snapshot_path().ends_with(SNAPSHOT_FILE));
-    assert!(store.wal_path().ends_with(WAL_FILE));
     let _: Option<SnapshotState> = store.load_snapshot().unwrap();
     let replay: WalReplay = store.read_wal().unwrap();
     let _: (usize, u64, u64) = (replay.ticks.len(), replay.valid_len, replay.discarded_bytes);
-    let _: WalReplay = read_wal(&store.wal_path()).unwrap();
-    let _: ([u8; 8], u32, [u8; 8], u32, u64) = (
-        WAL_MAGIC,
-        WAL_VERSION,
-        SNAPSHOT_MAGIC,
-        SNAPSHOT_VERSION,
-        WAL_HEADER_LEN,
-    );
+    assert!(replay.valid_len >= WAL_HEADER_LEN);
     let _: PendingState = PendingState::default();
     let record = TickRecord {
         tick: 0,
@@ -687,45 +547,26 @@ fn store_surface() {
             counts: vec![(TermId(0), 3)],
         }],
     };
-    let mut writer = WalWriter::from_sink(Vec::new(), true, Durability::Buffered).unwrap();
+    let wal_path = dir.join("api-surface.wal");
+    let mut writer = WalWriter::open(&wal_path, 0, Durability::Buffered).unwrap();
     writer.append(&record).unwrap();
-    let sink: Vec<u8> = writer.into_sink();
-    let _: Vec<TickRecord> = decode_wal(&sink).unwrap().ticks;
+    let _: u32 = crc32(&Enc::new().into_bytes());
 
-    // Codec + fault-injection helpers.
-    let mut enc = Enc::new();
-    enc.put_u32(7);
-    let bytes = enc.into_bytes();
-    let _: u32 = crc32(&bytes);
-    let mut dec = Dec::new(&bytes, "api");
-    assert_eq!(dec.get_u32().unwrap(), 7);
-    let _: FaultFile = FaultFile::new(FaultKind::ShortWrite, 8);
-    let torn = stburst::store::crash_artifact(&bytes, FaultKind::Torn, 2, 4);
-    assert_eq!(torn.len(), bytes.len());
-
-    // Retry policy: deterministic backoff schedule with injectable sleep.
+    // Retry policy: bounded backoff around one store operation.
     let policy = RetryPolicy::default();
-    let _: Vec<std::time::Duration> = policy.delays().collect();
-    let _: std::time::Duration = policy.max_total_backoff();
-    let mut sleeper = RecordingSleeper::default();
-    let (result, retries) = policy.run_with(&mut sleeper, || Ok::<_, StoreError>(1));
+    let (result, retries) = policy.run(|| Ok::<_, StoreError>(1));
     assert_eq!((result.unwrap(), retries), (1, 0));
     let _: RetryPolicy = RetryPolicy::none();
     let _: RetryPolicy = RetryPolicy::immediate(2);
 
     // Live fault schedules: scripted and stochastic store-error injection.
     let faults = FaultSchedule::new();
-    faults.fail_next(InjectedFault::transient());
     faults.fail_next_at(FaultSite::WalAppend, InjectedFault::torn(3));
-    faults.succeed_next();
     faults.storm(7, 4, 250);
-    assert!(faults.is_armed());
     faults.heal();
-    assert!(!faults.is_armed());
-    let _: (u64, u64) = (faults.ops(), faults.injected());
     let _: InjectedFault = InjectedFault::permanent();
-    let faulted = Store::open_with_faults(&dir, faults.clone()).unwrap();
-    assert!(faulted.faults().is_some());
+    let _: InjectedFault = InjectedFault::transient();
+    let _faulted: Store = Store::open_with_faults(&dir, faults.clone()).unwrap();
 
     let _ = std::fs::remove_dir_all(&dir);
 }
