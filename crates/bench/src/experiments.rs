@@ -10,8 +10,8 @@ use std::collections::HashSet;
 use std::sync::Arc;
 
 use stb_core::{
-    jaccard_similarity, precision, Base, CombinatorialPattern, PatternGeometry, RegionalPattern,
-    STComb, STLocal, STLocalConfig, TB,
+    jaccard_similarity, precision, Base, CombinatorialPattern, Pattern, RegionalPattern, STComb,
+    STLocal, STLocalConfig, TB,
 };
 use stb_corpus::{Collection, DocId, StreamId, TermId};
 use stb_datagen::{
@@ -361,7 +361,7 @@ pub struct OverlapSummary {
     pub tb_stlocal: f64,
 }
 
-fn search_with<P: PatternGeometry>(
+fn search_with<P: Pattern>(
     collection: &Arc<Collection>,
     query: &[TermId],
     patterns_per_term: &[(TermId, Vec<P>)],

@@ -40,9 +40,7 @@ pub use base::Base;
 pub use evaluation::{jaccard_similarity, precision, topk_overlap};
 pub use interval_clique::{max_weight_interval_clique, IntervalClique, WeightedInterval};
 pub use parallel::parallel_map;
-pub use pattern::{
-    CombinatorialPattern, Pattern, PatternGeometry, PatternRecord, PatternSource, RegionalPattern,
-};
+pub use pattern::{CombinatorialPattern, Pattern, PatternRecord, RegionalPattern};
 pub use stcomb::{STComb, STCombConfig};
 pub use stlocal::{STLocal, STLocalConfig, STLocalStats, StepStats};
 pub use tb::TB;

@@ -3,14 +3,13 @@
 //! Both miners (and both baselines) ultimately report *patterns*: a set of
 //! streams, a temporal interval, and a burstiness score. The search engine
 //! (Section 5 of the paper) only needs to know whether a document — which
-//! belongs to one stream and one timestamp — *overlaps* a pattern, and how
-//! strong that pattern is; the [`Pattern`] trait captures exactly that, so
-//! the engine works uniformly over combinatorial patterns, regional
-//! patterns, and the temporal-only baseline.
+//! belongs to one stream and one timestamp — *overlaps* a pattern, how
+//! strong that pattern is, and (for region-filtered queries) where on the
+//! map it lives; the [`Pattern`] trait captures exactly that. Past the
+//! miner every pattern is frozen once into a [`PatternRecord`], the one
+//! form the engine, snapshots and subscription diffs share.
 
-use std::collections::HashMap;
-
-use stb_corpus::{StreamId, TermId, Timestamp};
+use stb_corpus::{StreamId, Timestamp};
 use stb_geo::{Mbr, Point2D, Rect};
 use stb_timeseries::TimeInterval;
 
@@ -31,31 +30,15 @@ pub trait Pattern {
     fn overlaps(&self, stream: StreamId, timestamp: Timestamp) -> bool {
         self.timeframe().contains(timestamp) && self.streams().binary_search(&stream).is_ok()
     }
-}
 
-/// Spatial and temporal extent of a pattern, unified across pattern kinds.
-///
-/// The serving layer's spatiotemporal query filters (`stb-search`'s
-/// `Query::time_window` / `Query::region`) need one answer to "where and
-/// when does this pattern live?" regardless of how it was mined:
-///
-/// * a regional (`STLocal`) pattern carries an explicit map rectangle — its
-///   region *is* that rectangle;
-/// * a combinatorial (`STComb` / `TB`) pattern only names streams — its
-///   region is the minimum bounding rectangle of the participating streams'
-///   planar positions, exactly the geometry the paper evaluates in Table 1
-///   ("# countries in MBR").
-///
-/// The temporal side is already unified by [`Pattern::timeframe`];
-/// [`PatternGeometry::interval`] simply forwards to it so both axes are
-/// readable through one trait.
-pub trait PatternGeometry: Pattern {
-    /// The temporal extent of the pattern (alias of [`Pattern::timeframe`]).
-    fn interval(&self) -> TimeInterval {
-        self.timeframe()
-    }
-
-    /// The spatial footprint of the pattern on the planar map.
+    /// The spatial footprint of the pattern on the planar map, which the
+    /// serving layer's `Query::region` filter intersects.
+    ///
+    /// By default — a combinatorial (`STComb` / `TB`) pattern, which only
+    /// names streams — this is the minimum bounding rectangle of the
+    /// participating streams' planar positions, exactly the geometry the
+    /// paper evaluates in Table 1 ("# countries in MBR"). A regional
+    /// (`STLocal`) pattern overrides it with its mined rectangle.
     ///
     /// `positions` holds every stream's planar position, indexed by
     /// [`StreamId::index`] (i.e. `Collection::positions()`). Returns `None`
@@ -126,10 +109,6 @@ impl Pattern for CombinatorialPattern {
         self.score
     }
 }
-
-/// Combinatorial patterns are located by the MBR of their streams (default
-/// [`PatternGeometry`] behaviour).
-impl PatternGeometry for CombinatorialPattern {}
 
 /// A regional spatiotemporal pattern (Section 4): a maximal spatiotemporal
 /// window — an axis-aligned map rectangle together with the maximal time
@@ -204,9 +183,7 @@ impl Pattern for RegionalPattern {
     fn score(&self) -> f64 {
         self.score
     }
-}
 
-impl PatternGeometry for RegionalPattern {
     /// A regional pattern's footprint is the mined rectangle itself, not an
     /// MBR of its streams — the rectangle is the pattern's identity.
     fn region(&self, _positions: &[Point2D]) -> Option<Rect> {
@@ -214,17 +191,18 @@ impl PatternGeometry for RegionalPattern {
     }
 }
 
-/// A pattern reduced to its serializable essentials: covered streams,
-/// timeframe, burstiness score, and the spatial footprint **captured at
-/// mining time** from the then-current stream positions.
+/// A pattern reduced to what everything past the miner reads: covered
+/// streams, timeframe, burstiness score, and the spatial footprint
+/// **captured at mining time** from the then-current stream positions.
 ///
-/// This is the persistence form of a pattern ([`PatternRecord::capture`]
-/// freezes any [`PatternGeometry`] into one). The captured region is
-/// carried verbatim rather than re-derived: stream positions can change
-/// after mining (new streams come online, a projection is recomputed), and
-/// a restored pattern must filter spatially exactly as the original did.
-/// `PatternRecord` therefore implements [`PatternGeometry`] by returning
-/// its stored footprint and ignoring the positions it is offered.
+/// [`PatternRecord::capture`] freezes any [`Pattern`] into one. It is the
+/// form the search engine scores from, snapshots persist and subscription
+/// diffs carry. The captured region is carried verbatim rather than
+/// re-derived: stream positions can change after mining (new streams come
+/// online, a projection is recomputed), and a restored pattern must filter
+/// spatially exactly as the original did. `PatternRecord`'s
+/// [`Pattern::region`] therefore returns its stored footprint and ignores
+/// the positions it is offered.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PatternRecord {
     /// The streams covered by the pattern, sorted by id.
@@ -238,10 +216,10 @@ pub struct PatternRecord {
 }
 
 impl PatternRecord {
-    /// Freezes any geometric pattern into its serializable record,
-    /// capturing its spatial footprint over `positions` (every stream's
-    /// planar position, indexed by [`StreamId::index`]).
-    pub fn capture<P: PatternGeometry>(pattern: &P, positions: &[Point2D]) -> Self {
+    /// Freezes any pattern into its record, sorting and deduplicating its
+    /// streams and capturing its spatial footprint over `positions` (every
+    /// stream's planar position, indexed by [`StreamId::index`]).
+    pub fn capture<P: Pattern>(pattern: &P, positions: &[Point2D]) -> Self {
         let mut streams = pattern.streams().to_vec();
         streams.sort();
         streams.dedup();
@@ -266,93 +244,11 @@ impl Pattern for PatternRecord {
     fn score(&self) -> f64 {
         self.score
     }
-}
 
-impl PatternGeometry for PatternRecord {
     /// The footprint captured at mining time, verbatim — never re-derived
     /// from current positions.
     fn region(&self, _positions: &[Point2D]) -> Option<Rect> {
         self.region
-    }
-}
-
-/// A per-term batch of mined patterns, ready to feed an index builder.
-///
-/// Mining drivers naturally produce "patterns of many terms" collections —
-/// `STLocal::mine_collection_parallel` and `STComb::mine_collection_parallel`
-/// return `Vec<(TermId, Vec<P>)>`, ad-hoc callers often hold a
-/// `HashMap<TermId, Vec<P>>` — and the search engine wants to ingest them
-/// wholesale rather than term by term. This trait is the plumbing between
-/// the two: both shapes implement it, so any miner output can be handed to
-/// `BurstySearchEngine::set_patterns_from` directly.
-pub trait PatternSource {
-    /// The concrete pattern type carried per term.
-    type P: Pattern;
-
-    /// Every term the source has patterns for, in a deterministic order and
-    /// without duplicates.
-    fn terms(&self) -> Vec<TermId>;
-
-    /// The patterns of one term (empty slice for terms not in the source).
-    /// If the source carries several entries for the same term, the last
-    /// one wins — matching the replace semantics of registering patterns
-    /// term by term.
-    fn term_patterns(&self, term: TermId) -> &[Self::P];
-
-    /// Visits every `(term, patterns)` entry in source order. Consumers
-    /// ingesting a whole source should prefer this over
-    /// `terms()`/`term_patterns()` round-trips: sources with cheap
-    /// sequential access (like the `Vec` of a mining run) override it to
-    /// O(n), and duplicate term entries replay in order, so "last wins"
-    /// falls out of the replace semantics of the consumer.
-    fn for_each_term(&self, f: &mut dyn FnMut(TermId, &[Self::P])) {
-        for term in self.terms() {
-            f(term, self.term_patterns(term));
-        }
-    }
-}
-
-impl<P: Pattern> PatternSource for Vec<(TermId, Vec<P>)> {
-    type P = P;
-
-    fn terms(&self) -> Vec<TermId> {
-        let mut seen = Vec::new();
-        for (t, _) in self {
-            if !seen.contains(t) {
-                seen.push(*t);
-            }
-        }
-        seen
-    }
-
-    fn term_patterns(&self, term: TermId) -> &[P] {
-        // Last entry wins when a term appears more than once (e.g. two
-        // concatenated mining runs).
-        self.iter()
-            .rev()
-            .find(|(t, _)| *t == term)
-            .map(|(_, ps)| ps.as_slice())
-            .unwrap_or(&[])
-    }
-
-    fn for_each_term(&self, f: &mut dyn FnMut(TermId, &[P])) {
-        for (term, patterns) in self {
-            f(*term, patterns);
-        }
-    }
-}
-
-impl<P: Pattern> PatternSource for HashMap<TermId, Vec<P>> {
-    type P = P;
-
-    fn terms(&self) -> Vec<TermId> {
-        let mut ids: Vec<TermId> = self.keys().copied().collect();
-        ids.sort();
-        ids
-    }
-
-    fn term_patterns(&self, term: TermId) -> &[P] {
-        self.get(&term).map(Vec::as_slice).unwrap_or(&[])
     }
 }
 
@@ -405,45 +301,6 @@ mod tests {
     }
 
     #[test]
-    fn pattern_source_shapes_agree() {
-        let p = sample_comb();
-        let as_vec: Vec<(TermId, Vec<CombinatorialPattern>)> =
-            vec![(TermId(4), vec![p.clone()]), (TermId(1), vec![])];
-        let as_map: HashMap<TermId, Vec<CombinatorialPattern>> = as_vec.iter().cloned().collect();
-        // The vec form preserves input order; the map form sorts.
-        assert_eq!(as_vec.terms(), vec![TermId(4), TermId(1)]);
-        assert_eq!(as_map.terms(), vec![TermId(1), TermId(4)]);
-        for source in [
-            &as_vec as &dyn PatternSource<P = CombinatorialPattern>,
-            &as_map,
-        ] {
-            assert_eq!(source.term_patterns(TermId(4)), std::slice::from_ref(&p));
-            assert!(source.term_patterns(TermId(1)).is_empty());
-            assert!(source.term_patterns(TermId(99)).is_empty());
-        }
-    }
-
-    #[test]
-    fn duplicate_term_entries_last_wins() {
-        let weak =
-            CombinatorialPattern::new(vec![StreamId(0)], TimeInterval::new(0, 1), 0.5, vec![]);
-        let strong =
-            CombinatorialPattern::new(vec![StreamId(1)], TimeInterval::new(2, 3), 2.0, vec![]);
-        let source: Vec<(TermId, Vec<CombinatorialPattern>)> =
-            vec![(TermId(7), vec![weak]), (TermId(7), vec![strong.clone()])];
-        // terms() dedupes; term_patterns() keeps the last entry.
-        assert_eq!(source.terms(), vec![TermId(7)]);
-        assert_eq!(
-            source.term_patterns(TermId(7)),
-            std::slice::from_ref(&strong)
-        );
-        // for_each_term replays both entries in order (last wins downstream).
-        let mut replay = Vec::new();
-        source.for_each_term(&mut |t, ps| replay.push((t, ps.len())));
-        assert_eq!(replay, vec![(TermId(7), 1), (TermId(7), 1)]);
-    }
-
-    #[test]
     fn geometry_of_combinatorial_pattern_is_stream_mbr() {
         let p = sample_comb(); // streams 1 and 3
         let positions = vec![
@@ -454,7 +311,6 @@ mod tests {
         ];
         let region = p.region(&positions).unwrap();
         assert_eq!(region, Rect::new(2.0, -1.0, 5.0, 3.0));
-        assert_eq!(p.interval(), p.timeframe());
         // Positions missing for every stream → the pattern has no region.
         assert!(p.region(&positions[..1]).is_none());
     }
@@ -466,7 +322,6 @@ mod tests {
         // The mined rectangle wins regardless of stream positions.
         assert_eq!(p.region(&[Point2D::new(99.0, 99.0)]), Some(rect));
         assert_eq!(p.region(&[]), Some(rect));
-        assert_eq!(p.interval(), TimeInterval::new(3, 8));
     }
 
     #[test]

@@ -162,9 +162,8 @@ impl STComb {
 
     /// Parallel driver: mines several terms of a collection concurrently
     /// (terms are independent). Results are returned in the order of the
-    /// input terms; the output shape implements
-    /// [`crate::PatternSource`], so it can be handed to the search engine's
-    /// index builder directly.
+    /// input terms, as the `(term, patterns)` list the search engine's
+    /// `set_patterns_from` takes directly.
     pub fn mine_collection_parallel(
         &self,
         collection: &Collection,

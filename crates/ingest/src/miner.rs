@@ -5,14 +5,10 @@ use std::collections::hash_map::Entry;
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
-use stb_core::{
-    CombinatorialPattern, PatternRecord, RegionalPattern, STComb, STCombConfig, STLocal,
-    STLocalConfig,
-};
+use stb_core::{Pattern, PatternRecord, STComb, STCombConfig, STLocal, STLocalConfig};
 use stb_corpus::{Collection, TermId, Timestamp};
 use stb_geo::Point2D;
 use stb_obs::Counter;
-use stb_search::ShardedEngine;
 
 /// Which miner keeps the patterns fresh while ingesting.
 #[derive(Debug, Clone)]
@@ -25,64 +21,22 @@ pub enum MinerKind {
     STComb(STCombConfig),
 }
 
-/// A per-term pattern update emitted by a tick commit and applied to the
-/// search engine (`BurstySearchEngine::set_patterns`).
+/// A per-term pattern update emitted by a tick commit: the term's
+/// complete current pattern set (replace semantics), captured once at the
+/// miner. The engine stores this very slice and the subscription triggers
+/// carry it, so everything past the miner shares one allocation.
 #[derive(Debug, Clone)]
-pub enum PatternDelta {
-    /// New regional patterns of a term (the `STLocal` view).
-    Regional {
-        /// The re-mined term.
-        term: TermId,
-        /// Its complete current pattern set (replace semantics).
-        patterns: Vec<RegionalPattern>,
-    },
-    /// New combinatorial patterns of a term (the `STComb` view).
-    Combinatorial {
-        /// The re-mined term.
-        term: TermId,
-        /// Its complete current pattern set (replace semantics).
-        patterns: Vec<CombinatorialPattern>,
-    },
+pub struct PatternDelta {
+    /// The re-mined term.
+    pub term: TermId,
+    /// Its patterns, each frozen with its spatial footprint.
+    pub patterns: Arc<[PatternRecord]>,
 }
 
 impl PatternDelta {
-    /// The term the delta applies to.
-    pub(crate) fn term(&self) -> TermId {
-        match self {
-            PatternDelta::Regional { term, .. } | PatternDelta::Combinatorial { term, .. } => *term,
-        }
-    }
-
     /// Number of patterns the term now has.
     pub fn n_patterns(&self) -> usize {
-        match self {
-            PatternDelta::Regional { patterns, .. } => patterns.len(),
-            PatternDelta::Combinatorial { patterns, .. } => patterns.len(),
-        }
-    }
-
-    /// Replaces the term's pattern set in the engine (re-scoring its
-    /// posting list).
-    pub(crate) fn apply_to(&self, engine: &mut ShardedEngine) {
-        match self {
-            PatternDelta::Regional { term, patterns } => engine.set_patterns(*term, patterns),
-            PatternDelta::Combinatorial { term, patterns } => engine.set_patterns(*term, patterns),
-        }
-    }
-
-    /// The patterns with their spatial footprints captured, as standing
-    /// subscriptions receive them.
-    pub(crate) fn records(&self, positions: &[Point2D]) -> Vec<PatternRecord> {
-        match self {
-            PatternDelta::Regional { patterns, .. } => patterns
-                .iter()
-                .map(|p| PatternRecord::capture(p, positions))
-                .collect(),
-            PatternDelta::Combinatorial { patterns, .. } => patterns
-                .iter()
-                .map(|p| PatternRecord::capture(p, positions))
-                .collect(),
-        }
+        self.patterns.len()
     }
 }
 
@@ -163,6 +117,7 @@ impl Miners {
         }
         self.comb_all_dirty = false;
 
+        let positions = snapshot.positions();
         let mut deltas = Vec::with_capacity(dirty.len());
         match &self.kind {
             MinerKind::STLocal(config) => {
@@ -186,15 +141,13 @@ impl Miners {
                         miner.step(&snap.frequencies);
                     }
                 }
-                deltas.extend(dirty.iter().map(|&term| self.regional(term)));
+                deltas.extend(dirty.iter().map(|&term| self.regional(term, &positions)));
             }
             MinerKind::STComb(config) => {
                 let miner = STComb::with_config(config.clone());
                 for &term in dirty.iter() {
-                    deltas.push(PatternDelta::Combinatorial {
-                        term,
-                        patterns: miner.mine_collection(snapshot, term),
-                    });
+                    let patterns = miner.mine_collection(snapshot, term);
+                    deltas.push(capture(term, &patterns, &positions));
                 }
             }
         }
@@ -203,27 +156,39 @@ impl Miners {
 
     /// The accumulated windows of `term`'s online miner (none if the term
     /// was never seen).
-    fn regional(&self, term: TermId) -> PatternDelta {
-        PatternDelta::Regional {
-            term,
-            patterns: self
-                .local
-                .get(&term)
-                .map(STLocal::patterns)
-                .unwrap_or_default(),
-        }
+    fn regional(&self, term: TermId, positions: &[Point2D]) -> PatternDelta {
+        let patterns = self
+            .local
+            .get(&term)
+            .map(STLocal::patterns)
+            .unwrap_or_default();
+        capture(term, &patterns, positions)
     }
 
     /// One term's current patterns: its live `STLocal` miner's accumulated
     /// windows, or a fresh combinatorial pass over `collection`.
     pub(crate) fn current_patterns(&self, collection: &Collection, term: TermId) -> PatternDelta {
+        let positions = collection.positions();
         match &self.kind {
-            MinerKind::STLocal(_) => self.regional(term),
-            MinerKind::STComb(config) => PatternDelta::Combinatorial {
-                term,
-                patterns: STComb::with_config(config.clone()).mine_collection(collection, term),
-            },
+            MinerKind::STLocal(_) => self.regional(term, &positions),
+            MinerKind::STComb(config) => {
+                let patterns =
+                    STComb::with_config(config.clone()).mine_collection(collection, term);
+                capture(term, &patterns, &positions)
+            }
         }
+    }
+}
+
+/// Freezes one term's mined patterns, with their footprints over
+/// `positions`, into the delta everything past the miner shares.
+fn capture<P: Pattern>(term: TermId, patterns: &[P], positions: &[Point2D]) -> PatternDelta {
+    PatternDelta {
+        term,
+        patterns: patterns
+            .iter()
+            .map(|p| PatternRecord::capture(p, positions))
+            .collect(),
     }
 }
 

@@ -573,7 +573,8 @@ impl IngestPipeline {
         self.engine
             .update_collection(Arc::clone(&snapshot), &new_docs);
         for delta in &deltas {
-            delta.apply_to(&mut self.engine);
+            self.engine
+                .set_pattern_records(delta.term, Arc::clone(&delta.patterns));
         }
         // Under tf-idf every term's relevance depends on the corpus
         // document count, so new documents stale every posting list.
@@ -593,7 +594,7 @@ impl IngestPipeline {
             if tfidf_refresh {
                 dirty.extend(snapshot.terms());
             }
-            if self.notify(tick, &dirty, &snapshot, &deltas) > 0 {
+            if self.notify(tick, &dirty, &deltas) > 0 {
                 lap(clock, SpanKind::Notify);
             }
         }
@@ -618,20 +619,17 @@ impl IngestPipeline {
         &self,
         tick: Timestamp,
         trigger_terms: &BTreeSet<TermId>,
-        snapshot: &Collection,
         deltas: &[PatternDelta],
     ) -> usize {
-        let by_term: HashMap<TermId, &PatternDelta> =
-            deltas.iter().map(|d| (d.term(), d)).collect();
-        let positions: std::cell::OnceCell<Vec<Point2D>> = std::cell::OnceCell::new();
         let report = self
             .subscriptions
             .on_commit(tick as u64, trigger_terms, |term| {
-                // A term dirty via the tf-idf refresh only has moved scores
-                // but was not re-mined: there is nothing to attach.
-                by_term.get(&term).map_or_else(Vec::new, |delta| {
-                    delta.records(positions.get_or_init(|| snapshot.positions()))
-                })
+                // Deltas are mined in term order. A term dirty via the
+                // tf-idf refresh only has moved scores but was not
+                // re-mined: there is nothing to attach.
+                deltas
+                    .binary_search_by_key(&term, |d| d.term)
+                    .map_or_else(|_| Arc::default(), |i| Arc::clone(&deltas[i].patterns))
             });
         report.evaluated
     }
@@ -908,7 +906,7 @@ pub(crate) mod tests {
         for tick in 0..20 {
             let receipt = burst_tick(&mut pipeline, &streams, quake, (8..11).contains(&tick));
             assert_eq!(receipt.tick, tick);
-            assert!(receipt.deltas.iter().all(|d| d.term() == quake));
+            assert!(receipt.deltas.iter().all(|d| d.term == quake));
             // Queries never fail mid-stream.
             let _ = run(&handle, &[quake], 5);
         }
@@ -920,6 +918,36 @@ pub(crate) mod tests {
             assert!((8..11).contains(&doc.timestamp), "hit outside the burst");
             assert!(doc.stream == streams[0] || doc.stream == streams[1]);
         }
+    }
+
+    /// One capture per dirty term per tick: the receipt's delta and every
+    /// trigger the tick delivers for that term are one allocation.
+    #[test]
+    fn triggers_share_the_tick_capture() {
+        let (mut pipeline, streams) =
+            two_cluster_pipeline(MinerKind::STLocal(STLocalConfig::default()), 12);
+        let quake = pipeline.intern("quake");
+        let sub = pipeline
+            .search_handle()
+            .subscribe(
+                &Query::terms([quake]).top_k(3),
+                SubscriptionOptions::default(),
+            )
+            .expect("subscribe");
+        let mut shared = 0;
+        for tick in 0..12 {
+            let receipt = burst_tick(&mut pipeline, &streams, quake, (4..7).contains(&tick));
+            let [delta] = &receipt.deltas[..] else {
+                panic!("quake is the only dirty term");
+            };
+            for diff in sub.drain() {
+                for trigger in &diff.triggers {
+                    assert!(Arc::ptr_eq(&trigger.patterns, &delta.patterns));
+                    shared += 1;
+                }
+            }
+        }
+        assert!(shared > 0, "the burst must have notified the subscription");
     }
 
     #[test]

@@ -14,12 +14,10 @@ use proptest::TestCaseError;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use stb_core::{
-    CombinatorialPattern, Pattern, RegionalPattern, STComb, STCombConfig, STLocal, STLocalConfig,
-};
+use stb_core::{Pattern, PatternRecord, STComb, STCombConfig, STLocal, STLocalConfig};
 use stb_corpus::{Collection, CollectionBuilder, StreamId, TermId};
 use stb_geo::GeoPoint;
-use stb_ingest::{IngestConfig, IngestPipeline, MinerKind, PatternDelta, SearchHandle};
+use stb_ingest::{IngestConfig, IngestPipeline, MinerKind, SearchHandle};
 use stb_search::{BurstySearchEngine, EngineConfig, Query, SearchResult};
 
 /// Typed-API term query against a reference engine.
@@ -145,27 +143,15 @@ fn assert_identical_results(
     Ok(())
 }
 
-fn assert_identical_regional(
-    expect: &[RegionalPattern],
-    got: &[RegionalPattern],
+fn assert_identical_patterns(
+    expect: &[PatternRecord],
+    got: &[PatternRecord],
 ) -> Result<(), TestCaseError> {
     prop_assert_eq!(expect.len(), got.len(), "pattern count");
     for (e, g) in expect.iter().zip(got) {
         prop_assert_eq!(&e.streams, &g.streams);
         prop_assert_eq!(e.timeframe, g.timeframe);
-        prop_assert_eq!(e.score.to_bits(), g.score.to_bits(), "pattern score");
-    }
-    Ok(())
-}
-
-fn assert_identical_comb(
-    expect: &[CombinatorialPattern],
-    got: &[CombinatorialPattern],
-) -> Result<(), TestCaseError> {
-    prop_assert_eq!(expect.len(), got.len(), "pattern count");
-    for (e, g) in expect.iter().zip(got) {
-        prop_assert_eq!(&e.streams, &g.streams);
-        prop_assert_eq!(e.timeframe, g.timeframe);
+        prop_assert_eq!(e.region, g.region, "pattern region");
         prop_assert_eq!(e.score.to_bits(), g.score.to_bits(), "pattern score");
     }
     Ok(())
@@ -203,17 +189,22 @@ fn check_equivalence(
 
     // 1. The engines hold byte-identical patterns: compare the pipeline's
     //    final per-term mining state against the batch miner output.
+    let positions = shared.positions();
     for term in shared.terms() {
-        match pipeline.current_patterns(term) {
-            PatternDelta::Regional { patterns, .. } => {
-                let (expect, _) = STLocal::mine_collection(&shared, term, STLocalConfig::default());
-                assert_identical_regional(&expect, &patterns)?;
-            }
-            PatternDelta::Combinatorial { patterns, .. } => {
-                let expect = STComb::new().mine_collection(&shared, term);
-                assert_identical_comb(&expect, &patterns)?;
-            }
-        }
+        let expect: Vec<PatternRecord> = if local {
+            let (patterns, _) = STLocal::mine_collection(&shared, term, STLocalConfig::default());
+            patterns
+                .iter()
+                .map(|p| PatternRecord::capture(p, &positions))
+                .collect()
+        } else {
+            let patterns = STComb::new().mine_collection(&shared, term);
+            patterns
+                .iter()
+                .map(|p| PatternRecord::capture(p, &positions))
+                .collect()
+        };
+        assert_identical_patterns(&expect, &pipeline.current_patterns(term).patterns)?;
     }
 
     // 2. Identical collections as far as any consumer can observe.
@@ -309,13 +300,11 @@ proptest! {
         let pipeline = ingest_pipeline(&plan, MinerKind::STLocal(STLocalConfig::default()), 0);
         let collection = pipeline.collection();
         for term in collection.terms() {
-            if let PatternDelta::Regional { patterns, .. } = pipeline.current_patterns(term) {
-                for p in &patterns {
-                    prop_assert!(p.timeframe.end < collection.timeline_len());
-                    for &s in &p.streams {
-                        prop_assert!(s.index() < collection.n_streams());
-                        prop_assert!(p.overlaps(s, p.timeframe.start));
-                    }
+            for p in pipeline.current_patterns(term).patterns.iter() {
+                prop_assert!(p.timeframe.end < collection.timeline_len());
+                for &s in &p.streams {
+                    prop_assert!(s.index() < collection.n_streams());
+                    prop_assert!(p.overlaps(s, p.timeframe.start));
                 }
             }
         }

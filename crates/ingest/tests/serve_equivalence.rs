@@ -22,7 +22,7 @@ use std::sync::Mutex;
 use stb_core::{STCombConfig, STLocalConfig};
 use stb_corpus::{StreamId, TermId};
 use stb_geo::{GeoPoint, Rect};
-use stb_ingest::{IngestConfig, IngestPipeline, MinerKind, PatternDelta};
+use stb_ingest::{IngestConfig, IngestPipeline, MinerKind};
 use stb_search::{
     BurstySearchEngine, EngineConfig, Query, QueryError, QueryResponse, Relevance, SearchResult,
 };
@@ -215,14 +215,7 @@ fn check_serving_equivalence(
             let receipt = pipeline.commit_tick();
             shadow.update_collection(pipeline.collection(), &receipt.new_docs);
             for delta in &receipt.deltas {
-                match delta {
-                    PatternDelta::Regional { term, patterns } => {
-                        shadow.set_patterns(*term, patterns);
-                    }
-                    PatternDelta::Combinatorial { term, patterns } => {
-                        shadow.set_patterns(*term, patterns);
-                    }
-                }
+                shadow.set_patterns(delta.term, &delta.patterns);
             }
 
             let generation = handle.generation();

@@ -26,9 +26,7 @@ use std::sync::Mutex;
 use stb_core::STLocalConfig;
 use stb_corpus::TermId;
 use stb_geo::{GeoPoint, Rect};
-use stb_ingest::{
-    IngestConfig, IngestPipeline, MinerKind, PatternDelta, PipelineObs, PipelineObsConfig, Query,
-};
+use stb_ingest::{IngestConfig, IngestPipeline, MinerKind, PipelineObs, PipelineObsConfig, Query};
 use stb_search::{BurstySearchEngine, EngineConfig, SearchResult};
 
 const N_READERS: usize = 8;
@@ -162,14 +160,7 @@ fn readers_never_observe_torn_generations_and_counters_reconcile() {
             let receipt = pipeline.commit_tick();
             reference.update_collection(pipeline.collection(), &receipt.new_docs);
             for delta in &receipt.deltas {
-                match delta {
-                    PatternDelta::Regional { term, patterns } => {
-                        reference.set_patterns(*term, patterns);
-                    }
-                    PatternDelta::Combinatorial { term, patterns } => {
-                        reference.set_patterns(*term, patterns);
-                    }
-                }
+                reference.set_patterns(delta.term, &delta.patterns);
             }
             references.lock().unwrap().insert(
                 handle.generation(),

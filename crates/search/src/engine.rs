@@ -58,7 +58,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use stb_core::{parallel_map, PatternGeometry, PatternRecord, PatternSource};
+use stb_core::{parallel_map, Pattern, PatternRecord};
 use stb_corpus::StreamId;
 use stb_corpus::{Collection, DocId, TermId, Timestamp};
 use stb_geo::{Point2D, Rect};
@@ -129,47 +129,6 @@ impl EngineConfigBuilder {
     }
 }
 
-/// A pattern reduced to what the engine needs: which stream/timestamp pairs
-/// it covers, its spatial footprint, and how strong it is.
-#[derive(Debug, Clone)]
-pub(crate) struct StoredPattern {
-    pub(crate) streams: Vec<StreamId>,
-    pub(crate) timeframe: TimeInterval,
-    /// Spatial footprint per `PatternGeometry` (an `STLocal` rectangle, or
-    /// the stream MBR of a combinatorial pattern), captured at registration
-    /// time from the collection's stream positions.
-    pub(crate) region: Option<Rect>,
-    pub(crate) score: f64,
-}
-
-impl StoredPattern {
-    pub(crate) fn overlaps(&self, stream: StreamId, ts: Timestamp) -> bool {
-        self.timeframe.contains(ts) && self.streams.binary_search(&stream).is_ok()
-    }
-}
-
-impl From<PatternRecord> for StoredPattern {
-    fn from(r: PatternRecord) -> Self {
-        StoredPattern {
-            streams: r.streams,
-            timeframe: r.timeframe,
-            region: r.region,
-            score: r.score,
-        }
-    }
-}
-
-impl From<&StoredPattern> for PatternRecord {
-    fn from(p: &StoredPattern) -> Self {
-        PatternRecord {
-            streams: p.streams.clone(),
-            timeframe: p.timeframe,
-            region: p.region,
-            score: p.score,
-        }
-    }
-}
-
 /// A serializable snapshot of the engine's derived state: every term's
 /// registered patterns (with the spatial footprints captured at
 /// registration time) and, when the engine is finalized, its prebuilt
@@ -183,8 +142,9 @@ impl From<&StoredPattern> for PatternRecord {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct EngineState {
     /// Per-term registered patterns, terms sorted by id, each term's
-    /// patterns in registration order.
-    pub patterns: Vec<(TermId, Vec<PatternRecord>)>,
+    /// patterns in registration order — the engine's own slices, shared
+    /// by pointer.
+    pub patterns: Vec<(TermId, Arc<[PatternRecord]>)>,
     /// Whether the full-collection posting index was prebuilt.
     pub finalized: bool,
     /// The prebuilt posting lists (empty unless `finalized`): terms sorted
@@ -214,7 +174,7 @@ impl PatternFilter {
     /// window (if any) and its region intersects the query rectangle (if
     /// any). A pattern with no spatial footprint never passes a region
     /// filter.
-    pub(crate) fn passes(&self, pattern: &StoredPattern) -> bool {
+    pub(crate) fn passes(&self, pattern: &PatternRecord) -> bool {
         self.window.is_none_or(|w| pattern.timeframe.overlaps(&w))
             && self
                 .region
@@ -238,7 +198,7 @@ pub(crate) struct DerivedState {
     pub(crate) collection: Arc<Collection>,
     /// The configuration the prebuilt lists were scored under.
     pub(crate) config: EngineConfig,
-    pub(crate) patterns: HashMap<TermId, Arc<[StoredPattern]>>,
+    pub(crate) patterns: HashMap<TermId, Arc<[PatternRecord]>>,
     /// Corpus-level inverted lists: term → documents containing it.
     pub(crate) term_docs: HashMap<TermId, Arc<Vec<DocId>>>,
     /// The full-collection scored posting index, present after
@@ -251,7 +211,7 @@ impl DerivedState {
         self.term_docs.get(&term).map(|d| d.as_slice())
     }
 
-    fn patterns(&self, term: TermId) -> Option<&[StoredPattern]> {
+    fn patterns(&self, term: TermId) -> Option<&[PatternRecord]> {
         self.patterns.get(&term).map(|p| &**p)
     }
 }
@@ -412,25 +372,26 @@ impl BurstySearchEngine {
     /// Registers the mined patterns of a term, replacing any previous ones.
     /// Accepts any pattern type (`CombinatorialPattern`, `RegionalPattern`, …).
     ///
-    /// Each pattern's spatial footprint (its `PatternGeometry` region over
-    /// the current snapshot's stream positions) is captured here, so
-    /// region-filtered queries treat `STLocal` rectangles and `STComb`
-    /// stream MBRs identically.
+    /// Each pattern is frozen with [`PatternRecord::capture`] over the
+    /// current snapshot's stream positions, so region-filtered queries
+    /// treat `STLocal` rectangles and `STComb` stream MBRs identically.
     ///
     /// On a finalized engine this incrementally re-scores the posting list
     /// of `term` alone (the rest of the prebuilt index is untouched) and
     /// invalidates the cached results of every query involving the term.
-    pub fn set_patterns<P: PatternGeometry>(&mut self, term: TermId, patterns: &[P]) {
-        let stored: Arc<[StoredPattern]> = patterns
+    pub fn set_patterns<P: Pattern>(&mut self, term: TermId, patterns: &[P]) {
+        let records = patterns
             .iter()
-            .map(|p| StoredPattern {
-                streams: p.streams().to_vec(),
-                timeframe: p.timeframe(),
-                region: p.region(&self.positions),
-                score: p.score(),
-            })
+            .map(|p| PatternRecord::capture(p, &self.positions))
             .collect();
-        self.state.patterns.insert(term, stored);
+        self.set_pattern_records(term, records);
+    }
+
+    /// [`BurstySearchEngine::set_patterns`] for patterns already captured:
+    /// stores `records` itself, so the engine and every published
+    /// generation share the caller's allocation.
+    pub(crate) fn set_pattern_records(&mut self, term: TermId, records: Arc<[PatternRecord]>) {
+        self.state.patterns.insert(term, records);
         self.refresh_term(term);
     }
 
@@ -485,18 +446,17 @@ impl BurstySearchEngine {
         }
     }
 
-    /// Registers the patterns of every term of a [`PatternSource`] — e.g.
-    /// the output of `STLocal::mine_collection_parallel` or
+    /// Registers the patterns of every `(term, patterns)` entry — e.g. the
+    /// output of `STLocal::mine_collection_parallel` or
     /// `STComb::mine_collection_parallel` — so a mining run can feed the
     /// index builder directly.
-    /// Sources are replayed in order, so a term appearing twice keeps its
+    /// Entries are replayed in order, so a term appearing twice keeps its
     /// last entry, exactly as two [`BurstySearchEngine::set_patterns`] calls
     /// would.
-    pub fn set_patterns_from<S: PatternSource>(&mut self, source: &S)
-    where
-        S::P: PatternGeometry,
-    {
-        source.for_each_term(&mut |term, patterns| self.set_patterns(term, patterns));
+    pub fn set_patterns_from<P: Pattern>(&mut self, source: &[(TermId, Vec<P>)]) {
+        for (term, patterns) in source {
+            self.set_patterns(*term, patterns);
+        }
     }
 
     /// The Eq. 10–11 scored posting list of one term (unsorted) under the
@@ -556,18 +516,13 @@ impl BurstySearchEngine {
     /// lists — in a deterministic order, preserving every score's exact
     /// `f64` bit pattern. See [`EngineState`].
     pub(crate) fn export_state(&self) -> EngineState {
-        let mut terms: Vec<TermId> = self.state.patterns.keys().copied().collect();
-        terms.sort();
-        let patterns = terms
-            .into_iter()
-            .map(|term| {
-                let records = self.state.patterns[&term]
-                    .iter()
-                    .map(PatternRecord::from)
-                    .collect();
-                (term, records)
-            })
+        let mut patterns: Vec<(TermId, Arc<[PatternRecord]>)> = self
+            .state
+            .patterns
+            .iter()
+            .map(|(&term, records)| (term, Arc::clone(records)))
             .collect();
+        patterns.sort_by_key(|&(term, _)| term);
         let (finalized, postings) = match &self.state.prebuilt {
             Some(index) => {
                 let lists = index
@@ -598,14 +553,7 @@ impl BurstySearchEngine {
     /// collection snapshot yields an engine that answers every query
     /// byte-identically to the original.
     pub(crate) fn import_state(&mut self, state: EngineState) {
-        self.state.patterns = state
-            .patterns
-            .into_iter()
-            .map(|(term, records)| {
-                let stored = records.into_iter().map(StoredPattern::from).collect();
-                (term, stored)
-            })
-            .collect();
+        self.state.patterns = state.patterns.into_iter().collect();
         self.state.prebuilt = if state.finalized {
             let mut index = InvertedIndex::new();
             for (term, list) in state.postings {
@@ -944,7 +892,7 @@ fn vacuous_response(plan: &QueryPlan) -> QueryResponse {
 /// Eq. 11 for one (term, document) pair: aggregates the scores of the
 /// term's patterns that survive `filter` and overlap the document.
 fn burstiness_of(
-    patterns: Option<&[StoredPattern]>,
+    patterns: Option<&[PatternRecord]>,
     stream: StreamId,
     timestamp: Timestamp,
     filter: PatternFilter,
@@ -1503,6 +1451,48 @@ mod tests {
         ];
         engine.set_patterns_from(&source);
         assert!(run(&engine, &[flood], 10).is_empty());
+    }
+
+    /// A mined pattern's `streams` is public, so a caller can push a stream
+    /// out of order; registration must still find every stream's documents.
+    #[test]
+    fn out_of_order_pattern_streams_score_like_sorted_ones() {
+        let mut b = CollectionBuilder::new(4);
+        let quake = b.dict_mut().intern("quake");
+        for i in 0..4 {
+            b.add_stream(&format!("s{i}"), GeoPoint::new(f64::from(i), 0.0));
+        }
+        for ts in 0..4u32 {
+            for s in [0, 1, 3] {
+                b.add_document(
+                    StreamId(s),
+                    ts as usize,
+                    StdHashMap::from([(quake, 1 + ts)]),
+                );
+            }
+        }
+        let c = b.build();
+        let frame = TimeInterval::new(0, 3);
+        let sorted = CombinatorialPattern::new(
+            vec![StreamId(0), StreamId(1), StreamId(3)],
+            frame,
+            1.5,
+            vec![],
+        );
+        let mut pushed =
+            CombinatorialPattern::new(vec![StreamId(1), StreamId(3)], frame, 1.5, vec![]);
+        pushed.streams.push(StreamId(0));
+        let postings = |pattern: &CombinatorialPattern| -> Vec<(DocId, u64)> {
+            let mut engine = BurstySearchEngine::new(&c, EngineConfig::default());
+            engine.set_patterns(quake, std::slice::from_ref(pattern));
+            engine
+                .term_postings(quake)
+                .iter()
+                .map(|p| (p.doc, p.score.to_bits()))
+                .collect()
+        };
+        assert_eq!(postings(&sorted).len(), 12);
+        assert_eq!(postings(&pushed), postings(&sorted));
     }
 
     #[test]

@@ -11,7 +11,7 @@ use crate::{
 };
 use proptest::prelude::*;
 use proptest::TestCaseError;
-use stb_core::{CombinatorialPattern, PatternGeometry, RegionalPattern};
+use stb_core::{CombinatorialPattern, Pattern, RegionalPattern};
 use stb_corpus::{Collection, CollectionBuilder, DocId, StreamId, TermId};
 use stb_geo::{GeoPoint, Rect};
 use stb_timeseries::TimeInterval;
@@ -160,10 +160,17 @@ fn filter_query(base: Query, filter: &FilterSpec) -> Query {
     q
 }
 
+/// Registers every term's patterns on `engine`.
+fn register<P: Pattern>(engine: &mut BurstySearchEngine, by_term: &HashMap<TermId, Vec<P>>) {
+    for (&term, patterns) in by_term {
+        engine.set_patterns(term, patterns);
+    }
+}
+
 /// Drops every pattern that fails the filter, using the same geometry the
-/// engine filters by (`PatternGeometry` over the collection's positions) —
+/// engine filters by (`Pattern::region` over the collection's positions) —
 /// the oracle the filtered query path is checked against.
-fn post_filter<P: PatternGeometry + Clone>(
+fn post_filter<P: Pattern + Clone>(
     by_term: &HashMap<TermId, Vec<P>>,
     collection: &Collection,
     filter: &FilterSpec,
@@ -252,11 +259,11 @@ proptest! {
         // from-scratch evaluation.
         let mut cold = BurstySearchEngine::new(&collection, config);
         cold.set_cache_capacity(0);
-        cold.set_patterns_from(&by_term);
+        register(&mut cold, &by_term);
 
         // Serving path: prebuilt index + result cache.
         let mut hot = BurstySearchEngine::new(&collection, config);
-        hot.set_patterns_from(&by_term);
+        register(&mut hot, &by_term);
         hot.finalize_with_threads(2);
 
         // Two rounds: the second round is answered from the cache and must
@@ -280,7 +287,7 @@ proptest! {
         let config = EngineConfig::default();
 
         let mut hot = BurstySearchEngine::new(&collection, config);
-        hot.set_patterns_from(&by_term);
+        register(&mut hot, &by_term);
         hot.finalize_with_threads(2);
         // Populate the cache with results for the original patterns.
         for query in &sample_queries() {
@@ -308,7 +315,7 @@ proptest! {
         // finalized engine must serve the new results, not stale cache hits.
         let mut reference = BurstySearchEngine::new(&collection, config);
         reference.set_cache_capacity(0);
-        reference.set_patterns_from(&by_term);
+        register(&mut reference, &by_term);
         for query in &sample_queries() {
             assert_same(&run(&reference, query, k), &run(&hot, query, k))?;
         }
@@ -332,18 +339,18 @@ proptest! {
         let config = config_for(zero);
 
         let mut engine = BurstySearchEngine::new(&collection, config);
-        engine.set_patterns_from(&by_term);
+        register(&mut engine, &by_term);
         if finalized {
             engine.finalize_with_threads(2);
         }
         let mut uncached = BurstySearchEngine::new(&collection, config);
         uncached.set_cache_capacity(0);
-        uncached.set_patterns_from(&by_term);
+        register(&mut uncached, &by_term);
 
         // Oracle: unfiltered engine over the post-filtered pattern set.
         let mut oracle = BurstySearchEngine::new(&collection, config);
         oracle.set_cache_capacity(0);
-        oracle.set_patterns_from(&post_filter(&by_term, &collection, &filter));
+        register(&mut oracle, &post_filter(&by_term, &collection, &filter));
 
         for terms in &sample_queries() {
             let q = filter_query(Query::terms(terms.iter().copied()).top_k(k), &filter);
@@ -372,13 +379,13 @@ proptest! {
         let config = config_for(zero);
 
         let mut engine = BurstySearchEngine::new(&collection, config);
-        engine.set_patterns_from(&by_term);
+        register(&mut engine, &by_term);
         if finalized {
             engine.finalize_with_threads(2);
         }
         let mut oracle = BurstySearchEngine::new(&collection, config);
         oracle.set_cache_capacity(0);
-        oracle.set_patterns_from(&post_filter(&by_term, &collection, &filter));
+        register(&mut oracle, &post_filter(&by_term, &collection, &filter));
 
         for terms in &sample_queries() {
             let q = filter_query(Query::terms(terms.iter().copied()).top_k(k), &filter);
@@ -404,11 +411,11 @@ proptest! {
         let config = EngineConfig::default();
 
         let mut cached = BurstySearchEngine::new(&collection, config);
-        cached.set_patterns_from(&by_term);
+        register(&mut cached, &by_term);
         cached.finalize_with_threads(2);
         let mut uncached = BurstySearchEngine::new(&collection, config);
         uncached.set_cache_capacity(0);
-        uncached.set_patterns_from(&by_term);
+        register(&mut uncached, &by_term);
 
         let terms = vec![TermId(0), TermId(1)];
         // Two interleaved rounds so every filter variant both populates and

@@ -23,7 +23,7 @@
 //! the patterns of Eq. 11 that overlap it, and a filtered query simply
 //! restricts that pattern set to those whose timeframe intersects the time
 //! window and whose region (an `STLocal` rectangle, or the stream MBR of an
-//! `STComb` pattern — see `stb_core::PatternGeometry`) intersects the query
+//! `STComb` pattern — see `stb_core::Pattern::region`) intersects the query
 //! rectangle. A document whose every supporting pattern is filtered out has
 //! no burstiness left and drops out exactly as Eq. 11 prescribes for
 //! pattern-less documents.

@@ -53,7 +53,7 @@ use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
 use std::sync::{Arc, OnceLock, PoisonError, RwLock};
 
-use stb_core::{PatternGeometry, PatternSource};
+use stb_core::{Pattern, PatternRecord};
 use stb_corpus::{Collection, DocId, TermId};
 
 /// Default number of serving shards.
@@ -379,18 +379,25 @@ impl ShardedEngine {
     /// Registers the mined patterns of a term on the write side (visible to
     /// readers after the next [`publish`](Self::publish)). See
     /// [`BurstySearchEngine::set_patterns`].
-    pub fn set_patterns<P: PatternGeometry>(&mut self, term: TermId, patterns: &[P]) {
+    pub fn set_patterns<P: Pattern>(&mut self, term: TermId, patterns: &[P]) {
         self.engine.set_patterns(term, patterns);
         self.dirty.insert(term);
     }
 
-    /// Registers the patterns of every term of a [`PatternSource`]. See
+    /// Registers a term's already captured patterns on the write side,
+    /// storing `records` itself: the writer and every generation published
+    /// after it share the caller's allocation.
+    pub fn set_pattern_records(&mut self, term: TermId, records: Arc<[PatternRecord]>) {
+        self.engine.set_pattern_records(term, records);
+        self.dirty.insert(term);
+    }
+
+    /// Registers the patterns of every `(term, patterns)` entry. See
     /// [`BurstySearchEngine::set_patterns_from`].
-    pub fn set_patterns_from<S: PatternSource>(&mut self, source: &S)
-    where
-        S::P: PatternGeometry,
-    {
-        source.for_each_term(&mut |term, patterns| self.set_patterns(term, patterns));
+    pub fn set_patterns_from<P: Pattern>(&mut self, source: &[(TermId, Vec<P>)]) {
+        for (term, patterns) in source {
+            self.set_patterns(*term, patterns);
+        }
     }
 
     /// Re-derives one term's posting list on the write side. See
@@ -830,6 +837,20 @@ mod tests {
                 when_current[0].results.len() + round as usize + 1
             );
         }
+    }
+
+    /// Captured records go in by pointer: the published generation serves
+    /// the caller's allocation, not a copy of it.
+    #[test]
+    fn published_generation_shares_registered_records() {
+        let (_, mut sharded, flood, _) = build_pair(2);
+        let positions = sharded.front().collection().positions();
+        let records: Arc<[PatternRecord]> =
+            Arc::from([PatternRecord::capture(&flood_pattern(), &positions)]);
+        sharded.set_pattern_records(flood, Arc::clone(&records));
+        sharded.publish();
+        let published = sharded.front().load();
+        assert!(Arc::ptr_eq(&published.derived.patterns[&flood], &records));
     }
 
     #[test]

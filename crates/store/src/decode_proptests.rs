@@ -40,12 +40,12 @@ fn sample_snapshot() -> SnapshotState {
         engine: EngineState {
             patterns: vec![(
                 TermId(0),
-                vec![PatternRecord {
+                Arc::from([PatternRecord {
                     streams: vec![StreamId(0), StreamId(1)],
                     timeframe: TimeInterval { start: 0, end: 1 },
                     region: Some(Rect::new(-1.0, 0.0, 2.5, 7.125)),
                     score: 3.75,
-                }],
+                }]),
             )],
             finalized: true,
             postings: vec![(

@@ -257,6 +257,17 @@ pub(crate) fn decode_pattern(d: &mut Dec<'_>) -> Result<PatternRecord, StoreErro
             format!("pattern timeframe [{start}, {end}] is inverted"),
         ));
     }
+    // The engine's overlap test binary-searches `streams`: an unsorted or
+    // repeated id would silently drop documents instead of failing here.
+    if let Some(w) = streams.windows(2).find(|w| w[0] >= w[1]) {
+        return Err(StoreError::corrupt(
+            "snapshot",
+            format!(
+                "pattern stream ids {} then {} are not strictly increasing",
+                w[0].0, w[1].0
+            ),
+        ));
+    }
     let region = if d.get_bool()? {
         let min_x = d.get_f64()?;
         let min_y = d.get_f64()?;
@@ -286,7 +297,7 @@ pub(crate) fn encode_engine(e: &mut Enc, state: &EngineState) {
     for (term, records) in &state.patterns {
         e.put_u32(term.0);
         e.put_u32(records.len() as u32);
-        for r in records {
+        for r in records.iter() {
             encode_pattern(e, r);
         }
     }
@@ -313,7 +324,7 @@ pub(crate) fn decode_engine(d: &mut Dec<'_>) -> Result<EngineState, StoreError> 
         for _ in 0..n {
             records.push(decode_pattern(d)?);
         }
-        patterns.push((term, records));
+        patterns.push((term, records.into()));
     }
     let finalized = d.get_bool()?;
     let n_postings = d.get_count(4)?;
@@ -438,7 +449,7 @@ fn validate_snapshot_ids(
     };
     for (term, records) in &engine.patterns {
         term_in_range("pattern set", *term)?;
-        for r in records {
+        for r in records.iter() {
             for s in &r.streams {
                 if (s.0 as usize) >= n_streams {
                     return Err(StoreError::corrupt(
@@ -646,7 +657,7 @@ mod tests {
         let engine = EngineState {
             patterns: vec![(
                 TermId(0),
-                vec![
+                Arc::from([
                     PatternRecord {
                         streams: vec![StreamId(0), StreamId(1)],
                         timeframe: TimeInterval { start: 0, end: 1 },
@@ -664,7 +675,7 @@ mod tests {
                         region: None,
                         score: f64::MIN_POSITIVE,
                     },
-                ],
+                ]),
             )],
             finalized: true,
             postings: vec![(
@@ -892,9 +903,14 @@ mod tests {
         bad.engine.postings[0].0 = TermId(40);
         reject(&bad);
 
-        let mut bad = sample_state();
-        bad.engine.patterns[0].1[0].streams.push(StreamId(9));
-        reject(&bad);
+        // Pattern streams out of range, out of order, or repeated.
+        for streams in [&[0, 1, 9][..], &[1, 0], &[0, 0]] {
+            let mut bad = sample_state();
+            let mut records = bad.engine.patterns[0].1.to_vec();
+            records[0].streams = streams.iter().copied().map(StreamId).collect();
+            bad.engine.patterns[0].1 = records.into();
+            reject(&bad);
+        }
 
         let mut bad = sample_state();
         bad.engine.patterns[0].0 = TermId(40);

@@ -5,6 +5,7 @@ use stb_core::PatternRecord;
 use stb_corpus::TermId;
 use stb_search::SearchResult;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use crate::registry::SubscriptionId;
 
@@ -14,13 +15,14 @@ use crate::registry::SubscriptionId;
 /// Patterns are carried as [`PatternRecord`]s — the frozen geometric form
 /// with the spatial footprint captured at mining time — so a notification
 /// is self-contained: the subscriber can inspect *why* its results moved
-/// without holding any reference into the serving state.
+/// without querying the serving state. The slice is the one the commit
+/// captured and the engine stores, shared by pointer.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Trigger {
     /// The dirty term that intersected this subscription's term set.
     pub(crate) term: TermId,
     /// The term's patterns as mined by the triggering commit.
-    pub patterns: Vec<PatternRecord>,
+    pub patterns: Arc<[PatternRecord]>,
 }
 
 /// A document present in both the previous and current top-k whose rank
@@ -142,7 +144,7 @@ impl ResultDiff {
     /// diff's `current`, with membership/rank changes recomputed across
     /// the whole span and triggers unioned per term (newest patterns win).
     pub(crate) fn coalesce(older: Self, newer: Self) -> Self {
-        let mut triggers_by_term: std::collections::BTreeMap<TermId, Vec<PatternRecord>> = older
+        let mut triggers_by_term: std::collections::BTreeMap<TermId, Arc<[PatternRecord]>> = older
             .triggers
             .into_iter()
             .map(|t| (t.term, t.patterns))
@@ -238,12 +240,12 @@ mod tests {
         let mut d1 = diff(vec![], vec![r(1, 1.0)]);
         d1.triggers = vec![Trigger {
             term: TermId(7),
-            patterns: Vec::new(),
+            patterns: Arc::default(),
         }];
         let mut d2 = diff(vec![r(1, 1.0)], vec![r(1, 2.0)]);
         d2.triggers = vec![Trigger {
             term: TermId(3),
-            patterns: Vec::new(),
+            patterns: Arc::default(),
         }];
         let merged = ResultDiff::coalesce(d1, d2);
         let terms: Vec<_> = merged.triggers.iter().map(|t| t.term).collect();

@@ -83,7 +83,8 @@ impl Fixture {
         self.engine.publish();
         self.tick += 1;
         let dirty: BTreeSet<TermId> = [self.flood].into_iter().collect();
-        self.registry.on_commit(self.tick, &dirty, |_| Vec::new());
+        self.registry
+            .on_commit(self.tick, &dirty, |_| Arc::default());
     }
 }
 
@@ -265,7 +266,7 @@ fn blocked_sender_wakes_when_last_handle_drops() {
     let flood = fx.flood;
     let committer = std::thread::spawn(move || {
         let dirty: BTreeSet<TermId> = [flood].into_iter().collect();
-        registry.on_commit(2, &dirty, |_| Vec::new())
+        registry.on_commit(2, &dirty, |_| Arc::default())
     });
     std::thread::sleep(Duration::from_millis(50));
     drop(handle);
@@ -301,7 +302,7 @@ fn subscribing_under_concurrent_commits_never_loses_a_registration() {
                 score += 1.0;
                 engine.set_patterns(flood, &[pattern(score)]);
                 engine.publish();
-                registry.on_commit(tick, &dirty, |_| Vec::new());
+                registry.on_commit(tick, &dirty, |_| Arc::default());
             }
             (engine, tick)
         })
@@ -333,7 +334,7 @@ fn subscribing_under_concurrent_commits_never_loses_a_registration() {
     // fresh point-in-time state, bit-for-bit.
     engine.set_patterns(flood, &[pattern(1000.0)]);
     engine.publish();
-    registry.on_commit(tick + 1, &dirty, |_| Vec::new());
+    registry.on_commit(tick + 1, &dirty, |_| Arc::default());
     let fresh = front.query(&Query::terms([flood]).top_k(5)).unwrap();
     for handle in &handles {
         let diffs = handle.drain();

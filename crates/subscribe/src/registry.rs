@@ -7,7 +7,7 @@ use stb_core::PatternRecord;
 use stb_corpus::TermId;
 use stb_obs::{Counter, LatencyHistogram, ObsRegistry};
 use stb_search::{Query, QueryError, QueryKey, SearchResult, ServingFront};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
@@ -299,9 +299,9 @@ impl SubscriptionRegistry {
     /// registrations against the just-published generation, and pushes
     /// diffs under each channel's overflow policy.
     ///
-    /// `patterns_of` is called lazily, at most once per affected term,
-    /// to capture the triggering patterns — commits with no affected
-    /// subscription never pay for pattern capture.
+    /// `patterns_of` returns a term's triggering patterns, which every
+    /// diff naming that term shares by pointer. It is called only for
+    /// diffs actually sent.
     ///
     /// The registry lock is held only to collect affected entries (and
     /// to garbage-collect disconnected ones); evaluation, diffing, and
@@ -311,7 +311,7 @@ impl SubscriptionRegistry {
         &self,
         tick: u64,
         dirty: &BTreeSet<TermId>,
-        patterns_of: impl Fn(TermId) -> Vec<PatternRecord>,
+        patterns_of: impl Fn(TermId) -> Arc<[PatternRecord]>,
     ) -> NotifyReport {
         let mut report = NotifyReport::default();
         if dirty.is_empty() {
@@ -362,7 +362,6 @@ impl SubscriptionRegistry {
             out
         };
 
-        let mut pattern_cache: HashMap<TermId, Vec<PatternRecord>> = HashMap::new();
         let mut gone: Vec<SubscriptionId> = Vec::new();
         for (entry, terms) in affected {
             let started = Instant::now();
@@ -398,10 +397,7 @@ impl SubscriptionRegistry {
                 .iter()
                 .map(|&term| Trigger {
                     term,
-                    patterns: pattern_cache
-                        .entry(term)
-                        .or_insert_with(|| patterns_of(term))
-                        .clone(),
+                    patterns: patterns_of(term),
                 })
                 .collect();
             let diff = ResultDiff { triggers, ..diff };

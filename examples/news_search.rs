@@ -47,8 +47,8 @@ fn main() {
     }
 
     // Mine combinatorial patterns for the query terms in parallel and feed
-    // them to the engine wholesale (the miner output implements
-    // `PatternSource`).
+    // them to the engine wholesale (the miner output is the
+    // `(term, patterns)` list `set_patterns_from` takes).
     let threads = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let mined = STComb::new().mine_collection_parallel(collection, &query, threads);
     for (term, patterns) in &mined {

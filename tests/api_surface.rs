@@ -15,8 +15,8 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use stburst::core::{
-    CombinatorialPattern, Pattern, PatternGeometry, PatternSource, RegionalPattern, STComb,
-    STCombConfig, STLocal, STLocalConfig, TB,
+    CombinatorialPattern, Pattern, PatternRecord, RegionalPattern, STComb, STCombConfig, STLocal,
+    STLocalConfig, TB,
 };
 use stburst::corpus::{Collection, CollectionBuilder, DocId, StreamId, TermId, Tokenizer};
 use stburst::geo::{GeoPoint, Mbr, Point2D, Rect};
@@ -120,7 +120,7 @@ fn engine_surface() {
     let _: &EngineConfig = engine.config();
 
     // All three registration paths: typed slice, trait-object-free generic,
-    // and a whole `PatternSource`.
+    // and a whole mining run's `(term, patterns)` list.
     let comb = CombinatorialPattern::new(vec![stream], TimeInterval::new(0, 3), 1.0, vec![]);
     let regional = RegionalPattern::new(
         Rect::new(20.0, 35.0, 30.0, 40.0),
@@ -169,8 +169,8 @@ fn retrieval_surface() {
     assert_eq!(ta, exhaustive);
 }
 
-/// Pattern traits: overlap, geometry, and source plumbing shared by miners
-/// and the engine.
+/// The pattern trait and record: overlap, geometry, and the captured form
+/// shared by miners and the engine.
 #[test]
 fn pattern_surface() {
     let comb = CombinatorialPattern::new(
@@ -188,16 +188,18 @@ fn pattern_surface() {
     // Pattern: overlap semantics.
     assert!(comb.overlaps(StreamId(0), 2));
     let _: (&[StreamId], TimeInterval, f64) = (comb.streams(), comb.timeframe(), comb.score());
-    // PatternGeometry: unified interval/region accessors.
+    // Pattern::region: the footprint region-filtered queries intersect.
     let positions = vec![Point2D::new(0.0, 0.0), Point2D::new(1.0, 1.0)];
-    let _: TimeInterval = comb.interval();
     let _: Option<Rect> = comb.region(&positions);
     assert_eq!(regional.region(&[]), Some(regional.rect));
-    // PatternSource: both canonical shapes.
-    let as_vec: Vec<(TermId, Vec<CombinatorialPattern>)> = vec![(TermId(0), vec![comb.clone()])];
-    let as_map: HashMap<TermId, Vec<CombinatorialPattern>> = as_vec.iter().cloned().collect();
-    assert_eq!(as_vec.terms(), as_map.terms());
-    let _: &[CombinatorialPattern] = as_vec.term_patterns(TermId(0));
+    // PatternRecord: the captured form, with its public fields.
+    let record: PatternRecord = PatternRecord::capture(&comb, &positions);
+    let _: (&Vec<StreamId>, TimeInterval, Option<Rect>, f64) = (
+        &record.streams,
+        record.timeframe,
+        record.region,
+        record.score,
+    );
     // Mbr: the geometry used for combinatorial regions.
     let _: Option<Rect> = Mbr::from_points(positions).rect();
 }
@@ -240,9 +242,8 @@ fn ingest_surface() {
     let receipt: TickReceipt = pipeline.commit_tick();
     for delta in &receipt.deltas {
         let _: usize = delta.n_patterns();
-        match delta {
-            PatternDelta::Regional { .. } | PatternDelta::Combinatorial { .. } => {}
-        }
+        let PatternDelta { term, patterns } = delta;
+        let _: (&TermId, &Arc<[PatternRecord]>) = (term, patterns);
     }
     let _: DurabilityState = receipt.durability;
     let _: PipelineMetrics = pipeline.metrics();
@@ -281,6 +282,9 @@ fn serving_tier_surface() {
     let mut engine = ShardedEngine::new(collection, EngineConfig::default(), DEFAULT_SHARDS, 16);
     let pattern = CombinatorialPattern::new(vec![stream], TimeInterval::new(1, 3), 2.0, vec![]);
     engine.set_patterns(term, std::slice::from_ref(&pattern));
+    let positions = engine.front().collection().positions();
+    let records: Arc<[PatternRecord]> = Arc::from([PatternRecord::capture(&pattern, &positions)]);
+    engine.set_pattern_records(term, records);
     let source: Vec<(TermId, Vec<CombinatorialPattern>)> = vec![(term, vec![pattern])];
     engine.set_patterns_from(&source);
     engine.refresh_term(term);
