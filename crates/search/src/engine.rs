@@ -10,7 +10,10 @@
 //!
 //! For every query term the engine needs a posting list whose per-document
 //! score is `relevance(d, t) × burstiness(d, t)` (Eq. 10–11); the top-k is
-//! then evaluated with Fagin's Threshold Algorithm.
+//! then evaluated with Fagin's Threshold Algorithm. Every burstiness value —
+//! in a prebuilt list, a commit's re-score, a cold or filtered query, an
+//! explanation — comes from one overlap kernel, the crate-private
+//! `burstiness::Footprint`, built once per scored term and query filter.
 //!
 //! # Query surface
 //!
@@ -41,7 +44,7 @@
 //! * an incremental per-term rebuild: updating one term's patterns after
 //!   finalization re-scores only that term's posting list.
 
-use crate::burstiness::{max_score, NoPatternPolicy};
+use crate::burstiness::{Footprint, NoPatternPolicy};
 use crate::cache::{QueryCache, QueryKey};
 use crate::error::QueryError;
 use crate::index::{InvertedIndex, Posting};
@@ -59,8 +62,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use stb_core::{parallel_map, Pattern, PatternRecord};
-use stb_corpus::StreamId;
-use stb_corpus::{Collection, DocId, TermId, Timestamp};
+use stb_corpus::{Collection, DocId, TermId};
 use stb_geo::{Point2D, Rect};
 use stb_timeseries::TimeInterval;
 
@@ -784,10 +786,12 @@ pub(crate) fn plan_query(
     };
     let region = match query.region {
         Some(r) => {
-            if [r.min_x, r.min_y, r.max_x, r.max_y]
+            // `Rect`'s fields are public, so an inverted rectangle can be
+            // built field by field; like a NaN one it intersects nothing.
+            let nan = [r.min_x, r.min_y, r.max_x, r.max_y]
                 .iter()
-                .any(|v| v.is_nan())
-            {
+                .any(|v| v.is_nan());
+            if nan || r.min_x > r.max_x || r.min_y > r.max_y {
                 return Err(QueryError::InvalidRegion { region: r });
             }
             Some(r)
@@ -889,25 +893,9 @@ fn vacuous_response(plan: &QueryPlan) -> QueryResponse {
     }
 }
 
-/// Eq. 11 for one (term, document) pair: aggregates the scores of the
-/// term's patterns that survive `filter` and overlap the document.
-fn burstiness_of(
-    patterns: Option<&[PatternRecord]>,
-    stream: StreamId,
-    timestamp: Timestamp,
-    filter: PatternFilter,
-) -> Option<f64> {
-    let overlapping: Vec<f64> = patterns?
-        .iter()
-        .filter(|p| filter.passes(p) && p.overlaps(stream, timestamp))
-        .map(|p| p.score)
-        .collect();
-    max_score(&overlapping)
-}
-
 /// The Eq. 10–11 scored posting list of one term (unsorted) over a state's
 /// term→documents list and pattern set, under `config` and `filter`.
-fn scored_postings(
+pub(crate) fn scored_postings(
     state: &DerivedState,
     term: TermId,
     config: EngineConfig,
@@ -918,31 +906,28 @@ fn scored_postings(
     let Some(docs) = state.term_docs(term) else {
         return Vec::new();
     };
-    let patterns = state.patterns(term);
+    let footprint = Footprint::new(
+        state.patterns(term).unwrap_or_default(),
+        collection.n_streams(),
+        &filter,
+    );
     let doc_freq = docs.len();
+    // Not preallocated: under Exclude most documents drop out, and
+    // `finalize` holds every term's list at once.
     let mut list = Vec::new();
     for &doc_id in docs {
         let doc = collection.document(doc_id);
-        let relevance = config.relevance.score(doc.freq(term), doc_freq, n_docs);
-        match burstiness_of(patterns, doc.stream, doc.timestamp, filter) {
-            Some(burst) => list.push(Posting {
-                doc: doc_id,
-                score: relevance * burst,
-            }),
-            None => {
-                if config.no_pattern == NoPatternPolicy::Zero {
-                    // The term contributes nothing but the document stays
-                    // eligible for the rest of the query.
-                    list.push(Posting {
-                        doc: doc_id,
-                        score: 0.0,
-                    });
-                }
-                // Under Exclude the document is simply absent from this
-                // term's posting list, which the Threshold Algorithm
-                // interprets as -inf.
-            }
-        }
+        let score = match footprint.burstiness(doc.stream, doc.timestamp) {
+            Some(burst) => config.relevance.score(doc.freq(term), doc_freq, n_docs) * burst,
+            // The term contributes nothing but the document stays eligible
+            // for the rest of the query.
+            None if config.no_pattern == NoPatternPolicy::Zero => 0.0,
+            // Under Exclude the document is simply absent from this term's
+            // posting list, which the Threshold Algorithm interprets as
+            // -inf.
+            None => continue,
+        };
+        list.push(Posting { doc: doc_id, score });
     }
     list
 }
@@ -972,6 +957,17 @@ fn explain(
 ) -> Vec<DocExplanation> {
     let collection = &state.collection;
     let n_docs = collection.documents().len();
+    let footprints: Vec<Footprint> = plan
+        .terms
+        .iter()
+        .map(|&term| {
+            Footprint::new(
+                state.patterns(term).unwrap_or_default(),
+                collection.n_streams(),
+                &plan.filter,
+            )
+        })
+        .collect();
     results
         .iter()
         .map(|r| {
@@ -980,25 +976,22 @@ fn explain(
             let terms = plan
                 .terms
                 .iter()
-                .map(|&term| {
+                .zip(&footprints)
+                .map(|(&term, footprint)| {
                     let doc_freq = state.term_docs(term).map_or(0, <[DocId]>::len);
                     let relevance = plan
                         .config
                         .relevance
                         .score(doc.freq(term), doc_freq, n_docs);
-                    let patterns: Vec<PatternMatch> = state
-                        .patterns(term)
-                        .unwrap_or_default()
-                        .iter()
-                        .filter(|p| plan.filter.passes(p) && p.overlaps(doc.stream, doc.timestamp))
+                    let patterns: Vec<PatternMatch> = footprint
+                        .overlapping(doc.stream, doc.timestamp)
                         .map(|p| PatternMatch {
                             interval: p.timeframe,
                             region: p.region,
                             score: p.score,
                         })
                         .collect();
-                    let scores: Vec<f64> = patterns.iter().map(|p| p.score).collect();
-                    let burstiness = max_score(&scores);
+                    let burstiness = footprint.burstiness(doc.stream, doc.timestamp);
                     let contribution = burstiness.map_or(0.0, |b| relevance * b);
                     total += contribution;
                     TermExplanation {
@@ -1023,7 +1016,7 @@ fn explain(
 mod tests {
     use super::*;
     use stb_core::CombinatorialPattern;
-    use stb_corpus::CollectionBuilder;
+    use stb_corpus::{CollectionBuilder, StreamId};
     use stb_geo::GeoPoint;
     use std::collections::HashMap as StdHashMap;
 
@@ -1695,6 +1688,84 @@ mod tests {
             engine.query(&Query::terms([flood]).region(nan_rect)),
             Err(QueryError::InvalidRegion { .. })
         ));
+        // An inverted axis intersects nothing either: a typed error, not a
+        // silently empty answer.
+        for inverted in [
+            Rect {
+                min_x: 2.0,
+                min_y: 0.0,
+                max_x: 1.0,
+                max_y: 1.0,
+            },
+            Rect {
+                min_x: 0.0,
+                min_y: 2.0,
+                max_x: 1.0,
+                max_y: 1.0,
+            },
+        ] {
+            assert_eq!(
+                engine.query(&Query::terms([flood]).region(inverted)),
+                Err(QueryError::InvalidRegion { region: inverted })
+            );
+        }
+    }
+
+    /// The overlap kernel indexes patterns by stream; an explanation must
+    /// still list a document's overlapping patterns in registration order,
+    /// not in stream or time order.
+    #[test]
+    fn explanation_lists_patterns_in_registration_order() {
+        let (c, flood) = build_fixture();
+        // All but the stream-0-only pattern overlap the stream-1 burst
+        // document at timestamp 5, registered neither by stream nor by start
+        // nor by score.
+        let registered = [
+            CombinatorialPattern::new(
+                vec![StreamId(1), StreamId(2)],
+                TimeInterval::new(5, 9),
+                0.9,
+                vec![],
+            ),
+            CombinatorialPattern::new(
+                vec![StreamId(0), StreamId(1)],
+                TimeInterval::new(4, 6),
+                2.5,
+                vec![],
+            ),
+            CombinatorialPattern::new(vec![StreamId(1)], TimeInterval::new(0, 5), 1.1, vec![]),
+            CombinatorialPattern::new(vec![StreamId(0)], TimeInterval::new(3, 7), 9.0, vec![]),
+            CombinatorialPattern::new(
+                vec![StreamId(0), StreamId(1)],
+                TimeInterval::new(2, 5),
+                0.4,
+                vec![],
+            ),
+        ];
+        let mut engine = BurstySearchEngine::new(&c, EngineConfig::default());
+        engine.set_patterns(flood, &registered);
+        let response = engine
+            .query(&Query::terms([flood]).top_k(50).explain(true))
+            .unwrap();
+        let (_, explanation) = response
+            .results
+            .iter()
+            .zip(&response.explanations)
+            .find(|(r, _)| {
+                let d = c.document(r.doc);
+                d.stream == StreamId(1) && d.timestamp == 5 && d.freq(flood) == 10
+            })
+            .expect("the stream-1 burst document at timestamp 5 is a hit");
+        let term = &explanation.terms[0];
+        let expected: Vec<f64> = registered
+            .iter()
+            .filter(|p| p.overlaps(StreamId(1), 5))
+            .map(|p| p.score)
+            .collect();
+        assert_eq!(expected, [0.9, 2.5, 1.1, 0.4]);
+        let scores: Vec<f64> = term.patterns.iter().map(|p| p.score).collect();
+        assert_eq!(scores, expected);
+        assert_eq!(term.burstiness, Some(2.5));
     }
 
     #[test]

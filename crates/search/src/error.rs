@@ -39,7 +39,8 @@ pub enum QueryError {
         /// Requested window end.
         end: Timestamp,
     },
-    /// The region filter has a NaN coordinate, which can intersect nothing.
+    /// The region filter has a NaN coordinate or an inverted axis
+    /// (`min_x > max_x` or `min_y > max_y`), so it can intersect nothing.
     InvalidRegion {
         /// The offending rectangle.
         region: Rect,
@@ -58,7 +59,10 @@ impl fmt::Display for QueryError {
                 write!(f, "time window {start}..={end} covers no timestamp")
             }
             QueryError::InvalidRegion { region } => {
-                write!(f, "region filter {region} has a NaN coordinate")
+                write!(
+                    f,
+                    "region filter {region} has a NaN coordinate or an inverted axis"
+                )
             }
         }
     }

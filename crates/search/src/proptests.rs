@@ -2,20 +2,23 @@
 //! always agree with exhaustive evaluation, the serving path (prebuilt
 //! index + query cache) must be indistinguishable from cold evaluation, and
 //! a spatiotemporally filtered `Query` must be byte-identical to an
-//! exhaustive search whose pattern set was post-filtered by geometry.
+//! exhaustive search whose pattern set was post-filtered by geometry, and
+//! every scored posting list must equal Eq. 11's linear definition.
 
+use crate::engine::{scored_postings, PatternFilter};
 use crate::threshold::exhaustive_topk;
 use crate::{
     threshold_topk, BurstySearchEngine, EngineConfig, InvertedIndex, NoPatternPolicy, Query,
-    QueryKey, SearchResult,
+    QueryKey, Relevance, SearchResult,
 };
 use proptest::prelude::*;
 use proptest::TestCaseError;
-use stb_core::{CombinatorialPattern, Pattern, RegionalPattern};
-use stb_corpus::{Collection, CollectionBuilder, DocId, StreamId, TermId};
+use stb_core::{CombinatorialPattern, Pattern, PatternRecord, RegionalPattern};
+use stb_corpus::{Collection, CollectionBuilder, DocId, Document, StreamId, TermId};
 use stb_geo::{GeoPoint, Rect};
 use stb_timeseries::TimeInterval;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 fn arb_index() -> impl Strategy<Value = InvertedIndex> {
     // Up to 4 terms, up to 30 docs, sparse random scores.
@@ -451,6 +454,158 @@ proptest! {
                     prop_assert_ne!(a, b);
                 }
             }
+        }
+    }
+}
+
+/// Pattern-record blueprint: (term, stream bitmask over `N_STREAMS + 2` ids
+/// — the top two lie beyond the collection — start, extra length, (score
+/// selector, score), optional (corner, extent) region).
+type RecordSpec = (
+    u32,
+    u8,
+    usize,
+    usize,
+    (u8, f64),
+    Option<((f64, f64), (f64, f64))>,
+);
+
+fn arb_records() -> impl Strategy<Value = Vec<RecordSpec>> {
+    prop::collection::vec(
+        (
+            0..N_TERMS,
+            0u8..(1 << (N_STREAMS + 2)),
+            0..TIMELINE,
+            0usize..4,
+            (0u8..4, -1.0f64..3.0),
+            prop::option::of(((-1.0f64..2.0, -1.0f64..5.0), (0.0f64..2.5, 0.0f64..4.0))),
+        ),
+        0..24,
+    )
+}
+
+/// Every term's records in registration order. A term with no record is
+/// registered with an empty slice when its bit in `empty_mask` is set, and
+/// never registered otherwise.
+fn records_by_term(specs: &[RecordSpec], empty_mask: u8) -> HashMap<TermId, Vec<PatternRecord>> {
+    let mut by_term: HashMap<TermId, Vec<PatternRecord>> = (0..N_TERMS)
+        .filter(|t| empty_mask & (1 << t) != 0)
+        .map(|t| (TermId(t), Vec::new()))
+        .collect();
+    for &(term, mask, start, extra, (pick, score), region) in specs {
+        by_term
+            .entry(TermId(term))
+            .or_default()
+            .push(PatternRecord {
+                streams: (0..N_STREAMS + 2)
+                    .filter(|s| mask & (1 << s) != 0)
+                    .map(StreamId)
+                    .collect(),
+                timeframe: spec_timeframe(start, extra),
+                region: region.map(|((x, y), (w, h))| Rect::new(x, y, x + w, y + h)),
+                // Signed zeros make `max` order-sensitive; NaN is ignored by it.
+                score: match pick {
+                    0 => f64::NAN,
+                    1 => 0.0,
+                    2 => -0.0,
+                    _ => score,
+                },
+            });
+    }
+    by_term
+}
+
+/// The linear Eq. 11 pass the engine's overlap kernel replaced, kept as an
+/// independent oracle: for every document of the term, in id order, fold
+/// the scores of every pattern that survives the filter and overlaps the
+/// document, in registration order.
+fn linear_postings(
+    collection: &Collection,
+    patterns: Option<&[PatternRecord]>,
+    term: TermId,
+    config: EngineConfig,
+    filter: PatternFilter,
+) -> Vec<(DocId, u64)> {
+    let n_docs = collection.documents().len();
+    let docs: Vec<&Document> = collection
+        .documents()
+        .iter()
+        .filter(|d| d.counts.contains_key(&term))
+        .collect();
+    let mut postings = Vec::new();
+    for doc in &docs {
+        let overlapping: Vec<f64> = patterns
+            .unwrap_or_default()
+            .iter()
+            .filter(|p| {
+                filter.window.is_none_or(|w| p.timeframe.overlaps(&w))
+                    && filter
+                        .region
+                        .is_none_or(|r| p.region.is_some_and(|pr| pr.intersects(&r)))
+                    && p.overlaps(doc.stream, doc.timestamp)
+            })
+            .map(|p| p.score)
+            .collect();
+        let score = if overlapping.is_empty() {
+            match config.no_pattern {
+                NoPatternPolicy::Zero => 0.0,
+                NoPatternPolicy::Exclude => continue,
+            }
+        } else {
+            let burst = overlapping
+                .iter()
+                .copied()
+                .fold(f64::NEG_INFINITY, f64::max);
+            config.relevance.score(doc.freq(term), docs.len(), n_docs) * burst
+        };
+        postings.push((doc.id, score.to_bits()));
+    }
+    postings
+}
+
+proptest! {
+    /// Eq. 11 against its definition: every term's scored posting list —
+    /// registered, registered empty, never registered, or unknown to the
+    /// dictionary — equals the linear oracle's bit for bit, under random
+    /// window/region filters and both no-pattern policies.
+    #[test]
+    fn scored_postings_match_the_linear_eq11_oracle(
+        docs in arb_docs(),
+        specs in arb_records(),
+        empty_mask in 0u8..(1 << N_TERMS),
+        filter in arb_filter(),
+        relevance in 0u8..3,
+        zero in proptest::bool::ANY
+    ) {
+        let collection = build_collection(&docs);
+        let by_term = records_by_term(&specs, empty_mask);
+        let relevance = [Relevance::LogFreq, Relevance::RawFreq, Relevance::TfIdf]
+            [usize::from(relevance)];
+        let config = EngineConfig::builder()
+            .relevance(relevance)
+            .no_pattern(config_for(zero).no_pattern)
+            .build();
+        let mut engine = BurstySearchEngine::new(&collection, config);
+        for (&term, records) in &by_term {
+            engine.set_pattern_records(term, Arc::from(records.as_slice()));
+        }
+        let filter = PatternFilter {
+            window: filter.0.map(|(start, extra)| spec_timeframe(start, extra)),
+            region: filter.1.map(|((x, y), (w, h))| Rect::new(x, y, x + w, y + h)),
+        };
+        for term in (0..=N_TERMS).map(TermId) {
+            let got: Vec<(DocId, u64)> = scored_postings(engine.state(), term, config, filter)
+                .iter()
+                .map(|p| (p.doc, p.score.to_bits()))
+                .collect();
+            let expect = linear_postings(
+                &collection,
+                by_term.get(&term).map(Vec::as_slice),
+                term,
+                config,
+                filter,
+            );
+            prop_assert_eq!(got, expect);
         }
     }
 }
