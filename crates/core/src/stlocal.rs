@@ -251,7 +251,7 @@ impl STLocal {
         //    stream with positive burstiness — so a quiet snapshot (e.g. a
         //    tick in which a streamed term does not occur at all) skips the
         //    rectangle search entirely. This is what keeps the live ingest
-        //    pipeline's "advance every tracked term each tick" step cheap.
+        //    pipeline's catch-up over a quiet term's skipped ticks cheap.
         let rects = if any_positive {
             let points: Vec<WPoint> = self
                 .positions

@@ -25,8 +25,6 @@ pub enum Backpressure {
     /// Drop the document (counted in [`HealthReport::docs_shed`]) and keep
     /// the pipeline responsive.
     Shed,
-    /// Refuse the document: `IngestPipeline::stage_document` panics.
-    Error,
 }
 
 /// Why a document was quarantined instead of staged.
@@ -84,35 +82,6 @@ pub(crate) enum StageOutcome {
     Quarantined,
 }
 
-/// Typed staging failures surfaced by
-/// [`IngestPipeline::try_stage_document`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-#[non_exhaustive]
-pub(crate) enum IngestError {
-    /// The staging buffer is full and the pipeline is configured with
-    /// [`Backpressure::Error`].
-    StagingFull {
-        /// Documents currently staged.
-        staged: usize,
-        /// The configured bound.
-        max: usize,
-    },
-}
-
-impl fmt::Display for IngestError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            IngestError::StagingFull { staged, max } => write!(
-                f,
-                "staging buffer full ({staged}/{max} documents); commit the open tick or \
-                 configure a different backpressure policy"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for IngestError {}
-
 /// What [`Admission::decide`] says about one incoming document.
 pub(crate) enum Decision {
     /// Stage it into the open tick.
@@ -125,7 +94,7 @@ pub(crate) enum Decision {
 
 /// The admission-control state of a pipeline.
 pub(crate) struct Admission {
-    pub(crate) max_staged_docs: usize,
+    max_staged_docs: usize,
     pub(crate) backpressure: Backpressure,
     max_terms_per_doc: usize,
     max_quarantined_docs: usize,
@@ -231,20 +200,20 @@ mod tests {
 
         let unknown_stream = StreamId(99);
         match pipeline.try_stage_document(unknown_stream, HashMap::from([(t, 1)])) {
-            Ok(StageOutcome::Quarantined) => {}
+            StageOutcome::Quarantined => {}
             other => panic!("expected UnknownStream quarantine, got {other:?}"),
         }
         match pipeline.try_stage_document(s, HashMap::from([(TermId(42), 1)])) {
-            Ok(StageOutcome::Quarantined) => {}
+            StageOutcome::Quarantined => {}
             other => panic!("expected UnknownTerm quarantine, got {other:?}"),
         }
         match pipeline.try_stage_document(s, HashMap::from([(t, 11)])) {
-            Ok(StageOutcome::Quarantined) => {}
+            StageOutcome::Quarantined => {}
             other => panic!("expected OversizedDoc quarantine, got {other:?}"),
         }
         // The tick survives: a clean document commits normally.
         match pipeline.try_stage_document(s, HashMap::from([(t, 1)])) {
-            Ok(StageOutcome::Staged) => {}
+            StageOutcome::Staged => {}
             other => panic!("expected Staged, got {other:?}"),
         }
         let receipt = pipeline.commit_tick();
@@ -294,12 +263,12 @@ mod tests {
         let t = pipeline.intern("t");
         for _ in 0..2 {
             match pipeline.try_stage_document(s, HashMap::from([(t, 1)])) {
-                Ok(StageOutcome::Staged) => {}
+                StageOutcome::Staged => {}
                 other => panic!("expected Staged, got {other:?}"),
             }
         }
         match pipeline.try_stage_document(s, HashMap::from([(t, 1)])) {
-            Ok(StageOutcome::StagedAfterCommit) => {}
+            StageOutcome::StagedAfterCommit => {}
             other => panic!("expected StagedAfterCommit, got {other:?}"),
         }
         assert_eq!(pipeline.ticks_committed(), 1);
@@ -319,35 +288,11 @@ mod tests {
         let t = pipeline.intern("t");
         let _ = pipeline.try_stage_document(s, HashMap::from([(t, 1)]));
         match pipeline.try_stage_document(s, HashMap::from([(t, 1)])) {
-            Ok(StageOutcome::Shed) => {}
+            StageOutcome::Shed => {}
             other => panic!("expected Shed, got {other:?}"),
         }
         let receipt = pipeline.commit_tick();
         assert_eq!(receipt.new_docs.len(), 1, "shed doc never entered");
         assert_eq!(pipeline.health().docs_shed, 1);
-    }
-
-    #[test]
-    fn backpressure_error_is_typed() {
-        let config = IngestConfig {
-            timeline_capacity: 8,
-            max_staged_docs: 1,
-            backpressure: Backpressure::Error,
-            ..Default::default()
-        };
-        let mut pipeline = IngestPipeline::new(config);
-        let s = pipeline.add_stream("A", GeoPoint::new(0.0, 0.0));
-        let t = pipeline.intern("t");
-        let _ = pipeline.try_stage_document(s, HashMap::from([(t, 1)]));
-        match pipeline.try_stage_document(s, HashMap::from([(t, 1)])) {
-            Err(IngestError::StagingFull { staged: 1, max: 1 }) => {}
-            other => panic!("expected StagingFull, got {other:?}"),
-        }
-        // Committing drains the buffer and staging resumes.
-        pipeline.commit_tick();
-        assert!(matches!(
-            pipeline.try_stage_document(s, HashMap::from([(t, 1)])),
-            Ok(StageOutcome::Staged)
-        ));
     }
 }

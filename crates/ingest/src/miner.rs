@@ -1,11 +1,12 @@
 //! Per-term mining on the live path: the paper's two miners kept fresh one
 //! tick at a time, and the [`PatternDelta`]s a commit hands to the engine.
 
-use std::collections::hash_map::Entry;
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
-use stb_core::{Pattern, PatternRecord, STComb, STCombConfig, STLocal, STLocalConfig};
+use stb_core::{
+    Pattern, PatternRecord, RegionalPattern, STComb, STCombConfig, STLocal, STLocalConfig,
+};
 use stb_corpus::{Collection, TermId, Timestamp};
 use stb_geo::Point2D;
 use stb_obs::Counter;
@@ -14,7 +15,7 @@ use stb_obs::Counter;
 #[derive(Debug, Clone)]
 pub enum MinerKind {
     /// The streaming regional miner (Section 4, Algorithm 2): one online
-    /// `STLocal` instance per term, advanced every tick.
+    /// `STLocal` instance per term, stepped when the term is dirty or read.
     STLocal(STLocalConfig),
     /// The combinatorial miner (Section 3): dirty terms are re-mined from
     /// their full (fixed-timeline) series on each commit.
@@ -41,12 +42,12 @@ impl PatternDelta {
 }
 
 /// The mining state of a pipeline: the configured miner, one online
-/// `STLocal` instance per term ever seen, and the flags that force a wider
+/// `STLocal` instance per term ever dirty, and the flags that force a wider
 /// re-mine than the tick's dirty set.
 pub(crate) struct Miners {
     kind: MinerKind,
-    /// One online miner per term ever seen (`STLocal` mode only).
-    local: HashMap<TermId, STLocal>,
+    /// One online miner per term ever dirty (`STLocal` mode only).
+    local: HashMap<TermId, TermMiner>,
     /// A stream was added since the last commit: per-term miner state is
     /// positional and must be rebuilt from collection history.
     structural_dirty: bool,
@@ -55,6 +56,45 @@ pub(crate) struct Miners {
     comb_all_dirty: bool,
     /// Miners (re)built by replaying collection history.
     pub(crate) catchup_replays: Arc<Counter>,
+}
+
+/// A term's online miner and the first tick it has not stepped yet.
+///
+/// Miners step lazily: only when their term is dirty (`Miners::mine`) or
+/// read (`Miners::current_patterns`). The ticks a quiet term skipped are
+/// replayed from the collection on its next catch-up — history before the
+/// open tick never changes, so the miner sees exactly the snapshots eager
+/// stepping would have fed it.
+#[derive(Clone)]
+struct TermMiner {
+    next: Timestamp,
+    stlocal: STLocal,
+}
+
+impl TermMiner {
+    fn new(positions: Vec<Point2D>, config: &STLocalConfig) -> Self {
+        Self {
+            next: 0,
+            stlocal: STLocal::new(positions, config.clone()),
+        }
+    }
+
+    /// Steps the miner over `term`'s history in `collection` until it has
+    /// observed the first `ticks` ticks, and returns its accumulated
+    /// windows.
+    fn catch_up(
+        &mut self,
+        collection: &Collection,
+        term: TermId,
+        ticks: usize,
+    ) -> Vec<RegionalPattern> {
+        for ts in self.next..ticks {
+            self.stlocal
+                .step(&collection.term_snapshot(term, ts).frequencies);
+        }
+        self.next = ticks;
+        self.stlocal.patterns()
+    }
 }
 
 impl Miners {
@@ -97,8 +137,9 @@ impl Miners {
 
     /// Mines tick `tick` of `snapshot`: widens `dirty` to every term when a
     /// pending flag demands it, then returns fresh patterns for each dirty
-    /// term; in `STLocal` mode every tracked term additionally advances its
-    /// online state by one tick.
+    /// term. In `STLocal` mode only the dirty terms' miners step, each
+    /// catching up through `tick`; a term without one gets a fresh miner
+    /// that replays its history.
     pub(crate) fn mine(
         &mut self,
         snapshot: &Collection,
@@ -122,26 +163,13 @@ impl Miners {
         match &self.kind {
             MinerKind::STLocal(config) => {
                 for &term in dirty.iter() {
-                    if let Entry::Vacant(slot) = self.local.entry(term) {
-                        // Late-arriving term: replay its (mostly zero)
-                        // history so its miner state matches a batch run.
-                        let mut miner = STLocal::new(snapshot.positions(), config.clone());
-                        for ts in 0..tick {
-                            miner.step(&snapshot.term_snapshot(term, ts).frequencies);
-                        }
-                        slot.insert(miner);
+                    let miner = self.local.entry(term).or_insert_with(|| {
                         self.catchup_replays.inc();
-                    }
+                        TermMiner::new(positions.clone(), config)
+                    });
+                    let patterns = miner.catch_up(snapshot, term, tick + 1);
+                    deltas.push(capture(term, &patterns, &positions));
                 }
-                let mut tracked: Vec<TermId> = self.local.keys().copied().collect();
-                tracked.sort();
-                for term in tracked {
-                    let snap = snapshot.term_snapshot(term, tick);
-                    if let Some(miner) = self.local.get_mut(&term) {
-                        miner.step(&snap.frequencies);
-                    }
-                }
-                deltas.extend(dirty.iter().map(|&term| self.regional(term, &positions)));
             }
             MinerKind::STComb(config) => {
                 let miner = STComb::with_config(config.clone());
@@ -154,23 +182,27 @@ impl Miners {
         deltas
     }
 
-    /// The accumulated windows of `term`'s online miner (none if the term
-    /// was never seen).
-    fn regional(&self, term: TermId, positions: &[Point2D]) -> PatternDelta {
-        let patterns = self
-            .local
-            .get(&term)
-            .map(STLocal::patterns)
-            .unwrap_or_default();
-        capture(term, &patterns, positions)
-    }
-
-    /// One term's current patterns: its live `STLocal` miner's accumulated
-    /// windows, or a fresh combinatorial pass over `collection`.
-    pub(crate) fn current_patterns(&self, collection: &Collection, term: TermId) -> PatternDelta {
+    /// One term's current patterns over the first `ticks` ticks of
+    /// `collection`: a copy of its `STLocal` miner caught up through them,
+    /// or a fresh combinatorial pass.
+    pub(crate) fn current_patterns(
+        &self,
+        collection: &Collection,
+        ticks: usize,
+        term: TermId,
+    ) -> PatternDelta {
         let positions = collection.positions();
         match &self.kind {
-            MinerKind::STLocal(_) => self.regional(term, &positions),
+            MinerKind::STLocal(config) => {
+                // A stream added since the last commit leaves every miner
+                // one position short until that commit rebuilds them.
+                let mut miner = match self.local.get(&term) {
+                    Some(miner) if !self.structural_dirty => miner.clone(),
+                    _ => TermMiner::new(positions.clone(), config),
+                };
+                let patterns = miner.catch_up(collection, term, ticks);
+                capture(term, &patterns, &positions)
+            }
             MinerKind::STComb(config) => {
                 let patterns =
                     STComb::with_config(config.clone()).mine_collection(collection, term);
@@ -195,8 +227,42 @@ fn capture<P: Pattern>(term: TermId, patterns: &[P], positions: &[Point2D]) -> P
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::tests::{burst_tick, run, run_text, two_cluster_pipeline};
+    use crate::pipeline::tests::{
+        assert_same_patterns, batch_patterns, burst_tick, run, run_text, two_cluster_pipeline,
+    };
     use stb_geo::GeoPoint;
+
+    /// A quiet term's miner does not step while other terms commit; its
+    /// next dirty tick catches it up to exactly the batch miner's state.
+    /// The timeline is pre-sized to the 22 ticks run, so the batch pass
+    /// covers exactly the committed ticks.
+    #[test]
+    fn a_quiet_term_steps_only_when_dirty_again() {
+        let (mut pipeline, streams) =
+            two_cluster_pipeline(MinerKind::STLocal(STLocalConfig::default()), 22);
+        let term = pipeline.intern("term");
+        let other = pipeline.intern("other");
+        for tick in 0..3 {
+            burst_tick(&mut pipeline, &streams, term, tick == 1);
+        }
+        for tick in 3..21 {
+            burst_tick(&mut pipeline, &streams, other, tick == 10);
+            assert_eq!(pipeline.miners.local[&term].next, 3, "tick {tick}");
+        }
+        // One fresh miner each for `term` (tick 0) and `other` (tick 3).
+        assert_eq!(pipeline.metrics().catchup_replays, 2);
+
+        let receipt = burst_tick(&mut pipeline, &streams, term, true);
+        assert_eq!(receipt.tick, 21);
+        assert_eq!(pipeline.metrics().catchup_replays, 2, "no second replay");
+        assert_eq!(pipeline.miners.local[&term].next, 22);
+        let [delta] = &receipt.deltas[..] else {
+            panic!("`term` is the only dirty term");
+        };
+        assert!(delta.n_patterns() > 0, "both bursts must be mined");
+        let expect = batch_patterns(&pipeline.collection(), term);
+        assert_same_patterns(&expect, &delta.patterns);
+    }
 
     #[test]
     fn unseen_term_is_searchable_after_it_arrives() {

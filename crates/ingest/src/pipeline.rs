@@ -13,8 +13,8 @@
 //! 2. [`IngestPipeline::commit_tick`] closes the tick: its record goes
 //!    through the `durability` state machine, the staged documents are
 //!    applied to the [`LiveCollection`] (one copy-on-write generation), and
-//!    `miner` advances every tracked term's online burst state by one
-//!    snapshot and re-mines only the dirty terms.
+//!    `miner` re-mines only the dirty terms, catching each one's online
+//!    burst state up through the tick.
 //! 3. The resulting [`PatternDelta`]s are applied to the pipeline's
 //!    [`ShardedEngine`]: the prebuilt posting index re-scores only the
 //!    affected terms, and the commit *publishes* one new immutable serving
@@ -42,9 +42,12 @@
 //!   all terms — pre-size the timeline via `IngestConfig::timeline_capacity`
 //!   to keep per-tick work proportional to the dirty set.
 //!
-//! Terms unseen when a miner's sequence started are caught up by replaying
-//! their (all-zero) history from the collection, so late-arriving terms and
-//! late-registered streams converge to the same state as the batch run.
+//! There is one mining regime: a term's `STLocal` miner steps only when the
+//! term is dirty or read, replaying from the collection every tick it has
+//! not seen yet. A quiet term's skipped ticks, a late-arriving term's
+//! (all-zero) history, and every term's history after a new stream or a
+//! restart are all the same catch-up, so they converge to the same state
+//! as the batch run.
 
 use crate::admission::{Admission, Decision};
 use crate::durability::DurabilityLayer;
@@ -70,7 +73,7 @@ use stb_subscribe::{SubscriptionHandle, SubscriptionOptions, SubscriptionRegistr
 pub use crate::admission::Backpressure;
 #[cfg(test)]
 pub(crate) use crate::admission::QuarantinedDoc;
-pub(crate) use crate::admission::{IngestError, StageOutcome};
+pub(crate) use crate::admission::StageOutcome;
 pub use crate::config::IngestConfig;
 pub use crate::durability::DurabilityState;
 pub use crate::miner::{MinerKind, PatternDelta};
@@ -375,14 +378,8 @@ impl IngestPipeline {
     /// Stages a document for the open tick: poison documents are
     /// quarantined silently and a full staging buffer follows the
     /// configured [`Backpressure`] policy.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the buffer is full under [`Backpressure::Error`].
     pub fn stage_document(&mut self, stream: StreamId, counts: HashMap<TermId, u32>) {
-        #[allow(clippy::expect_used)]
-        self.try_stage_document(stream, counts)
-            .expect("staging buffer full under Backpressure::Error");
+        self.try_stage_document(stream, counts);
     }
 
     /// Stages a document for the open tick, reporting how it was disposed
@@ -399,38 +396,33 @@ impl IngestPipeline {
         &mut self,
         stream: StreamId,
         counts: HashMap<TermId, u32>,
-    ) -> Result<StageOutcome, IngestError> {
-        let staged = self.staged.len();
+    ) -> StageOutcome {
         match self
             .admission
-            .decide(self.live.collection(), staged, stream, &counts)
+            .decide(self.live.collection(), self.staged.len(), stream, &counts)
         {
             Decision::Quarantine(reason) => {
                 self.admission
                     .quarantine(self.ticks_committed, stream, counts, reason);
                 self.publish_health();
-                Ok(StageOutcome::Quarantined)
+                StageOutcome::Quarantined
             }
             Decision::Full => match self.admission.backpressure {
                 Backpressure::Block => {
                     self.commit_tick();
                     self.stage_raw(stream, counts);
                     self.publish_health();
-                    Ok(StageOutcome::StagedAfterCommit)
+                    StageOutcome::StagedAfterCommit
                 }
                 Backpressure::Shed => {
                     self.admission.docs_shed.inc();
                     self.publish_health();
-                    Ok(StageOutcome::Shed)
+                    StageOutcome::Shed
                 }
-                Backpressure::Error => Err(IngestError::StagingFull {
-                    staged,
-                    max: self.admission.max_staged_docs,
-                }),
             },
             Decision::Admit => {
                 self.stage_raw(stream, counts);
-                Ok(StageOutcome::Staged)
+                StageOutcome::Staged
             }
         }
     }
@@ -456,9 +448,10 @@ impl IngestPipeline {
         self.stage_document(stream, counts);
     }
 
-    /// Commits the open tick: applies the staged documents, advances every
-    /// tracked term's online burst state, re-mines the dirty terms, and
-    /// publishes the new snapshot plus its [`PatternDelta`]s to the engine.
+    /// Commits the open tick: applies the staged documents, re-mines the
+    /// dirty terms (catching each one's online burst state up through the
+    /// tick), and publishes the new snapshot plus its [`PatternDelta`]s to
+    /// the engine.
     ///
     /// Committing with no staged documents is valid (an empty tick) and is
     /// required for batch equivalence: the streaming miners must observe
@@ -560,8 +553,8 @@ impl IngestPipeline {
         let snapshot = self.live.snapshot();
         lap(clock, SpanKind::ApplyDocs);
 
-        // Mine. Dirty terms get fresh patterns; in STLocal mode every
-        // tracked term additionally advances its online state by one tick.
+        // Mine. Dirty terms get fresh patterns; in STLocal mode only their
+        // miners step, each catching up through this tick.
         let mut dirty = std::mem::take(&mut self.dirty);
         let deltas = self.miners.mine(&snapshot, tick, &mut dirty);
         lap(clock, SpanKind::Mine);
@@ -722,12 +715,13 @@ impl IngestPipeline {
         self.durability.is_attached()
     }
 
-    /// The pipeline's current mining output for one term: the live
-    /// `STLocal` miner's accumulated windows, or a fresh combinatorial pass
-    /// over the current collection. Useful for inspecting pattern state
-    /// without going through a [`TickReceipt`].
+    /// The pipeline's current mining output for one term: the windows its
+    /// `STLocal` miner accumulates over the committed ticks, or a fresh
+    /// combinatorial pass over the current collection. Useful for
+    /// inspecting pattern state without going through a [`TickReceipt`].
     pub fn current_patterns(&self, term: TermId) -> PatternDelta {
-        self.miners.current_patterns(self.live.collection(), term)
+        self.miners
+            .current_patterns(self.live.collection(), self.ticks_committed, term)
     }
 
     /// A snapshot of the pipeline's counters.
@@ -756,7 +750,7 @@ pub(crate) mod tests {
     //! tests share.
 
     use super::*;
-    use stb_core::{STCombConfig, STLocal, STLocalConfig};
+    use stb_core::{PatternRecord, STCombConfig, STLocal, STLocalConfig};
     use stb_search::{BurstySearchEngine, EngineConfig, NoPatternPolicy, SearchResult};
     use stb_store::{FaultSchedule, RetryPolicy, Store};
 
@@ -890,6 +884,29 @@ pub(crate) mod tests {
         let s = pipeline.add_stream("A", GeoPoint::new(0.0, 0.0));
         let t = pipeline.intern("t");
         (pipeline, faults, s, t, dir)
+    }
+
+    /// Asserts two pattern sets are equal record by record, scores by
+    /// `to_bits`.
+    pub(crate) fn assert_same_patterns(expect: &[PatternRecord], got: &[PatternRecord]) {
+        assert_eq!(expect.len(), got.len(), "pattern count");
+        for (e, g) in expect.iter().zip(got) {
+            assert_eq!(e.score.to_bits(), g.score.to_bits(), "score bits");
+            assert_eq!(e.timeframe, g.timeframe);
+            assert_eq!(e.streams, g.streams);
+            assert_eq!(e.region, g.region);
+        }
+    }
+
+    /// The batch oracle: `term`'s patterns from one `STLocal` pass over
+    /// the whole of `collection`, captured as the live path captures them.
+    pub(crate) fn batch_patterns(collection: &Collection, term: TermId) -> Vec<PatternRecord> {
+        let (patterns, _) = STLocal::mine_collection(collection, term, STLocalConfig::default());
+        let positions = collection.positions();
+        patterns
+            .iter()
+            .map(|p| PatternRecord::capture(p, &positions))
+            .collect()
     }
 
     pub(crate) fn commit_one(pipeline: &mut IngestPipeline, s: StreamId, t: TermId) -> TickReceipt {

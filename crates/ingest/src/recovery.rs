@@ -189,8 +189,12 @@ impl IngestPipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::tests::{burst_tick, durable_burst_run, durable_config, run, temp_dir};
+    use crate::pipeline::tests::{
+        assert_same_patterns, batch_patterns, burst_tick, durable_burst_run, durable_config, run,
+        temp_dir,
+    };
     use stb_corpus::StreamId;
+    use stb_geo::GeoPoint;
 
     #[test]
     fn durable_pipeline_recovers_from_wal_alone() {
@@ -247,6 +251,38 @@ mod tests {
             assert_eq!(e.doc, g.doc);
             assert_eq!(e.score.to_bits(), g.score.to_bits());
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Online miners are not persisted: a recovered pipeline rebuilds a
+    /// term's miner from the collection the first time it is read.
+    #[test]
+    fn current_patterns_survive_recovery() {
+        let dir = temp_dir("current-patterns");
+        let (mut pipeline, quake) = durable_burst_run(&dir, 8);
+        pipeline.checkpoint().expect("checkpoint");
+        let before = pipeline.current_patterns(quake);
+        assert!(before.n_patterns() > 0, "the burst must have been mined");
+        drop(pipeline);
+
+        let (mut recovered, report) =
+            IngestPipeline::durable(durable_config(8), &dir).expect("recover");
+        assert!(report.snapshot_loaded);
+        assert_eq!(report.wal_ticks_replayed, 0);
+        let after = recovered.current_patterns(quake);
+        assert_same_patterns(&before.patterns, &after.patterns);
+
+        // `quake` gets a miner at tick 8 and lags a tick behind by tick 9.
+        // A stream added since then must not have the read step that
+        // miner one position short: it replays the widened history.
+        let streams: Vec<StreamId> = (0..3).map(|i| StreamId(i as u32)).collect();
+        burst_tick(&mut recovered, &streams, quake, false);
+        let other = recovered.intern("other");
+        burst_tick(&mut recovered, &streams, other, false);
+        recovered.add_stream("D", GeoPoint::new(2.0, 2.0));
+        let widened = recovered.current_patterns(quake);
+        let expect = batch_patterns(&recovered.collection(), quake);
+        assert_same_patterns(&expect, &widened.patterns);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -11,8 +11,8 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// What the commit-side sender does when a subscription's channel is full
-/// — the same backpressure vocabulary the ingest admission path speaks
-/// (`Backpressure::{Block, Shed, Error}`), specialized to notifications.
+/// — the ingest admission path's backpressure vocabulary
+/// (`Backpressure::{Block, Shed}`), specialized to notifications.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum OverflowPolicy {
     /// Wait for the subscriber to drain the channel. No diff is ever
