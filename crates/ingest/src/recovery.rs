@@ -37,13 +37,15 @@ impl IngestPipeline {
     /// A fresh directory starts an empty pipeline whose commits are
     /// write-ahead logged. A directory holding a snapshot and/or WAL
     /// recovers as `load_snapshot + replay_wal`: the snapshot restores the
-    /// collection, mined patterns (with their captured spatial
-    /// footprints), posting lists (scores bit-for-bit), and pending
-    /// bookkeeping; WAL records beyond the snapshot's tick are then
-    /// re-committed. A torn WAL tail (crash artifact) is discarded and
-    /// repaired transparently; a corrupt snapshot or mid-log corruption is
-    /// a hard [`StoreError`] — the pipeline never silently starts empty
-    /// over bad data.
+    /// collection's inputs, the mined patterns (with their captured
+    /// spatial footprints) and the pending bookkeeping; the frequency
+    /// tensor and every posting list are re-derived from them by the code
+    /// that builds them on the commit path, so their scores are
+    /// bit-for-bit the never-crashed ones. WAL records beyond the
+    /// snapshot's tick are then re-committed. A torn WAL tail (crash
+    /// artifact) is discarded and repaired transparently; a corrupt
+    /// snapshot or mid-log corruption is a hard [`StoreError`] — the
+    /// pipeline never silently starts empty over bad data.
     pub fn durable(
         config: IngestConfig,
         dir: impl AsRef<Path>,
@@ -72,13 +74,13 @@ impl IngestPipeline {
             report.snapshot_ticks = state.ticks_committed;
             pipeline.live = LiveCollection::from_collection(Arc::clone(&state.collection));
             // A fresh engine over the recovered collection re-derives the
-            // term→documents map deterministically; the persisted state
-            // restores patterns and posting lists without re-scoring. The
-            // restore rebuilds every shard and publishes a new generation
-            // through the existing front (handles stay valid).
+            // term→documents map, takes the persisted patterns and scores
+            // every posting list as a fresh pipeline's `finalize` does,
+            // then publishes a new generation through the existing front
+            // (handles stay valid).
             pipeline
                 .engine
-                .restore(Arc::clone(&state.collection), state.engine);
+                .restore(Arc::clone(&state.collection), state.patterns);
             pipeline.ticks_committed = usize::try_from(state.ticks_committed)
                 .map_err(|_| StoreError::corrupt("snapshot", "tick count out of range"))?;
             pipeline.miners.restore_pending_flags(
@@ -214,7 +216,7 @@ mod tests {
         assert_eq!(report.wal_bytes_discarded, 0);
         assert_eq!(recovered.ticks_committed(), 10);
         let got = recovered.export_snapshot_state();
-        assert_eq!(expect.engine, got.engine, "engine state must round-trip");
+        assert_eq!(expect.patterns, got.patterns, "patterns must round-trip");
         assert_eq!(expect.pending, got.pending);
         let got_top = run(&recovered.search_handle(), &[quake], 5);
         assert_eq!(expect_top.len(), got_top.len());
@@ -245,7 +247,7 @@ mod tests {
         assert_eq!(report.snapshot_ticks, 6);
         assert_eq!(report.wal_ticks_replayed, 4);
         assert_eq!(recovered.ticks_committed(), 10);
-        assert_eq!(expect.engine, recovered.export_snapshot_state().engine);
+        assert_eq!(expect.patterns, recovered.export_snapshot_state().patterns);
         let got_top = run(&recovered.search_handle(), &[quake], 5);
         for (e, g) in expect_top.iter().zip(&got_top) {
             assert_eq!(e.doc, g.doc);

@@ -81,10 +81,30 @@ fn wrong_snapshot_version_is_unsupported_version() {
     let dir = case_dir("version");
     seed_store(&dir);
     // The version u32 sits right after the 8-byte magic; byte 8 is its
-    // low-order byte. Flipping bit 6 turns version 1 into 65.
+    // low-order byte. Flipping bit 6 turns version 2 into 66.
     flip_bit_file(&dir.join(SNAPSHOT_FILE), 8, 6).unwrap();
     match recover(&dir).map(|_| ()) {
-        Err(StoreError::UnsupportedVersion { found: 65, .. }) => {}
+        Err(StoreError::UnsupportedVersion { found: 66, .. }) => {}
+        other => panic!("expected UnsupportedVersion, got {other:?}"),
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn version_one_snapshot_is_unsupported_version() {
+    // Version 1 also persisted the frequency tensor and the posting lists.
+    // No store of that format is deployed, so it is refused, not migrated.
+    let dir = case_dir("version-one");
+    seed_store(&dir);
+    // Bits 0 and 1 of byte 8 turn version 2 into 1.
+    flip_bit_file(&dir.join(SNAPSHOT_FILE), 8, 0).unwrap();
+    flip_bit_file(&dir.join(SNAPSHOT_FILE), 8, 1).unwrap();
+    match recover(&dir).map(|_| ()) {
+        Err(StoreError::UnsupportedVersion {
+            found: 1,
+            supported: 2,
+            ..
+        }) => {}
         other => panic!("expected UnsupportedVersion, got {other:?}"),
     }
     let _ = std::fs::remove_dir_all(&dir);

@@ -17,12 +17,13 @@ use proptest::TestCaseError;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
-use stb_core::{STCombConfig, STLocalConfig};
-use stb_corpus::{StreamId, TermId};
+use stb_core::{STCombConfig, STLocal, STLocalConfig};
+use stb_corpus::{Collection, CollectionBuilder, StreamId, TermId};
 use stb_geo::GeoPoint;
 use stb_ingest::{IngestConfig, IngestPipeline, MinerKind, SearchHandle};
-use stb_search::{Query, SearchResult};
+use stb_search::{BurstySearchEngine, EngineConfig, Query, SearchResult};
 use stb_store::snapshot::encode_snapshot;
 use stb_store::{crash_artifact, truncate_bytes, FaultKind, Store, SNAPSHOT_FILE, WAL_FILE};
 
@@ -154,8 +155,9 @@ fn handle_run(handle: &SearchHandle, terms: &[TermId], k: usize) -> Vec<SearchRe
         .unwrap_or_default()
 }
 
-/// Bit-for-bit equivalence: the full snapshot encoding (collection tensor,
-/// patterns, postings, pending bookkeeping) plus top-k query results.
+/// Bit-for-bit equivalence: the full snapshot encoding (collection inputs,
+/// patterns, pending bookkeeping), what recovery re-derives from it (every
+/// term's frequency series and full ranked list), plus top-k query results.
 fn assert_equiv(
     label: &str,
     expect: &IngestPipeline,
@@ -170,7 +172,7 @@ fn assert_equiv(
     let state_e = expect.export_snapshot_state();
     let state_g = got.export_snapshot_state();
     prop_assert_eq!(&state_e.pending, &state_g.pending, "{}: pending", label);
-    prop_assert_eq!(&state_e.engine, &state_g.engine, "{}: engine", label);
+    prop_assert_eq!(&state_e.patterns, &state_g.patterns, "{}: patterns", label);
     let mut ce = stb_store::Enc::new();
     stb_store::snapshot::encode_collection(&mut ce, &state_e.collection);
     let mut cg = stb_store::Enc::new();
@@ -179,13 +181,41 @@ fn assert_equiv(
     let se = encode_snapshot(&state_e);
     let sg = encode_snapshot(&state_g);
     prop_assert_eq!(se, sg, "{}: snapshot encodings differ", label);
-    let terms: Vec<TermId> = expect.collection().terms().collect();
+    // The snapshot carries neither the tensor nor the postings: compare
+    // the re-derived ones directly. A single-term query with `k` at least
+    // the document count returns the term's whole posting list.
+    let (ce, cg) = (expect.collection(), got.collection());
+    let all = ce.documents().len().max(1);
+    let (he, hg) = (expect.search_handle(), got.search_handle());
+    for term in ce.terms() {
+        for s in ce.streams() {
+            let bits = |c: &stb_corpus::Collection| -> Vec<u64> {
+                c.term_stream_series(term, s.id)
+                    .iter()
+                    .map(|f| f.to_bits())
+                    .collect()
+            };
+            prop_assert_eq!(bits(&ce), bits(&cg), "{}: series of {:?}", label, term);
+        }
+        let re = handle_run(&he, &[term], all);
+        let rg = handle_run(&hg, &[term], all);
+        prop_assert_eq!(re.len(), rg.len(), "{}: list length of {:?}", label, term);
+        for (e, g) in re.iter().zip(&rg) {
+            prop_assert_eq!(e.doc, g.doc, "{}: list of {:?}", label, term);
+            prop_assert_eq!(
+                e.score.to_bits(),
+                g.score.to_bits(),
+                "{}: list of {:?}",
+                label,
+                term
+            );
+        }
+    }
+    let terms: Vec<TermId> = ce.terms().collect();
     let mut queries: Vec<Vec<TermId>> = terms.iter().map(|&t| vec![t]).collect();
     if terms.len() >= 2 {
         queries.push(terms.clone());
     }
-    let he = expect.search_handle();
-    let hg = got.search_handle();
     for query in &queries {
         for k in [1, 3, 10] {
             let re = handle_run(&he, query, k);
@@ -417,5 +447,189 @@ proptest! {
             }
         }
         recover_and_check(&dir, &plan, local, cache_capacity)?;
+    }
+}
+
+/// One operation of the whole-system durability model.
+#[derive(Debug, Clone)]
+enum Op {
+    AddStream,
+    /// A document on stream `pick % streams` (skipped with no streams).
+    Stage(usize, Vec<(usize, u32)>),
+    Commit,
+    Checkpoint,
+    CrashRecover,
+    /// A one-term and a two-term query.
+    Query(usize, usize),
+}
+
+fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
+    let count = (proptest::bool::ANY, 0u32..25)
+        .prop_map(|(burst, c)| if burst { 15 + c } else { 1 + c % 2 });
+    let bag = prop::collection::vec((0..TERMS.len(), count), 1..3);
+    let op = (0u32..20, 0usize..8, bag, 0..TERMS.len(), 0..TERMS.len()).prop_map(
+        |(kind, pick, bag, a, b)| match kind {
+            0 | 1 => Op::AddStream,
+            2..=8 => Op::Stage(pick, bag),
+            9..=13 => Op::Commit,
+            14 | 15 => Op::Checkpoint,
+            16 | 17 => Op::CrashRecover,
+            _ => Op::Query(a, b),
+        },
+    );
+    prop::collection::vec(op, 1..40)
+}
+
+/// A staged document: (stream index, [(term index, count)]).
+type StagedSpec = (usize, Vec<(usize, u32)>);
+
+/// What the durability contract says survives: committed ticks always (the
+/// log is written before a commit returns), registered streams and staged
+/// documents only as of the last commit or checkpoint.
+#[derive(Debug, Default)]
+struct Model {
+    streams: usize,
+    durable_streams: usize,
+    /// Streams the served generation was committed with.
+    committed_streams: usize,
+    /// Committed documents with their tick.
+    docs: Vec<(usize, StagedSpec)>,
+    staged: Vec<StagedSpec>,
+    durable_staged: Vec<StagedSpec>,
+    ticks: usize,
+}
+
+impl Model {
+    /// The oracle: the committed documents batch-built, batch-mined with
+    /// `STLocal` and served by a fresh finalized engine.
+    fn oracle(&self) -> (BurstySearchEngine, Arc<Collection>) {
+        let mut b = CollectionBuilder::new(self.ticks);
+        for s in 0..self.committed_streams {
+            b.add_stream(&format!("s{s}"), stream_geo(s));
+        }
+        for (tick, (stream, bag)) in &self.docs {
+            let mut counts = HashMap::new();
+            for &(term, count) in bag {
+                let id = b.dict_mut().intern(TERMS[term]);
+                *counts.entry(id).or_insert(0) += count;
+            }
+            b.add_document(StreamId(*stream as u32), *tick, counts);
+        }
+        let collection = Arc::new(b.build());
+        let mut engine = BurstySearchEngine::new(Arc::clone(&collection), EngineConfig::default());
+        for term in collection.terms() {
+            let (patterns, _) =
+                STLocal::mine_collection(&collection, term, STLocalConfig::default());
+            engine.set_patterns(term, &patterns);
+        }
+        engine.finalize_with_threads(1);
+        (engine, collection)
+    }
+}
+
+/// A query's results on the live pipeline and on the oracle, by the words'
+/// ids in each one's own dictionary. A word either side has not interned
+/// answers nothing.
+fn model_query(
+    pipeline: &IngestPipeline,
+    (oracle, collection): &(BurstySearchEngine, Arc<Collection>),
+    words: &[usize],
+    k: usize,
+) -> (Vec<SearchResult>, Vec<SearchResult>) {
+    let ids = |dict: &stb_corpus::TermDict| -> Option<Vec<TermId>> {
+        words.iter().map(|&w| dict.get(TERMS[w])).collect()
+    };
+    let got = ids(pipeline.collection().dict())
+        .map(|ids| handle_run(&pipeline.search_handle(), &ids, k))
+        .unwrap_or_default();
+    let expect = ids(collection.dict())
+        .and_then(|ids| oracle.query(&Query::terms(ids).top_k(k)).ok())
+        .map(|r| r.results)
+        .unwrap_or_default();
+    (expect, got)
+}
+
+proptest! {
+    /// The durability half of the whole-system model test: stage, commit,
+    /// stream registration, checkpoint, crash + recover and queries in
+    /// random order. Every query answers exactly what batch `STLocal` over
+    /// the committed documents, served by a fresh finalized engine,
+    /// answers: each term's whole ranked list and a two-term top 3, by
+    /// document and score bits.
+    #[test]
+    fn interleaved_durability_ops_match_a_batch_oracle(ops in arb_ops()) {
+        let dir = case_dir();
+        let open = |dir: &Path| IngestPipeline::durable(config(0, true, 64), dir).expect("open");
+        let (mut pipeline, _) = open(&dir);
+        let mut model = Model::default();
+        let mut ops = ops;
+        // Every run ends by serving its final state.
+        ops.push(Op::Commit);
+        ops.push(Op::Query(0, 1));
+        for op in ops {
+            match op {
+                Op::AddStream => {
+                    pipeline.add_stream(&format!("s{}", model.streams), stream_geo(model.streams));
+                    model.streams += 1;
+                }
+                Op::Stage(pick, bag) => {
+                    if model.streams == 0 {
+                        continue;
+                    }
+                    let doc = (pick % model.streams, bag);
+                    stage_docs(&mut pipeline, std::slice::from_ref(&doc));
+                    model.staged.push(doc);
+                }
+                Op::Commit => {
+                    pipeline.commit_tick();
+                    for doc in model.staged.drain(..) {
+                        model.docs.push((model.ticks, doc));
+                    }
+                    model.ticks += 1;
+                    model.committed_streams = model.streams;
+                    model.durable_streams = model.streams;
+                    model.durable_staged.clear();
+                }
+                Op::Checkpoint => {
+                    pipeline.checkpoint().expect("checkpoint");
+                    model.durable_streams = model.streams;
+                    model.durable_staged = model.staged.clone();
+                }
+                Op::CrashRecover => {
+                    drop(pipeline);
+                    pipeline = open(&dir).0;
+                    model.streams = model.durable_streams;
+                    model.staged = model.durable_staged.clone();
+                    prop_assert_eq!(pipeline.ticks_committed(), model.ticks);
+                    prop_assert_eq!(pipeline.collection().n_streams(), model.streams);
+                    prop_assert_eq!(pipeline.metrics().staged_docs, model.staged.len());
+                }
+                Op::Query(a, b) => {
+                    let oracle = model.oracle();
+                    let all = model.docs.len().max(1);
+                    let mut queries: Vec<(Vec<usize>, usize)> =
+                        (0..TERMS.len()).map(|w| (vec![w], all)).collect();
+                    queries.push((vec![a, b], 3));
+                    for (words, k) in queries {
+                        let (expect, got) = model_query(&pipeline, &oracle, &words, k);
+                        prop_assert_eq!(expect.len(), got.len(), "{:?}: result count", words);
+                        for (e, g) in expect.iter().zip(&got) {
+                            prop_assert_eq!(e.doc, g.doc, "{:?}: doc", words);
+                            prop_assert_eq!(
+                                e.score.to_bits(),
+                                g.score.to_bits(),
+                                "{:?}: score {} vs {}",
+                                words,
+                                e.score,
+                                g.score
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        prop_assert!(pipeline.durability_state().is_durable(), "the run must stay durable");
+        drop(pipeline);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -131,30 +131,6 @@ impl EngineConfigBuilder {
     }
 }
 
-/// A serializable snapshot of the engine's derived state: every term's
-/// registered patterns (with the spatial footprints captured at
-/// registration time) and, when the engine is finalized, its prebuilt
-/// score-sorted posting lists.
-///
-/// Produced by `BurstySearchEngine::export_state` and consumed by
-/// `BurstySearchEngine::import_state`; the `stb-store` snapshot format
-/// persists exactly this structure. The corpus-level term→documents lists
-/// are *not* part of the state — they are re-derived deterministically from
-/// the collection on construction.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct EngineState {
-    /// Per-term registered patterns, terms sorted by id, each term's
-    /// patterns in registration order — the engine's own slices, shared
-    /// by pointer.
-    pub patterns: Vec<(TermId, Arc<[PatternRecord]>)>,
-    /// Whether the full-collection posting index was prebuilt.
-    pub finalized: bool,
-    /// The prebuilt posting lists (empty unless `finalized`): terms sorted
-    /// by id, each list sorted by descending score with ties broken by doc
-    /// id. Scores carry their exact `f64` bit patterns.
-    pub postings: Vec<(TermId, Vec<Posting>)>,
-}
-
 /// The spatiotemporal restriction of a query, applied to patterns.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub(crate) struct PatternFilter {
@@ -511,61 +487,6 @@ impl BurstySearchEngine {
     /// [`BurstySearchEngine::finalize`] has run.
     pub fn prebuilt_index(&self) -> Option<&InvertedIndex> {
         self.state.prebuilt.as_ref()
-    }
-
-    /// Exports the engine's derived state — per-term patterns with their
-    /// captured spatial footprints and, if finalized, the prebuilt posting
-    /// lists — in a deterministic order, preserving every score's exact
-    /// `f64` bit pattern. See [`EngineState`].
-    pub(crate) fn export_state(&self) -> EngineState {
-        let mut patterns: Vec<(TermId, Arc<[PatternRecord]>)> = self
-            .state
-            .patterns
-            .iter()
-            .map(|(&term, records)| (term, Arc::clone(records)))
-            .collect();
-        patterns.sort_by_key(|&(term, _)| term);
-        let (finalized, postings) = match &self.state.prebuilt {
-            Some(index) => {
-                let lists = index
-                    .terms()
-                    .into_iter()
-                    .map(|term| (term, index.postings(term).to_vec()))
-                    .collect();
-                (true, lists)
-            }
-            None => (false, Vec::new()),
-        };
-        EngineState {
-            patterns,
-            finalized,
-            postings,
-        }
-    }
-
-    /// Replaces the engine's derived state with a previously exported one,
-    /// **without re-scoring anything**: patterns keep the spatial
-    /// footprints captured when they were first registered, and the
-    /// prebuilt posting lists are installed with their persisted scores
-    /// bit-for-bit. The result cache is cleared (cached results refer to
-    /// the replaced state).
-    ///
-    /// This is the recovery half of [`BurstySearchEngine::export_state`]:
-    /// importing an exported state into an engine holding the same
-    /// collection snapshot yields an engine that answers every query
-    /// byte-identically to the original.
-    pub(crate) fn import_state(&mut self, state: EngineState) {
-        self.state.patterns = state.patterns.into_iter().collect();
-        self.state.prebuilt = if state.finalized {
-            let mut index = InvertedIndex::new();
-            for (term, list) in state.postings {
-                index.set_postings(term, list);
-            }
-            Some(index)
-        } else {
-            None
-        };
-        self.cache.clear();
     }
 
     /// Replaces the query-result cache with an empty one of the given

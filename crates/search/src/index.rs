@@ -176,14 +176,6 @@ impl InvertedIndex {
         self.lists.len()
     }
 
-    /// Ids of every term with at least one posting, sorted (a deterministic
-    /// iteration order for state export).
-    pub(crate) fn terms(&self) -> Vec<TermId> {
-        let mut terms: Vec<TermId> = self.lists.keys().copied().collect();
-        terms.sort();
-        terms
-    }
-
     /// Total number of postings over all terms.
     pub(crate) fn n_postings(&self) -> usize {
         self.lists.values().map(|l| l.sorted.len()).sum()

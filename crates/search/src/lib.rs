@@ -67,8 +67,8 @@ pub mod threshold;
 pub use burstiness::NoPatternPolicy;
 pub use cache::QueryKey;
 pub use engine::{
-    BurstySearchEngine, EngineConfig, EngineConfigBuilder, EngineMetrics, EngineState,
-    SearchResult, DEFAULT_CACHE_CAPACITY,
+    BurstySearchEngine, EngineConfig, EngineConfigBuilder, EngineMetrics, SearchResult,
+    DEFAULT_CACHE_CAPACITY,
 };
 pub use error::QueryError;
 pub use index::{InvertedIndex, Posting};

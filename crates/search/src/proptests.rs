@@ -631,6 +631,31 @@ proptest! {
         }
     }
 
+    /// Scores from a four-value set make cut-off ties the common case: the
+    /// two evaluations agree on every document and every score bit.
+    #[test]
+    fn threshold_algorithm_matches_exhaustive_under_ties(
+        entries in prop::collection::vec((0u32..3, 0u32..10, 1u8..5), 0..40),
+        k in 1usize..4,
+        n_query in 1usize..4,
+        exclude in proptest::bool::ANY
+    ) {
+        let mut idx = InvertedIndex::new();
+        for (t, d, s) in entries {
+            idx.insert(TermId(t), DocId(d), f64::from(s) * 0.5);
+        }
+        idx.finalize();
+        let query: Vec<TermId> = (0..n_query as u32).map(TermId).collect();
+        let policy = if exclude { NoPatternPolicy::Exclude } else { NoPatternPolicy::Zero };
+        let bits = |r: Vec<crate::threshold::ScoredDoc>| -> Vec<(DocId, u64)> {
+            r.iter().map(|s| (s.doc, s.score.to_bits())).collect()
+        };
+        prop_assert_eq!(
+            bits(threshold_topk(&idx, &query, k, policy)),
+            bits(exhaustive_topk(&idx, &query, k, policy))
+        );
+    }
+
     #[test]
     fn results_are_sorted_positive_and_unique(idx in arb_index(), k in 1usize..12) {
         let query = vec![TermId(0), TermId(1), TermId(2)];

@@ -43,7 +43,6 @@
 use crate::cache::{QueryCache, QueryKey};
 use crate::engine::{
     execute, plan_key, plan_query, BurstySearchEngine, DerivedState, EngineConfig, EngineMetrics,
-    EngineState,
 };
 use crate::error::QueryError;
 use crate::obs::SearchObs;
@@ -427,22 +426,39 @@ impl ShardedEngine {
         self.all_dirty = true;
     }
 
-    /// Exports the write-side engine's derived state (for snapshots). See
-    /// `BurstySearchEngine::export_state`.
-    pub fn export_state(&self) -> EngineState {
-        self.engine.export_state()
+    /// Every term's registered pattern records, terms sorted by id: the
+    /// engine's own slices, shared by pointer. With the collection they are
+    /// all a snapshot needs to rebuild the engine (see
+    /// [`ShardedEngine::restore`]).
+    pub fn pattern_records(&self) -> Vec<(TermId, Arc<[PatternRecord]>)> {
+        let mut records: Vec<_> = self
+            .engine
+            .state()
+            .patterns
+            .iter()
+            .map(|(&term, records)| (term, Arc::clone(records)))
+            .collect();
+        records.sort_by_key(|&(term, _)| term);
+        records
     }
 
     /// Crash-recovery restore: replaces the write side with a fresh engine
-    /// over `collection` (re-deriving the corpus-level term→documents
-    /// lists), imports the persisted derived state bit-for-bit, and
-    /// publishes the result as a new generation on the *same* front, so
-    /// existing [`ServingFront`] handles keep working.
-    pub fn restore(&mut self, collection: impl Into<Arc<Collection>>, state: EngineState) {
+    /// over `collection`, registers the persisted pattern records, derives
+    /// every posting list with the single-threaded
+    /// [`finalize_with_threads`](Self::finalize_with_threads) a fresh
+    /// pipeline runs, and publishes the result as a new generation on the
+    /// *same* front, so existing [`ServingFront`] handles keep working.
+    pub fn restore(
+        &mut self,
+        collection: impl Into<Arc<Collection>>,
+        patterns: Vec<(TermId, Arc<[PatternRecord]>)>,
+    ) {
         let config = *self.engine.config();
         self.engine = BurstySearchEngine::with_cache_capacity(collection, config, 0);
-        self.engine.import_state(state);
-        self.all_dirty = true;
+        for (term, records) in patterns {
+            self.engine.set_pattern_records(term, records);
+        }
+        self.finalize_with_threads(1);
         self.publish();
     }
 
@@ -858,9 +874,9 @@ mod tests {
         let (_, mut sharded, flood, _) = build_pair(4);
         let front = sharded.front();
         let expected = front.query(&Query::terms([flood]).top_k(10)).unwrap();
-        let state = sharded.export_state();
+        let patterns = sharded.pattern_records();
         let collection = front.collection();
-        sharded.restore(collection, state);
+        sharded.restore(collection, patterns);
         let after = front.query(&Query::terms([flood]).top_k(10)).unwrap();
         assert_bit_identical(&expected, &after);
     }

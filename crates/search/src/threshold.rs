@@ -66,12 +66,14 @@ impl Eq for HeapEntry {}
 
 impl Ord for HeapEntry {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Min-heap by score (reverse), ties by doc id for determinism.
+        // The heap's top is the entry that ranks last in the answer order
+        // (score descending, doc id ascending): the lowest score, and among
+        // equal scores the largest doc id.
         other
             .score
             .partial_cmp(&self.score)
             .unwrap_or(std::cmp::Ordering::Equal)
-            .then(other.doc.cmp(&self.doc))
+            .then(self.doc.cmp(&other.doc))
     }
 }
 
@@ -183,11 +185,14 @@ pub(crate) fn threshold_topk_with_stats<I: PostingAccess + ?Sized>(
                 }
             }
         }
-        // Early termination: the k-th best score already meets the bound on
-        // every unseen document.
+        // Early termination: no unseen document can displace the k-th best.
+        // One list is read in answer order, so an unseen document that ties
+        // the bound has a larger id and a tie suffices; across several
+        // lists an unseen document may tie the k-th score with a smaller
+        // id, so the bound must be beaten strictly.
         if heap.len() == k {
             let kth = heap.peek().map(|e| e.score).unwrap_or(f64::NEG_INFINITY);
-            if kth >= threshold {
+            if kth > threshold || (lists.len() == 1 && kth == threshold) {
                 break;
             }
         }
@@ -310,6 +315,44 @@ mod tests {
                     assert_eq!(a.doc, b.doc, "k={k}");
                     assert!((a.score - b.score).abs() < 1e-12);
                 }
+            }
+        }
+    }
+
+    /// Cut-off ties resolve to the smaller doc id, as the answer order
+    /// (score descending, doc id ascending) says. In the first index the
+    /// larger id is read first. In the second, at depth 1 the bound (1 + 1)
+    /// equals the k-th score (doc 4 or 9, both 2) while unseen doc 3 also
+    /// scores 2: the scan must not stop on a tie with the bound.
+    #[test]
+    fn cut_off_ties_keep_the_smaller_doc_id() {
+        let fixtures: [&[(u32, u32, f64)]; 2] = [
+            &[(0, 5, 1.0), (0, 3, 0.5), (1, 3, 1.5), (1, 5, 1.0)],
+            &[
+                (0, 9, 1.5),
+                (0, 1, 1.0),
+                (0, 3, 1.0),
+                (1, 4, 2.0),
+                (1, 2, 1.0),
+                (1, 3, 1.0),
+                (1, 9, 0.5),
+            ],
+        ];
+        for entries in fixtures {
+            let mut idx = InvertedIndex::new();
+            for &(t, d, s) in entries {
+                idx.insert(term(t), doc(d), s);
+            }
+            idx.finalize();
+            for policy in [NoPatternPolicy::Zero, NoPatternPolicy::Exclude] {
+                let ta = threshold_topk(&idx, &[term(0), term(1)], 1, policy);
+                let ex = exhaustive_topk(&idx, &[term(0), term(1)], 1, policy);
+                let best = ScoredDoc {
+                    doc: doc(3),
+                    score: 2.0,
+                };
+                assert_eq!(ex, vec![best]);
+                assert_eq!(ta, ex, "{policy:?} over {entries:?}");
             }
         }
     }

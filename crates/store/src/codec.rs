@@ -9,31 +9,64 @@
 //! come back as typed [`StoreError`]s.
 
 use crate::error::StoreError;
-use std::sync::OnceLock;
+
+/// The slicing-by-8 tables of the reflected IEEE polynomial: `TABLES[0]`
+/// is the classic bytewise table, and `TABLES[k][b]` is the CRC register
+/// after byte `b` followed by `k` zero bytes.
+static TABLES: [[u32; 256]; 8] = crc32_tables();
+
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+            bit += 1;
+        }
+        tables[0][i] = c;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
+}
 
 /// Computes the IEEE CRC32 (the polynomial used by zip/PNG/ethernet) of a
 /// byte slice. Implemented locally — the build environment is offline, so
-/// no checksum crate is available.
+/// no checksum crate is available. Eight bytes per step (slicing-by-8),
+/// then the bytewise loop for the tail.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    static TABLE: OnceLock<[u32; 256]> = OnceLock::new();
-    let table = TABLE.get_or_init(|| {
-        let mut table = [0u32; 256];
-        for (i, entry) in table.iter_mut().enumerate() {
-            let mut c = i as u32;
-            for _ in 0..8 {
-                c = if c & 1 != 0 {
-                    0xEDB8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-            }
-            *entry = c;
-        }
-        table
-    });
+    let t = &TABLES;
     let mut crc = !0u32;
-    for &b in bytes {
-        crc = table[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
+    let mut chunks = bytes.chunks_exact(8);
+    for c in &mut chunks {
+        let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+        let hi = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        crc = t[0][((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
     }
     !crc
 }
@@ -198,6 +231,16 @@ impl<'a> Dec<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The bytewise table loop: the oracle for the sliced one.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut crc = !0u32;
+        for &b in bytes {
+            crc = TABLES[0][((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
+        }
+        !crc
+    }
 
     #[test]
     fn crc32_matches_known_vectors() {
@@ -205,6 +248,23 @@ mod tests {
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
         assert_eq!(crc32(b"a"), 0xE8B7_BE43);
+        // Past one 8-byte step, with and without a tail.
+        let fox = b"The quick brown fox jumps over the lazy dog";
+        assert_eq!(crc32(fox), 0x414F_A339);
+        assert_eq!(crc32(&fox[..40]), crc32_bytewise(&fox[..40]));
+    }
+
+    proptest! {
+        /// Every length and alignment: the sliced loop equals the bytewise
+        /// one.
+        #[test]
+        fn sliced_crc32_equals_bytewise(
+            bytes in prop::collection::vec(0u8..=255, 0..200),
+            skip in 0usize..8,
+        ) {
+            let slice = &bytes[skip.min(bytes.len())..];
+            prop_assert_eq!(crc32(slice), crc32_bytewise(slice));
+        }
     }
 
     #[test]

@@ -19,9 +19,8 @@ use crate::wal::{
 };
 use proptest::prelude::*;
 use stb_core::PatternRecord;
-use stb_corpus::{CollectionBuilder, DocId, StreamId, TermId, Tokenizer};
+use stb_corpus::{CollectionBuilder, StreamId, TermId, Tokenizer};
 use stb_geo::{GeoPoint, Point2D, Rect};
-use stb_search::{EngineState, Posting};
 use stb_timeseries::TimeInterval;
 use std::sync::Arc;
 
@@ -37,25 +36,15 @@ fn sample_snapshot() -> SnapshotState {
     SnapshotState {
         ticks_committed: 4,
         collection: Arc::new(b.build()),
-        engine: EngineState {
-            patterns: vec![(
-                TermId(0),
-                Arc::from([PatternRecord {
-                    streams: vec![StreamId(0), StreamId(1)],
-                    timeframe: TimeInterval { start: 0, end: 1 },
-                    region: Some(Rect::new(-1.0, 0.0, 2.5, 7.125)),
-                    score: 3.75,
-                }]),
-            )],
-            finalized: true,
-            postings: vec![(
-                TermId(0),
-                vec![Posting {
-                    doc: DocId(0),
-                    score: 2.5,
-                }],
-            )],
-        },
+        patterns: vec![(
+            TermId(0),
+            Arc::from([PatternRecord {
+                streams: vec![StreamId(0), StreamId(1)],
+                timeframe: TimeInterval { start: 0, end: 1 },
+                region: Some(Rect::new(-1.0, 0.0, 2.5, 7.125)),
+                score: 3.75,
+            }]),
+        )],
         pending: PendingState {
             structural_dirty: true,
             comb_all_dirty: false,

@@ -4,9 +4,10 @@
 //! this crate makes that state survive restarts and crashes:
 //!
 //! * [`SnapshotState`] — a versioned, checksummed binary snapshot of the
-//!   full engine state (collection tensor, mined patterns with captured
-//!   spatial footprints, finalized posting lists, and the pipeline's
-//!   pending bookkeeping), written atomically via temp-file + rename.
+//!   pipeline's inputs (dictionary, streams, documents, per-stream totals,
+//!   mined patterns with captured spatial footprints, and the pipeline's
+//!   pending bookkeeping), written atomically via temp-file + rename. The
+//!   frequency tensor and the posting lists are re-derived on load.
 //! * [`WalWriter`] — a write-ahead log of committed ticks:
 //!   length-prefixed, CRC-framed [`TickRecord`]s with a configurable
 //!   [`Durability`] policy, and tail-repair on read (a torn final record

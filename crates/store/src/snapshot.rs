@@ -1,12 +1,16 @@
-//! Versioned, checksummed binary snapshots of the full engine state.
+//! Versioned, checksummed binary snapshots of the pipeline's inputs.
 //!
-//! A snapshot freezes everything the ingestion pipeline and search engine
-//! have computed — the collection tensor, the mined patterns with their
-//! captured spatial footprints, the finalized posting lists, and the
-//! pipeline's *pending* bookkeeping (dirty terms, staged documents,
-//! structural flags) — so a restarted process resumes from
-//! `load_snapshot + replay_wal` byte-identically to a process that never
-//! stopped.
+//! A snapshot freezes what the ingestion pipeline cannot re-derive: the
+//! dictionary, the streams with their positions, the timeline length, the
+//! documents, the per-stream totals, the mined patterns with their captured
+//! spatial footprints, and the pipeline's *pending* bookkeeping (dirty
+//! terms, staged documents, structural flags). Everything else is derived
+//! on load by the code that builds it the first time: the frequency tensor
+//! by [`Collection::from_parts`] (the aggregation
+//! `CollectionBuilder::build` runs), every posting list by the engine's
+//! `finalize` (see `ShardedEngine::restore`). A restarted process resumes
+//! from `load_snapshot + replay_wal` byte-identically to a process that
+//! never stopped.
 //!
 //! # On-disk format
 //!
@@ -32,7 +36,6 @@ use stb_core::PatternRecord;
 use stb_corpus::DocId;
 use stb_corpus::{Collection, CollectionParts, Document, StreamId, StreamMeta, TermId};
 use stb_geo::{GeoPoint, Point2D, Rect};
-use stb_search::{EngineState, Posting};
 use stb_timeseries::TimeInterval;
 
 use crate::codec::{crc32, Dec, Enc};
@@ -42,8 +45,10 @@ use crate::wal::DocRecord;
 
 /// The snapshot file magic number.
 pub(crate) const SNAPSHOT_MAGIC: [u8; 8] = *b"STBSNAP0";
-/// The single snapshot format version this build reads and writes.
-pub(crate) const SNAPSHOT_VERSION: u32 = 1;
+/// The single snapshot format version this build reads and writes. Version
+/// 1 also persisted the frequency tensor and every posting list; there are
+/// no deployed stores, so a version-1 file is an `UnsupportedVersion` error.
+pub(crate) const SNAPSHOT_VERSION: u32 = 2;
 
 /// The ingestion pipeline's uncommitted bookkeeping at snapshot time.
 ///
@@ -65,19 +70,21 @@ pub struct PendingState {
     pub staged: Vec<DocRecord>,
 }
 
-/// Everything a recovered process needs: the committed tick count, the
-/// collection, the engine's derived state, and the pipeline's pending
-/// bookkeeping.
+/// Everything a recovered process needs and cannot re-derive: the
+/// committed tick count, the collection, the mined patterns, and the
+/// pipeline's pending bookkeeping.
 #[derive(Debug, Clone)]
 pub struct SnapshotState {
     /// Number of ticks committed when the snapshot was taken. WAL records
     /// with `tick < ticks_committed` are already reflected here and are
     /// skipped during replay.
     pub ticks_committed: u64,
-    /// The collection tensor.
+    /// The collection; only its inputs are persisted (see
+    /// [`encode_collection`]).
     pub collection: Arc<Collection>,
-    /// Mined patterns and finalized posting lists.
-    pub engine: EngineState,
+    /// Per-term mined patterns, terms sorted by id, each term's records in
+    /// registration order.
+    pub patterns: Vec<(TermId, Arc<[PatternRecord]>)>,
     /// Uncommitted pipeline bookkeeping.
     pub pending: PendingState,
 }
@@ -87,49 +94,41 @@ pub struct SnapshotState {
 // unit tests can round-trip them in isolation.
 // ---------------------------------------------------------------------
 
-/// Encodes a collection (as its [`CollectionParts`]) into `e`.
+/// Encodes a collection's inputs into `e`: dictionary, streams, timeline
+/// length, documents and per-stream totals. The frequency tensor is not
+/// persisted; `decode_collection` re-derives it from the documents.
 pub fn encode_collection(e: &mut Enc, collection: &Collection) {
-    let parts = collection.to_parts();
-    e.put_u32(parts.terms.len() as u32);
-    for term in &parts.terms {
+    let dict = collection.dict();
+    e.put_u32(dict.len() as u32);
+    for (_, term) in dict.iter() {
         e.put_str(term);
     }
-    e.put_u32(parts.streams.len() as u32);
-    for s in &parts.streams {
+    e.put_u32(collection.n_streams() as u32);
+    for s in collection.streams() {
         e.put_str(&s.name);
         e.put_f64(s.geostamp.lat);
         e.put_f64(s.geostamp.lon);
         e.put_f64(s.position.x);
         e.put_f64(s.position.y);
     }
-    e.put_usize(parts.timeline_len);
-    e.put_u32(parts.documents.len() as u32);
-    for d in &parts.documents {
+    e.put_usize(collection.timeline_len());
+    e.put_u32(collection.documents().len() as u32);
+    let mut counts: Vec<(TermId, u32)> = Vec::new();
+    for d in collection.documents() {
         e.put_u32(d.stream.0);
         e.put_usize(d.timestamp);
-        let mut counts: Vec<(TermId, u32)> = d.counts.iter().map(|(&t, &c)| (t, c)).collect();
-        counts.sort_by_key(|&(t, _)| t);
+        counts.clear();
+        counts.extend(d.counts.iter().map(|(&t, &c)| (t, c)));
+        counts.sort_unstable_by_key(|&(t, _)| t);
         e.put_u32(counts.len() as u32);
-        for (t, c) in counts {
+        for &(t, c) in &counts {
             e.put_u32(t.0);
             e.put_u32(c);
         }
     }
-    e.put_u32(parts.term_freqs.len() as u32);
-    for (term, streams) in &parts.term_freqs {
-        e.put_u32(term.0);
-        e.put_u32(streams.len() as u32);
-        for (stream, entries) in streams {
-            e.put_u32(stream.0);
-            e.put_u32(entries.len() as u32);
-            for &(ts, f) in entries {
-                e.put_usize(ts);
-                e.put_f64(f);
-            }
-        }
-    }
-    e.put_u32(parts.stream_totals.len() as u32);
-    for totals in &parts.stream_totals {
+    e.put_u32(collection.n_streams() as u32);
+    for s in collection.streams() {
+        let totals = collection.stream_total_series(s.id);
         e.put_u32(totals.len() as u32);
         for &v in totals {
             e.put_f64(v);
@@ -137,8 +136,8 @@ pub fn encode_collection(e: &mut Enc, collection: &Collection) {
     }
 }
 
-/// Decodes a collection, validating every structural invariant via
-/// [`Collection::from_parts`].
+/// Decodes a collection, validating every structural invariant and
+/// re-deriving the frequency tensor via [`Collection::from_parts`].
 pub(crate) fn decode_collection(d: &mut Dec<'_>) -> Result<Collection, StoreError> {
     let n_terms = d.get_count(4)?;
     let mut terms = Vec::with_capacity(n_terms);
@@ -180,25 +179,6 @@ pub(crate) fn decode_collection(d: &mut Dec<'_>) -> Result<Collection, StoreErro
             counts,
         });
     }
-    let n_tf = d.get_count(4)?;
-    let mut term_freqs = Vec::with_capacity(n_tf);
-    for _ in 0..n_tf {
-        let term = TermId(d.get_u32()?);
-        let n_streams = d.get_count(4)?;
-        let mut per_stream = Vec::with_capacity(n_streams);
-        for _ in 0..n_streams {
-            let stream = StreamId(d.get_u32()?);
-            let n_entries = d.get_count(16)?;
-            let mut entries = Vec::with_capacity(n_entries);
-            for _ in 0..n_entries {
-                let ts = d.get_usize()?;
-                let f = d.get_f64()?;
-                entries.push((ts, f));
-            }
-            per_stream.push((stream, entries));
-        }
-        term_freqs.push((term, per_stream));
-    }
     let n_totals = d.get_count(4)?;
     let mut stream_totals = Vec::with_capacity(n_totals);
     for _ in 0..n_totals {
@@ -214,7 +194,6 @@ pub(crate) fn decode_collection(d: &mut Dec<'_>) -> Result<Collection, StoreErro
         streams,
         timeline_len,
         documents,
-        term_freqs,
         stream_totals,
     };
     Collection::from_parts(parts)
@@ -291,30 +270,23 @@ pub(crate) fn decode_pattern(d: &mut Dec<'_>) -> Result<PatternRecord, StoreErro
     })
 }
 
-/// Encodes the engine's exported state.
-pub(crate) fn encode_engine(e: &mut Enc, state: &EngineState) {
-    e.put_u32(state.patterns.len() as u32);
-    for (term, records) in &state.patterns {
+/// Encodes every term's pattern records.
+pub(crate) fn encode_patterns(e: &mut Enc, patterns: &TermPatterns) {
+    e.put_u32(patterns.len() as u32);
+    for (term, records) in patterns {
         e.put_u32(term.0);
         e.put_u32(records.len() as u32);
         for r in records.iter() {
             encode_pattern(e, r);
         }
     }
-    e.put_bool(state.finalized);
-    e.put_u32(state.postings.len() as u32);
-    for (term, list) in &state.postings {
-        e.put_u32(term.0);
-        e.put_u32(list.len() as u32);
-        for p in list {
-            e.put_u32(p.doc.0);
-            e.put_f64(p.score);
-        }
-    }
 }
 
-/// Decodes the engine's exported state.
-pub(crate) fn decode_engine(d: &mut Dec<'_>) -> Result<EngineState, StoreError> {
+/// Every term's pattern records, terms sorted by id.
+type TermPatterns = Vec<(TermId, Arc<[PatternRecord]>)>;
+
+/// Decodes every term's pattern records.
+pub(crate) fn decode_patterns(d: &mut Dec<'_>) -> Result<TermPatterns, StoreError> {
     let n_terms = d.get_count(4)?;
     let mut patterns = Vec::with_capacity(n_terms);
     for _ in 0..n_terms {
@@ -326,31 +298,7 @@ pub(crate) fn decode_engine(d: &mut Dec<'_>) -> Result<EngineState, StoreError> 
         }
         patterns.push((term, records.into()));
     }
-    let finalized = d.get_bool()?;
-    let n_postings = d.get_count(4)?;
-    let mut postings = Vec::with_capacity(n_postings);
-    for _ in 0..n_postings {
-        let term = TermId(d.get_u32()?);
-        let n = d.get_count(12)?;
-        let mut list = Vec::with_capacity(n);
-        for _ in 0..n {
-            let doc = DocId(d.get_u32()?);
-            let score = d.get_f64()?;
-            list.push(Posting { doc, score });
-        }
-        postings.push((term, list));
-    }
-    if !finalized && !postings.is_empty() {
-        return Err(StoreError::corrupt(
-            "snapshot",
-            "posting lists present in an unfinalized engine state",
-        ));
-    }
-    Ok(EngineState {
-        patterns,
-        finalized,
-        postings,
-    })
+    Ok(patterns)
 }
 
 /// Encodes one staged-document record.
@@ -417,18 +365,18 @@ pub fn encode_snapshot(state: &SnapshotState) -> Vec<u8> {
     let mut e = Enc::new();
     e.put_u64(state.ticks_committed);
     encode_collection(&mut e, &state.collection);
-    encode_engine(&mut e, &state.engine);
+    encode_patterns(&mut e, &state.patterns);
     encode_pending(&mut e, &state.pending);
     e.into_bytes()
 }
 
-/// Range-checks every id in the engine and pending sections against the
+/// Range-checks every id in the pattern and pending sections against the
 /// decoded collection's bounds, so a checksum-valid but internally
 /// inconsistent snapshot fails closed with a typed error instead of
 /// panicking (index out of bounds) the first time a query touches it.
 fn validate_snapshot_ids(
     collection: &Collection,
-    engine: &EngineState,
+    patterns: &TermPatterns,
     pending: &PendingState,
 ) -> Result<(), StoreError> {
     // Term ids are bounded by the dictionary, not the frequency tensor:
@@ -436,7 +384,6 @@ fn validate_snapshot_ids(
     // of its documents commit.
     let n_terms = collection.dict().len();
     let n_streams = collection.n_streams();
-    let n_docs = collection.documents().len();
     let term_in_range = |what: &'static str, term: TermId| {
         if (term.0 as usize) < n_terms {
             Ok(())
@@ -447,7 +394,7 @@ fn validate_snapshot_ids(
             ))
         }
     };
-    for (term, records) in &engine.patterns {
+    for (term, records) in patterns {
         term_in_range("pattern set", *term)?;
         for r in records.iter() {
             for s in &r.streams {
@@ -460,20 +407,6 @@ fn validate_snapshot_ids(
                         ),
                     ));
                 }
-            }
-        }
-    }
-    for (term, list) in &engine.postings {
-        term_in_range("posting list", *term)?;
-        for p in list {
-            if (p.doc.0 as usize) >= n_docs {
-                return Err(StoreError::corrupt(
-                    "snapshot",
-                    format!(
-                        "posting of term {} references document {} with {n_docs} documents",
-                        term.0, p.doc.0
-                    ),
-                ));
             }
         }
     }
@@ -502,7 +435,7 @@ pub(crate) fn decode_snapshot(payload: &[u8]) -> Result<SnapshotState, StoreErro
     let mut d = Dec::new(payload, "snapshot");
     let ticks_committed = d.get_u64()?;
     let collection = decode_collection(&mut d)?;
-    let engine = decode_engine(&mut d)?;
+    let patterns = decode_patterns(&mut d)?;
     let pending = decode_pending(&mut d)?;
     if !d.is_empty() {
         return Err(StoreError::corrupt(
@@ -510,11 +443,11 @@ pub(crate) fn decode_snapshot(payload: &[u8]) -> Result<SnapshotState, StoreErro
             format!("{} trailing bytes after snapshot", d.remaining()),
         ));
     }
-    validate_snapshot_ids(&collection, &engine, &pending)?;
+    validate_snapshot_ids(&collection, &patterns, &pending)?;
     Ok(SnapshotState {
         ticks_committed,
         collection: Arc::new(collection),
-        engine,
+        patterns,
         pending,
     })
 }
@@ -654,44 +587,28 @@ mod tests {
 
     fn sample_state() -> SnapshotState {
         let collection = sample_collection();
-        let engine = EngineState {
-            patterns: vec![(
-                TermId(0),
-                Arc::from([
-                    PatternRecord {
-                        streams: vec![StreamId(0), StreamId(1)],
-                        timeframe: TimeInterval { start: 0, end: 1 },
-                        region: Some(Rect {
-                            min_x: -1.0,
-                            min_y: -0.0,
-                            max_x: 2.5,
-                            max_y: 7.125,
-                        }),
-                        score: 3.75,
-                    },
-                    PatternRecord {
-                        streams: vec![StreamId(0)],
-                        timeframe: TimeInterval { start: 3, end: 3 },
-                        region: None,
-                        score: f64::MIN_POSITIVE,
-                    },
-                ]),
-            )],
-            finalized: true,
-            postings: vec![(
-                TermId(0),
-                vec![
-                    Posting {
-                        doc: DocId(0),
-                        score: 2.5,
-                    },
-                    Posting {
-                        doc: DocId(1),
-                        score: 0.125,
-                    },
-                ],
-            )],
-        };
+        let patterns = vec![(
+            TermId(0),
+            Arc::from([
+                PatternRecord {
+                    streams: vec![StreamId(0), StreamId(1)],
+                    timeframe: TimeInterval { start: 0, end: 1 },
+                    region: Some(Rect {
+                        min_x: -1.0,
+                        min_y: -0.0,
+                        max_x: 2.5,
+                        max_y: 7.125,
+                    }),
+                    score: 3.75,
+                },
+                PatternRecord {
+                    streams: vec![StreamId(0)],
+                    timeframe: TimeInterval { start: 3, end: 3 },
+                    region: None,
+                    score: f64::MIN_POSITIVE,
+                },
+            ]),
+        )];
         let pending = PendingState {
             structural_dirty: true,
             comb_all_dirty: false,
@@ -704,7 +621,7 @@ mod tests {
         SnapshotState {
             ticks_committed: 4,
             collection: Arc::new(collection),
-            engine,
+            patterns,
             pending,
         }
     }
@@ -717,13 +634,19 @@ mod tests {
         let mut eb = Enc::new();
         encode_collection(&mut eb, &b.collection);
         assert_eq!(ea.into_bytes(), eb.into_bytes());
-        assert_eq!(a.engine, b.engine);
+        assert_eq!(a.patterns, b.patterns);
         assert_eq!(a.pending, b.pending);
     }
 
     #[test]
     fn collection_round_trip() {
-        let collection = sample_collection();
+        // Grown after the build, as the live pipeline grows it: the decoded
+        // tensor is re-derived, and must equal the one the pushes kept.
+        let mut collection = sample_collection();
+        let lima = collection.add_stream("lima", GeoPoint::new(-12.0, -77.0));
+        collection.extend_timeline(6);
+        let quake = collection.dict().get("quake").unwrap();
+        collection.push_document(lima, 5, std::collections::HashMap::from([(quake, 4)]));
         let mut e = Enc::new();
         encode_collection(&mut e, &collection);
         let bytes = e.into_bytes();
@@ -733,6 +656,36 @@ mod tests {
         let mut e2 = Enc::new();
         encode_collection(&mut e2, &decoded);
         assert_eq!(e2.into_bytes(), bytes);
+        assert_eq!(
+            collection.terms().collect::<Vec<_>>(),
+            decoded.terms().collect::<Vec<_>>()
+        );
+        for term in collection.terms() {
+            for s in collection.streams() {
+                let (a, b) = (
+                    collection.term_stream_series(term, s.id),
+                    decoded.term_stream_series(term, s.id),
+                );
+                assert_eq!(
+                    a.iter().map(|f| f.to_bits()).collect::<Vec<_>>(),
+                    b.iter().map(|f| f.to_bits()).collect::<Vec<_>>()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn totals_that_disagree_with_the_documents_are_corrupt() {
+        let mut e = Enc::new();
+        encode_collection(&mut e, &sample_collection());
+        let mut bytes = e.into_bytes();
+        // The last total (tokyo, timestamp 3) is 0.0; make it 1.0.
+        let n = bytes.len();
+        bytes[n - 8..].copy_from_slice(&1.0f64.to_le_bytes());
+        assert!(matches!(
+            decode_collection(&mut Dec::new(&bytes, "snapshot")),
+            Err(StoreError::Corrupt { .. })
+        ));
     }
 
     #[test]
@@ -791,35 +744,13 @@ mod tests {
     }
 
     #[test]
-    fn engine_state_round_trip() {
-        let state = sample_state().engine;
+    fn patterns_round_trip() {
+        let patterns = sample_state().patterns;
         let mut e = Enc::new();
-        encode_engine(&mut e, &state);
+        encode_patterns(&mut e, &patterns);
         let bytes = e.into_bytes();
-        let decoded = decode_engine(&mut Dec::new(&bytes, "snapshot")).unwrap();
-        assert_eq!(decoded, state);
-    }
-
-    #[test]
-    fn unfinalized_engine_with_postings_is_corrupt() {
-        let state = EngineState {
-            patterns: Vec::new(),
-            finalized: false,
-            postings: vec![(
-                TermId(0),
-                vec![Posting {
-                    doc: DocId(0),
-                    score: 1.0,
-                }],
-            )],
-        };
-        let mut e = Enc::new();
-        encode_engine(&mut e, &state);
-        let bytes = e.into_bytes();
-        assert!(matches!(
-            decode_engine(&mut Dec::new(&bytes, "snapshot")),
-            Err(StoreError::Corrupt { .. })
-        ));
+        let decoded = decode_patterns(&mut Dec::new(&bytes, "snapshot")).unwrap();
+        assert_eq!(decoded, patterns);
     }
 
     #[test]
@@ -861,7 +792,7 @@ mod tests {
         let state = SnapshotState {
             ticks_committed: 0,
             collection: Arc::new(CollectionBuilder::new(0).build()),
-            engine: EngineState::default(),
+            patterns: Vec::new(),
             pending: PendingState::default(),
         };
         let decoded = decode_snapshot(&encode_snapshot(&state)).unwrap();
@@ -895,25 +826,17 @@ mod tests {
             ));
         };
 
-        let mut bad = sample_state();
-        bad.engine.postings[0].1[0].doc = DocId(99);
-        reject(&bad);
-
-        let mut bad = sample_state();
-        bad.engine.postings[0].0 = TermId(40);
-        reject(&bad);
-
         // Pattern streams out of range, out of order, or repeated.
         for streams in [&[0, 1, 9][..], &[1, 0], &[0, 0]] {
             let mut bad = sample_state();
-            let mut records = bad.engine.patterns[0].1.to_vec();
+            let mut records = bad.patterns[0].1.to_vec();
             records[0].streams = streams.iter().copied().map(StreamId).collect();
-            bad.engine.patterns[0].1 = records.into();
+            bad.patterns[0].1 = records.into();
             reject(&bad);
         }
 
         let mut bad = sample_state();
-        bad.engine.patterns[0].0 = TermId(40);
+        bad.patterns[0].0 = TermId(40);
         reject(&bad);
 
         let mut bad = sample_state();
@@ -952,6 +875,17 @@ mod tests {
             Err(StoreError::BadMagic {
                 what: "snapshot",
                 ..
+            })
+        ));
+        // A version-1 file.
+        let mut bad = good.clone();
+        bad[8..12].copy_from_slice(&1u32.to_le_bytes());
+        assert!(matches!(
+            unframe_snapshot(&bad),
+            Err(StoreError::UnsupportedVersion {
+                what: "snapshot",
+                found: 1,
+                supported: 2,
             })
         ));
         // Wrong version byte.

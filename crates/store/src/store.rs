@@ -112,7 +112,6 @@ mod tests {
     use crate::snapshot::PendingState;
     use crate::wal::TickRecord;
     use stb_corpus::CollectionBuilder;
-    use stb_search::EngineState;
     use std::sync::Arc;
 
     fn temp_store(tag: &str) -> Store {
@@ -137,7 +136,7 @@ mod tests {
         let state = SnapshotState {
             ticks_committed: 2,
             collection: Arc::new(CollectionBuilder::new(3).build()),
-            engine: EngineState::default(),
+            patterns: Vec::new(),
             pending: PendingState::default(),
         };
         store.write_snapshot(&state).unwrap();
