@@ -219,17 +219,13 @@ impl STLocal {
             "snapshot must provide one frequency per stream"
         );
         // 1. Per-stream burstiness (Eq. 7). A stream's first non-zero
-        //    observation activates it: its baseline is fed the zeros the
-        //    stream has observed so far, through the same `observe` a
-        //    baseline kept from timestamp 0 would have seen them.
+        //    observation activates it with the baseline of the zeros it has
+        //    observed so far, bit-identical to one kept from timestamp 0.
         for (x, &obs) in observed.iter().enumerate() {
             if obs != 0.0 && !self.is_active[x] {
-                let mut baseline = RunningMean::new();
-                for _ in 0..self.timestamp {
-                    baseline.observe(0.0);
-                }
                 self.is_active[x] = true;
-                self.activated.push((x, baseline));
+                self.activated
+                    .push((x, RunningMean::after_zeros(self.timestamp)));
             }
         }
         let mut burstiness = vec![0.0f64; observed.len()];

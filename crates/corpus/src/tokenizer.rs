@@ -9,43 +9,36 @@
 use crate::dictionary::{TermDict, TermId};
 use std::collections::HashMap;
 
-/// Default English stop words filtered by [`Tokenizer::default`].
+/// English stop words filtered by every [`Tokenizer`]; sorted and free of
+/// duplicates, as the filter binary-searches it.
 const DEFAULT_STOPWORDS: &[&str] = &[
     "a", "an", "and", "are", "as", "at", "be", "but", "by", "for", "from", "has", "have", "he",
     "her", "his", "in", "is", "it", "its", "of", "on", "or", "she", "that", "the", "their", "they",
     "this", "to", "was", "were", "will", "with",
 ];
 
-/// Tokenizer producing term-frequency bags.
-#[derive(Debug, Clone)]
-pub struct Tokenizer {
-    stopwords: Vec<String>,
-    min_len: usize,
-}
+/// Tokens shorter than this many bytes are dropped.
+const MIN_TOKEN_LEN: usize = 2;
 
-impl Default for Tokenizer {
-    fn default() -> Self {
-        Self {
-            stopwords: DEFAULT_STOPWORDS.iter().map(|s| s.to_string()).collect(),
-            min_len: 2,
-        }
-    }
-}
+/// Tokenizer producing term-frequency bags.
+#[derive(Debug, Clone, Default)]
+#[non_exhaustive]
+pub struct Tokenizer;
 
 impl Tokenizer {
     /// A tokenizer with the default stop-word list and a minimum token
     /// length of 2.
     pub fn new() -> Self {
-        Self::default()
+        Self
     }
 
     /// Splits `text` into normalized tokens (lowercased, alphanumeric runs),
     /// applying the length and stop-word filters.
     pub fn tokenize<'a>(&'a self, text: &'a str) -> impl Iterator<Item = String> + 'a {
         text.split(|c: char| !c.is_alphanumeric())
-            .filter(move |tok| tok.len() >= self.min_len)
+            .filter(|tok| tok.len() >= MIN_TOKEN_LEN)
             .map(|tok| tok.to_lowercase())
-            .filter(move |tok| !self.stopwords.iter().any(|s| s == tok))
+            .filter(|tok| DEFAULT_STOPWORDS.binary_search(&tok.as_str()).is_err())
     }
 
     /// Tokenizes `text` and interns the tokens, returning the term-frequency
@@ -99,6 +92,11 @@ mod tests {
         let mut dict = TermDict::new();
         assert!(t.term_counts("", &mut dict).is_empty());
         assert!(t.term_counts("... !!! ---", &mut dict).is_empty());
+    }
+
+    #[test]
+    fn stopwords_are_sorted_and_deduplicated() {
+        assert!(DEFAULT_STOPWORDS.windows(2).all(|w| w[0] < w[1]));
     }
 
     #[test]

@@ -12,8 +12,7 @@ use stb_store::{Durability, RetryPolicy};
 #[derive(Debug, Clone)]
 pub struct IngestConfig {
     /// Pre-sized timeline length. Ticks beyond it grow the timeline on
-    /// demand (which re-dirties every term for the `STComb` view — see the
-    /// module docs). 0 means fully dynamic.
+    /// demand; 0 means fully dynamic.
     pub timeline_capacity: usize,
     /// The miner that keeps patterns fresh.
     pub miner: MinerKind,

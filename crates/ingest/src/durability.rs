@@ -816,7 +816,7 @@ mod tests {
         let wal = std::fs::read(dir.join(stb_store::WAL_FILE)).expect("read wal");
         assert_eq!(
             (snapshot.len(), stb_store::crc32(&snapshot)),
-            (1407, 0x9418_aa91)
+            (1406, 0x73fb_65af)
         );
         assert_eq!((wal.len(), stb_store::crc32(&wal)), (392, 0x679b_9f28));
         let _ = std::fs::remove_dir_all(&dir);

@@ -11,8 +11,8 @@
 //!   the frequency-tensor representation with `stb-corpus`. It stages
 //!   documents and commits ticks: each commit
 //!   advances the per-(term, stream) online burst state, re-mines only the
-//!   tick's *dirty terms* (the streaming `STLocal` step of Algorithm 2, or
-//!   a dirty-subset `STComb` pass), and applies the resulting
+//!   tick's *dirty terms* (the streaming `STLocal` step of Algorithm 2),
+//!   and applies the resulting
 //!   [`PatternDelta`]s to a `ShardedEngine` — per-term posting re-scores
 //!   and precise result-cache invalidation, never a full rebuild — before
 //!   publishing one new immutable serving generation that shares the
@@ -43,8 +43,8 @@
 //!
 //! Replay-equivalence is property-tested: ingesting a corpus one document
 //! at a time and then querying is byte-identical to the batch
-//! `CollectionBuilder` + batch-mine + `finalize()` path, for both miners,
-//! with the result cache on and off.
+//! `CollectionBuilder` + batch-mine + `finalize()` path, with the result
+//! cache on and off.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

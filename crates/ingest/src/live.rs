@@ -29,11 +29,6 @@ impl LiveCollection {
     /// Creates an empty live collection whose timeline is pre-sized to
     /// `timeline_capacity` timestamps (0 is fine: the timeline grows on
     /// demand, see [`LiveCollection::extend_timeline`]).
-    ///
-    /// Pre-sizing matters to incremental `STComb` mining: the temporal
-    /// burstiness `B_T` of every interval depends on the timeline length,
-    /// so a growing timeline re-dirties every term, while a pre-sized one
-    /// keeps per-tick work proportional to the tick's dirty terms.
     pub(crate) fn new(timeline_capacity: usize) -> Self {
         Self {
             snapshot: Arc::new(CollectionBuilder::new(timeline_capacity).build()),

@@ -1,12 +1,11 @@
-//! Per-term mining on the live path: the paper's two miners kept fresh one
-//! tick at a time, and the [`PatternDelta`]s a commit hands to the engine.
+//! Per-term mining on the live path: the paper's streaming miner kept
+//! fresh one tick at a time, and the [`PatternDelta`]s a commit hands to
+//! the engine.
 
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
-use stb_core::{
-    Pattern, PatternRecord, RegionalPattern, STComb, STCombConfig, STLocal, STLocalConfig,
-};
+use stb_core::{Pattern, PatternRecord, RegionalPattern, STLocal, STLocalConfig};
 use stb_corpus::{Collection, TermId, Timestamp};
 use stb_geo::Point2D;
 use stb_obs::Counter;
@@ -17,9 +16,6 @@ pub enum MinerKind {
     /// The streaming regional miner (Section 4, Algorithm 2): one online
     /// `STLocal` instance per term, stepped when the term is dirty or read.
     STLocal(STLocalConfig),
-    /// The combinatorial miner (Section 3): dirty terms are re-mined from
-    /// their full (fixed-timeline) series on each commit.
-    STComb(STCombConfig),
 }
 
 /// A per-term pattern update emitted by a tick commit: the term's
@@ -41,19 +37,16 @@ impl PatternDelta {
     }
 }
 
-/// The mining state of a pipeline: the configured miner, one online
-/// `STLocal` instance per term ever dirty, and the flags that force a wider
+/// The mining state of a pipeline: the miner configuration, one online
+/// `STLocal` instance per term ever dirty, and the flag that forces a wider
 /// re-mine than the tick's dirty set.
 pub(crate) struct Miners {
-    kind: MinerKind,
-    /// One online miner per term ever dirty (`STLocal` mode only).
+    config: STLocalConfig,
+    /// One online miner per term ever dirty.
     local: HashMap<TermId, TermMiner>,
     /// A stream was added since the last commit: per-term miner state is
     /// positional and must be rebuilt from collection history.
     structural_dirty: bool,
-    /// The timeline length changed (or a structural change happened), so
-    /// every term's `STComb` view is stale.
-    comb_all_dirty: bool,
     /// Miners (re)built by replaying collection history.
     pub(crate) catchup_replays: Arc<Counter>,
 }
@@ -99,11 +92,11 @@ impl TermMiner {
 
 impl Miners {
     pub(crate) fn new(kind: MinerKind) -> Self {
+        let MinerKind::STLocal(config) = kind;
         Self {
-            kind,
+            config,
             local: HashMap::new(),
             structural_dirty: false,
-            comb_all_dirty: false,
             catchup_replays: Arc::default(),
         }
     }
@@ -111,35 +104,27 @@ impl Miners {
     /// A stream was registered: every term must be re-derived next commit.
     pub(crate) fn mark_structural(&mut self) {
         self.structural_dirty = true;
-        self.comb_all_dirty = true;
     }
 
-    /// The timeline grew, changing the `B_T` normalization of every
-    /// term's series: the combinatorial view of every term is stale.
-    pub(crate) fn mark_timeline_grown(&mut self) {
-        self.comb_all_dirty = true;
+    /// Whether a stream was added since the last commit, as snapshots
+    /// persist it.
+    pub(crate) fn structural_dirty(&self) -> bool {
+        self.structural_dirty
     }
 
-    /// `(structural_dirty, comb_all_dirty)`, as snapshots persist them.
-    pub(crate) fn pending_flags(&self) -> (bool, bool) {
-        (self.structural_dirty, self.comb_all_dirty)
-    }
-
-    pub(crate) fn restore_pending_flags(&mut self, structural_dirty: bool, comb_all_dirty: bool) {
+    pub(crate) fn restore_structural_dirty(&mut self, structural_dirty: bool) {
         self.structural_dirty = structural_dirty;
-        self.comb_all_dirty = comb_all_dirty;
     }
 
-    /// Online miners currently tracked (`STLocal` mode).
+    /// Online miners currently tracked.
     pub(crate) fn tracked(&self) -> usize {
         self.local.len()
     }
 
-    /// Mines tick `tick` of `snapshot`: widens `dirty` to every term when a
-    /// pending flag demands it, then returns fresh patterns for each dirty
-    /// term. In `STLocal` mode only the dirty terms' miners step, each
-    /// catching up through `tick`; a term without one gets a fresh miner
-    /// that replays its history.
+    /// Mines tick `tick` of `snapshot`: widens `dirty` to every term after a
+    /// structural change, then returns fresh patterns for each dirty term.
+    /// Only the dirty terms' miners step, each catching up through `tick`;
+    /// a term without one gets a fresh miner that replays its history.
     pub(crate) fn mine(
         &mut self,
         snapshot: &Collection,
@@ -153,38 +138,22 @@ impl Miners {
             dirty.extend(snapshot.terms());
             self.structural_dirty = false;
         }
-        if self.comb_all_dirty && matches!(self.kind, MinerKind::STComb(_)) {
-            dirty.extend(snapshot.terms());
-        }
-        self.comb_all_dirty = false;
 
         let positions = snapshot.positions();
         let mut deltas = Vec::with_capacity(dirty.len());
-        match &self.kind {
-            MinerKind::STLocal(config) => {
-                for &term in dirty.iter() {
-                    let miner = self.local.entry(term).or_insert_with(|| {
-                        self.catchup_replays.inc();
-                        TermMiner::new(positions.clone(), config)
-                    });
-                    let patterns = miner.catch_up(snapshot, term, tick + 1);
-                    deltas.push(capture(term, &patterns, &positions));
-                }
-            }
-            MinerKind::STComb(config) => {
-                let miner = STComb::with_config(config.clone());
-                for &term in dirty.iter() {
-                    let patterns = miner.mine_collection(snapshot, term);
-                    deltas.push(capture(term, &patterns, &positions));
-                }
-            }
+        for &term in dirty.iter() {
+            let miner = self.local.entry(term).or_insert_with(|| {
+                self.catchup_replays.inc();
+                TermMiner::new(positions.clone(), &self.config)
+            });
+            let patterns = miner.catch_up(snapshot, term, tick + 1);
+            deltas.push(capture(term, &patterns, &positions));
         }
         deltas
     }
 
     /// One term's current patterns over the first `ticks` ticks of
-    /// `collection`: a copy of its `STLocal` miner caught up through them,
-    /// or a fresh combinatorial pass.
+    /// `collection`: a copy of its `STLocal` miner caught up through them.
     pub(crate) fn current_patterns(
         &self,
         collection: &Collection,
@@ -192,23 +161,14 @@ impl Miners {
         term: TermId,
     ) -> PatternDelta {
         let positions = collection.positions();
-        match &self.kind {
-            MinerKind::STLocal(config) => {
-                // A stream added since the last commit leaves every miner
-                // one position short until that commit rebuilds them.
-                let mut miner = match self.local.get(&term) {
-                    Some(miner) if !self.structural_dirty => miner.clone(),
-                    _ => TermMiner::new(positions.clone(), config),
-                };
-                let patterns = miner.catch_up(collection, term, ticks);
-                capture(term, &patterns, &positions)
-            }
-            MinerKind::STComb(config) => {
-                let patterns =
-                    STComb::with_config(config.clone()).mine_collection(collection, term);
-                capture(term, &patterns, &positions)
-            }
-        }
+        // A stream added since the last commit leaves every miner one
+        // position short until that commit rebuilds them.
+        let mut miner = match self.local.get(&term) {
+            Some(miner) if !self.structural_dirty => miner.clone(),
+            _ => TermMiner::new(positions.clone(), &self.config),
+        };
+        let patterns = miner.catch_up(collection, term, ticks);
+        capture(term, &patterns, &positions)
     }
 }
 

@@ -30,17 +30,14 @@
 //!
 //! Replaying a corpus tick-by-tick and then querying is *byte-identical* to
 //! batch-building the collection, batch-mining every term, and finalizing
-//! the engine (property-tested in this crate for both miners, cache on and
-//! off). Two ingredients make the dirty-term restriction exact:
-//!
-//! * `STLocal` is streaming by construction: a term absent from a tick has
-//!   non-positive burstiness in every stream, which can neither create
-//!   rectangles nor change any tracked window — its patterns are unchanged.
-//! * `STComb` mines per-term series over a *fixed-length* timeline, so a
-//!   term's output only changes when its own documents arrive. Growing the
-//!   timeline changes every term's `B_T` normalization, so a grow re-dirties
-//!   all terms — pre-size the timeline via `IngestConfig::timeline_capacity`
-//!   to keep per-tick work proportional to the dirty set.
+//! the engine (property-tested in this crate, cache on and off). The
+//! dirty-term restriction is exact because `STLocal` is streaming by
+//! construction: a term absent from a tick has non-positive burstiness in
+//! every stream, which can neither create rectangles nor change any
+//! tracked window — its patterns are unchanged. A term's relevance depends
+//! on its own frequency alone, so its posting list only moves when its own
+//! documents arrive: a commit re-mines and re-scores exactly the tick's
+//! dirty terms, whether or not the timeline grows.
 //!
 //! There is one mining regime: a term's `STLocal` miner steps only when the
 //! term is dirty or read, replaying from the collection every tick it has
@@ -62,9 +59,7 @@ use stb_obs::{Counter, SpanClock, SpanKind};
 
 use stb_corpus::{Collection, StreamId, TermId, Timestamp, Tokenizer};
 use stb_geo::{GeoPoint, Point2D};
-use stb_search::{
-    EngineMetrics, Query, QueryError, QueryResponse, Relevance, ServingFront, ShardedEngine,
-};
+use stb_search::{EngineMetrics, Query, QueryError, QueryResponse, ServingFront, ShardedEngine};
 use stb_store::{
     DocRecord, PendingState, SnapshotState, StoreError, StreamRecord, TermRecord, TickRecord,
 };
@@ -539,7 +534,6 @@ impl IngestPipeline {
         // Grow the timeline if the open tick runs past it.
         if tick >= self.live.timeline_len() {
             self.live.extend_timeline(tick + 1);
-            self.miners.mark_timeline_grown();
         }
 
         // Apply the staged documents (one copy-on-write generation).
@@ -553,8 +547,8 @@ impl IngestPipeline {
         let snapshot = self.live.snapshot();
         lap(clock, SpanKind::ApplyDocs);
 
-        // Mine. Dirty terms get fresh patterns; in STLocal mode only their
-        // miners step, each catching up through this tick.
+        // Mine. Dirty terms get fresh patterns; only their miners step, each
+        // catching up through this tick.
         let mut dirty = std::mem::take(&mut self.dirty);
         let deltas = self.miners.mine(&snapshot, tick, &mut dirty);
         lap(clock, SpanKind::Mine);
@@ -569,27 +563,11 @@ impl IngestPipeline {
             self.engine
                 .set_pattern_records(delta.term, Arc::clone(&delta.patterns));
         }
-        // Under tf-idf every term's relevance depends on the corpus
-        // document count, so new documents stale every posting list.
-        let tfidf_refresh =
-            self.engine.engine().config().relevance == Relevance::TfIdf && !new_docs.is_empty();
-        if tfidf_refresh {
-            for term in snapshot.terms() {
-                self.engine.refresh_term(term);
-            }
-        }
         self.engine.publish();
         lap(clock, SpanKind::Publish);
 
-        if !self.subscriptions.is_empty() {
-            // The refresh above re-scored *every* posting list, so every
-            // subscribed term may have moved, not just the mined set.
-            if tfidf_refresh {
-                dirty.extend(snapshot.terms());
-            }
-            if self.notify(tick, &dirty, &deltas) > 0 {
-                lap(clock, SpanKind::Notify);
-            }
+        if !self.subscriptions.is_empty() && self.notify(tick, &dirty, &deltas) > 0 {
+            lap(clock, SpanKind::Notify);
         }
 
         let commit_ms = start.elapsed().as_secs_f64() * 1000.0;
@@ -617,9 +595,7 @@ impl IngestPipeline {
         let report = self
             .subscriptions
             .on_commit(tick as u64, trigger_terms, |term| {
-                // Deltas are mined in term order. A term dirty via the
-                // tf-idf refresh only has moved scores but was not
-                // re-mined: there is nothing to attach.
+                // Deltas are mined in term order, one per dirty term.
                 deltas
                     .binary_search_by_key(&term, |d| d.term)
                     .map_or_else(|_| Arc::default(), |i| Arc::clone(&deltas[i].patterns))
@@ -662,14 +638,12 @@ impl IngestPipeline {
     /// Exports the pipeline's full state as a snapshot value (what
     /// [`IngestPipeline::checkpoint`] persists).
     pub fn export_snapshot_state(&self) -> SnapshotState {
-        let (structural_dirty, comb_all_dirty) = self.miners.pending_flags();
         SnapshotState {
             ticks_committed: self.ticks_committed as u64,
             collection: self.live.snapshot(),
             patterns: self.engine.pattern_records(),
             pending: PendingState {
-                structural_dirty,
-                comb_all_dirty,
+                structural_dirty: self.miners.structural_dirty(),
                 dirty_terms: self.dirty.iter().copied().collect(),
                 staged: self.staged.iter().map(StagedDoc::to_record).collect(),
             },
@@ -750,21 +724,13 @@ pub(crate) mod tests {
     //! tests share.
 
     use super::*;
-    use stb_core::{PatternRecord, STCombConfig, STLocal, STLocalConfig};
-    use stb_search::{BurstySearchEngine, EngineConfig, NoPatternPolicy, SearchResult};
+    use stb_core::{PatternRecord, STLocal, STLocalConfig};
+    use stb_search::SearchResult;
     use stb_store::{FaultSchedule, RetryPolicy, Store};
 
     /// Typed-API term query through a live handle.
     pub(crate) fn run(handle: &SearchHandle, terms: &[TermId], k: usize) -> Vec<SearchResult> {
         handle
-            .query(&Query::terms(terms.iter().copied()).top_k(k))
-            .map(|r| r.results)
-            .unwrap_or_default()
-    }
-
-    /// Typed-API term query against a reference engine.
-    fn engine_run(engine: &BurstySearchEngine, terms: &[TermId], k: usize) -> Vec<SearchResult> {
-        engine
             .query(&Query::terms(terms.iter().copied()).top_k(k))
             .map(|r| r.results)
             .unwrap_or_default()
@@ -968,24 +934,6 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn stcomb_pipeline_detects_burst() {
-        let (mut pipeline, streams) =
-            two_cluster_pipeline(MinerKind::STComb(STCombConfig::default()), 20);
-        let storm = pipeline.intern("storm");
-        for tick in 0..20 {
-            burst_tick(&mut pipeline, &streams, storm, (5..8).contains(&tick));
-        }
-        let handle = pipeline.search_handle();
-        let top = run(&handle, &[storm], 6);
-        assert!(!top.is_empty());
-        let collection = handle.collection();
-        for hit in &top {
-            let doc = collection.document(hit.doc);
-            assert!((5..8).contains(&doc.timestamp));
-        }
-    }
-
-    #[test]
     fn empty_ticks_are_committed() {
         let (mut pipeline, streams) =
             two_cluster_pipeline(MinerKind::STLocal(STLocalConfig::default()), 0);
@@ -1026,55 +974,6 @@ pub(crate) mod tests {
         assert_eq!(handle.metrics().cache_misses, misses_before);
         let _ = run(&handle, &[hot], 5); // miss: invalidated by the commit
         assert_eq!(handle.metrics().cache_misses, misses_before + 1);
-    }
-
-    #[test]
-    fn tfidf_relevance_refreshes_all_terms() {
-        // Under tf-idf the corpus document count enters every score, so the
-        // pipeline must keep non-dirty terms' postings fresh too.
-        let config = IngestConfig {
-            timeline_capacity: 10,
-            engine: EngineConfig::builder()
-                .relevance(Relevance::TfIdf)
-                .no_pattern(NoPatternPolicy::Zero)
-                .build(),
-            ..Default::default()
-        };
-        let mut pipeline = IngestPipeline::new(config.clone());
-        let streams = [
-            pipeline.add_stream("A", GeoPoint::new(0.0, 0.0)),
-            pipeline.add_stream("B", GeoPoint::new(1.0, 1.0)),
-        ];
-        let a = pipeline.intern("a");
-        let b = pipeline.intern("b");
-        for tick in 0..10 {
-            for &s in &streams {
-                let mut counts = HashMap::from([(a, if tick == 3 { 15 } else { 1 })]);
-                if tick < 5 {
-                    counts.insert(b, 1);
-                }
-                pipeline.stage_document(s, counts);
-            }
-            pipeline.commit_tick();
-        }
-        let handle = pipeline.search_handle();
-        let got = run(&handle, &[b], 30);
-
-        // Oracle: a cold engine over the final snapshot with the same
-        // patterns must agree, including the tf-idf weights.
-        let collection = handle.collection();
-        let mut reference = BurstySearchEngine::new(Arc::clone(&collection), config.engine);
-        reference.set_cache_capacity(0);
-        let (patterns, _) = STLocal::mine_collection(&collection, b, STLocalConfig::default());
-        reference.set_patterns(b, &patterns);
-        let (patterns_a, _) = STLocal::mine_collection(&collection, a, STLocalConfig::default());
-        reference.set_patterns(a, &patterns_a);
-        let expect = engine_run(&reference, &[b], 30);
-        assert_eq!(got.len(), expect.len());
-        for (x, y) in got.iter().zip(&expect) {
-            assert_eq!(x.doc, y.doc);
-            assert_eq!(x.score, y.score, "tf-idf scores must match the oracle");
-        }
     }
 
     #[test]

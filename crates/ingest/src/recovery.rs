@@ -83,10 +83,9 @@ impl IngestPipeline {
                 .restore(Arc::clone(&state.collection), state.patterns);
             pipeline.ticks_committed = usize::try_from(state.ticks_committed)
                 .map_err(|_| StoreError::corrupt("snapshot", "tick count out of range"))?;
-            pipeline.miners.restore_pending_flags(
-                state.pending.structural_dirty,
-                state.pending.comb_all_dirty,
-            );
+            pipeline
+                .miners
+                .restore_structural_dirty(state.pending.structural_dirty);
             pipeline.dirty = state.pending.dirty_terms.iter().copied().collect();
             for doc in &state.pending.staged {
                 pipeline.staged.push(StagedDoc {

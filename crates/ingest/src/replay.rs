@@ -93,8 +93,7 @@ impl From<StoreError> for ReplayError {
 /// ready for further ingestion and querying.
 ///
 /// `config.timeline_capacity` is raised to the file's declared timeline
-/// length, so the replay itself never grows the timeline (which would
-/// re-dirty every term for the `STComb` view; see the pipeline docs).
+/// length, so the pipeline's timeline is the file's from the first tick.
 ///
 /// ```
 /// use stb_ingest::{replay_tsv, IngestConfig, Query};

@@ -81,10 +81,10 @@ fn wrong_snapshot_version_is_unsupported_version() {
     let dir = case_dir("version");
     seed_store(&dir);
     // The version u32 sits right after the 8-byte magic; byte 8 is its
-    // low-order byte. Flipping bit 6 turns version 2 into 66.
+    // low-order byte. Flipping bit 6 turns version 3 into 67.
     flip_bit_file(&dir.join(SNAPSHOT_FILE), 8, 6).unwrap();
     match recover(&dir).map(|_| ()) {
-        Err(StoreError::UnsupportedVersion { found: 66, .. }) => {}
+        Err(StoreError::UnsupportedVersion { found: 67, .. }) => {}
         other => panic!("expected UnsupportedVersion, got {other:?}"),
     }
     let _ = std::fs::remove_dir_all(&dir);
@@ -96,13 +96,32 @@ fn version_one_snapshot_is_unsupported_version() {
     // No store of that format is deployed, so it is refused, not migrated.
     let dir = case_dir("version-one");
     seed_store(&dir);
-    // Bits 0 and 1 of byte 8 turn version 2 into 1.
-    flip_bit_file(&dir.join(SNAPSHOT_FILE), 8, 0).unwrap();
+    // Bit 1 of byte 8 turns version 3 into 1.
     flip_bit_file(&dir.join(SNAPSHOT_FILE), 8, 1).unwrap();
     match recover(&dir).map(|_| ()) {
         Err(StoreError::UnsupportedVersion {
             found: 1,
-            supported: 2,
+            supported: 3,
+            ..
+        }) => {}
+        other => panic!("expected UnsupportedVersion, got {other:?}"),
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn version_two_snapshot_is_unsupported_version() {
+    // Version 2 also persisted the pending "timeline grew" flag of live
+    // `STComb` mining. No store of that format is deployed, so it is
+    // refused, not migrated.
+    let dir = case_dir("version-two");
+    seed_store(&dir);
+    // Bit 0 of byte 8 turns version 3 into 2.
+    flip_bit_file(&dir.join(SNAPSHOT_FILE), 8, 0).unwrap();
+    match recover(&dir).map(|_| ()) {
+        Err(StoreError::UnsupportedVersion {
+            found: 2,
+            supported: 3,
             ..
         }) => {}
         other => panic!("expected UnsupportedVersion, got {other:?}"),

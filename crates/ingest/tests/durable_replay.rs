@@ -12,7 +12,7 @@ use stb_corpus::TermId;
 use stb_ingest::{
     replay_tsv, replay_tsv_durable, IngestConfig, IngestPipeline, Query, SearchHandle,
 };
-use stb_search::{EngineConfig, Relevance, SearchResult};
+use stb_search::SearchResult;
 use stb_store::snapshot::encode_snapshot;
 
 /// A synthetic 12-tick, 3-stream corpus with two bursty terms and one
@@ -105,16 +105,17 @@ fn assert_pipelines_identical(expect: &IngestPipeline, got: &IngestPipeline) {
     }
 }
 
-fn check_roundtrip(tag: &str, config: IngestConfig) {
-    let dir = case_dir(tag);
+#[test]
+fn durable_replay_equals_plain_replay() {
+    let dir = case_dir("default");
     let text = corpus();
 
     // Reference: the plain in-memory replay.
-    let reference = replay_tsv(Cursor::new(&text), config.clone()).expect("replay");
+    let reference = replay_tsv(Cursor::new(&text), IngestConfig::default()).expect("replay");
 
     // First durable run drives the file and leaves a checkpoint behind.
-    let (first, report) =
-        replay_tsv_durable(Cursor::new(&text), config.clone(), &dir).expect("durable replay");
+    let (first, report) = replay_tsv_durable(Cursor::new(&text), IngestConfig::default(), &dir)
+        .expect("durable replay");
     assert!(!report.snapshot_loaded, "fresh dir must replay the file");
     assert!(report.corpus_ingested, "fresh dir must ingest the corpus");
     assert_pipelines_identical(&reference, &first);
@@ -122,29 +123,13 @@ fn check_roundtrip(tag: &str, config: IngestConfig) {
 
     // Restart: recovery must come from the snapshot alone, not the file.
     let (recovered, report) =
-        replay_tsv_durable(Cursor::new(&text), config, &dir).expect("recovery");
+        replay_tsv_durable(Cursor::new(&text), IngestConfig::default(), &dir).expect("recovery");
     assert!(report.snapshot_loaded, "restart must load the snapshot");
     assert!(!report.corpus_ingested, "restart must not re-read the file");
     assert_eq!(report.wal_ticks_replayed, 0, "checkpoint compacted the WAL");
     assert_pipelines_identical(&reference, &recovered);
 
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn durable_replay_equals_plain_replay() {
-    check_roundtrip("default", IngestConfig::default());
-}
-
-#[test]
-fn durable_replay_equals_plain_replay_tfidf() {
-    // TF-IDF scoring depends on global collection statistics, so any
-    // divergence in the recovered tensor shows up in the score bits.
-    let config = IngestConfig {
-        engine: EngineConfig::builder().relevance(Relevance::TfIdf).build(),
-        ..IngestConfig::default()
-    };
-    check_roundtrip("tfidf", config);
 }
 
 #[test]

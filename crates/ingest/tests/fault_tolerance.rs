@@ -19,7 +19,7 @@ use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use stb_core::{STCombConfig, STLocalConfig};
+use stb_core::STLocalConfig;
 use stb_corpus::{StreamId, TermId};
 use stb_geo::GeoPoint;
 use stb_ingest::{DurabilityState, IngestConfig, IngestPipeline, MinerKind, RetryPolicy};
@@ -84,14 +84,9 @@ fn stream_geo(s: usize) -> GeoPoint {
 /// Generous buffer and an instant (zero-backoff) bounded retry: every
 /// scripted storm is survivable, so any tick loss is a state-machine bug,
 /// never "the policy said stop".
-fn config(ticks: usize, local: bool) -> IngestConfig {
+fn config(ticks: usize) -> IngestConfig {
     IngestConfig {
         timeline_capacity: ticks,
-        miner: if local {
-            MinerKind::STLocal(STLocalConfig::default())
-        } else {
-            MinerKind::STComb(STCombConfig::default())
-        },
         retry: RetryPolicy::immediate(1),
         max_buffered_ticks: 64,
         ..IngestConfig::default()
@@ -134,8 +129,8 @@ fn stage_tick(pipeline: &mut IngestPipeline, docs: &TickSpec) {
 }
 
 /// A never-durable, never-faulted reference over the same plan.
-fn reference(plan: &[TickSpec], local: bool) -> IngestPipeline {
-    let mut p = IngestPipeline::new(config(plan.len(), local));
+fn reference(plan: &[TickSpec]) -> IngestPipeline {
+    let mut p = IngestPipeline::new(config(plan.len()));
     setup_streams(&mut p);
     commit_plan(&mut p, plan);
     p
@@ -179,13 +174,11 @@ fn assert_equiv(
 fn faulted_run(
     dir: &PathBuf,
     plan: &[TickSpec],
-    local: bool,
     script: &[FaultEvent],
     faults: &FaultSchedule,
 ) -> IngestPipeline {
     let store = Store::open_with_faults(dir, faults.clone()).expect("open store");
-    let (mut p, _) =
-        IngestPipeline::durable_with_store(config(plan.len(), local), store).expect("open");
+    let (mut p, _) = IngestPipeline::durable_with_store(config(plan.len()), store).expect("open");
     setup_streams(&mut p);
     for (i, tick) in plan.iter().enumerate() {
         for ev in script.iter().filter(|ev| ev.tick % plan.len() == i) {
@@ -209,12 +202,11 @@ proptest! {
     #[test]
     fn transient_fault_storms_heal_to_bit_identical_state(
         plan in arb_plan(),
-        local in proptest::bool::ANY,
         script in arb_script(),
     ) {
         let dir = case_dir();
         let faults = FaultSchedule::new();
-        let mut survivor = faulted_run(&dir, &plan, local, &script, &faults);
+        let mut survivor = faulted_run(&dir, &plan, &script, &faults);
 
         // The storm may have left the pipeline degraded (never
         // non-durable: every scripted fault is transient and the buffer
@@ -229,14 +221,14 @@ proptest! {
         prop_assert!(survivor.health().last_error.is_none());
 
         // Survivor ≡ never-faulted reference, bit for bit.
-        let reference = reference(&plan, local);
+        let reference = reference(&plan);
         assert_equiv("survivor", &reference, &survivor)?;
         drop(survivor);
 
         // Zero committed-tick loss on disk: a cold, fault-free recovery
         // replays the WAL into the same bit-identical state.
         let (recovered, _) =
-            IngestPipeline::durable(config(plan.len(), local), &dir).expect("recover");
+            IngestPipeline::durable(config(plan.len()), &dir).expect("recover");
         assert_equiv("cold recovery", &reference, &recovered)?;
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -248,7 +240,6 @@ proptest! {
     #[test]
     fn stochastic_storm_with_checkpoint_converges(
         plan in arb_plan(),
-        local in proptest::bool::ANY,
         seed in 1u64..u64::MAX,
         fail_permille in 0u32..700,
     ) {
@@ -256,7 +247,7 @@ proptest! {
         let faults = FaultSchedule::new();
         let store = Store::open_with_faults(&dir, faults.clone()).expect("open store");
         let (mut survivor, _) =
-            IngestPipeline::durable_with_store(config(plan.len(), local), store).expect("open");
+            IngestPipeline::durable_with_store(config(plan.len()), store).expect("open");
         setup_streams(&mut survivor);
         faults.storm(seed, 200, fail_permille);
         let mid = plan.len() / 2;
@@ -277,11 +268,11 @@ proptest! {
         faults.heal();
         prop_assert_eq!(survivor.try_recover_durability(), DurabilityState::Durable);
 
-        let reference = reference(&plan, local);
+        let reference = reference(&plan);
         assert_equiv("storm survivor", &reference, &survivor)?;
         drop(survivor);
         let (recovered, _) =
-            IngestPipeline::durable(config(plan.len(), local), &dir).expect("recover");
+            IngestPipeline::durable(config(plan.len()), &dir).expect("recover");
         assert_equiv("storm cold recovery", &reference, &recovered)?;
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -1,20 +1,20 @@
 //! Replay-equivalence property tests: ingesting a corpus one document at a
 //! time through the live pipeline, then querying, must be **byte-identical**
 //! to the batch path (`CollectionBuilder` + batch-mine every term +
-//! `finalize()`), for both miners, with the result cache on and off.
+//! `finalize()`), with the result cache on and off.
 //!
 //! Exactness (not approximate agreement) is intentional: the incremental
 //! path performs the same floating-point operations in the same order as
 //! the batch path — term counts are integral so tensor aggregation is
-//! exact, and each miner consumes identical per-term inputs — so any drift
+//! exact, and the miner consumes identical per-term inputs — so any drift
 //! at all indicates a dirty-term bookkeeping bug.
 
 use proptest::prelude::*;
 use proptest::TestCaseError;
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
-use stb_core::{Pattern, PatternRecord, STComb, STCombConfig, STLocal, STLocalConfig};
+use stb_core::{Pattern, PatternRecord, STLocal, STLocalConfig};
 use stb_corpus::{Collection, CollectionBuilder, StreamId, TermId};
 use stb_geo::GeoPoint;
 use stb_ingest::{IngestConfig, IngestPipeline, MinerKind, SearchHandle};
@@ -86,6 +86,22 @@ fn batch_collection(plan: &[TickSpec]) -> Collection {
     b.build()
 }
 
+/// Stages one tick's documents (terms interned in plan order) and returns
+/// the terms they mention.
+fn stage_tick(pipeline: &mut IngestPipeline, tick: &TickSpec) -> BTreeSet<TermId> {
+    let mut staged = BTreeSet::new();
+    for (stream, bag) in tick {
+        let mut counts = HashMap::new();
+        for &(term, count) in bag {
+            let id = pipeline.intern(TERMS[term]);
+            *counts.entry(id).or_insert(0) += count;
+        }
+        staged.extend(counts.keys().copied());
+        pipeline.stage_document(StreamId(*stream as u32), counts);
+    }
+    staged
+}
+
 /// Live path: the same plan driven through the pipeline tick by tick.
 fn ingest_pipeline(plan: &[TickSpec], miner: MinerKind, cache_capacity: usize) -> IngestPipeline {
     let mut pipeline = IngestPipeline::new(IngestConfig {
@@ -99,14 +115,7 @@ fn ingest_pipeline(plan: &[TickSpec], miner: MinerKind, cache_capacity: usize) -
         pipeline.add_stream(&format!("s{s}"), stream_geo(s));
     }
     for tick in plan {
-        for (stream, bag) in tick {
-            let mut counts = HashMap::new();
-            for &(term, count) in bag {
-                let id = pipeline.intern(TERMS[term]);
-                *counts.entry(id).or_insert(0) += count;
-            }
-            pipeline.stage_document(StreamId(*stream as u32), counts);
-        }
+        stage_tick(&mut pipeline, tick);
         pipeline.commit_tick();
     }
     pipeline
@@ -157,19 +166,11 @@ fn assert_identical_patterns(
     Ok(())
 }
 
-/// The shared equivalence check: run the plan through both paths with the
-/// given miner and cache setting and compare patterns and top-k results.
-fn check_equivalence(
-    plan: &[TickSpec],
-    local: bool,
-    cache_capacity: usize,
-) -> Result<(), TestCaseError> {
+/// The equivalence check: run the plan through both paths with the given
+/// cache setting and compare patterns and top-k results.
+fn check_equivalence(plan: &[TickSpec], cache_capacity: usize) -> Result<(), TestCaseError> {
     let batch = batch_collection(plan);
-    let miner = if local {
-        MinerKind::STLocal(STLocalConfig::default())
-    } else {
-        MinerKind::STComb(STCombConfig::default())
-    };
+    let miner = MinerKind::STLocal(STLocalConfig::default());
     let pipeline = ingest_pipeline(plan, miner, cache_capacity);
 
     // Batch engine: mine every term, register, finalize.
@@ -177,13 +178,8 @@ fn check_equivalence(
     let mut batch_engine = BurstySearchEngine::new(Arc::clone(&shared), EngineConfig::default());
     batch_engine.set_cache_capacity(cache_capacity);
     for term in shared.terms() {
-        if local {
-            let (patterns, _) = STLocal::mine_collection(&shared, term, STLocalConfig::default());
-            batch_engine.set_patterns(term, &patterns);
-        } else {
-            let patterns = STComb::new().mine_collection(&shared, term);
-            batch_engine.set_patterns(term, &patterns);
-        }
+        let (patterns, _) = STLocal::mine_collection(&shared, term, STLocalConfig::default());
+        batch_engine.set_patterns(term, &patterns);
     }
     batch_engine.finalize_with_threads(2);
 
@@ -191,19 +187,11 @@ fn check_equivalence(
     //    final per-term mining state against the batch miner output.
     let positions = shared.positions();
     for term in shared.terms() {
-        let expect: Vec<PatternRecord> = if local {
-            let (patterns, _) = STLocal::mine_collection(&shared, term, STLocalConfig::default());
-            patterns
-                .iter()
-                .map(|p| PatternRecord::capture(p, &positions))
-                .collect()
-        } else {
-            let patterns = STComb::new().mine_collection(&shared, term);
-            patterns
-                .iter()
-                .map(|p| PatternRecord::capture(p, &positions))
-                .collect()
-        };
+        let (patterns, _) = STLocal::mine_collection(&shared, term, STLocalConfig::default());
+        let expect: Vec<PatternRecord> = patterns
+            .iter()
+            .map(|p| PatternRecord::capture(p, &positions))
+            .collect();
         assert_identical_patterns(&expect, &pipeline.current_patterns(term).patterns)?;
     }
 
@@ -220,7 +208,7 @@ fn check_equivalence(
         for query in queries(&shared) {
             for k in [1, 3, 10] {
                 assert_identical_results(
-                    if local { "stlocal" } else { "stcomb" },
+                    "stlocal",
                     &engine_run(&batch_engine, &query, k),
                     &handle_run(&handle, &query, k),
                 )?;
@@ -233,54 +221,32 @@ fn check_equivalence(
 proptest! {
     #[test]
     fn replay_equals_batch_stlocal(plan in arb_plan(), cache in proptest::bool::ANY) {
-        check_equivalence(&plan, true, if cache { 64 } else { 0 })?;
+        check_equivalence(&plan, if cache { 64 } else { 0 })?;
     }
 
     #[test]
-    fn replay_equals_batch_stcomb(plan in arb_plan(), cache in proptest::bool::ANY) {
-        check_equivalence(&plan, false, if cache { 64 } else { 0 })?;
-    }
-
-    #[test]
-    fn replay_equals_batch_with_growing_timeline(plan in arb_plan(), local in proptest::bool::ANY) {
+    fn replay_equals_batch_with_growing_timeline(plan in arb_plan()) {
         // timeline_capacity 0: every tick grows the timeline on demand. The
-        // pipeline must still converge to the batch result (for STComb this
-        // re-dirties every term each tick; for STLocal growth is free).
+        // pipeline must still converge to the batch result (growth is free).
         let batch = batch_collection(&plan);
-        let miner = if local {
-            MinerKind::STLocal(STLocalConfig::default())
-        } else {
-            MinerKind::STComb(STCombConfig::default())
-        };
         let mut pipeline = IngestPipeline::new(IngestConfig {
             timeline_capacity: 0,
-            miner,
+            miner: MinerKind::STLocal(STLocalConfig::default()),
             ..Default::default()
         });
         for s in 0..N_STREAMS {
             pipeline.add_stream(&format!("s{s}"), stream_geo(s));
         }
         for tick in &plan {
-            for (stream, bag) in tick {
-                let mut counts = HashMap::new();
-                for &(term, count) in bag {
-                    let id = pipeline.intern(TERMS[term]);
-                    *counts.entry(id).or_insert(0) += count;
-                }
-                pipeline.stage_document(StreamId(*stream as u32), counts);
-            }
+            stage_tick(&mut pipeline, tick);
             pipeline.commit_tick();
         }
         let shared: Arc<Collection> = Arc::new(batch);
         let mut batch_engine = BurstySearchEngine::new(Arc::clone(&shared), EngineConfig::default());
         batch_engine.set_cache_capacity(0);
         for term in shared.terms() {
-            if local {
-                let (patterns, _) = STLocal::mine_collection(&shared, term, STLocalConfig::default());
-                batch_engine.set_patterns(term, &patterns);
-            } else {
-                batch_engine.set_patterns(term, &STComb::new().mine_collection(&shared, term));
-            }
+            let (patterns, _) = STLocal::mine_collection(&shared, term, STLocalConfig::default());
+            batch_engine.set_patterns(term, &patterns);
         }
         batch_engine.finalize_with_threads(2);
         let handle = pipeline.search_handle();
@@ -290,6 +256,40 @@ proptest! {
                 &engine_run(&batch_engine, &query, 10),
                 &handle_run(&handle, &query, 10),
             )?;
+        }
+    }
+
+    #[test]
+    fn a_commit_remines_and_rescores_exactly_its_ticks_terms(plan in arb_plan()) {
+        // timeline_capacity 0: the timeline grows on every tick, and still
+        // a commit's work is the terms of the documents it applies.
+        let mut pipeline = IngestPipeline::new(IngestConfig {
+            timeline_capacity: 0,
+            miner: MinerKind::STLocal(STLocalConfig::default()),
+            ..Default::default()
+        });
+        for s in 0..N_STREAMS {
+            pipeline.add_stream(&format!("s{s}"), stream_geo(s));
+        }
+        let handle = pipeline.search_handle();
+        for (ts, tick) in plan.iter().enumerate() {
+            let staged = stage_tick(&mut pipeline, tick);
+            let rescored_before = handle.metrics().term_rescore_count;
+            let receipt = pipeline.commit_tick();
+            if ts == 0 {
+                // The streams were added in this tick: every term is
+                // re-derived (`add_stream`'s structural re-mine).
+                continue;
+            }
+            let mined: BTreeSet<TermId> = receipt.deltas.iter().map(|d| d.term).collect();
+            prop_assert_eq!(receipt.deltas.len(), mined.len(), "one delta per term");
+            prop_assert_eq!(&mined, &staged, "tick {}", ts);
+            prop_assert_eq!(
+                handle.metrics().term_rescore_count - rescored_before,
+                staged.len() as u64,
+                "tick {}",
+                ts
+            );
         }
     }
 

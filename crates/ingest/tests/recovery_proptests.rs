@@ -19,10 +19,10 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use stb_core::{STCombConfig, STLocal, STLocalConfig};
+use stb_core::{STLocal, STLocalConfig};
 use stb_corpus::{Collection, CollectionBuilder, StreamId, TermId};
 use stb_geo::GeoPoint;
-use stb_ingest::{IngestConfig, IngestPipeline, MinerKind, SearchHandle};
+use stb_ingest::{IngestConfig, IngestPipeline, SearchHandle};
 use stb_search::{BurstySearchEngine, EngineConfig, Query, SearchResult};
 use stb_store::snapshot::encode_snapshot;
 use stb_store::{crash_artifact, truncate_bytes, FaultKind, Store, SNAPSHOT_FILE, WAL_FILE};
@@ -54,14 +54,9 @@ fn stream_geo(s: usize) -> GeoPoint {
     }
 }
 
-fn config(ticks: usize, local: bool, cache_capacity: usize) -> IngestConfig {
+fn config(ticks: usize, cache_capacity: usize) -> IngestConfig {
     IngestConfig {
         timeline_capacity: ticks,
-        miner: if local {
-            MinerKind::STLocal(STLocalConfig::default())
-        } else {
-            MinerKind::STComb(STCombConfig::default())
-        },
         cache_capacity,
         ..IngestConfig::default()
     }
@@ -110,13 +105,8 @@ fn commit_plan(pipeline: &mut IngestPipeline, plan: &[TickSpec]) {
 /// timeline capacity (the capacity must match the durable run's, even when
 /// only a prefix of the plan is committed — the tensor's timeline length
 /// is part of the byte-identical comparison).
-fn reference(
-    capacity: usize,
-    plan: &[TickSpec],
-    local: bool,
-    cache_capacity: usize,
-) -> IngestPipeline {
-    let mut p = IngestPipeline::new(config(capacity, local, cache_capacity));
+fn reference(capacity: usize, plan: &[TickSpec], cache_capacity: usize) -> IngestPipeline {
+    let mut p = IngestPipeline::new(config(capacity, cache_capacity));
     setup_streams(&mut p);
     commit_plan(&mut p, plan);
     p
@@ -126,13 +116,12 @@ fn reference(
 /// directory (pipeline dropped, nothing checkpointed unless asked).
 fn clean_durable_run(
     plan: &[TickSpec],
-    local: bool,
     cache_capacity: usize,
     checkpoint_after: Option<usize>,
 ) -> PathBuf {
     let dir = case_dir();
     let (mut p, _) =
-        IngestPipeline::durable(config(plan.len(), local, cache_capacity), &dir).expect("open");
+        IngestPipeline::durable(config(plan.len(), cache_capacity), &dir).expect("open");
     setup_streams(&mut p);
     if let Some(c) = checkpoint_after {
         commit_plan(&mut p, &plan[..c]);
@@ -243,17 +232,15 @@ fn assert_equiv(
 fn recover_and_check(
     dir: &Path,
     plan: &[TickSpec],
-    local: bool,
     cache_capacity: usize,
 ) -> Result<(), TestCaseError> {
-    let (mut recovered, _report) =
-        IngestPipeline::durable(config(plan.len(), local, cache_capacity), dir)
-            .expect("recovery must repair the tail, not fail");
+    let (mut recovered, _report) = IngestPipeline::durable(config(plan.len(), cache_capacity), dir)
+        .expect("recovery must repair the tail, not fail");
     let k = recovered.ticks_committed();
     prop_assert!(k <= plan.len(), "recovered more ticks than committed");
     // Streams ride in tick 0's WAL record, so a recovery that salvaged no
     // ticks is a truly empty pipeline — the reference must be too.
-    let mut prefix_ref = IngestPipeline::new(config(plan.len(), local, cache_capacity));
+    let mut prefix_ref = IngestPipeline::new(config(plan.len(), cache_capacity));
     if k > 0 {
         setup_streams(&mut prefix_ref);
         commit_plan(&mut prefix_ref, &plan[..k]);
@@ -270,7 +257,7 @@ fn recover_and_check(
         recovered.durability_state().is_durable(),
         "resume must stay durable"
     );
-    let full_ref = reference(plan.len(), plan, local, cache_capacity);
+    let full_ref = reference(plan.len(), plan, cache_capacity);
     assert_equiv("resumed run", &full_ref, &recovered)?;
     let _ = std::fs::remove_dir_all(dir);
     Ok(())
@@ -283,14 +270,13 @@ proptest! {
     #[test]
     fn crash_during_wal_append(
         plan in arb_plan(),
-        local in proptest::bool::ANY,
         cache in proptest::bool::ANY,
         torn in proptest::bool::ANY,
         cut in 0u64..1_000_000,
         chunk in 1usize..64,
     ) {
         let cache_capacity = if cache { 64 } else { 0 };
-        let dir = clean_durable_run(&plan, local, cache_capacity, None);
+        let dir = clean_durable_run(&plan, cache_capacity, None);
         let wal_path = dir.join(WAL_FILE);
         let clean = std::fs::read(&wal_path).expect("clean WAL");
         // The header is written and synced at WAL creation; append crashes
@@ -300,7 +286,7 @@ proptest! {
         let kind = if torn { FaultKind::Torn } else { FaultKind::ShortWrite };
         std::fs::write(&wal_path, crash_artifact(&clean, kind, crash_at, chunk))
             .expect("write artifact");
-        recover_and_check(&dir, &plan, local, cache_capacity)?;
+        recover_and_check(&dir, &plan, cache_capacity)?;
     }
 
     /// Crash while writing a snapshot: the temp file holds a prefix of the
@@ -309,19 +295,18 @@ proptest! {
     #[test]
     fn crash_during_snapshot_write(
         plan in arb_plan(),
-        local in proptest::bool::ANY,
         frac in 0.0f64..1.0,
         checkpoint_frac in 0.0f64..1.0,
     ) {
         let checkpoint_after = (checkpoint_frac * plan.len() as f64) as usize;
-        let dir = clean_durable_run(&plan, local, 0, Some(checkpoint_after));
+        let dir = clean_durable_run(&plan, 0, Some(checkpoint_after));
         // Synthesize a torn snapshot *temp* file from the real snapshot
         // bytes: a later checkpoint crashed mid-write.
         let clean_snap = std::fs::read(dir.join(SNAPSHOT_FILE)).expect("snapshot");
         let cut = (frac * clean_snap.len() as f64) as usize;
         let tmp = dir.join(SNAPSHOT_FILE).with_extension("stb.tmp");
         std::fs::write(&tmp, truncate_bytes(clean_snap, cut)).expect("write tmp");
-        recover_and_check(&dir, &plan, local, 0)?;
+        recover_and_check(&dir, &plan, 0)?;
     }
 
     /// Crash in the window between the snapshot rename and the WAL
@@ -331,14 +316,13 @@ proptest! {
     #[test]
     fn crash_between_rename_and_wal_reset(
         plan in arb_plan(),
-        local in proptest::bool::ANY,
     ) {
-        let dir = clean_durable_run(&plan, local, 0, None);
+        let dir = clean_durable_run(&plan, 0, None);
         // Write a full snapshot of the final state through a second store
         // handle WITHOUT resetting the WAL — exactly what the directory
         // looks like if the process dies right after the rename.
         {
-            let (p, _) = IngestPipeline::durable(config(plan.len(), local, 0), &dir)
+            let (p, _) = IngestPipeline::durable(config(plan.len(), 0), &dir)
                 .expect("reload for state export");
             let store = Store::open(&dir).expect("store");
             store
@@ -346,11 +330,11 @@ proptest! {
                 .expect("snapshot");
         }
         let (recovered, report) =
-            IngestPipeline::durable(config(plan.len(), local, 0), &dir).expect("recover");
+            IngestPipeline::durable(config(plan.len(), 0), &dir).expect("recover");
         prop_assert!(report.snapshot_loaded);
         prop_assert_eq!(report.wal_ticks_replayed, 0, "all WAL ticks predate the snapshot");
         prop_assert_eq!(report.wal_ticks_skipped, plan.len());
-        let full_ref = reference(plan.len(), &plan, local, 0);
+        let full_ref = reference(plan.len(), &plan, 0);
         assert_equiv("rename window", &full_ref, &recovered)?;
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -365,7 +349,6 @@ proptest! {
     #[test]
     fn checkpoint_while_documents_are_staged(
         plan in arb_plan(),
-        local in proptest::bool::ANY,
         cache in proptest::bool::ANY,
         at_frac in 0.0f64..1.0,
         split_frac in 0.0f64..1.0,
@@ -377,7 +360,7 @@ proptest! {
         let dir = case_dir();
         {
             let (mut p, _) =
-                IngestPipeline::durable(config(plan.len(), local, cache_capacity), &dir)
+                IngestPipeline::durable(config(plan.len(), cache_capacity), &dir)
                     .expect("open");
             setup_streams(&mut p);
             commit_plan(&mut p, &plan[..at]);
@@ -394,18 +377,18 @@ proptest! {
             // record, and recovery must land on exactly one copy of every
             // document. `recover_and_check` then resumes the rest of the
             // plan and compares against the never-crashed reference.
-            recover_and_check(&dir, &plan, local, cache_capacity)?;
+            recover_and_check(&dir, &plan, cache_capacity)?;
         } else {
             // Crash after the checkpoint but before the commit: only the
             // pre-checkpoint staged documents were made durable, and they
             // come back *staged*, not committed.
             let (mut recovered, report) =
-                IngestPipeline::durable(config(plan.len(), local, cache_capacity), &dir)
+                IngestPipeline::durable(config(plan.len(), cache_capacity), &dir)
                     .expect("recover");
             prop_assert!(report.snapshot_loaded);
             prop_assert_eq!(recovered.ticks_committed(), at);
             let mut reference =
-                IngestPipeline::new(config(plan.len(), local, cache_capacity));
+                IngestPipeline::new(config(plan.len(), cache_capacity));
             setup_streams(&mut reference);
             commit_plan(&mut reference, &plan[..at]);
             stage_docs(&mut reference, &plan[at][..split]);
@@ -428,7 +411,6 @@ proptest! {
     #[test]
     fn crash_between_ticks(
         plan in arb_plan(),
-        local in proptest::bool::ANY,
         cache in proptest::bool::ANY,
         stop_frac in 0.0f64..1.0,
         with_checkpoint in proptest::bool::ANY,
@@ -438,7 +420,7 @@ proptest! {
         let dir = case_dir();
         {
             let (mut p, _) =
-                IngestPipeline::durable(config(plan.len(), local, cache_capacity), &dir)
+                IngestPipeline::durable(config(plan.len(), cache_capacity), &dir)
                     .expect("open");
             setup_streams(&mut p);
             commit_plan(&mut p, &plan[..stop]);
@@ -446,7 +428,7 @@ proptest! {
                 p.checkpoint().expect("checkpoint");
             }
         }
-        recover_and_check(&dir, &plan, local, cache_capacity)?;
+        recover_and_check(&dir, &plan, cache_capacity)?;
     }
 }
 
@@ -559,7 +541,7 @@ proptest! {
     #[test]
     fn interleaved_durability_ops_match_a_batch_oracle(ops in arb_ops()) {
         let dir = case_dir();
-        let open = |dir: &Path| IngestPipeline::durable(config(0, true, 64), dir).expect("open");
+        let open = |dir: &Path| IngestPipeline::durable(config(0, 64), dir).expect("open");
         let (mut pipeline, _) = open(&dir);
         let mut model = Model::default();
         let mut ops = ops;

@@ -8,8 +8,8 @@
 //! divergence at all — a float bit, a result order, an error variant —
 //! indicates a sharding, gather, or publication bug, not noise.
 //!
-//! Three axes are swept per case: miner (`STLocal`/`STComb`), result cache
-//! (on/off), and shard count (1, 2, 3, 8). The query set covers unfiltered
+//! Two axes are swept per case: result cache (on/off) and shard count
+//! (1, 2, 3, 8). The query set covers unfiltered
 //! term queries, text queries, time-window and region filters, per-query
 //! relevance overrides, and explanations.
 
@@ -19,10 +19,9 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
-use stb_core::{STCombConfig, STLocalConfig};
 use stb_corpus::{StreamId, TermId};
 use stb_geo::{GeoPoint, Rect};
-use stb_ingest::{IngestConfig, IngestPipeline, MinerKind};
+use stb_ingest::{IngestConfig, IngestPipeline};
 use stb_search::{
     BurstySearchEngine, EngineConfig, Query, QueryError, QueryResponse, Relevance, SearchResult,
 };
@@ -132,14 +131,12 @@ fn reference_of(responses: &[Result<QueryResponse, QueryError>]) -> GenReference
 /// against a single-threaded unsharded shadow engine fed the same receipts.
 fn check_serving_equivalence(
     plan: &[TickSpec],
-    miner: MinerKind,
     cache_capacity: usize,
     n_shards: usize,
 ) -> Result<(), TestCaseError> {
     let engine_config = EngineConfig::default();
     let mut pipeline = IngestPipeline::new(IngestConfig {
         timeline_capacity: plan.len(),
-        miner,
         engine: engine_config,
         cache_capacity,
         n_shards,
@@ -267,25 +264,7 @@ proptest! {
         plan in arb_plan(),
         cache in proptest::bool::ANY,
     ) {
-        check_serving_equivalence(
-            &plan,
-            MinerKind::STLocal(STLocalConfig::default()),
-            if cache { 64 } else { 0 },
-            8,
-        )?;
-    }
-
-    #[test]
-    fn sharded_serving_equals_unsharded_stcomb(
-        plan in arb_plan(),
-        cache in proptest::bool::ANY,
-    ) {
-        check_serving_equivalence(
-            &plan,
-            MinerKind::STComb(STCombConfig::default()),
-            if cache { 64 } else { 0 },
-            8,
-        )?;
+        check_serving_equivalence(&plan, if cache { 64 } else { 0 }, 8)?;
     }
 
     #[test]
@@ -294,11 +273,6 @@ proptest! {
         shard_choice in 0usize..4,
     ) {
         let n_shards = [1usize, 2, 3, 8][shard_choice];
-        check_serving_equivalence(
-            &plan,
-            MinerKind::STLocal(STLocalConfig::default()),
-            64,
-            n_shards,
-        )?;
+        check_serving_equivalence(&plan, 64, n_shards)?;
     }
 }

@@ -16,25 +16,22 @@
 //!   bit-identical to the replayed state (unchanged-suppression and
 //!   dirty-term skipping may only elide no-ops).
 //!
-//! Swept per case: both miners (`STLocal`/`STComb`), spatiotemporal
-//! filters on and off (the subscribed set mixes unfiltered, time-window,
-//! region, and relevance-override queries), coalescing off (`Block`
-//! channels sized to hold every diff), and each plan once alone and once
-//! beside 1 000 idle registrations on terms no document mentions: the
-//! commits must do exactly the same subscription work either way —
-//! `SubscribeMetrics::{evaluations, notifications}` equal, every matching
-//! diff stream bit-identical.
+//! Swept per case: spatiotemporal filters on and off (the subscribed set
+//! mixes unfiltered, time-window, region, and relevance-override queries),
+//! coalescing off (`Block` channels sized to hold every diff), and each
+//! plan once alone and once beside 1 000 idle registrations on terms no
+//! document mentions: the commits must do exactly the same subscription
+//! work either way — `SubscribeMetrics::{evaluations, notifications}`
+//! equal, every matching diff stream bit-identical.
 
 use proptest::prelude::*;
 use proptest::TestCaseError;
 use std::collections::HashMap;
 
-use stb_core::{STCombConfig, STLocalConfig};
 use stb_corpus::{StreamId, TermId};
 use stb_geo::{GeoPoint, Rect};
 use stb_ingest::{
-    IngestConfig, IngestPipeline, MinerKind, OverflowPolicy, Query, SubscribeMetrics,
-    SubscriptionOptions,
+    IngestConfig, IngestPipeline, OverflowPolicy, Query, SubscribeMetrics, SubscriptionOptions,
 };
 use stb_search::{Relevance, SearchResult};
 
@@ -100,9 +97,9 @@ type DiffBits = (Option<u64>, u64, Bits, Bits);
 /// Runs the plan alone and beside the idle registrations; both runs must
 /// replay to the fresh queries, and the idle set must cost the commits
 /// nothing: no extra evaluation, no extra notification, no moved bit.
-fn check_subscription_stream(plan: &[TickSpec], miner: MinerKind) -> Result<(), TestCaseError> {
-    let (alone, alone_streams) = replay_subscription_stream(plan, miner.clone(), 0)?;
-    let (watched, watched_streams) = replay_subscription_stream(plan, miner, IDLE_SUBSCRIPTIONS)?;
+fn check_subscription_stream(plan: &[TickSpec]) -> Result<(), TestCaseError> {
+    let (alone, alone_streams) = replay_subscription_stream(plan, 0)?;
+    let (watched, watched_streams) = replay_subscription_stream(plan, IDLE_SUBSCRIPTIONS)?;
     prop_assert_eq!(
         watched.active,
         alone.active + IDLE_SUBSCRIPTIONS,
@@ -132,12 +129,10 @@ fn check_subscription_stream(plan: &[TickSpec], miner: MinerKind) -> Result<(), 
 /// the matching streams.
 fn replay_subscription_stream(
     plan: &[TickSpec],
-    miner: MinerKind,
     n_idle: usize,
 ) -> Result<(SubscribeMetrics, Vec<Vec<DiffBits>>), TestCaseError> {
     let mut pipeline = IngestPipeline::new(IngestConfig {
         timeline_capacity: plan.len(),
-        miner,
         ..IngestConfig::default()
     });
     for s in 0..N_STREAMS {
@@ -267,12 +262,7 @@ fn replay_subscription_stream(
 proptest! {
     #[test]
     fn diff_stream_replays_to_fresh_queries_stlocal(plan in arb_plan()) {
-        check_subscription_stream(&plan, MinerKind::STLocal(STLocalConfig::default()))?;
-    }
-
-    #[test]
-    fn diff_stream_replays_to_fresh_queries_stcomb(plan in arb_plan()) {
-        check_subscription_stream(&plan, MinerKind::STComb(STCombConfig::default()))?;
+        check_subscription_stream(&plan)?;
     }
 }
 

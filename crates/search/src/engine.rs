@@ -82,10 +82,10 @@ pub const DEFAULT_CACHE_CAPACITY: usize = 1024;
 /// use stb_search::{EngineConfig, NoPatternPolicy, Relevance};
 ///
 /// let config = EngineConfig::builder()
-///     .relevance(Relevance::TfIdf)
+///     .relevance(Relevance::RawFreq)
 ///     .no_pattern(NoPatternPolicy::Zero)
 ///     .build();
-/// assert_eq!(config.relevance, Relevance::TfIdf);
+/// assert_eq!(config.relevance, Relevance::RawFreq);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 #[non_exhaustive]
@@ -381,8 +381,7 @@ impl BurstySearchEngine {
     /// [`BurstySearchEngine::set_patterns`] calls this automatically; call
     /// it directly when a term's scores changed for a reason *other* than
     /// its patterns — new documents arrived via
-    /// [`BurstySearchEngine::update_collection`], or the corpus-level
-    /// statistics a [`Relevance::TfIdf`] configuration depends on moved.
+    /// [`BurstySearchEngine::update_collection`].
     pub(crate) fn refresh_term(&mut self, term: TermId) {
         if self.state.prebuilt.is_some() {
             let list = self.term_postings(term);
@@ -823,7 +822,6 @@ pub(crate) fn scored_postings(
     filter: PatternFilter,
 ) -> Vec<Posting> {
     let collection = &state.collection;
-    let n_docs = collection.documents().len();
     let Some(docs) = state.term_docs(term) else {
         return Vec::new();
     };
@@ -832,14 +830,13 @@ pub(crate) fn scored_postings(
         collection.n_streams(),
         &filter,
     );
-    let doc_freq = docs.len();
     // Not preallocated: under Exclude most documents drop out, and
     // `finalize` holds every term's list at once.
     let mut list = Vec::new();
     for &doc_id in docs {
         let doc = collection.document(doc_id);
         let score = match footprint.burstiness(doc.stream, doc.timestamp) {
-            Some(burst) => config.relevance.score(doc.freq(term), doc_freq, n_docs) * burst,
+            Some(burst) => config.relevance.score(doc.freq(term)) * burst,
             // The term contributes nothing but the document stays eligible
             // for the rest of the query.
             None if config.no_pattern == NoPatternPolicy::Zero => 0.0,
@@ -877,7 +874,6 @@ fn explain(
     results: &[SearchResult],
 ) -> Vec<DocExplanation> {
     let collection = &state.collection;
-    let n_docs = collection.documents().len();
     let footprints: Vec<Footprint> = plan
         .terms
         .iter()
@@ -899,11 +895,7 @@ fn explain(
                 .iter()
                 .zip(&footprints)
                 .map(|(&term, footprint)| {
-                    let doc_freq = state.term_docs(term).map_or(0, <[DocId]>::len);
-                    let relevance = plan
-                        .config
-                        .relevance
-                        .score(doc.freq(term), doc_freq, n_docs);
+                    let relevance = plan.config.relevance.score(doc.freq(term));
                     let patterns: Vec<PatternMatch> = footprint
                         .overlapping(doc.stream, doc.timestamp)
                         .map(|p| PatternMatch {
@@ -1748,10 +1740,10 @@ mod tests {
     fn engine_config_builder_defaults_match_default() {
         assert_eq!(EngineConfig::builder().build(), EngineConfig::default());
         let custom = EngineConfig::builder()
-            .relevance(Relevance::TfIdf)
+            .relevance(Relevance::RawFreq)
             .no_pattern(NoPatternPolicy::Zero)
             .build();
-        assert_eq!(custom.relevance, Relevance::TfIdf);
+        assert_eq!(custom.relevance, Relevance::RawFreq);
         assert_eq!(custom.no_pattern, NoPatternPolicy::Zero);
     }
 }

@@ -526,7 +526,6 @@ fn linear_postings(
     config: EngineConfig,
     filter: PatternFilter,
 ) -> Vec<(DocId, u64)> {
-    let n_docs = collection.documents().len();
     let docs: Vec<&Document> = collection
         .documents()
         .iter()
@@ -556,7 +555,7 @@ fn linear_postings(
                 .iter()
                 .copied()
                 .fold(f64::NEG_INFINITY, f64::max);
-            config.relevance.score(doc.freq(term), docs.len(), n_docs) * burst
+            config.relevance.score(doc.freq(term)) * burst
         };
         postings.push((doc.id, score.to_bits()));
     }
@@ -574,13 +573,12 @@ proptest! {
         specs in arb_records(),
         empty_mask in 0u8..(1 << N_TERMS),
         filter in arb_filter(),
-        relevance in 0u8..3,
+        raw in proptest::bool::ANY,
         zero in proptest::bool::ANY
     ) {
         let collection = build_collection(&docs);
         let by_term = records_by_term(&specs, empty_mask);
-        let relevance = [Relevance::LogFreq, Relevance::RawFreq, Relevance::TfIdf]
-            [usize::from(relevance)];
+        let relevance = if raw { Relevance::RawFreq } else { Relevance::LogFreq };
         let config = EngineConfig::builder()
             .relevance(relevance)
             .no_pattern(config_for(zero).no_pattern)

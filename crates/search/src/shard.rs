@@ -399,13 +399,6 @@ impl ShardedEngine {
         }
     }
 
-    /// Re-derives one term's posting list on the write side. See
-    /// `BurstySearchEngine::refresh_term`.
-    pub fn refresh_term(&mut self, term: TermId) {
-        self.engine.refresh_term(term);
-        self.dirty.insert(term);
-    }
-
     /// Swaps in a newer collection snapshot, marking the new documents'
     /// terms dirty. See [`BurstySearchEngine::update_collection`].
     pub fn update_collection(&mut self, collection: Arc<Collection>, new_docs: &[DocId]) {
@@ -628,7 +621,7 @@ mod tests {
                 Query::terms([flood])
                     .top_k(5)
                     .region(Rect::new(-1.0, -1.0, 2.0, 2.0)),
-                Query::terms([flood]).top_k(5).relevance(Relevance::TfIdf),
+                Query::terms([flood]).top_k(5).relevance(Relevance::RawFreq),
                 Query::terms([flood, other]).top_k(6).explain(true),
                 Query::text("flood").top_k(4),
             ];
@@ -749,7 +742,7 @@ mod tests {
         assert!(front.query(&q_other).unwrap().stats.cache_hit);
 
         // Dirtying flood invalidates its queries but not other's.
-        sharded.refresh_term(flood);
+        sharded.set_patterns(flood, &[flood_pattern()]);
         sharded.publish();
         assert!(!front.query(&q_flood).unwrap().stats.cache_hit);
         assert!(front.query(&q_other).unwrap().stats.cache_hit);

@@ -47,7 +47,6 @@ fn sample_snapshot() -> SnapshotState {
         )],
         pending: PendingState {
             structural_dirty: true,
-            comb_all_dirty: false,
             dirty_terms: vec![TermId(1)],
             staged: vec![DocRecord {
                 stream: StreamId(1),

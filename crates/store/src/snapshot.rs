@@ -46,9 +46,11 @@ use crate::wal::DocRecord;
 /// The snapshot file magic number.
 pub(crate) const SNAPSHOT_MAGIC: [u8; 8] = *b"STBSNAP0";
 /// The single snapshot format version this build reads and writes. Version
-/// 1 also persisted the frequency tensor and every posting list; there are
-/// no deployed stores, so a version-1 file is an `UnsupportedVersion` error.
-pub(crate) const SNAPSHOT_VERSION: u32 = 2;
+/// 1 also persisted the frequency tensor and every posting list; version 2
+/// also persisted a pending "timeline grew" flag for live `STComb` mining.
+/// There are no deployed stores, so an older file is an
+/// `UnsupportedVersion` error.
+pub(crate) const SNAPSHOT_VERSION: u32 = 3;
 
 /// The ingestion pipeline's uncommitted bookkeeping at snapshot time.
 ///
@@ -62,8 +64,6 @@ pub struct PendingState {
     /// A stream was added since the last commit (forces an all-term
     /// re-mine on the next commit).
     pub structural_dirty: bool,
-    /// The timeline grew since the last `STComb` re-mine.
-    pub comb_all_dirty: bool,
     /// Terms whose patterns must be re-mined at the next commit, sorted.
     pub dirty_terms: Vec<TermId>,
     /// Documents staged but not yet committed, in arrival order.
@@ -327,7 +327,6 @@ pub(crate) fn decode_doc_record(d: &mut Dec<'_>) -> Result<DocRecord, StoreError
 /// Encodes the pending pipeline bookkeeping.
 pub(crate) fn encode_pending(e: &mut Enc, p: &PendingState) {
     e.put_bool(p.structural_dirty);
-    e.put_bool(p.comb_all_dirty);
     e.put_u32(p.dirty_terms.len() as u32);
     for t in &p.dirty_terms {
         e.put_u32(t.0);
@@ -341,7 +340,6 @@ pub(crate) fn encode_pending(e: &mut Enc, p: &PendingState) {
 /// Decodes the pending pipeline bookkeeping.
 pub(crate) fn decode_pending(d: &mut Dec<'_>) -> Result<PendingState, StoreError> {
     let structural_dirty = d.get_bool()?;
-    let comb_all_dirty = d.get_bool()?;
     let n = d.get_count(4)?;
     let mut dirty_terms = Vec::with_capacity(n);
     for _ in 0..n {
@@ -354,7 +352,6 @@ pub(crate) fn decode_pending(d: &mut Dec<'_>) -> Result<PendingState, StoreError
     }
     Ok(PendingState {
         structural_dirty,
-        comb_all_dirty,
         dirty_terms,
         staged,
     })
@@ -611,7 +608,6 @@ mod tests {
         )];
         let pending = PendingState {
             structural_dirty: true,
-            comb_all_dirty: false,
             dirty_terms: vec![TermId(0), TermId(2)],
             staged: vec![DocRecord {
                 stream: StreamId(1),
@@ -877,17 +873,19 @@ mod tests {
                 ..
             })
         ));
-        // A version-1 file.
-        let mut bad = good.clone();
-        bad[8..12].copy_from_slice(&1u32.to_le_bytes());
-        assert!(matches!(
-            unframe_snapshot(&bad),
-            Err(StoreError::UnsupportedVersion {
-                what: "snapshot",
-                found: 1,
-                supported: 2,
-            })
-        ));
+        // A file of an earlier format version.
+        for old in [1, 2] {
+            let mut bad = good.clone();
+            bad[8..12].copy_from_slice(&u32::to_le_bytes(old));
+            assert!(matches!(
+                unframe_snapshot(&bad),
+                Err(StoreError::UnsupportedVersion {
+                    what: "snapshot",
+                    found,
+                    supported: 3,
+                }) if found == old
+            ));
+        }
         // Wrong version byte.
         let mut bad = good.clone();
         bad[8] = 42;

@@ -31,6 +31,13 @@ impl RunningMean {
         Self::default()
     }
 
+    /// The model after `n` observations of `0.0`, in O(1): bit-identical
+    /// to `n` [`observe`](RunningMean::observe) calls, as `0.0 + 0.0` is
+    /// `+0.0`.
+    pub fn after_zeros(n: usize) -> Self {
+        Self { sum: 0.0, count: n }
+    }
+
     /// Expected frequency of the next observation given history seen so far,
     /// or `None` if no history is available yet.
     pub fn expected(&self) -> Option<f64> {
@@ -76,6 +83,25 @@ mod tests {
         m.observe(2.0);
         m.observe(4.0);
         assert_eq!(m.expected(), Some(3.0));
+    }
+
+    #[test]
+    fn after_zeros_is_bit_identical_to_observing_the_zeros() {
+        const LATER: [f64; 6] = [6.0, 0.0, 9.5, -0.0, 1e-300, 4.0];
+        for n in 0..=64 {
+            let mut fed = RunningMean::new();
+            for _ in 0..n {
+                fed.observe(0.0);
+            }
+            let mut built = RunningMean::after_zeros(n);
+            let bits = |m: &RunningMean| m.expected().map(f64::to_bits);
+            assert_eq!(bits(&built), bits(&fed), "n = {n}");
+            for &y in &LATER {
+                fed.observe(y);
+                built.observe(y);
+                assert_eq!(bits(&built), bits(&fed), "n = {n}, then {y}");
+            }
+        }
     }
 
     #[test]

@@ -112,7 +112,7 @@ fn query_dsl_surface() {
 fn engine_surface() {
     let (collection, term, stream) = tiny_collection();
     let config: EngineConfig = EngineConfig::builder()
-        .relevance(Relevance::TfIdf)
+        .relevance(Relevance::RawFreq)
         .no_pattern(NoPatternPolicy::Zero)
         .build();
     let shared: Arc<Collection> = Arc::new(collection);
@@ -287,7 +287,6 @@ fn serving_tier_surface() {
     engine.set_pattern_records(term, records);
     let source: Vec<(TermId, Vec<CombinatorialPattern>)> = vec![(term, vec![pattern])];
     engine.set_patterns_from(&source);
-    engine.refresh_term(term);
     engine.finalize_with_threads(1);
     engine.publish();
     let _: &BurstySearchEngine = engine.engine();
