@@ -10,8 +10,6 @@
 //!   at timestamp `i` (Eq. 6), available as per-stream series
 //!   ([`Collection::term_stream_series`]) and as per-timestamp snapshots
 //!   across streams ([`Collection::term_snapshot`]).
-//! * per-stream totals (all terms), the overall traffic volume of each
-//!   stream ([`Collection::stream_total_series`]).
 
 use crate::dictionary::{TermDict, TermId};
 use crate::document::{DocId, Document};
@@ -69,7 +67,6 @@ pub struct Collection {
     timeline_len: usize,
     documents: Vec<Document>,
     term_freqs: HashMap<TermId, TermOccurrences>,
-    stream_totals: Vec<Vec<f64>>,
 }
 
 impl Collection {
@@ -181,11 +178,6 @@ impl Collection {
         series
     }
 
-    /// Total term occurrences (all terms) of `stream` per timestamp.
-    pub fn stream_total_series(&self, stream: StreamId) -> &[f64] {
-        &self.stream_totals[stream.index()]
-    }
-
     // ------------------------------------------------------------------
     // Live mutation.
     //
@@ -220,7 +212,6 @@ impl Collection {
             geostamp,
             position,
         });
-        self.stream_totals.push(vec![0.0; self.timeline_len]);
         id
     }
 
@@ -234,17 +225,11 @@ impl Collection {
     /// Grows the timeline to `new_len` timestamps (a no-op if the timeline
     /// is already at least that long). New timestamps hold no documents.
     pub fn extend_timeline(&mut self, new_len: usize) {
-        if new_len <= self.timeline_len {
-            return;
-        }
-        for totals in &mut self.stream_totals {
-            totals.resize(new_len, 0.0);
-        }
-        self.timeline_len = new_len;
+        self.timeline_len = self.timeline_len.max(new_len);
     }
 
     /// Appends a document after construction, incrementally updating the
-    /// per-term frequency tensors and per-stream totals. Returns the new
+    /// per-term frequency tensor. Returns the new
     /// document's id (dense, in arrival order — exactly the ids the batch
     /// builder would have assigned).
     ///
@@ -274,7 +259,6 @@ impl Collection {
                 Ok(idx) => entries[idx].1 += count as f64,
                 Err(idx) => entries.insert(idx, (timestamp, count as f64)),
             }
-            self.stream_totals[stream.index()][timestamp] += count as f64;
         }
         self.documents
             .push(Document::new(id, stream, timestamp, counts));
@@ -296,12 +280,6 @@ pub struct CollectionParts {
     pub timeline_len: usize,
     /// Every document, in [`DocId`] order.
     pub documents: Vec<Document>,
-    /// Per-stream total term occurrences per timestamp, indexed by
-    /// [`StreamId::index`]; each inner vector has `timeline_len` entries.
-    /// They are derivable from the documents and are checked against
-    /// them, but their length is what bounds `streams × timeline_len`
-    /// before anything that size is allocated.
-    pub stream_totals: Vec<Vec<f64>>,
 }
 
 /// Error returned by [`Collection::from_parts`] when the parts violate a
@@ -332,23 +310,18 @@ impl std::fmt::Display for PartsError {
 
 impl std::error::Error for PartsError {}
 
-/// Aggregates documents into the per-term frequency tensor and the
-/// per-stream totals: the one derivation both [`CollectionBuilder::build`]
-/// and [`Collection::from_parts`] run. Every document's stream and
-/// timestamp must be in range.
-fn aggregate(
-    documents: &[Document],
-    n_streams: usize,
-    timeline_len: usize,
-) -> (HashMap<TermId, TermOccurrences>, Vec<Vec<f64>>) {
+/// Aggregates documents into the per-term frequency tensor: the one
+/// derivation both [`CollectionBuilder::build`] and
+/// [`Collection::from_parts`] run. Its memory is proportional to the
+/// documents' distinct (term, stream, timestamp) triples, never to
+/// `streams × timeline_len`.
+fn aggregate(documents: &[Document]) -> HashMap<TermId, TermOccurrences> {
     let mut term_freqs: HashMap<TermId, TermOccurrences> = HashMap::new();
-    let mut stream_totals = vec![vec![0.0; timeline_len]; n_streams];
     // Aggregate per (term, stream, timestamp).
     let mut agg: HashMap<(TermId, StreamId, Timestamp), f64> = HashMap::new();
     for doc in documents {
         for (&term, &count) in &doc.counts {
             *agg.entry((term, doc.stream, doc.timestamp)).or_insert(0.0) += count as f64;
-            stream_totals[doc.stream.index()][doc.timestamp] += count as f64;
         }
     }
     for ((term, stream, ts), freq) in agg {
@@ -364,16 +337,21 @@ fn aggregate(
             entries.sort_by_key(|e| e.0);
         }
     }
-    (term_freqs, stream_totals)
+    term_freqs
 }
 
 impl Collection {
     /// Reassembles a collection from its persisted inputs, validating every
     /// structural invariant and re-deriving the frequency tensor with the
     /// aggregation [`CollectionBuilder::build`] runs. Nothing structurally
-    /// impossible is accepted: ids must be dense and in range, documents
-    /// inside the timeline, and the totals sized to the timeline and equal
-    /// to the documents' own.
+    /// impossible is accepted: ids must be dense and in range, and
+    /// documents inside the timeline.
+    ///
+    /// `timeline_len` is only compared against, never allocated by: every
+    /// allocation here is sized by the terms, streams and documents the
+    /// caller already holds, and the collection stores no dense
+    /// per-timestamp data. A decoded `timeline_len` therefore needs no
+    /// bound of its own (a dense `streams × timeline_len` field would).
     pub fn from_parts(parts: CollectionParts) -> Result<Self, PartsError> {
         let n_streams = parts.streams.len();
         let n_terms = parts.terms.len();
@@ -382,21 +360,6 @@ impl Collection {
                 return Err(PartsError::new(format!(
                     "stream {i} has non-dense id {:?}",
                     meta.id
-                )));
-            }
-        }
-        if parts.stream_totals.len() != n_streams {
-            return Err(PartsError::new(format!(
-                "{} stream-total series for {n_streams} streams",
-                parts.stream_totals.len()
-            )));
-        }
-        for (i, totals) in parts.stream_totals.iter().enumerate() {
-            if totals.len() != parts.timeline_len {
-                return Err(PartsError::new(format!(
-                    "stream {i} totals cover {} timestamps of a {}-long timeline",
-                    totals.len(),
-                    parts.timeline_len
                 )));
             }
         }
@@ -432,18 +395,13 @@ impl Collection {
                 )));
             }
         }
-        let (term_freqs, stream_totals) =
-            aggregate(&parts.documents, n_streams, parts.timeline_len);
-        if stream_totals != parts.stream_totals {
-            return Err(PartsError::new("stream totals disagree with the documents"));
-        }
+        let term_freqs = aggregate(&parts.documents);
         Ok(Collection {
             dict,
             streams: parts.streams,
             timeline_len: parts.timeline_len,
             documents: parts.documents,
             term_freqs,
-            stream_totals,
         })
     }
 }
@@ -545,15 +503,13 @@ impl CollectionBuilder {
 
     /// Finalizes the collection, computing the per-term frequency tensors.
     pub fn build(self) -> Collection {
-        let (term_freqs, stream_totals) =
-            aggregate(&self.documents, self.streams.len(), self.timeline_len);
+        let term_freqs = aggregate(&self.documents);
         Collection {
             dict: self.dict,
             streams: self.streams,
             timeline_len: self.timeline_len,
             documents: self.documents,
             term_freqs,
-            stream_totals,
         }
     }
 }
@@ -618,15 +574,6 @@ mod tests {
         assert_eq!(c.streams_with_term(fuji), vec![StreamId(1)]);
         let quake = c.dict().get("earthquake").unwrap();
         assert_eq!(c.streams_with_term(quake), vec![StreamId(0), StreamId(1)]);
-    }
-
-    #[test]
-    fn stream_totals() {
-        let c = build_sample();
-        // Athens: t0 has 3 tokens, t2 has 2 tokens.
-        let totals = c.stream_total_series(StreamId(0));
-        assert_eq!(totals[0], 3.0);
-        assert_eq!(totals[2], 2.0);
     }
 
     #[test]
@@ -720,12 +667,6 @@ mod tests {
                 );
             }
         }
-        for s in 0..n_streams {
-            assert_eq!(
-                batch.stream_total_series(StreamId(s as u32)),
-                live.stream_total_series(StreamId(s as u32))
-            );
-        }
     }
 
     #[test]
@@ -749,10 +690,6 @@ mod tests {
         assert_eq!(s.index(), n);
         assert_eq!(c.n_streams(), n + 1);
         assert_eq!(c.stream(s).name, "Tokyo");
-        assert_eq!(
-            c.stream_total_series(s),
-            vec![0.0; c.timeline_len()].as_slice()
-        );
         let quake = c.dict().get("earthquake").unwrap();
         assert_eq!(c.term_snapshot(quake, 2).frequencies.len(), n + 1);
         // And it can receive documents right away.
@@ -772,7 +709,6 @@ mod tests {
         let after = c.term_merged_series(quake);
         assert_eq!(&after[..before.len()], before.as_slice());
         assert_eq!(&after[before.len()..], &[0.0, 0.0, 0.0]);
-        assert_eq!(c.stream_total_series(StreamId(0)).len(), 8);
         // Shrinking is a no-op.
         c.extend_timeline(3);
         assert_eq!(c.timeline_len(), 8);
@@ -812,9 +748,6 @@ mod tests {
             streams: c.streams().to_vec(),
             timeline_len: c.timeline_len(),
             documents: c.documents().to_vec(),
-            stream_totals: (0..c.n_streams())
-                .map(|s| c.stream_total_series(StreamId(s as u32)).to_vec())
-                .collect(),
         }
     }
 
@@ -854,12 +787,6 @@ mod tests {
                 );
             }
         }
-        for s in 0..c.n_streams() {
-            assert_eq!(
-                c.stream_total_series(StreamId(s as u32)),
-                back.stream_total_series(StreamId(s as u32))
-            );
-        }
         for (a, b) in c.documents().iter().zip(back.documents()) {
             assert_eq!(a.id, b.id);
             assert_eq!(a.stream, b.stream);
@@ -884,14 +811,6 @@ mod tests {
         // Dangling document stream.
         let mut parts = parts_of(&c);
         parts.documents[0].stream = StreamId(99);
-        assert!(Collection::from_parts(parts).is_err());
-        // Totals shorter than the timeline.
-        let mut parts = parts_of(&c);
-        parts.stream_totals[0].pop();
-        assert!(Collection::from_parts(parts).is_err());
-        // Totals that disagree with the documents.
-        let mut parts = parts_of(&c);
-        parts.stream_totals[1][4] += 1.0;
         assert!(Collection::from_parts(parts).is_err());
         // A document past the timeline.
         let mut parts = parts_of(&c);

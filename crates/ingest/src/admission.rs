@@ -1,16 +1,16 @@
 //! Admission control, ahead of the commit path: the staging bound with its
-//! [`Backpressure`] policy, and the quarantine log that parks poison
-//! documents instead of letting them kill a tick.
+//! [`Backpressure`] policy, and the quarantine check that refuses poison
+//! documents (counted, with their reason on the outcome) instead of
+//! letting them kill a tick.
 
 use crate::config::IngestConfig;
 #[cfg(doc)]
 use crate::pipeline::IngestPipeline;
 use crate::report::HealthReport;
-use std::collections::{HashMap, VecDeque};
-use std::fmt;
+use std::collections::HashMap;
 use std::sync::Arc;
 
-use stb_corpus::{Collection, StreamId, TermId, Timestamp};
+use stb_corpus::{Collection, StreamId, TermId};
 use stb_obs::Counter;
 
 /// What staging a document does when the staging buffer
@@ -41,33 +41,8 @@ pub(crate) enum QuarantineReason {
     OversizedDoc,
 }
 
-impl fmt::Display for QuarantineReason {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            QuarantineReason::UnknownStream => write!(f, "unknown stream"),
-            QuarantineReason::UnknownTerm => write!(f, "unknown term id"),
-            QuarantineReason::OversizedDoc => write!(f, "term count over bound"),
-        }
-    }
-}
-
-/// A poison document parked in the quarantine log instead of killing its
-/// tick. The original counts are retained so an operator can inspect (or
-/// re-submit after fixing) the input.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct QuarantinedDoc {
-    /// The tick that was open when the document arrived.
-    pub(crate) tick: Timestamp,
-    /// The stream the document claimed to belong to.
-    pub(crate) stream: StreamId,
-    /// The document's term counts, sorted by term id.
-    pub(crate) counts: Vec<(TermId, u32)>,
-    /// Why it was quarantined.
-    pub(crate) reason: QuarantineReason,
-}
-
 /// How [`IngestPipeline::try_stage_document`] disposed of a document.
-#[derive(Debug)]
+#[derive(Debug, PartialEq, Eq)]
 pub(crate) enum StageOutcome {
     /// Staged into the open tick.
     Staged,
@@ -78,15 +53,16 @@ pub(crate) enum StageOutcome {
     /// The staging buffer was full under [`Backpressure::Shed`]: the
     /// document was dropped.
     Shed,
-    /// The document was poison and went to the quarantine log.
-    Quarantined,
+    /// The document was poison and was refused (counted in
+    /// [`HealthReport::quarantined_total`]).
+    Quarantined(QuarantineReason),
 }
 
 /// What [`Admission::decide`] says about one incoming document.
 pub(crate) enum Decision {
     /// Stage it into the open tick.
     Admit,
-    /// Poison: park it in the quarantine log.
+    /// Poison: refuse it.
     Quarantine(QuarantineReason),
     /// The staging buffer is at its bound: apply the [`Backpressure`] policy.
     Full,
@@ -97,9 +73,6 @@ pub(crate) struct Admission {
     max_staged_docs: usize,
     pub(crate) backpressure: Backpressure,
     max_terms_per_doc: usize,
-    max_quarantined_docs: usize,
-    /// Quarantined poison documents, oldest first (bounded).
-    quarantine: VecDeque<QuarantinedDoc>,
     pub(crate) quarantined_total: Arc<Counter>,
     pub(crate) docs_shed: Arc<Counter>,
 }
@@ -110,8 +83,6 @@ impl Admission {
             max_staged_docs: config.max_staged_docs,
             backpressure: config.backpressure,
             max_terms_per_doc: config.max_terms_per_doc,
-            max_quarantined_docs: config.max_quarantined_docs,
-            quarantine: VecDeque::new(),
             quarantined_total: Arc::default(),
             docs_shed: Arc::default(),
         }
@@ -145,38 +116,9 @@ impl Admission {
         Decision::Admit
     }
 
-    /// Parks a poison document in the (bounded) quarantine log.
-    pub(crate) fn quarantine(
-        &mut self,
-        tick: Timestamp,
-        stream: StreamId,
-        counts: HashMap<TermId, u32>,
-        reason: QuarantineReason,
-    ) {
-        let mut sorted: Vec<(TermId, u32)> = counts.into_iter().collect();
-        sorted.sort_by_key(|&(t, _)| t);
-        if self.quarantine.len() >= self.max_quarantined_docs.max(1) {
-            self.quarantine.pop_front();
-        }
-        self.quarantine.push_back(QuarantinedDoc {
-            tick,
-            stream,
-            counts: sorted,
-            reason,
-        });
-        self.quarantined_total.inc();
-    }
-
-    #[cfg(test)]
-    pub(crate) fn quarantine_log(&self) -> impl Iterator<Item = &QuarantinedDoc> {
-        self.quarantine.iter()
-    }
-
     /// Fills in the admission fields of a health report.
     pub(crate) fn report(&self, health: &mut HealthReport) {
-        health.max_staged_docs = self.max_staged_docs;
         health.docs_shed = self.docs_shed.get();
-        health.quarantined = self.quarantine.len();
         health.quarantined_total = self.quarantined_total.get();
     }
 }
@@ -199,44 +141,32 @@ mod tests {
         let t = pipeline.intern("t");
 
         let unknown_stream = StreamId(99);
-        match pipeline.try_stage_document(unknown_stream, HashMap::from([(t, 1)])) {
-            StageOutcome::Quarantined => {}
-            other => panic!("expected UnknownStream quarantine, got {other:?}"),
-        }
-        match pipeline.try_stage_document(s, HashMap::from([(TermId(42), 1)])) {
-            StageOutcome::Quarantined => {}
-            other => panic!("expected UnknownTerm quarantine, got {other:?}"),
-        }
-        match pipeline.try_stage_document(s, HashMap::from([(t, 11)])) {
-            StageOutcome::Quarantined => {}
-            other => panic!("expected OversizedDoc quarantine, got {other:?}"),
-        }
+        assert_eq!(
+            pipeline.try_stage_document(unknown_stream, HashMap::from([(t, 1)])),
+            StageOutcome::Quarantined(QuarantineReason::UnknownStream)
+        );
+        assert_eq!(
+            pipeline.try_stage_document(s, HashMap::from([(TermId(42), 1)])),
+            StageOutcome::Quarantined(QuarantineReason::UnknownTerm)
+        );
+        assert_eq!(
+            pipeline.try_stage_document(s, HashMap::from([(t, 11)])),
+            StageOutcome::Quarantined(QuarantineReason::OversizedDoc)
+        );
         // The tick survives: a clean document commits normally.
-        match pipeline.try_stage_document(s, HashMap::from([(t, 1)])) {
-            StageOutcome::Staged => {}
-            other => panic!("expected Staged, got {other:?}"),
-        }
+        assert_eq!(
+            pipeline.try_stage_document(s, HashMap::from([(t, 1)])),
+            StageOutcome::Staged
+        );
         let receipt = pipeline.commit_tick();
         assert_eq!(receipt.new_docs.len(), 1);
-        let h = pipeline.health();
-        assert_eq!(h.quarantined, 3);
-        assert_eq!(h.quarantined_total, 3);
-        let reasons: Vec<QuarantineReason> = pipeline.quarantine_log().map(|q| q.reason).collect();
-        assert_eq!(
-            reasons,
-            vec![
-                QuarantineReason::UnknownStream,
-                QuarantineReason::UnknownTerm,
-                QuarantineReason::OversizedDoc
-            ]
-        );
+        assert_eq!(pipeline.health().quarantined_total, 3);
     }
 
     #[test]
-    fn quarantine_log_is_bounded_but_total_keeps_counting() {
+    fn quarantined_total_keeps_counting() {
         let config = IngestConfig {
             timeline_capacity: 4,
-            max_quarantined_docs: 2,
             ..Default::default()
         };
         let mut pipeline = IngestPipeline::new(config);
@@ -245,9 +175,7 @@ mod tests {
         for _ in 0..5 {
             let _ = pipeline.try_stage_document(StreamId(9), HashMap::from([(t, 1)]));
         }
-        let h = pipeline.health();
-        assert_eq!(h.quarantined, 2);
-        assert_eq!(h.quarantined_total, 5);
+        assert_eq!(pipeline.health().quarantined_total, 5);
     }
 
     #[test]
@@ -262,15 +190,15 @@ mod tests {
         let s = pipeline.add_stream("A", GeoPoint::new(0.0, 0.0));
         let t = pipeline.intern("t");
         for _ in 0..2 {
-            match pipeline.try_stage_document(s, HashMap::from([(t, 1)])) {
-                StageOutcome::Staged => {}
-                other => panic!("expected Staged, got {other:?}"),
-            }
+            assert_eq!(
+                pipeline.try_stage_document(s, HashMap::from([(t, 1)])),
+                StageOutcome::Staged
+            );
         }
-        match pipeline.try_stage_document(s, HashMap::from([(t, 1)])) {
-            StageOutcome::StagedAfterCommit => {}
-            other => panic!("expected StagedAfterCommit, got {other:?}"),
-        }
+        assert_eq!(
+            pipeline.try_stage_document(s, HashMap::from([(t, 1)])),
+            StageOutcome::StagedAfterCommit
+        );
         assert_eq!(pipeline.ticks_committed(), 1);
         assert_eq!(pipeline.health().staged_docs, 1);
     }
@@ -287,10 +215,10 @@ mod tests {
         let s = pipeline.add_stream("A", GeoPoint::new(0.0, 0.0));
         let t = pipeline.intern("t");
         let _ = pipeline.try_stage_document(s, HashMap::from([(t, 1)]));
-        match pipeline.try_stage_document(s, HashMap::from([(t, 1)])) {
-            StageOutcome::Shed => {}
-            other => panic!("expected Shed, got {other:?}"),
-        }
+        assert_eq!(
+            pipeline.try_stage_document(s, HashMap::from([(t, 1)])),
+            StageOutcome::Shed
+        );
         let receipt = pipeline.commit_tick();
         assert_eq!(receipt.new_docs.len(), 1, "shed doc never entered");
         assert_eq!(pipeline.health().docs_shed, 1);

@@ -53,10 +53,6 @@ pub struct IngestConfig {
     /// multiplicities) exceeds this is quarantined instead of staged. 0
     /// means unbounded.
     pub max_terms_per_doc: usize,
-    /// At most this many quarantined documents are retained for
-    /// inspection (oldest evicted first); the `quarantined_total` health
-    /// counter keeps counting past the bound.
-    pub max_quarantined_docs: usize,
 }
 
 impl Default for IngestConfig {
@@ -74,7 +70,6 @@ impl Default for IngestConfig {
             max_staged_docs: 0,
             backpressure: Backpressure::Block,
             max_terms_per_doc: 0,
-            max_quarantined_docs: 1024,
         }
     }
 }

@@ -469,12 +469,10 @@ impl DurabilityLayer {
         if let DurabilityState::Degraded { buffered_ticks, .. } = health.durability {
             health.buffered_ticks = buffered_ticks;
         }
-        health.max_buffered_ticks = self.max_buffered_ticks;
         health.wal_appends = self.wal_appends.get();
         health.wal_failures = self.wal_failures.get();
         health.store_retries = self.store_retries.get();
         health.recoveries = self.recoveries.get();
-        health.checkpoints = self.checkpoints.get();
         health.checkpoint_failures = self.checkpoint_failures.get();
         health.durability_state_secs = self.since.elapsed().as_secs_f64();
         health.last_error = self.fault().map(|f| f.last_error.to_string());
@@ -539,10 +537,9 @@ mod tests {
             .expect("wal exists")
             .len();
         assert_eq!(wal_after, stb_store::WAL_HEADER_LEN);
-        let m = pipeline.metrics();
-        assert!(m.durable);
-        assert_eq!(m.checkpoints, 1);
-        assert_eq!(m.wal_appends, 8);
+        assert!(pipeline.is_durable());
+        assert_eq!(pipeline.metrics().checkpoints, 1);
+        assert_eq!(pipeline.health().wal_appends, 8);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -603,7 +600,7 @@ mod tests {
             pipeline.commit_tick();
         }
         assert!(pipeline.durability_state().is_durable());
-        assert_eq!(pipeline.metrics().wal_appends, 3);
+        assert_eq!(pipeline.health().wal_appends, 3);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -785,10 +782,10 @@ mod tests {
         assert_eq!(receipt.durability, DurabilityState::Durable);
         let h = pipeline.health();
         assert_eq!(h.checkpoint_failures, 1);
-        assert_eq!(h.checkpoints, 0);
+        assert_eq!(pipeline.metrics().checkpoints, 0);
         // The next commit retries the (now healed) checkpoint.
         commit_one(&mut pipeline, s, t);
-        assert_eq!(pipeline.health().checkpoints, 1);
+        assert_eq!(pipeline.metrics().checkpoints, 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -816,7 +813,7 @@ mod tests {
         let wal = std::fs::read(dir.join(stb_store::WAL_FILE)).expect("read wal");
         assert_eq!(
             (snapshot.len(), stb_store::crc32(&snapshot)),
-            (1406, 0x73fb_65af)
+            (1102, 0x0e19_1fd7)
         );
         assert_eq!((wal.len(), stb_store::crc32(&wal)), (392, 0x679b_9f28));
         let _ = std::fs::remove_dir_all(&dir);

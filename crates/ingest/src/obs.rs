@@ -63,7 +63,7 @@ impl Default for PipelineObsConfig {
 /// | `ingest_durability_state` | gauge | current state (0 ephemeral, 1 durable, 2 degraded, 3 non-durable) |
 /// | `ingest_durability_state_seconds` | gauge | time spent in the current state |
 /// | `ingest_staged_docs` / `ingest_dirty_terms` | gauge | open-tick queue depths |
-/// | `ingest_buffered_ticks` / `ingest_quarantined_docs` | gauge | degraded buffer / quarantine depth |
+/// | `ingest_buffered_ticks` | gauge | degraded-mode buffer depth |
 ///
 /// The pipeline's lifetime counters (`ingest_docs_total`,
 /// `ingest_docs_shed_total`, `ingest_wal_appends_total`, …) are adopted
@@ -82,7 +82,6 @@ pub struct PipelineObs {
     staged_docs: Arc<Gauge>,
     dirty_terms: Arc<Gauge>,
     buffered_ticks: Arc<Gauge>,
-    quarantined_docs: Arc<Gauge>,
     sampler: Sampler,
     trace_seq: AtomicU64,
     traces: TraceRing,
@@ -112,7 +111,6 @@ impl PipelineObs {
             staged_docs: registry.gauge("ingest_staged_docs"),
             dirty_terms: registry.gauge("ingest_dirty_terms"),
             buffered_ticks: registry.gauge("ingest_buffered_ticks"),
-            quarantined_docs: registry.gauge("ingest_quarantined_docs"),
             sampler: Sampler::every(config.commit_sample_every),
             trace_seq: AtomicU64::new(0),
             traces: TraceRing::new(config.commit_trace_capacity),
@@ -190,6 +188,5 @@ impl PipelineObs {
         self.staged_docs.set(health.staged_docs as f64);
         self.dirty_terms.set(health.dirty_terms as f64);
         self.buffered_ticks.set(health.buffered_ticks as f64);
-        self.quarantined_docs.set(health.quarantined as f64);
     }
 }

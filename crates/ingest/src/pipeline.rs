@@ -66,8 +66,6 @@ use stb_store::{
 use stb_subscribe::{SubscriptionHandle, SubscriptionOptions, SubscriptionRegistry};
 
 pub use crate::admission::Backpressure;
-#[cfg(test)]
-pub(crate) use crate::admission::QuarantinedDoc;
 pub(crate) use crate::admission::StageOutcome;
 pub use crate::config::IngestConfig;
 pub use crate::durability::DurabilityState;
@@ -226,7 +224,6 @@ pub struct IngestPipeline {
     /// [`HealthReport`] stay exact views of what the registry exports.
     docs_ingested: Arc<Counter>,
     last_commit_ms: f64,
-    total_commit_ms: f64,
     /// The `ingest_commit_ns` p99 as of the last commit — the histogram
     /// only changes there, so health publishes never re-read it.
     commit_p99_ms: Option<f64>,
@@ -269,7 +266,6 @@ impl IngestPipeline {
             ticks_committed: 0,
             docs_ingested: Arc::default(),
             last_commit_ms: 0.0,
-            total_commit_ms: 0.0,
             commit_p99_ms: None,
             obs: None,
             subscriptions,
@@ -383,8 +379,8 @@ impl IngestPipeline {
     /// Poison inputs — an unknown stream (applying it would panic the
     /// commit), a term id beyond the dictionary (it would poison WAL
     /// replay and scoring), or a term count over
-    /// [`IngestConfig::max_terms_per_doc`] — go to the quarantine log
-    /// instead of killing the tick. A staging buffer at
+    /// [`IngestConfig::max_terms_per_doc`] — are refused with their
+    /// `QuarantineReason` instead of killing the tick. A staging buffer at
     /// [`IngestConfig::max_staged_docs`] triggers the configured
     /// [`Backpressure`] policy.
     pub(crate) fn try_stage_document(
@@ -397,10 +393,9 @@ impl IngestPipeline {
             .decide(self.live.collection(), self.staged.len(), stream, &counts)
         {
             Decision::Quarantine(reason) => {
-                self.admission
-                    .quarantine(self.ticks_committed, stream, counts, reason);
+                self.admission.quarantined_total.inc();
                 self.publish_health();
-                StageOutcome::Quarantined
+                StageOutcome::Quarantined(reason)
             }
             Decision::Full => match self.admission.backpressure {
                 Backpressure::Block => {
@@ -427,13 +422,6 @@ impl IngestPipeline {
     pub(crate) fn stage_raw(&mut self, stream: StreamId, counts: HashMap<TermId, u32>) {
         self.dirty.extend(counts.keys().copied());
         self.staged.push(StagedDoc { stream, counts });
-    }
-
-    /// The quarantine log, oldest first (bounded by
-    /// [`IngestConfig::max_quarantined_docs`]).
-    #[cfg(test)]
-    pub(crate) fn quarantine_log(&self) -> impl Iterator<Item = &QuarantinedDoc> {
-        self.admission.quarantine_log()
     }
 
     /// Stages a raw-text document for the open tick, tokenizing with
@@ -572,7 +560,6 @@ impl IngestPipeline {
 
         let commit_ms = start.elapsed().as_secs_f64() * 1000.0;
         self.last_commit_ms = commit_ms;
-        self.total_commit_ms += commit_ms;
         TickReceipt {
             tick,
             new_docs,
@@ -656,18 +643,13 @@ impl IngestPipeline {
     }
 
     /// A current health summary: durability state, failure/retry counters,
-    /// queue depths, quarantine size. See [`HealthReport`].
+    /// queue depths, shed and quarantine counts. See [`HealthReport`].
     pub fn health(&self) -> HealthReport {
-        let sub_metrics = self.subscriptions.metrics();
         let mut report = HealthReport {
             staged_docs: self.staged.len(),
             dirty_terms: self.dirty.len(),
-            uptime_ticks: self.ticks_committed,
             last_commit_ms: self.last_commit_ms,
             commit_p99_ms: self.commit_p99_ms,
-            subscriptions: sub_metrics.active,
-            notifications: sub_metrics.notifications,
-            notifications_dropped: sub_metrics.dropped,
             ..HealthReport::default()
         };
         self.admission.report(&mut report);
@@ -701,19 +683,12 @@ impl IngestPipeline {
     /// A snapshot of the pipeline's counters.
     pub fn metrics(&self) -> PipelineMetrics {
         PipelineMetrics {
-            ticks_committed: self.ticks_committed,
             docs_ingested: self.docs_ingested.get(),
             staged_docs: self.staged.len(),
-            dirty_terms: self.dirty.len(),
             tracked_miners: self.miners.tracked(),
             catchup_replays: self.miners.catchup_replays.get(),
-            last_commit_ms: self.last_commit_ms,
-            total_commit_ms: self.total_commit_ms,
             generation: self.live.generation(),
-            durable: self.durability.is_attached(),
-            wal_appends: self.durability.wal_appends.get(),
             checkpoints: self.durability.checkpoints.get(),
-            engine: self.engine.metrics(),
         }
     }
 }
@@ -982,19 +957,18 @@ pub(crate) mod tests {
             two_cluster_pipeline(MinerKind::STLocal(STLocalConfig::default()), 8);
         let t = pipeline.intern("t");
         pipeline.stage_document(streams[0], HashMap::from([(t, 1)]));
-        let m = pipeline.metrics();
-        assert_eq!(m.staged_docs, 1);
-        assert_eq!(m.dirty_terms, 1);
-        assert_eq!(m.ticks_committed, 0);
+        assert_eq!(pipeline.metrics().staged_docs, 1);
+        assert_eq!(pipeline.health().dirty_terms, 1);
+        assert_eq!(pipeline.ticks_committed(), 0);
         pipeline.commit_tick();
         let m = pipeline.metrics();
         assert_eq!(m.staged_docs, 0);
-        assert_eq!(m.dirty_terms, 0);
-        assert_eq!(m.ticks_committed, 1);
+        assert_eq!(pipeline.health().dirty_terms, 0);
+        assert_eq!(pipeline.ticks_committed(), 1);
         assert_eq!(m.docs_ingested, 1);
         assert_eq!(m.tracked_miners, 1);
-        assert!(m.last_commit_ms >= 0.0);
-        assert!(m.engine.finalized);
+        assert!(pipeline.health().last_commit_ms >= 0.0);
+        assert!(pipeline.search_handle().metrics().finalized);
         assert!(m.generation > 0);
     }
 
@@ -1061,11 +1035,14 @@ pub(crate) mod tests {
             Some(12)
         );
         // Adopted cells reconcile exactly with the legacy metrics view.
-        let m = pipeline.metrics();
-        assert_eq!(snap.counter("ingest_docs_total"), Some(m.docs_ingested));
+        assert_eq!(
+            snap.counter("ingest_docs_total"),
+            Some(pipeline.metrics().docs_ingested)
+        );
+        let served = handle.metrics();
         assert_eq!(
             snap.counter("search_queries_total"),
-            Some(m.engine.cache_hits + m.engine.cache_misses)
+            Some(served.cache_hits + served.cache_misses)
         );
         // Ephemeral pipeline: durability gauge reads 0, no WAL activity.
         assert_eq!(snap.gauge("ingest_durability_state"), Some(0.0));
@@ -1083,7 +1060,7 @@ pub(crate) mod tests {
 
         // The health report consumes the histogram snapshot.
         let h = pipeline.health();
-        assert_eq!(h.uptime_ticks, 12);
+        assert_eq!(pipeline.ticks_committed(), 12);
         assert!(h.commit_p99_ms.is_some());
         assert!(h.durability_state_secs >= 0.0);
 

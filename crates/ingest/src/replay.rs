@@ -261,12 +261,6 @@ mod tests {
                 );
             }
         }
-        for s in 0..batch.n_streams() {
-            assert_eq!(
-                batch.stream_total_series(StreamId(s as u32)),
-                live.stream_total_series(StreamId(s as u32))
-            );
-        }
     }
 
     #[test]

@@ -6,10 +6,9 @@ use crate::miner::PatternDelta;
 #[cfg(doc)]
 use crate::{Backpressure, IngestPipeline, SearchHandle};
 use stb_corpus::{DocId, Timestamp};
-use stb_search::EngineMetrics;
 
 /// A point-in-time health summary of the pipeline: durability state,
-/// failure/retry counters, queue depths, and quarantine size.
+/// failure/retry counters, queue depths, and shed/quarantine counts.
 ///
 /// Obtained from [`IngestPipeline::health`] — the admission-control and
 /// monitoring surface.
@@ -19,12 +18,8 @@ pub struct HealthReport {
     pub(crate) durability: DurabilityState,
     /// Documents staged for the open tick.
     pub(crate) staged_docs: usize,
-    /// Configured staging bound (0 = unbounded).
-    pub(crate) max_staged_docs: usize,
     /// Committed-but-unlogged tick records buffered in degraded mode.
     pub(crate) buffered_ticks: usize,
-    /// Configured degraded-buffer bound.
-    pub(crate) max_buffered_ticks: usize,
     /// Dirty terms pending for the open tick.
     pub(crate) dirty_terms: usize,
     /// Tick records successfully appended to the WAL.
@@ -35,19 +30,12 @@ pub struct HealthReport {
     pub(crate) store_retries: u64,
     /// Times the pipeline returned from `Degraded` to `Durable`.
     pub(crate) recoveries: u64,
-    /// Snapshots written (manual and automatic checkpoints).
-    pub(crate) checkpoints: u64,
     /// Checkpoint attempts that failed.
     pub(crate) checkpoint_failures: u64,
     /// Documents dropped by [`Backpressure::Shed`].
     pub docs_shed: u64,
-    /// Documents currently in the quarantine log.
-    pub(crate) quarantined: usize,
-    /// Documents ever quarantined (keeps counting past the log bound).
+    /// Poison documents refused over the pipeline's lifetime.
     pub quarantined_total: u64,
-    /// Ticks committed over the pipeline's lifetime (the "age" of the
-    /// serving state in ticks).
-    pub uptime_ticks: usize,
     /// Wall-clock milliseconds of the most recent commit.
     pub last_commit_ms: f64,
     /// Wall-clock seconds the pipeline has spent in its *current*
@@ -58,13 +46,6 @@ pub struct HealthReport {
     /// [`IngestPipeline::attach_obs`] wires an observability registry (or
     /// while no commit has been recorded yet).
     pub commit_p99_ms: Option<f64>,
-    /// Standing subscriptions currently registered.
-    pub(crate) subscriptions: usize,
-    /// Result diffs delivered to subscription channels over the
-    /// pipeline's lifetime (coalesced merges count once).
-    pub(crate) notifications: u64,
-    /// Result diffs dropped by full `DropCounted` subscription channels.
-    pub(crate) notifications_dropped: u64,
     /// The most recent store failure, while durability is not intact.
     pub last_error: Option<String>,
 }
@@ -89,31 +70,17 @@ pub struct TickReceipt {
 /// A point-in-time snapshot of the pipeline's counters.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PipelineMetrics {
-    /// Ticks committed so far.
-    pub(crate) ticks_committed: usize,
     /// Documents applied over the pipeline's lifetime.
     pub(crate) docs_ingested: u64,
     /// Documents currently staged for the open tick (queue depth).
     pub staged_docs: usize,
-    /// Dirty terms currently pending for the open tick (queue depth).
-    pub(crate) dirty_terms: usize,
     /// Per-term online miners currently tracked (`STLocal` mode).
     pub(crate) tracked_miners: usize,
     /// Miners (re)built by replaying collection history — late-arriving
     /// terms and post-`add_stream` rebuilds.
     pub(crate) catchup_replays: u64,
-    /// Wall-clock milliseconds of the most recent commit.
-    pub(crate) last_commit_ms: f64,
-    /// Cumulative wall-clock milliseconds spent in commits.
-    pub(crate) total_commit_ms: f64,
     /// Mutation generation of the live collection.
     pub(crate) generation: u64,
-    /// Whether the pipeline has a durable store attached.
-    pub(crate) durable: bool,
-    /// Tick records appended to the write-ahead log.
-    pub(crate) wal_appends: u64,
     /// Snapshots written (manual and automatic checkpoints).
     pub checkpoints: u64,
-    /// The serving engine's counters.
-    pub(crate) engine: EngineMetrics,
 }

@@ -52,6 +52,15 @@ fn recover(dir: &Path) -> Result<(IngestPipeline, stb_ingest::RecoveryReport), S
     IngestPipeline::durable(config(7), dir)
 }
 
+/// Overwrites byte 8 of the snapshot in `dir`: the low-order byte of the
+/// version u32 that sits right after the 8-byte magic.
+fn write_snapshot_version_byte(dir: &Path, version: u8) {
+    let path = dir.join(SNAPSHOT_FILE);
+    let mut bytes = std::fs::read(&path).unwrap();
+    bytes[8] = version;
+    std::fs::write(&path, bytes).unwrap();
+}
+
 #[test]
 fn zero_length_snapshot_is_truncated_error() {
     let dir = case_dir("zero-snap");
@@ -80,11 +89,9 @@ fn truncated_snapshot_header_is_truncated_error() {
 fn wrong_snapshot_version_is_unsupported_version() {
     let dir = case_dir("version");
     seed_store(&dir);
-    // The version u32 sits right after the 8-byte magic; byte 8 is its
-    // low-order byte. Flipping bit 6 turns version 3 into 67.
-    flip_bit_file(&dir.join(SNAPSHOT_FILE), 8, 6).unwrap();
+    write_snapshot_version_byte(&dir, 68);
     match recover(&dir).map(|_| ()) {
-        Err(StoreError::UnsupportedVersion { found: 67, .. }) => {}
+        Err(StoreError::UnsupportedVersion { found: 68, .. }) => {}
         other => panic!("expected UnsupportedVersion, got {other:?}"),
     }
     let _ = std::fs::remove_dir_all(&dir);
@@ -96,12 +103,11 @@ fn version_one_snapshot_is_unsupported_version() {
     // No store of that format is deployed, so it is refused, not migrated.
     let dir = case_dir("version-one");
     seed_store(&dir);
-    // Bit 1 of byte 8 turns version 3 into 1.
-    flip_bit_file(&dir.join(SNAPSHOT_FILE), 8, 1).unwrap();
+    write_snapshot_version_byte(&dir, 1);
     match recover(&dir).map(|_| ()) {
         Err(StoreError::UnsupportedVersion {
             found: 1,
-            supported: 3,
+            supported: 4,
             ..
         }) => {}
         other => panic!("expected UnsupportedVersion, got {other:?}"),
@@ -116,12 +122,30 @@ fn version_two_snapshot_is_unsupported_version() {
     // refused, not migrated.
     let dir = case_dir("version-two");
     seed_store(&dir);
-    // Bit 0 of byte 8 turns version 3 into 2.
-    flip_bit_file(&dir.join(SNAPSHOT_FILE), 8, 0).unwrap();
+    write_snapshot_version_byte(&dir, 2);
     match recover(&dir).map(|_| ()) {
         Err(StoreError::UnsupportedVersion {
             found: 2,
-            supported: 3,
+            supported: 4,
+            ..
+        }) => {}
+        other => panic!("expected UnsupportedVersion, got {other:?}"),
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn version_three_snapshot_is_unsupported_version() {
+    // Version 3 also persisted every stream's total term occurrences per
+    // timestamp. No store of that format is deployed, so it is refused,
+    // not migrated.
+    let dir = case_dir("version-three");
+    seed_store(&dir);
+    write_snapshot_version_byte(&dir, 3);
+    match recover(&dir).map(|_| ()) {
+        Err(StoreError::UnsupportedVersion {
+            found: 3,
+            supported: 4,
             ..
         }) => {}
         other => panic!("expected UnsupportedVersion, got {other:?}"),

@@ -135,7 +135,7 @@ fn commit_traces_and_health_are_histogram_backed() {
 
     // Health is served from the same histogram the registry exports.
     let health = pipeline.health();
-    assert_eq!(health.uptime_ticks, 8);
+    assert_eq!(pipeline.ticks_committed(), 8);
     assert!(health.last_commit_ms >= 0.0);
     assert!(
         health.commit_p99_ms.is_some(),

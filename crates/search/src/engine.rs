@@ -59,7 +59,6 @@ use crate::threshold::{threshold_topk_with_stats, ScoredDoc, TopkStats};
 use stb_obs::{SpanClock, SpanKind};
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 use stb_core::{parallel_map, Pattern, PatternRecord};
 use stb_corpus::{Collection, DocId, TermId};
@@ -253,10 +252,6 @@ pub struct BurstySearchEngine {
     positions: Vec<Point2D>,
     /// LRU cache of evaluated top-k result lists.
     cache: QueryCache,
-    /// Number of full prebuilt-index builds (for [`EngineMetrics`]).
-    finalize_count: u64,
-    /// Wall-clock duration of the most recent full build.
-    last_finalize: Option<Duration>,
     /// Number of single-term posting-list rebuilds on the prebuilt index.
     term_rescore_count: u64,
 }
@@ -280,15 +275,9 @@ pub struct EngineMetrics {
     pub indexed_terms: usize,
     /// Total postings in the prebuilt index (0 if cold).
     pub indexed_postings: usize,
-    /// Number of full prebuilt-index builds so far.
-    pub(crate) finalize_count: u64,
-    /// Wall-clock milliseconds of the most recent full build, if any.
-    pub(crate) last_finalize_ms: Option<f64>,
     /// Single-term posting-list rebuilds applied to the prebuilt index
     /// (incremental `set_patterns` / `refresh_term` calls).
     pub term_rescore_count: u64,
-    /// Documents in the engine's current collection snapshot.
-    pub(crate) n_docs: usize,
 }
 
 impl BurstySearchEngine {
@@ -331,8 +320,6 @@ impl BurstySearchEngine {
                 prebuilt: None,
             },
             cache: QueryCache::new(cache_capacity),
-            finalize_count: 0,
-            last_finalize: None,
             term_rescore_count: 0,
         }
     }
@@ -466,7 +453,6 @@ impl BurstySearchEngine {
     /// calls rebuilds from the current patterns; for single-term updates the
     /// incremental path inside `set_patterns` is cheaper.
     pub fn finalize_with_threads(&mut self, n_threads: usize) {
-        let start = Instant::now();
         let mut terms: Vec<TermId> = self.state.term_docs.keys().copied().collect();
         terms.sort();
         let this = &*self;
@@ -478,8 +464,6 @@ impl BurstySearchEngine {
         index.finalize();
         self.state.prebuilt = Some(index);
         self.cache.clear();
-        self.finalize_count += 1;
-        self.last_finalize = Some(start.elapsed());
     }
 
     /// The prebuilt full-collection posting index, if
@@ -505,10 +489,7 @@ impl BurstySearchEngine {
             finalized: prebuilt.is_some(),
             indexed_terms: prebuilt.map_or(0, InvertedIndex::n_terms),
             indexed_postings: prebuilt.map_or(0, InvertedIndex::n_postings),
-            finalize_count: self.finalize_count,
-            last_finalize_ms: self.last_finalize.map(|d| d.as_secs_f64() * 1000.0),
             term_rescore_count: self.term_rescore_count,
-            n_docs: self.state.collection.documents().len(),
         }
     }
 
@@ -1164,8 +1145,6 @@ mod tests {
         let mut engine = BurstySearchEngine::new(&c, EngineConfig::default());
         let cold = engine.metrics();
         assert!(!cold.finalized);
-        assert_eq!(cold.finalize_count, 0);
-        assert_eq!(cold.last_finalize_ms, None);
 
         engine.set_patterns(flood, &[flood_pattern()]);
         engine.finalize_with_threads(2);
@@ -1175,8 +1154,6 @@ mod tests {
 
         let m = engine.metrics();
         assert!(m.finalized);
-        assert_eq!(m.finalize_count, 1);
-        assert!(m.last_finalize_ms.is_some());
         assert_eq!(m.cache_hits, 1);
         assert_eq!(m.cache_misses, 1);
         assert!(m.term_rescore_count >= 1);

@@ -2,9 +2,9 @@
 //!
 //! A snapshot freezes what the ingestion pipeline cannot re-derive: the
 //! dictionary, the streams with their positions, the timeline length, the
-//! documents, the per-stream totals, the mined patterns with their captured
-//! spatial footprints, and the pipeline's *pending* bookkeeping (dirty
-//! terms, staged documents, structural flags). Everything else is derived
+//! documents, the mined patterns with their captured spatial footprints,
+//! and the pipeline's *pending* bookkeeping (dirty terms, staged
+//! documents, structural flags). Everything else is derived
 //! on load by the code that builds it the first time: the frequency tensor
 //! by [`Collection::from_parts`] (the aggregation
 //! `CollectionBuilder::build` runs), every posting list by the engine's
@@ -47,10 +47,11 @@ use crate::wal::DocRecord;
 pub(crate) const SNAPSHOT_MAGIC: [u8; 8] = *b"STBSNAP0";
 /// The single snapshot format version this build reads and writes. Version
 /// 1 also persisted the frequency tensor and every posting list; version 2
-/// also persisted a pending "timeline grew" flag for live `STComb` mining.
-/// There are no deployed stores, so an older file is an
+/// also persisted a pending "timeline grew" flag for live `STComb` mining;
+/// version 3 also persisted every stream's total term occurrences per
+/// timestamp. There are no deployed stores, so an older file is an
 /// `UnsupportedVersion` error.
-pub(crate) const SNAPSHOT_VERSION: u32 = 3;
+pub(crate) const SNAPSHOT_VERSION: u32 = 4;
 
 /// The ingestion pipeline's uncommitted bookkeeping at snapshot time.
 ///
@@ -95,8 +96,8 @@ pub struct SnapshotState {
 // ---------------------------------------------------------------------
 
 /// Encodes a collection's inputs into `e`: dictionary, streams, timeline
-/// length, documents and per-stream totals. The frequency tensor is not
-/// persisted; `decode_collection` re-derives it from the documents.
+/// length and documents. The frequency tensor is not persisted;
+/// `decode_collection` re-derives it from the documents.
 pub fn encode_collection(e: &mut Enc, collection: &Collection) {
     let dict = collection.dict();
     e.put_u32(dict.len() as u32);
@@ -124,14 +125,6 @@ pub fn encode_collection(e: &mut Enc, collection: &Collection) {
         for &(t, c) in &counts {
             e.put_u32(t.0);
             e.put_u32(c);
-        }
-    }
-    e.put_u32(collection.n_streams() as u32);
-    for s in collection.streams() {
-        let totals = collection.stream_total_series(s.id);
-        e.put_u32(totals.len() as u32);
-        for &v in totals {
-            e.put_f64(v);
         }
     }
 }
@@ -179,22 +172,11 @@ pub(crate) fn decode_collection(d: &mut Dec<'_>) -> Result<Collection, StoreErro
             counts,
         });
     }
-    let n_totals = d.get_count(4)?;
-    let mut stream_totals = Vec::with_capacity(n_totals);
-    for _ in 0..n_totals {
-        let len = d.get_count(8)?;
-        let mut totals = Vec::with_capacity(len);
-        for _ in 0..len {
-            totals.push(d.get_f64()?);
-        }
-        stream_totals.push(totals);
-    }
     let parts = CollectionParts {
         terms,
         streams,
         timeline_len,
         documents,
-        stream_totals,
     };
     Collection::from_parts(parts)
         .map_err(|e| StoreError::corrupt("snapshot", e.detail().to_string()))
@@ -671,17 +653,28 @@ mod tests {
     }
 
     #[test]
-    fn totals_that_disagree_with_the_documents_are_corrupt() {
-        let mut e = Enc::new();
-        encode_collection(&mut e, &sample_collection());
-        let mut bytes = e.into_bytes();
-        // The last total (tokyo, timestamp 3) is 0.0; make it 1.0.
-        let n = bytes.len();
-        bytes[n - 8..].copy_from_slice(&1.0f64.to_le_bytes());
-        assert!(matches!(
-            decode_collection(&mut Dec::new(&bytes, "snapshot")),
-            Err(StoreError::Corrupt { .. })
-        ));
+    fn a_huge_timeline_without_documents_loads_without_allocating_it() {
+        // Nothing on the load path is sized by the decoded `timeline_len`:
+        // a dense streams × timeline field of 2 × 2^40 f64s would abort.
+        let collection = sample_collection();
+        let state = SnapshotState {
+            ticks_committed: 0,
+            collection: Arc::new(
+                Collection::from_parts(CollectionParts {
+                    terms: vec!["quake".into()],
+                    streams: collection.streams().to_vec(),
+                    timeline_len: 1 << 40,
+                    documents: Vec::new(),
+                })
+                .unwrap(),
+            ),
+            patterns: Vec::new(),
+            pending: PendingState::default(),
+        };
+        let decoded = decode_snapshot(&encode_snapshot(&state)).unwrap();
+        assert_eq!(decoded.collection.timeline_len(), 1 << 40);
+        assert!(decoded.collection.documents().is_empty());
+        assert_states_equal(&decoded, &state);
     }
 
     #[test]
@@ -874,7 +867,7 @@ mod tests {
             })
         ));
         // A file of an earlier format version.
-        for old in [1, 2] {
+        for old in [1, 2, 3] {
             let mut bad = good.clone();
             bad[8..12].copy_from_slice(&u32::to_le_bytes(old));
             assert!(matches!(
@@ -882,7 +875,7 @@ mod tests {
                 Err(StoreError::UnsupportedVersion {
                     what: "snapshot",
                     found,
-                    supported: 3,
+                    supported: 4,
                 }) if found == old
             ));
         }

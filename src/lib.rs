@@ -47,3 +47,9 @@ pub use stb_search as search;
 pub use stb_store as store;
 pub use stb_subscribe as subscribe;
 pub use stb_timeseries as timeseries;
+
+/// The README's `rust` blocks, compiled as doctests so they keep up with
+/// the API (`no_run`: they open stores and build corpora).
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+struct ReadmeDoctests;

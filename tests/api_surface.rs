@@ -232,7 +232,6 @@ fn ingest_surface() {
         max_staged_docs: 0,
         backpressure: Backpressure::Block,
         max_terms_per_doc: 0,
-        max_quarantined_docs: 1024,
     });
     let stream = pipeline.add_stream("Athens", GeoPoint::new(38.0, 23.7));
     let term = pipeline.intern("storm");
